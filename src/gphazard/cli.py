@@ -21,12 +21,8 @@ from .gamma_process import GammaProcessDraw, GammaProcessParams, draw_gamma_proc
 from .likelihood import HyperParams, log_likelihood
 from .models import (
     HazardModel,
-    IncreasingFailureRate,
-    DecreasingFailureRate,
-    LoWengBathtub,
-    LogConvexHazard,
-    MixtureBathtub,
-    SuperpositionBathtub,
+    _build_model,
+    _variant_fields,
     draw_model_params,
     model_from_dict,
     simulate_dataset,
@@ -34,15 +30,6 @@ from .models import (
 from .rng import RandomStream
 from .stats import kaplan_meier
 from .validation import DEMO_SEED, format_report, run_validation
-
-_REQUIRED_SCALARS = {
-    "ifr": ("lambda0",),
-    "dfr": ("lambda0",),
-    "lwb": ("lambda0", "a"),
-    "sbt": ("lambda0",),
-    "mbt": ("pi", "lambda01", "lambda02"),
-    "lcv": ("lambda0", "w0"),
-}
 
 
 def _fmt(x) -> str:
@@ -98,25 +85,11 @@ def _resolve_draw(cfg: dict, key: str, stream: RandomStream) -> GammaProcessDraw
 def build_model(cfg: dict, stream: RandomStream) -> HazardModel:
     """Assemble the configured model, drawing priors (and scalars, if nu is set) in order."""
     variant = cfg.get("model")
-    if variant not in _REQUIRED_SCALARS:
-        raise ValueError(f"unknown or missing model variant: {variant!r}")
-    draws = [_resolve_draw(cfg, "prior", stream)]
-    if variant in ("sbt", "mbt"):
-        draws.append(_resolve_draw(cfg, "prior2", stream))
-    required = _REQUIRED_SCALARS[variant]
-    if all(k in cfg for k in required):
-        if variant == "ifr":
-            return IncreasingFailureRate(cfg["lambda0"], draws[0])
-        if variant == "dfr":
-            return DecreasingFailureRate(cfg["lambda0"], draws[0])
-        if variant == "lwb":
-            return LoWengBathtub(cfg["lambda0"], cfg["a"], draws[0])
-        if variant == "sbt":
-            return SuperpositionBathtub(cfg["lambda0"], draws[0], draws[1])
-        if variant == "mbt":
-            return MixtureBathtub(cfg["pi"], cfg["lambda01"], draws[0], cfg["lambda02"], draws[1])
-        if variant == "lcv":
-            return LogConvexHazard(cfg["lambda0"], cfg["w0"], draws[0])
+    scalars, draw_keys = _variant_fields(variant)
+    draws = [_resolve_draw(cfg, key, stream) for key in ("prior", "prior2")[: len(draw_keys)]]
+    missing = [k for k in scalars if k not in cfg]
+    if not missing:
+        return _build_model(variant, cfg, draws)
     if "nu" in cfg:
         return draw_model_params(
             variant,
@@ -127,7 +100,6 @@ def build_model(cfg: dict, stream: RandomStream) -> HazardModel:
             pi=cfg.get("pi"),
             draw_pi=bool(cfg.get("draw_pi", False)),
         )
-    missing = [k for k in required if k not in cfg]
     raise ValueError(
         f"{variant} needs {missing} in the config (or 'nu' to draw them from their priors)"
     )

@@ -74,6 +74,15 @@ class NormalBase:
 BaseMeasure = ExponentialBase | NormalBase
 
 
+def _require_keys(d, keys, what: str) -> None:
+    """Raise ValueError unless ``d`` is a JSON object holding every one of ``keys``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
+
+
 def base_measure_from_dict(d: dict) -> BaseMeasure:
     kind = d.get("kind")
     if kind == "exponential":
@@ -108,6 +117,7 @@ class GammaProcessParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GammaProcessParams":
+        _require_keys(d, ("alpha", "beta"), "gamma process prior")
         return cls(
             alpha=float(d["alpha"]),
             beta=float(d["beta"]),
@@ -253,6 +263,7 @@ class GammaProcessDraw:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GammaProcessDraw":
+        _require_keys(d, ("gamma", "thetas", "sticks", "weights"), "gamma process draw")
         return cls(
             gamma=float(d["gamma"]),
             thetas=np.asarray(d["thetas"], dtype=float),

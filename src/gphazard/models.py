@@ -15,8 +15,9 @@ for that outcome, never an exception.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +25,7 @@ from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .datasets import Dataset
-from .gamma_process import GammaProcessDraw
+from .gamma_process import GammaProcessDraw, _require_keys
 from .likelihood import HyperParams
 from .rng import RandomStream
 
@@ -56,34 +57,6 @@ def _as_times(t) -> np.ndarray:
 
 def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
     return float(out) if np.ndim(like) == 0 else out
-
-
-@dataclass(eq=False)
-class _SortedAtoms:
-    """Sorted atom locations with zero-prefixed mass and first-moment sums."""
-
-    thetas: np.ndarray
-    mass: np.ndarray    # mass[j] = total weight of the j smallest atoms
-    moment: np.ndarray  # moment[j] = corresponding sum of weight * location
-
-    @classmethod
-    def of(cls, draw: GammaProcessDraw) -> "_SortedAtoms":
-        o = draw.ordered
-        return cls(
-            thetas=o.thetas,
-            mass=np.concatenate(([0.0], o.cum_mass)),
-            moment=np.concatenate(([0.0], o.cum_moment)),
-        )
-
-    @property
-    def total(self) -> float:
-        return float(self.mass[-1])
-
-    def count_le(self, t) -> np.ndarray:
-        return np.searchsorted(self.thetas, t, side="right")
-
-    def count_lt(self, t) -> np.ndarray:
-        return np.searchsorted(self.thetas, t, side="left")
 
 
 @dataclass(eq=False)
@@ -249,97 +222,93 @@ def _linear_skeleton(model: HazardModel, inner_knots: np.ndarray) -> _PiecewiseL
     return _PiecewiseLinear(knots=knots, values=values, slopes=np.append(interior, final))
 
 
+def _is_draw(f: Field) -> bool:
+    return f.type == "GammaProcessDraw"  # annotations are strings in this module
+
+
+class _DrawModel(HazardModel):
+    """Dataclass model whose fields, in order, are its constructor arguments and document keys.
+
+    By default the cumulative hazard goes through the subclass's cached
+    ``_skeleton`` and the breakpoints are the draws' pooled atom locations.
+    """
+
+    def cum_hazard(self, t):
+        return self._skeleton.value(t)
+
+    def cum_hazard_limit(self) -> float:
+        return self._skeleton.limit()
+
+    def invert_cum_hazard(self, target):
+        return self._skeleton.invert(target)
+
+    def breakpoints(self) -> np.ndarray:
+        draws = [getattr(self, f.name) for f in fields(self) if _is_draw(f)]
+        return np.unique(np.concatenate([d.ordered.thetas for d in draws]))
+
+    def to_dict(self) -> dict:
+        out = {"model": self.variant}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.metadata.get("key", f.name)] = value.to_dict() if _is_draw(f) else value
+        return out
+
+
+class _StepHazard(_DrawModel):
+    """Piecewise-constant hazard at least ``lambda0`` >= 0, with a linear skeleton."""
+
+    def __post_init__(self):
+        if self.lambda0 < 0.0:
+            raise ValueError(f"lambda0 must be non-negative, got {self.lambda0}")
+
+    @cached_property
+    def _skeleton(self) -> _PiecewiseLinear:
+        return _linear_skeleton(self, self.breakpoints())
+
+
 @dataclass(eq=False)
-class IncreasingFailureRate(HazardModel):
-    """Non-decreasing hazard: a background rate plus the atom mass at or below t."""
+class IncreasingFailureRate(_StepHazard):
+    """Non-decreasing hazard: a background rate plus the atom mass at or below t.
+
+    The cumulative hazard is lambda0*t + sum_k w_k * max(0, t - theta_k).
+    """
 
     lambda0: float
     draw: GammaProcessDraw
     variant = "ifr"
 
-    def __post_init__(self):
-        if self.lambda0 < 0.0:
-            raise ValueError(f"lambda0 must be non-negative, got {self.lambda0}")
-
-    @cached_property
-    def _atoms(self) -> _SortedAtoms:
-        return _SortedAtoms.of(self.draw)
-
-    @cached_property
-    def _pwl(self) -> _PiecewiseLinear:
-        return _linear_skeleton(self, self._atoms.thetas)
-
     def hazard(self, t):
         arr = _as_times(t)
-        a = self._atoms
-        return _maybe_scalar(self.lambda0 + a.mass[a.count_le(arr)], t)
-
-    def cum_hazard(self, t):
-        # lambda0*t + sum_k w_k * max(0, t - theta_k), evaluated segment-wise
-        return self._pwl.value(t)
-
-    def cum_hazard_limit(self) -> float:
-        return self._pwl.limit()
-
-    def invert_cum_hazard(self, target):
-        return self._pwl.invert(target)
-
-    def breakpoints(self) -> np.ndarray:
-        return np.unique(self._atoms.thetas)
-
-    def to_dict(self) -> dict:
-        return {"model": self.variant, "lambda0": self.lambda0, "draw": self.draw.to_dict()}
+        j = np.searchsorted(self.draw.ordered.thetas, arr, side="right")
+        return _maybe_scalar(self.lambda0 + self.draw._mass0[j], t)
 
 
 @dataclass(eq=False)
-class DecreasingFailureRate(HazardModel):
-    """Non-increasing hazard: a background rate plus the atom mass strictly above t."""
+class DecreasingFailureRate(_StepHazard):
+    """Non-increasing hazard: a background rate plus the atom mass strictly above t.
+
+    The cumulative hazard is lambda0*t + sum_k w_k * min(t, theta_k).
+    """
 
     lambda0: float
     draw: GammaProcessDraw
     variant = "dfr"
 
-    def __post_init__(self):
-        if self.lambda0 < 0.0:
-            raise ValueError(f"lambda0 must be non-negative, got {self.lambda0}")
-
-    @cached_property
-    def _atoms(self) -> _SortedAtoms:
-        return _SortedAtoms.of(self.draw)
-
-    @cached_property
-    def _pwl(self) -> _PiecewiseLinear:
-        return _linear_skeleton(self, self._atoms.thetas)
-
     def hazard(self, t):
         arr = _as_times(t)
-        a = self._atoms
-        return _maybe_scalar(self.lambda0 + a.total - a.mass[a.count_le(arr)], t)
-
-    def cum_hazard(self, t):
-        # lambda0*t + sum_k w_k * min(t, theta_k), evaluated segment-wise
-        return self._pwl.value(t)
-
-    def cum_hazard_limit(self) -> float:
-        return self._pwl.limit()
-
-    def invert_cum_hazard(self, target):
-        return self._pwl.invert(target)
-
-    def breakpoints(self) -> np.ndarray:
-        return np.unique(self._atoms.thetas)
-
-    def to_dict(self) -> dict:
-        return {"model": self.variant, "lambda0": self.lambda0, "draw": self.draw.to_dict()}
+        mass = self.draw._mass0
+        j = np.searchsorted(self.draw.ordered.thetas, arr, side="right")
+        return _maybe_scalar(self.lambda0 + mass[-1] - mass[j], t)
 
 
 @dataclass(eq=False)
-class LoWengBathtub(HazardModel):
+class LoWengBathtub(_StepHazard):
     """Bathtub hazard symmetric about its minimum at t = a.
 
     Decreasing on [0, a), minimum value lambda0 at t = a, then mirrored
     increases: each atom at theta steps the hazard down at a - theta and
-    up at a + theta.
+    up at a + theta, so the cumulative hazard is linear between those
+    pooled breakpoints.
     """
 
     lambda0: float
@@ -348,111 +317,45 @@ class LoWengBathtub(HazardModel):
     variant = "lwb"
 
     def __post_init__(self):
-        if self.lambda0 < 0.0:
-            raise ValueError(f"lambda0 must be non-negative, got {self.lambda0}")
+        super().__post_init__()
         if self.a < 0.0:
             raise ValueError(f"a must be non-negative, got {self.a}")
 
-    @cached_property
-    def _atoms(self) -> _SortedAtoms:
-        return _SortedAtoms.of(self.draw)
-
-    @cached_property
-    def _pwl(self) -> _PiecewiseLinear:
-        return _linear_skeleton(self, self.breakpoints())
-
     def hazard(self, t):
         arr = _as_times(t)
-        at = self._atoms
-        early = at.mass[at.count_lt(self.a - arr)]   # atoms below a - t
-        late = at.mass[at.count_le(arr - self.a)]    # atoms at or below t - a
+        thetas, mass = self.draw.ordered.thetas, self.draw._mass0
+        early = mass[np.searchsorted(thetas, self.a - arr, side="left")]   # atoms below a - t
+        late = mass[np.searchsorted(thetas, arr - self.a, side="right")]   # atoms at or below t - a
         return _maybe_scalar(self.lambda0 + np.where(arr < self.a, early, late), t)
 
-    def cum_hazard(self, t):
-        # the hazard steps down at each a - theta_k and up at each a + theta_k,
-        # so the cumulative hazard is linear between those pooled breakpoints
-        return self._pwl.value(t)
-
-    def cum_hazard_limit(self) -> float:
-        return self._pwl.limit()
-
-    def invert_cum_hazard(self, target):
-        return self._pwl.invert(target)
-
     def breakpoints(self) -> np.ndarray:
-        th = self._atoms.thetas
+        th = self.draw.ordered.thetas
         return np.unique(np.concatenate((self.a - th[th < self.a], [self.a], self.a + th)))
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.variant,
-            "lambda0": self.lambda0,
-            "a": self.a,
-            "draw": self.draw.to_dict(),
-        }
 
 
 @dataclass(eq=False)
-class SuperpositionBathtub(HazardModel):
-    """Sum of a decreasing and an increasing hazard from two independent draws."""
+class SuperpositionBathtub(_StepHazard):
+    """Sum of a decreasing and an increasing hazard from two independent draws.
+
+    The cumulative hazard is lambda0*t + sum_k w1k*min(t, theta1k)
+    + sum_k w2k*max(0, t - theta2k).
+    """
 
     lambda0: float
-    draw_decreasing: GammaProcessDraw
-    draw_increasing: GammaProcessDraw
+    draw_decreasing: GammaProcessDraw = field(metadata={"key": "draw1"})
+    draw_increasing: GammaProcessDraw = field(metadata={"key": "draw2"})
     variant = "sbt"
-
-    def __post_init__(self):
-        if self.lambda0 < 0.0:
-            raise ValueError(f"lambda0 must be non-negative, got {self.lambda0}")
-
-    @cached_property
-    def _atoms1(self) -> _SortedAtoms:
-        return _SortedAtoms.of(self.draw_decreasing)
-
-    @cached_property
-    def _atoms2(self) -> _SortedAtoms:
-        return _SortedAtoms.of(self.draw_increasing)
-
-    @cached_property
-    def _pwl(self) -> _PiecewiseLinear:
-        return _linear_skeleton(self, self.breakpoints())
 
     def hazard(self, t):
         arr = _as_times(t)
-        a1, a2 = self._atoms1, self._atoms2
-        out = (
-            self.lambda0
-            + a1.total
-            - a1.mass[a1.count_le(arr)]
-            + a2.mass[a2.count_le(arr)]
-        )
-        return _maybe_scalar(out, t)
-
-    def cum_hazard(self, t):
-        # lambda0*t + sum_k w1k*min(t, theta1k) + sum_k w2k*max(0, t - theta2k),
-        # evaluated segment-wise over the pooled atom locations
-        return self._pwl.value(t)
-
-    def cum_hazard_limit(self) -> float:
-        return self._pwl.limit()
-
-    def invert_cum_hazard(self, target):
-        return self._pwl.invert(target)
-
-    def breakpoints(self) -> np.ndarray:
-        return np.unique(np.concatenate((self._atoms1.thetas, self._atoms2.thetas)))
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.variant,
-            "lambda0": self.lambda0,
-            "draw1": self.draw_decreasing.to_dict(),
-            "draw2": self.draw_increasing.to_dict(),
-        }
+        d1, d2 = self.draw_decreasing, self.draw_increasing
+        j1 = np.searchsorted(d1.ordered.thetas, arr, side="right")
+        j2 = np.searchsorted(d2.ordered.thetas, arr, side="right")
+        return _maybe_scalar(self.lambda0 + d1._mass0[-1] - d1._mass0[j1] + d2._mass0[j2], t)
 
 
 @dataclass(eq=False)
-class MixtureBathtub(HazardModel):
+class MixtureBathtub(_DrawModel):
     """Two-component survival mixture of a decreasing and an increasing model.
 
     The survival function is the pi-weighted mixture of the component
@@ -509,11 +412,6 @@ class MixtureBathtub(HazardModel):
         ) * math.exp(-self._increasing.cum_hazard_limit())
         return math.inf if tail == 0.0 else -math.log(tail)
 
-    def breakpoints(self) -> np.ndarray:
-        return np.unique(
-            np.concatenate((self.draw1.ordered.thetas, self.draw2.ordered.thetas))
-        )
-
     @cached_property
     def _knot_values(self) -> tuple[np.ndarray, np.ndarray]:
         knots = np.unique(np.concatenate(([0.0], self.breakpoints())))
@@ -564,19 +462,9 @@ class MixtureBathtub(HazardModel):
         c = stream.categorical((self.pi, 1.0 - self.pi))
         return self.components[c].sample_failure(stream)
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.variant,
-            "pi": self.pi,
-            "lambda01": self.lambda01,
-            "draw1": self.draw1.to_dict(),
-            "lambda02": self.lambda02,
-            "draw2": self.draw2.to_dict(),
-        }
-
 
 @dataclass(eq=False)
-class LogConvexHazard(HazardModel):
+class LogConvexHazard(_DrawModel):
     """Hazard whose logarithm is piecewise linear and convex.
 
     log hazard(t) = log(lambda0) + w0*t + sum_k w_k * max(0, t - theta_k):
@@ -594,15 +482,10 @@ class LogConvexHazard(HazardModel):
             raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
 
     @cached_property
-    def _atoms(self) -> _SortedAtoms:
-        return _SortedAtoms.of(self.draw)
-
-    @cached_property
-    def _pex(self) -> _PiecewiseExponential:
-        at = self._atoms
-        knots = np.concatenate(([0.0], at.thetas))
-        rates = self.w0 + at.mass
-        coeffs = self.lambda0 * np.exp(rates * knots - at.moment)
+    def _skeleton(self) -> _PiecewiseExponential:
+        knots = np.concatenate(([0.0], self.draw.ordered.thetas))
+        rates = self.w0 + self.draw._mass0
+        coeffs = self.lambda0 * np.exp(rates * knots - self.draw._moment0)
         widths = np.diff(knots)
         if widths.size:
             incs = _PiecewiseExponential._increment(coeffs[:-1], rates[:-1], widths)
@@ -613,30 +496,10 @@ class LogConvexHazard(HazardModel):
 
     def hazard(self, t):
         arr = _as_times(t)
-        a = self._atoms
-        j = a.count_le(arr)
-        out = self.lambda0 * np.exp(self.w0 * arr + arr * a.mass[j] - a.moment[j])
+        d = self.draw
+        j = np.searchsorted(d.ordered.thetas, arr, side="right")
+        out = self.lambda0 * np.exp(self.w0 * arr + arr * d._mass0[j] - d._moment0[j])
         return _maybe_scalar(out, t)
-
-    def cum_hazard(self, t):
-        return self._pex.value(t)
-
-    def cum_hazard_limit(self) -> float:
-        return self._pex.limit()
-
-    def invert_cum_hazard(self, target):
-        return self._pex.invert(target)
-
-    def breakpoints(self) -> np.ndarray:
-        return np.unique(self._atoms.thetas)
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.variant,
-            "lambda0": self.lambda0,
-            "w0": self.w0,
-            "draw": self.draw.to_dict(),
-        }
 
 
 def simulate_dataset(
@@ -670,6 +533,36 @@ def simulate_dataset(
     return Dataset(times=times, observed=observed, tau=tau)
 
 
+_MODELS = {cls.variant: cls for cls in (IncreasingFailureRate, DecreasingFailureRate, LoWengBathtub,
+                                         SuperpositionBathtub, MixtureBathtub, LogConvexHazard)}
+
+
+def _variant_fields(variant) -> tuple[list[str], list[str]]:
+    """Scalar field names and draw keys of a variant tag, in constructor order."""
+    cls = _MODELS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise ValueError(f"unknown model variant: {variant!r}")
+    fs = fields(cls)
+    draw_keys = [f.metadata.get("key", f.name) for f in fs if _is_draw(f)]
+    return [f.name for f in fs if not _is_draw(f)], draw_keys
+
+
+def _build_model(variant: str, scalars: dict, draws) -> HazardModel:
+    """The variant's model from its scalars looked up by name and its draws in field order.
+
+    Raises ValueError naming the variant and the field when a scalar is
+    missing or not a real number.
+    """
+    names, _ = _variant_fields(variant)
+    for name in names:
+        value = scalars.get(name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{variant} model needs a real number for {name!r}, got {value!r}")
+    draws = iter(draws)
+    cls = _MODELS[variant]
+    return cls(*(next(draws) if _is_draw(f) else float(scalars[f.name]) for f in fields(cls)))
+
+
 def draw_model_params(
     variant: str,
     draws,
@@ -688,29 +581,27 @@ def draw_model_params(
     mixture weight ``pi`` have no standard prior and must be supplied
     (``draw_pi=True`` draws pi uniformly as an extension).
     """
+    _, draw_keys = _variant_fields(variant)
     draws = list(draws)
-    expected = 2 if variant in ("sbt", "mbt") else 1
-    if len(draws) != expected:
-        raise ValueError(f"{variant} needs {expected} draw(s), got {len(draws)}")
+    if len(draws) != len(draw_keys):
+        raise ValueError(f"{variant} needs {len(draw_keys)} draw(s), got {len(draws)}")
 
     def offset(draw: GammaProcessDraw) -> float:
         if draw.gamma <= 0.0:
             raise ValueError("draw has zero total mass; offset prior is undefined")
         return stream.exponential(hyper.nu / draw.gamma)
 
-    if variant == "ifr":
-        return IncreasingFailureRate(offset(draws[0]), draws[0])
-    if variant == "dfr":
-        return DecreasingFailureRate(offset(draws[0]), draws[0])
-    if variant == "lwb":
+    # the order of the prior draws below fixes the random stream
+    if variant in ("ifr", "dfr"):
+        scalars = {"lambda0": offset(draws[0])}
+    elif variant == "lwb":
         if a is None:
             raise ValueError("lwb requires the symmetry point a (no prior is defined)")
-        return LoWengBathtub(offset(draws[0]), a, draws[0])
-    if variant == "sbt":
-        return SuperpositionBathtub(offset(draws[1]), draws[0], draws[1])
-    if variant == "mbt":
-        lam1 = offset(draws[0])
-        lam2 = offset(draws[1])
+        scalars = {"lambda0": offset(draws[0]), "a": a}
+    elif variant == "sbt":
+        scalars = {"lambda0": offset(draws[1])}
+    elif variant == "mbt":
+        scalars = {"lambda01": offset(draws[0]), "lambda02": offset(draws[1])}
         if pi is None:
             if not draw_pi:
                 raise ValueError(
@@ -718,15 +609,13 @@ def draw_model_params(
                     "uniform draw, an extension with no standard prior)"
                 )
             pi = stream.uniform()
-        return MixtureBathtub(pi, lam1, draws[0], lam2, draws[1])
-    if variant == "lcv":
+        scalars["pi"] = pi
+    else:  # lcv
         if draws[0].gamma <= 0.0:
             raise ValueError("draw has zero total mass; scalar priors are undefined")
         scale = draws[0].gamma / hyper.nu
-        lam0 = math.exp(stream.normal(0.0, scale))
-        w0 = stream.normal(0.0, scale)
-        return LogConvexHazard(lam0, w0, draws[0])
-    raise ValueError(f"unknown model variant: {variant!r}")
+        scalars = {"lambda0": math.exp(stream.normal(0.0, scale)), "w0": stream.normal(0.0, scale)}
+    return _build_model(variant, scalars, draws)
 
 
 def model_to_dict(model: HazardModel) -> dict:
@@ -734,31 +623,8 @@ def model_to_dict(model: HazardModel) -> dict:
 
 
 def model_from_dict(d: dict) -> HazardModel:
-    variant = d.get("model")
-    if variant == "ifr":
-        return IncreasingFailureRate(float(d["lambda0"]), GammaProcessDraw.from_dict(d["draw"]))
-    if variant == "dfr":
-        return DecreasingFailureRate(float(d["lambda0"]), GammaProcessDraw.from_dict(d["draw"]))
-    if variant == "lwb":
-        return LoWengBathtub(
-            float(d["lambda0"]), float(d["a"]), GammaProcessDraw.from_dict(d["draw"])
-        )
-    if variant == "sbt":
-        return SuperpositionBathtub(
-            float(d["lambda0"]),
-            GammaProcessDraw.from_dict(d["draw1"]),
-            GammaProcessDraw.from_dict(d["draw2"]),
-        )
-    if variant == "mbt":
-        return MixtureBathtub(
-            float(d["pi"]),
-            float(d["lambda01"]),
-            GammaProcessDraw.from_dict(d["draw1"]),
-            float(d["lambda02"]),
-            GammaProcessDraw.from_dict(d["draw2"]),
-        )
-    if variant == "lcv":
-        return LogConvexHazard(
-            float(d["lambda0"]), float(d["w0"]), GammaProcessDraw.from_dict(d["draw"])
-        )
-    raise ValueError(f"unknown model variant: {variant!r}")
+    _require_keys(d, ("model",), "model document")
+    variant = d["model"]
+    _, draw_keys = _variant_fields(variant)
+    _require_keys(d, draw_keys, f"{variant} model")
+    return _build_model(variant, d, [GammaProcessDraw.from_dict(d[k]) for k in draw_keys])

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from gphazard.cli import main
 from gphazard.gamma_process import GammaProcessDraw
@@ -255,3 +256,61 @@ class TestValidate:
         )
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
+
+
+class TestMalformedInput:
+    """Bad scalars and missing keys end in one 'error:' line naming the field, exit 1."""
+
+    MODEL = {
+        "model": "ifr",
+        "lambda0": 1.0,
+        "draw": {"gamma": 2.0, "thetas": [10.0], "sticks": [], "weights": [2.0]},
+    }
+
+    @staticmethod
+    def _run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "gphazard.cli", *args], capture_output=True, text=True
+        )
+
+    def _assert_reported(self, proc, field):
+        assert proc.returncode == 1
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({k: v for k, v in MODEL.items() if k != "lambda0"}, "lambda0"),
+            ({k: v for k, v in MODEL.items() if k != "draw"}, "draw"),
+            ({**MODEL, "lambda0": "0.1"}, "lambda0"),
+            ([1], "model"),
+        ],
+    )
+    def test_model_file(self, tmp_path, doc, field):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        data = tmp_path / "data.csv"
+        data.write_text("time,status\n1.0,1\n")
+        self._assert_reported(self._run("loglik", "--model", str(model), "--data", str(data)), field)
+
+    @pytest.mark.parametrize(
+        "command, fields, field",
+        [
+            ("curves", {"lambda0": "0.1"}, "lambda0"),
+            ("curves", {"lambda0": [1]}, "lambda0"),
+            ("simulate", {"lambda0": "0.1"}, "lambda0"),
+            ("simulate", {"lambda0": [1]}, "lambda0"),
+            ("curves", {"prior": {k: v for k, v in DEMO_PRIOR.items() if k != "alpha"}}, "alpha"),
+            ("curves", {"prior": "no-sticks"}, "sticks"),
+        ],
+    )
+    def test_config(self, tmp_path, command, fields, field):
+        doc = {"model": "ifr", "lambda0": 0.1, "prior": DEMO_PRIOR, "seed": 1, **fields}
+        if doc["prior"] == "no-sticks":
+            draw = tmp_path / "draw.json"
+            draw.write_text(json.dumps({"gamma": 2.0, "thetas": [1.0], "weights": [2.0]}))
+            doc["prior"] = {"file": str(draw)}
+        cfg = _write_config(tmp_path, **doc)
+        proc = self._run(command, "--config", cfg, "--out", str(tmp_path / "out.csv"))
+        self._assert_reported(proc, field)

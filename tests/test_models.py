@@ -398,3 +398,17 @@ class TestValidationAndSerialization:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             model_from_dict({"model": "weibull"})
+
+    @pytest.mark.parametrize(
+        "name, keys",
+        [
+            ("ifr", ["model", "lambda0", "draw"]),
+            ("dfr", ["model", "lambda0", "draw"]),
+            ("lwb", ["model", "lambda0", "a", "draw"]),
+            ("sbt", ["model", "lambda0", "draw1", "draw2"]),
+            ("mbt", ["model", "pi", "lambda01", "draw1", "lambda02", "draw2"]),
+            ("lcv", ["model", "lambda0", "w0", "draw"]),
+        ],
+    )
+    def test_document_keys_in_order(self, demo, name, keys):
+        assert list(model_to_dict(demo[name])) == keys
