@@ -3,9 +3,10 @@
 Each model evaluates its hazard, cumulative hazard, density and survival
 in closed form, and samples failure times exactly by solving
 ``cum_hazard(T) = -log(U)``.  Four of the models have piecewise-linear
-cumulative hazards (knots at atom locations), the log-convex model is
-piecewise exponential, and the mixture model inverts its cumulative
-hazard numerically.
+cumulative hazards (knots at atom locations) and the log-convex model is
+piecewise exponential; both kinds invert in closed form.  The mixture
+model's cumulative hazard is concave between its pooled knots, so Newton's
+method started at the left knot inverts it without overshooting.
 
 A failure draw can be infinite when the total cumulative hazard is
 finite (a defective failure distribution); ``math.inf`` is the sentinel
@@ -21,8 +22,6 @@ from dataclasses import Field, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .datasets import Dataset
 from .gamma_process import GammaProcessDraw, _require_keys
@@ -45,14 +44,18 @@ __all__ = [
 
 _ZERO_RATE = 1e-12  # below this, exponential segments are treated as linear
 
-_BRENTQ_RTOL = 4.0 * np.finfo(float).eps
+_NEWTON_MAX_ITER = 100  # MixtureBathtub's inverse; converging takes at most ~40
 
 
-def _as_times(t) -> np.ndarray:
+def _as_times(t, what: str = "t") -> np.ndarray:
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("t must be non-negative")
+    if not np.all(arr >= 0.0):  # false for NaN as well as for negatives
+        raise ValueError(f"{what} must be non-negative, not NaN")
     return arr
+
+
+def _as_targets(x) -> np.ndarray:
+    return _as_times(x, "target")
 
 
 def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
@@ -82,9 +85,7 @@ class _PiecewiseLinear:
         return math.inf if self.slopes[-1] > 0.0 else float(self.values[-1])
 
     def invert(self, x):
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0):
-            raise ValueError("target must be non-negative")
+        arr = _as_targets(x)
         idx = np.searchsorted(self.values, arr, side="right") - 1
         idx = np.maximum(idx, 0)
         base = self.values[idx]
@@ -123,7 +124,8 @@ class _PiecewiseExponential:
         out = np.empty(coeff.shape)
         lin = np.abs(rate) < _ZERO_RATE
         out[lin] = coeff[lin] * dt[lin]
-        out[~lin] = coeff[~lin] * np.expm1(rate[~lin] * dt[~lin]) / rate[~lin]
+        with np.errstate(over="ignore"):  # a growing hazard's integral overflows to inf
+            out[~lin] = coeff[~lin] * np.expm1(rate[~lin] * dt[~lin]) / rate[~lin]
         return out
 
     def value(self, t):
@@ -140,9 +142,7 @@ class _PiecewiseExponential:
         return float(self.values[-1] + self.coeffs[-1] / (-rate))
 
     def invert(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(arr < 0.0):
-            raise ValueError("target must be non-negative")
+        arr = np.atleast_1d(_as_targets(x))
         idx = np.searchsorted(self.values, arr, side="right") - 1
         idx = np.maximum(idx, 0)
         excess = arr - self.values[idx]
@@ -358,10 +358,13 @@ class SuperpositionBathtub(_StepHazard):
 class MixtureBathtub(_DrawModel):
     """Two-component survival mixture of a decreasing and an increasing model.
 
-    The survival function is the pi-weighted mixture of the component
-    survivals; the hazard is density/survival and is not itself a bathtub
-    in general.  Sampling picks a component, then inverts it; inverting
-    the mixture cumulative hazard is done numerically.
+    With log-weights a1 = log(pi) - L1 and a2 = log(1-pi) - L2 the survival
+    is exp(logaddexp(a1, a2)), and the hazard (not a bathtub in general)
+    weights the component hazards by exp(a_i - logaddexp(a1, a2)), so nothing
+    underflows where both survivals do.  Sampling picks a component and
+    inverts it.  Between pooled knots L1 and L2 are linear, so the mixture
+    cumulative hazard is concave there: Newton's method from the left knot of
+    a target's segment rises to the root without overshooting or a bracket.
     """
 
     pi: float
@@ -376,6 +379,10 @@ class MixtureBathtub(_DrawModel):
             raise ValueError(f"pi must be in (0, 1], got {self.pi}")
         self._decreasing = DecreasingFailureRate(self.lambda01, self.draw1)
         self._increasing = IncreasingFailureRate(self.lambda02, self.draw2)
+        with np.errstate(divide="ignore"):  # pi = 1 gives log(1 - pi) = -inf
+            self._log_pi = (math.log(self.pi), float(np.log1p(-self.pi)))
+        # 0 up to rounding; subtracting it keeps cum_hazard(0) exactly 0
+        self._log_one = float(np.logaddexp(*self._log_pi))
 
     @property
     def components(self) -> tuple[DecreasingFailureRate, IncreasingFailureRate]:
@@ -393,24 +400,27 @@ class MixtureBathtub(_DrawModel):
         )
         return _maybe_scalar(out, t)
 
+    def _log_weights(self, l1, l2):
+        """a1 = log(pi) - l1, a2 = log(1-pi) - l2 and logaddexp(a1, a2)."""
+        a1, a2 = self._log_pi[0] - np.asarray(l1), self._log_pi[1] - np.asarray(l2)
+        return a1, a2, np.logaddexp(a1, a2)
+
     def hazard(self, t):
-        out = np.asarray(self.density(t)) / np.asarray(self.survival(t))
+        arr = _as_times(t)
+        dec, inc = self.components
+        a1, a2, log_s = self._log_weights(dec.cum_hazard(arr), inc.cum_hazard(arr))
+        out = np.exp(a1 - log_s) * dec.hazard(arr) + np.exp(a2 - log_s) * inc.hazard(arr)
         return _maybe_scalar(out, t)
 
     def cum_hazard(self, t):
         arr = _as_times(t)
-        l1 = np.asarray(self._decreasing.cum_hazard(arr))
-        l2 = np.asarray(self._increasing.cum_hazard(arr))
-        stacked = np.stack([-l1, -l2])
-        b = np.array([self.pi, 1.0 - self.pi]).reshape((2,) + (1,) * arr.ndim)
-        out = -logsumexp(stacked, axis=0, b=b)
-        return _maybe_scalar(out, t)
+        dec, inc = self.components
+        log_s = self._log_weights(dec.cum_hazard(arr), inc.cum_hazard(arr))[2]
+        return _maybe_scalar(self._log_one - log_s, t)
 
     def cum_hazard_limit(self) -> float:
-        tail = self.pi * math.exp(-self._decreasing.cum_hazard_limit()) + (
-            1.0 - self.pi
-        ) * math.exp(-self._increasing.cum_hazard_limit())
-        return math.inf if tail == 0.0 else -math.log(tail)
+        log_s = self._log_weights(*(c.cum_hazard_limit() for c in self.components))[2]
+        return float(self._log_one - log_s)
 
     @cached_property
     def _knot_values(self) -> tuple[np.ndarray, np.ndarray]:
@@ -418,43 +428,27 @@ class MixtureBathtub(_DrawModel):
         return knots, np.asarray(self.cum_hazard(knots))
 
     def invert_cum_hazard(self, target):
-        arr = np.asarray(target, dtype=float)
-        if np.any(arr < 0.0):
-            raise ValueError("target must be non-negative")
+        x = _as_targets(target)
         limit = self.cum_hazard_limit()
+        out = np.where(x >= limit, np.inf, 0.0)
+        live = (x > 0.0) & (x < limit)
+        xs = x[live]
         knots, kvals = self._knot_values
-        out = np.empty(arr.shape)
-        for pos, x in np.ndenumerate(arr):
-            out[pos] = self._invert_scalar(float(x), limit, knots, kvals)
-        return _maybe_scalar(out, target)
-
-    def _invert_scalar(self, x, limit, knots, kvals) -> float:
-        if x == 0.0:
-            return 0.0
-        if x >= limit:
-            return math.inf
-        idx = int(np.searchsorted(kvals, x, side="right")) - 1
-        idx = max(idx, 0)
-        lo = float(knots[idx])
-        if kvals[idx] == x:
-            return lo
-        if idx + 1 < knots.size:
-            hi = float(knots[idx + 1])
+        t = knots[np.maximum(np.searchsorted(kvals, xs, side="right") - 1, 0)]
+        gap = np.full(xs.size, np.inf)
+        for _ in range(_NEWTON_MAX_ITER):
+            resid = xs - self.cum_hazard(t)
+            # exact steps shrink the gap x - cum_hazard(t) > 0 every time; once
+            # it is closed or stops shrinking, only rounding is left
+            going = (resid > 0.0) & (resid < gap)
+            if not going.any():
+                break
+            gap[going] = resid[going]
+            t[going] += resid[going] / self.hazard(t[going])
         else:
-            hi = lo + 1.0
-            for _ in range(200):
-                if self.cum_hazard(hi) >= x:
-                    break
-                hi = 2.0 * hi + 1.0
-            else:
-                # the evaluated curve plateaus below x (target within rounding
-                # of a defective limit): unreachable
-                return math.inf
-        f = lambda s: self.cum_hazard(s) - x
-        f_hi = f(hi)
-        if f_hi == 0.0:
-            return hi
-        return float(brentq(f, lo, hi, xtol=1e-14, rtol=_BRENTQ_RTOL, maxiter=200))
+            raise RuntimeError(f"mixture inverse did not converge in {_NEWTON_MAX_ITER} steps")
+        out[live] = t
+        return _maybe_scalar(out, target)
 
     def sample_failure(self, stream: RandomStream) -> float:
         if self.pi == 1.0:  # degenerate mixture, no component pick needed
@@ -498,7 +492,8 @@ class LogConvexHazard(_DrawModel):
         arr = _as_times(t)
         d = self.draw
         j = np.searchsorted(d.ordered.thetas, arr, side="right")
-        out = self.lambda0 * np.exp(self.w0 * arr + arr * d._mass0[j] - d._moment0[j])
+        with np.errstate(over="ignore"):  # overflows to inf at large t
+            out = self.lambda0 * np.exp(self.w0 * arr + arr * d._mass0[j] - d._moment0[j])
         return _maybe_scalar(out, t)
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .datasets import Dataset
 from .gamma_process import (
@@ -93,6 +92,7 @@ def demo_models(seed: int = DEMO_SEED) -> dict[str, HazardModel]:
 
 def integrate_hazard(model: HazardModel, t_end: float) -> float:
     """Adaptive quadrature of the hazard over [0, t_end], split at breakpoints."""
+    from scipy.integrate import quad  # the package's only runtime use of scipy
     pts = model.breakpoints()
     pts = pts[(pts > 0.0) & (pts < t_end)]
     edges = np.concatenate(([0.0], pts, [t_end]))

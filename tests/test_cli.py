@@ -314,3 +314,13 @@ class TestMalformedInput:
         cfg = _write_config(tmp_path, **doc)
         proc = self._run(command, "--config", cfg, "--out", str(tmp_path / "out.csv"))
         self._assert_reported(proc, field)
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, gphazard, gphazard.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,10 +1,12 @@
 """Closed-form curve values, exact inversion, model identities, and sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from gphazard import models
 from gphazard.gamma_process import GammaProcessDraw
 from gphazard.likelihood import HyperParams
 from gphazard.models import (
@@ -412,3 +414,86 @@ class TestValidationAndSerialization:
     )
     def test_document_keys_in_order(self, demo, name, keys):
         assert list(model_to_dict(demo[name])) == keys
+
+
+VARIANTS = ["ifr", "dfr", "lwb", "sbt", "mbt", "lcv"]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("method", ["hazard", "cum_hazard", "invert_cum_hazard"])
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_nan_rejected(self, demo, name, method):
+        evaluate = getattr(demo[name], method)
+        for arg in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                evaluate(arg)
+
+    def test_lcv_overflow_is_silent(self, demo):
+        lcv = demo["lcv"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lcv.hazard(800.0) == math.inf
+            assert lcv.cum_hazard(800.0) == math.inf
+            assert np.all(np.asarray(lcv.cum_hazard(np.array([1.0, 800.0])))[1:] == math.inf)
+
+
+@pytest.mark.filterwarnings("error")
+class TestMixtureLogSpace:
+    """The mixture's log-weight evaluation and its concave-segment Newton inverse."""
+
+    @staticmethod
+    def _defective(demo):
+        mbt = demo["mbt"]
+        return MixtureBathtub(0.3, 0.0, mbt.draw1, 0.2, mbt.draw2)
+
+    def test_hazard_where_both_survivals_underflow(self, demo):
+        assert demo["mbt"].hazard(1e4) == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("frac", [0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-12])
+    def test_defective_round_trip(self, demo, frac):
+        m = self._defective(demo)
+        targets = np.linspace(0.0, m.cum_hazard_limit() * frac, 2001)
+        t = np.asarray(m.invert_cum_hazard(targets))
+        assert np.all(np.isfinite(t))
+        back = np.asarray(m.cum_hazard(t))
+        assert np.max(np.abs(back - targets) / np.maximum(1.0, targets)) <= 1e-9
+
+    @pytest.mark.parametrize("factor", [1.0, 1.01, math.inf])
+    def test_defective_at_and_past_limit(self, demo, factor):
+        m = self._defective(demo)
+        assert m.invert_cum_hazard(m.cum_hazard_limit() * factor) == math.inf
+
+    def test_pi_one_is_its_decreasing_component(self, demo):
+        mbt = demo["mbt"]
+        mix = MixtureBathtub(1.0, mbt.lambda01, mbt.draw1, mbt.lambda02, mbt.draw2)
+        dfr = DecreasingFailureRate(mbt.lambda01, mbt.draw1)
+        ts = np.linspace(0.0, 8.0, 801)
+        assert np.array_equal(mix.cum_hazard(ts), dfr.cum_hazard(ts))
+        assert np.array_equal(mix.hazard(ts), dfr.hazard(ts))
+        targets = np.random.default_rng(7).uniform(0.0, 5.0, 2000)
+        np.testing.assert_allclose(
+            mix.invert_cum_hazard(targets), dfr.invert_cum_hazard(targets), rtol=1e-14, atol=0.0
+        )
+
+    @pytest.mark.parametrize("target, expected", [(1.0, None), (0.0, 0.0)])
+    def test_scalar_target_gives_float(self, demo, target, expected):
+        out = demo["mbt"].invert_cum_hazard(target)
+        assert type(out) is float
+        if expected is not None:
+            assert out == expected
+
+    def test_knot_value_gives_knot(self, demo):
+        mbt = demo["mbt"]
+        knots = np.unique(np.concatenate(([0.0], mbt.breakpoints())))
+        assert np.array_equal(mbt.invert_cum_hazard(mbt.cum_hazard(knots)), knots)
+
+    def test_small_targets_converge(self, demo):
+        targets = np.logspace(-16, 0, 4000)
+        t = np.asarray(demo["mbt"].invert_cum_hazard(targets))
+        back = np.asarray(demo["mbt"].cum_hazard(t))
+        assert np.max(np.abs(back - targets) / np.maximum(1.0, targets)) <= 1e-9
+
+    def test_iteration_cap_raises(self, demo, monkeypatch):
+        monkeypatch.setattr(models, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(RuntimeError, match="converge"):
+            demo["mbt"].invert_cum_hazard(np.array([0.5, 1.0]))
