@@ -27,8 +27,8 @@ class Dataset:
         self.observed = np.asarray(self.observed, dtype=bool)
         if self.times.shape != self.observed.shape or self.times.ndim != 1:
             raise ValueError("times and observed must be 1-d arrays of equal length")
-        if np.any(self.times <= 0.0):
-            raise ValueError("all record times must be positive")
+        if not np.all(self.times > 0.0):  # false for NaN as well
+            raise ValueError("all record times must be positive, not NaN")
         if self.tau is not None:
             self.tau = float(self.tau)
             if self.tau <= 0.0:
@@ -89,7 +89,7 @@ def read_dataset_csv(path, tau: float | None = None) -> Dataset:
             t = float(cols[0])
         except ValueError:
             raise ValueError(f"{path}: row {i}: cannot parse time {cols[0]!r}") from None
-        if t <= 0.0:
+        if not t > 0.0:  # rejects NaN too
             raise ValueError(f"{path}: row {i}: time must be positive, got {t}")
         status = cols[1].strip()
         if status not in ("0", "1"):

@@ -46,6 +46,10 @@ class ExponentialBase:
     def sample(self, stream: RandomStream) -> float:
         return stream.exponential(self.rate)
 
+    def samples(self, n: int, stream: RandomStream) -> np.ndarray:
+        """n locations, identical to n calls of :meth:`sample`."""
+        return stream.exponentials(self.rate, n)
+
     def to_dict(self) -> dict:
         return {"kind": "exponential", "rate": self.rate}
 
@@ -66,6 +70,10 @@ class NormalBase:
         while x < 0.0:
             x = stream.normal(self.mean, self.sd)
         return x
+
+    def samples(self, n: int, stream: RandomStream) -> np.ndarray:
+        """n locations, identical to n calls of :meth:`sample`."""
+        return stream._block(n, lambda g, k: g.normal(self.mean, self.sd, k), lambda x: x < 0.0)
 
     def to_dict(self) -> dict:
         return {"kind": "normal", "mean": self.mean, "sd": self.sd}
@@ -302,8 +310,8 @@ def stick_weights(sticks, n_atoms: int) -> np.ndarray:
 def draw_gamma_process(params: GammaProcessParams, stream: RandomStream) -> GammaProcessDraw:
     """Sample one truncated draw: locations, sticks, then the total mass."""
     k = params.n_atoms
-    thetas = np.array([params.base.sample(stream) for _ in range(k)])
-    sticks = np.array([stream.beta(1.0, params.alpha) for _ in range(k - 1)])
+    thetas = params.base.samples(k, stream)
+    sticks = stream.betas(1.0, params.alpha, k - 1)
     unscaled = stick_weights(sticks, k)
     gamma = stream.gamma(params.alpha, params.beta)
     return GammaProcessDraw(

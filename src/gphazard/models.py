@@ -26,7 +26,7 @@ import numpy as np
 from .datasets import Dataset
 from .gamma_process import GammaProcessDraw, _require_keys
 from .likelihood import HyperParams
-from .rng import RandomStream
+from .rng import RandomStream, _categorical_pick
 
 __all__ = [
     "HazardModel",
@@ -60,6 +60,15 @@ def _as_targets(x) -> np.ndarray:
 
 def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
     return float(out) if np.ndim(like) == 0 else out
+
+
+def _neg_log(u: np.ndarray) -> np.ndarray:
+    """-log(u) per element with ``math.log``.
+
+    ``np.log`` differs from ``math.log`` in the last bit for a small share of
+    inputs, and sampled failure times have always been ``math.log`` based.
+    """
+    return -np.fromiter(map(math.log, u.tolist()), dtype=float, count=u.size)
 
 
 @dataclass(eq=False)
@@ -194,12 +203,18 @@ class HazardModel(ABC):
         return _maybe_scalar(out, t)
 
     def density(self, t):
-        return self.hazard(t) * self.survival(t)
+        surv = np.asarray(self.survival(t), dtype=float)
+        with np.errstate(invalid="ignore"):  # an overflowed hazard times zero survival
+            out = np.where(surv == 0.0, 0.0, np.asarray(self.hazard(t)) * surv)
+        return _maybe_scalar(out, t)
 
     def sample_failure(self, stream: RandomStream) -> float:
         """One failure time via inverse transform; may be inf for defective models."""
-        u = stream.uniform()
-        return float(self.invert_cum_hazard(-math.log(u)))
+        return float(self.sample_failures(1, stream)[0])
+
+    def sample_failures(self, n: int, stream: RandomStream) -> np.ndarray:
+        """n failure times, identical to n successive calls of :meth:`sample_failure`."""
+        return self.invert_cum_hazard(_neg_log(stream.uniforms(n)))
 
 
 def _linear_skeleton(model: HazardModel, inner_knots: np.ndarray) -> _PiecewiseLinear:
@@ -450,11 +465,18 @@ class MixtureBathtub(_DrawModel):
         out[live] = t
         return _maybe_scalar(out, target)
 
-    def sample_failure(self, stream: RandomStream) -> float:
+    def sample_failures(self, n: int, stream: RandomStream) -> np.ndarray:
+        """Per record one uniform picks the component (as ``categorical``), the next inverts it."""
         if self.pi == 1.0:  # degenerate mixture, no component pick needed
-            return self._decreasing.sample_failure(stream)
-        c = stream.categorical((self.pi, 1.0 - self.pi))
-        return self.components[c].sample_failure(stream)
+            return self._decreasing.sample_failures(n, stream)
+        u = stream.uniforms(2 * int(n)).reshape(-1, 2)
+        pick = _categorical_pick(np.array([self.pi, 1.0 - self.pi]), u[:, 0])
+        x = _neg_log(u[:, 1])
+        out = np.empty(x.size)
+        for c, component in enumerate(self.components):
+            mask = pick == c
+            out[mask] = component.invert_cum_hazard(x[mask])
+        return out
 
 
 @dataclass(eq=False)
@@ -515,17 +537,11 @@ def simulate_dataset(
             "model is defective (finite total cumulative hazard): "
             "set tau so unbounded draws can be recorded as censored"
         )
-    times = np.empty(n)
-    observed = np.empty(n, dtype=bool)
-    for i in range(n):
-        t = model.sample_failure(stream)
-        if tau is not None and t > tau:
-            times[i] = tau
-            observed[i] = False
-        else:
-            times[i] = t
-            observed[i] = True
-    return Dataset(times=times, observed=observed, tau=tau)
+    times = model.sample_failures(n, stream)
+    if tau is None:
+        return Dataset(times=times, observed=np.ones(n, dtype=bool), tau=None)
+    censored = times > tau
+    return Dataset(times=np.where(censored, tau, times), observed=~censored, tau=tau)
 
 
 _MODELS = {cls.variant: cls for cls in (IncreasingFailureRate, DecreasingFailureRate, LoWengBathtub,
@@ -609,7 +625,14 @@ def draw_model_params(
         if draws[0].gamma <= 0.0:
             raise ValueError("draw has zero total mass; scalar priors are undefined")
         scale = draws[0].gamma / hyper.nu
-        scalars = {"lambda0": math.exp(stream.normal(0.0, scale)), "w0": stream.normal(0.0, scale)}
+        log_lambda0 = stream.normal(0.0, scale)
+        try:
+            lambda0 = math.exp(log_lambda0)
+        except OverflowError:
+            raise ValueError(
+                f"lcv prior drew log(lambda0) = {log_lambda0!r}, too large for a float lambda0"
+            ) from None
+        scalars = {"lambda0": lambda0, "w0": stream.normal(0.0, scale)}
     return _build_model(variant, scalars, draws)
 
 

@@ -7,6 +7,9 @@ spawn key)`` without any coordination between them.
 
 Uniform draws are guaranteed to lie strictly inside (0, 1): endpoint values
 are rejected and redrawn so that ``-log(u)`` is always finite and positive.
+The block samplers (``uniforms``, ``exponentials``, ``betas``) return the
+same values, and advance the generator exactly as far, as the same number
+of scalar calls.
 """
 
 from __future__ import annotations
@@ -47,9 +50,27 @@ class RandomStream:
             u = self._gen.random()
         return float(u)
 
+    def _block(self, n: int, draw, reject) -> np.ndarray:
+        """n variates from ``draw(generator, size)`` with the ``reject`` mask's values redrawn.
+
+        numpy's block draws reproduce its scalar draws, so dropping the
+        rejected values and topping up with exactly as many fresh draws as
+        are missing gives the sequence, and the generator consumption, of n
+        scalar draw-until-accepted loops.
+        """
+        n = int(n)
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
+        out = draw(self._gen, n)
+        out = out[~reject(out)]
+        while out.size < n:
+            more = draw(self._gen, n - out.size)
+            out = np.concatenate((out, more[~reject(more)]))
+        return out
+
     def uniforms(self, n: int) -> np.ndarray:
         """n successive uniform draws, identical to n calls of :meth:`uniform`."""
-        return np.array([self.uniform() for _ in range(int(n))])
+        return self._block(n, lambda g, k: g.random(k), lambda u: (u <= 0.0) | (u >= 1.0))
 
     def gamma(self, shape: float, rate: float) -> float:
         """Gamma draw with mean shape/rate and variance shape/rate**2."""
@@ -69,6 +90,12 @@ class RandomStream:
             x = self._gen.beta(a, b)
         return float(x)
 
+    def betas(self, a: float, b: float, n: int) -> np.ndarray:
+        """n successive Beta(a, b) draws, identical to n calls of :meth:`beta`."""
+        if a <= 0.0 or b <= 0.0:
+            raise ValueError(f"beta requires positive parameters, got ({a}, {b})")
+        return self._block(n, lambda g, k: g.beta(a, b, k), lambda x: (x <= 0.0) | (x >= 1.0))
+
     def exponential(self, rate: float) -> float:
         """Exponential draw with the given rate (mean 1/rate)."""
         if rate <= 0.0:
@@ -77,6 +104,12 @@ class RandomStream:
         while x <= 0.0:
             x = self._gen.exponential(1.0 / rate)
         return float(x)
+
+    def exponentials(self, rate: float, n: int) -> np.ndarray:
+        """n successive exponential draws, identical to n calls of :meth:`exponential`."""
+        if rate <= 0.0:
+            raise ValueError(f"exponential requires rate > 0, got {rate}")
+        return self._block(n, lambda g, k: g.exponential(1.0 / rate, k), lambda x: x <= 0.0)
 
     def normal(self, mean: float, sd: float) -> float:
         """Normal(mean, sd**2) draw; sd=0 returns mean exactly."""
@@ -93,8 +126,11 @@ class RandomStream:
             raise ValueError("weights must be a non-empty 1-d sequence")
         if np.any(w < 0.0):
             raise ValueError("weights must be non-negative")
-        total = float(w.sum())
-        if total <= 0.0:
+        if float(w.sum()) <= 0.0:
             raise ValueError("at least one weight must be positive")
-        u = self.uniform() * total
-        return int(np.searchsorted(np.cumsum(w), u, side="left"))
+        return int(_categorical_pick(w, self.uniform()))
+
+
+def _categorical_pick(w: np.ndarray, u):
+    """The index (or indices) that uniform(s) ``u`` select under non-negative weights ``w``."""
+    return np.searchsorted(np.cumsum(w), u * float(w.sum()), side="left")

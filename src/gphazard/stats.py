@@ -8,7 +8,6 @@ analytic CDF, and simple fixed-width histograms over [0, max].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,31 +52,32 @@ class StepFunction:
 
 
 def kaplan_meier(dataset: Dataset) -> StepFunction:
-    """Product-limit survival estimate.
+    """Product-limit survival estimate (Kaplan & Meier, 1958) in O(n log n).
 
     At each distinct observed failure time the survival drops by the
     factor (1 - deaths/at-risk); censored records only shrink the risk
     sets.  Records censored exactly at a failure time still count as at
-    risk there (deaths are processed first).  The running product is
-    accumulated in exact rational arithmetic, so with no censoring the
-    estimate telescopes to (at risk)/(n) without rounding drift.
+    risk there (deaths are processed first).  Between two censorings the
+    product telescopes: a run of events starting with r at risk reaches
+    (at risk after event i)/r, taken as one exact division, so without
+    censoring before the last event the estimate is the correctly rounded
+    rational value.  A censoring between events starts a new run, and the
+    run factors multiply in float (a few ulps from the rational product).
     """
     if dataset.n == 0:
         raise ValueError("dataset must be non-empty")
-    times = dataset.times
-    observed = dataset.observed
-    event_times = np.unique(times[observed])
+    event_times, deaths = np.unique(dataset.times[dataset.observed], return_counts=True)
     if event_times.size == 0:
         # everything censored: the estimate never leaves 1
         return StepFunction(breakpoints=np.array([]), values=np.array([]), initial=1.0)
-    surv = np.empty(event_times.size)
-    s = Fraction(1)
-    for i, t in enumerate(event_times):
-        at_risk = int(np.sum(times >= t))
-        deaths = int(np.sum((times == t) & observed))
-        s *= Fraction(at_risk - deaths, at_risk)
-        surv[i] = float(s)
-    return StepFunction(breakpoints=event_times, values=surv, initial=1.0)
+    at_risk = dataset.n - np.searchsorted(np.sort(dataset.times), event_times, side="left")
+    after = at_risk - deaths
+    starts = np.concatenate(([True], at_risk[1:] != after[:-1]))  # censoring since last event
+    run = np.cumsum(starts) - 1
+    within = after / at_risk[starts][run]
+    ends = np.append(np.flatnonzero(starts)[1:] - 1, event_times.size - 1)
+    before = np.concatenate(([1.0], np.cumprod(within[ends])[:-1]))  # level entering each run
+    return StepFunction(breakpoints=event_times, values=before[run] * within, initial=1.0)
 
 
 def ks_distance(samples, cdf) -> float:

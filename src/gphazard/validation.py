@@ -136,7 +136,7 @@ def _truncation_checks(stream, scale) -> list[CheckResult]:
     tails4 = np.empty(reps)
     tails40 = np.empty(reps)
     for i in range(reps):
-        sticks = np.array([stream.beta(1.0, 3.0) for _ in range(40)])
+        sticks = stream.betas(1.0, 3.0, 40)
         remaining = np.cumprod(1.0 - sticks)
         tails4[i] = remaining[3]
         tails40[i] = remaining[39]
@@ -185,7 +185,7 @@ def _sampling_checks(models, stream, scale) -> list[CheckResult]:
     out = []
     for i, (name, model) in enumerate(models.items()):
         s = stream.split(i)
-        samples = np.array([model.sample_failure(s) for _ in range(10_000)])
+        samples = model.sample_failures(10_000, s)
         d = ks_distance(samples, lambda x: 1.0 - np.asarray(model.survival(x)))
         out.append(_check(f"sampling-ks[{name}]", d, 0.025, "n=10^4 vs analytic", scale))
     return out

@@ -324,3 +324,18 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["km", "loglik"])
+def test_nan_time_is_reported_with_row(tmp_path, command):
+    data = tmp_path / "nan.csv"
+    data.write_text("time,status\nnan,1\n1.0,0\n")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(TestMalformedInput.MODEL))
+    args = {"km": ["km", "--data", str(data), "--out", str(tmp_path / "km.csv")],
+            "loglik": ["loglik", "--model", str(model), "--data", str(data)]}[command]
+    proc = subprocess.run([sys.executable, "-m", "gphazard.cli", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "row 2: time must be positive, got nan" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -73,3 +73,15 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(ValueError):
             read_dataset_csv(path)
+
+
+class TestNaNTimes:
+    def test_dataset_rejects_nan(self):
+        with pytest.raises(ValueError, match="positive, not NaN"):
+            Dataset(times=[1.0, float("nan")], observed=[True, True])
+
+    def test_csv_names_the_nan_row(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("time,status\n1.0,1\nnan,1\n2.0,0\n")
+        with pytest.raises(ValueError, match=r"row 3: time must be positive, got nan"):
+            read_dataset_csv(path)

@@ -497,3 +497,60 @@ class TestMixtureLogSpace:
         monkeypatch.setattr(models, "_NEWTON_MAX_ITER", 1)
         with pytest.raises(RuntimeError, match="converge"):
             demo["mbt"].invert_cum_hazard(np.array([0.5, 1.0]))
+
+
+class TestDensityPastUnderflow:
+    def test_lcv_density_is_zero_where_survival_is(self, demo):
+        lcv = demo["lcv"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lcv.density(800.0) == 0.0
+            dens = np.asarray(lcv.density(np.array([0.5, 5.0, 800.0, 1e4])))
+        assert dens[0] > 0.0
+        np.testing.assert_array_equal(dens[2:], [0.0, 0.0])
+
+    def test_density_unchanged_where_survival_is_positive(self, demo):
+        ts = np.linspace(0.0, 5.0, 2001)
+        for model in demo.values():
+            if isinstance(model, MixtureBathtub):
+                continue  # the mixture weights its components' densities
+            expected = np.asarray(model.hazard(ts)) * np.asarray(model.survival(ts))
+            np.testing.assert_array_equal(model.density(ts), expected)
+
+
+class _NormalStream:
+    """Stream stub for the lcv prior: hands out fixed normal draws and records them."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.calls = 0
+
+    def normal(self, mean, sd):
+        self.calls += 1
+        return self.values.pop(0)
+
+
+class TestLcvPriorOverflow:
+    def test_overflowing_lambda0_is_a_value_error(self):
+        g = _atoms([(1.0, 2.0)])
+        stream = _NormalStream([800.0, 0.5])
+        with pytest.raises(ValueError, match=r"lambda0.*800\.0"):
+            draw_model_params("lcv", [g], HyperParams(), stream)
+        assert stream.calls == 1  # log(lambda0) is drawn first, as before
+
+    def test_prior_order_is_log_lambda0_then_w0(self):
+        g = _atoms([(1.0, 2.0)])
+        model = draw_model_params("lcv", [g], HyperParams(), _NormalStream([0.5, -0.25]))
+        assert model.lambda0 == math.exp(0.5)
+        assert model.w0 == -0.25
+
+    def test_tiny_nu_raises_value_error_not_overflow(self):
+        g = _atoms([(1.0, 2.0)])
+        hyper = HyperParams(nu=1e-6)  # sd 2e6: about half of the draws overflow exp
+        overflowed = 0
+        for seed in range(20):
+            try:
+                draw_model_params("lcv", [g], hyper, RandomStream(seed))
+            except ValueError as e:
+                overflowed += "log(lambda0)" in str(e)
+        assert overflowed > 0
