@@ -4,7 +4,10 @@ The log-likelihood of a dataset under a hazard model is
 ``sum(log hazard(t_i)) - sum(cum_hazard(t_i))`` over observed failures
 minus ``cum_hazard`` at each censoring horizon.  A hazard of zero at an
 observed time yields ``-inf`` (a first-class value, so samplers and
-optimizers can reject the state rather than crash).
+optimizers can reject the state rather than crash).  So does a
+cumulative-hazard sum that overflows to ``+inf``: the exact log-likelihood
+is then below -1.8e308, so ``-inf`` is its correctly rounded value, where
+``log(inf) - inf`` would be nan.
 """
 
 from __future__ import annotations
@@ -39,19 +42,22 @@ class HyperParams:
 
 
 def log_likelihood(model, dataset: Dataset) -> float:
-    """Censored log-likelihood of the dataset under the model; -inf on zero hazard."""
+    """Censored log-likelihood of the dataset under the model; -inf on zero hazard or overflow."""
     if dataset.n == 0:
         raise ValueError("dataset must be non-empty")
     t_obs = dataset.observed_times()
     t_cens = dataset.censored_times()
+    cum_sums = [float(np.sum(np.asarray(model.cum_hazard(t), dtype=float)))
+                for t in (t_obs, t_cens) if t.size]
+    if math.inf in cum_sums:
+        return -math.inf
     total = 0.0
     if t_obs.size:
         lam = np.asarray(model.hazard(t_obs), dtype=float)
         with np.errstate(divide="ignore"):
             total += float(np.sum(np.log(lam)))
-        total -= float(np.sum(np.asarray(model.cum_hazard(t_obs), dtype=float)))
-    if t_cens.size:
-        total -= float(np.sum(np.asarray(model.cum_hazard(t_cens), dtype=float)))
+    for cum in cum_sums:
+        total -= cum
     return total
 
 

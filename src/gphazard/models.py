@@ -130,11 +130,13 @@ class _PiecewiseExponential:
             np.atleast_1d(np.asarray(rate, dtype=float)),
             np.atleast_1d(np.asarray(dt, dtype=float)),
         )
-        out = np.empty(coeff.shape)
-        lin = np.abs(rate) < _ZERO_RATE
+        out = np.zeros(coeff.shape)  # dt = 0 adds 0, also to an overflowed coefficient
+        moved = dt != 0.0
+        lin = moved & (np.abs(rate) < _ZERO_RATE)
+        grow = moved & ~lin
         out[lin] = coeff[lin] * dt[lin]
         with np.errstate(over="ignore"):  # a growing hazard's integral overflows to inf
-            out[~lin] = coeff[~lin] * np.expm1(rate[~lin] * dt[~lin]) / rate[~lin]
+            out[grow] = coeff[grow] * np.expm1(rate[grow] * dt[grow]) / rate[grow]
         return out
 
     def value(self, t):
@@ -501,7 +503,8 @@ class LogConvexHazard(_DrawModel):
     def _skeleton(self) -> _PiecewiseExponential:
         knots = np.concatenate(([0.0], self.draw.ordered.thetas))
         rates = self.w0 + self.draw._mass0
-        coeffs = self.lambda0 * np.exp(rates * knots - self.draw._moment0)
+        with np.errstate(over="ignore"):  # a steep hazard's coefficients overflow to inf
+            coeffs = self.lambda0 * np.exp(rates * knots - self.draw._moment0)
         widths = np.diff(knots)
         if widths.size:
             incs = _PiecewiseExponential._increment(coeffs[:-1], rates[:-1], widths)

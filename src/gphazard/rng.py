@@ -18,6 +18,8 @@ import numpy as np
 
 __all__ = ["RandomStream"]
 
+_GAMMA_MAX_DRAWS = 10**6  # gamma's redraws of an underflowed 0; about a second of draws
+
 
 class RandomStream:
     """Seedable single-owner source of random variates.
@@ -76,10 +78,14 @@ class RandomStream:
         """Gamma draw with mean shape/rate and variance shape/rate**2."""
         if shape <= 0.0 or rate <= 0.0:
             raise ValueError(f"gamma requires shape > 0 and rate > 0, got ({shape}, {rate})")
-        x = self._gen.gamma(shape, 1.0 / rate)
-        while x <= 0.0:  # tiny shapes can underflow to exactly 0
+        for _ in range(_GAMMA_MAX_DRAWS):
             x = self._gen.gamma(shape, 1.0 / rate)
-        return float(x)
+            if x > 0.0:  # tiny shapes can underflow to exactly 0
+                return float(x)
+        raise ValueError(
+            f"gamma(shape={shape!r}, rate={rate!r}) underflowed to 0 in "
+            f"{_GAMMA_MAX_DRAWS} draws; the shape is too small"
+        )
 
     def beta(self, a: float, b: float) -> float:
         """Beta(a, b) draw strictly inside (0, 1)."""

@@ -1,6 +1,7 @@
 """Censored likelihood evaluation and hyperprior sampling/density."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from gphazard.likelihood import (
     log_likelihood,
     sample_hyperparams,
 )
-from gphazard.models import DecreasingFailureRate, IncreasingFailureRate
+from gphazard.models import DecreasingFailureRate, IncreasingFailureRate, LogConvexHazard
 from gphazard.rng import RandomStream
 from gphazard.stats import ks_distance
 
@@ -127,3 +128,25 @@ class TestLogHyperprior:
             lambda x: math.exp(log_hyperprior(x, 1.0, 1.0, hyper)), 0.0, np.inf, limit=200
         )
         assert total == pytest.approx(math.exp(-2.0), rel=1e-6)
+
+
+class TestOverflowedCumulativeHazard:
+    """An lcv model steep enough that hazard and cum_hazard overflow at the records."""
+
+    def _model(self):
+        draw = GammaProcessDraw.from_atoms([0.5, 1.0, 2.0], [1.0, 2.0, 3.0])
+        return LogConvexHazard(1e200, 500.0, draw)
+
+    @pytest.mark.parametrize("observed", [[True, True], [False, False], [True, False]])
+    def test_log_likelihood_is_minus_inf(self, observed):
+        data = Dataset(times=[3.0, 3.0], observed=observed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_likelihood(self._model(), data) == -math.inf
+
+    def test_finite_records_keep_their_value(self):
+        model = self._model()
+        data = Dataset(times=[1e-3, 2e-3], observed=[True, False])
+        lam = np.asarray(model.hazard(data.times))
+        cum = np.asarray(model.cum_hazard(data.times))
+        assert log_likelihood(model, data) == 0.0 + math.log(lam[0]) - cum[0] - cum[1]

@@ -554,3 +554,17 @@ class TestLcvPriorOverflow:
             except ValueError as e:
                 overflowed += "log(lambda0)" in str(e)
         assert overflowed > 0
+
+
+class TestLcvSkeletonOverflow:
+    """Skeleton coefficients that overflow to inf, from a large lambda0 and w0."""
+
+    def test_inf_not_nan_at_and_past_the_overflowed_knots(self):
+        draw = GammaProcessDraw.from_atoms([0.5, 1.0, 2.0], [1.0, 2.0, 3.0])
+        model = LogConvexHazard(1e200, 500.0, draw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_knots = np.asarray(model.cum_hazard(np.array([1.0, 2.0])))
+            past = np.asarray(model.cum_hazard(np.array([1.5, 3.0])))
+            assert model.cum_hazard(0.0) == 0.0
+        assert np.all(at_knots == np.inf) and np.all(past == np.inf)

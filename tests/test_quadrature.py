@@ -1,0 +1,137 @@
+"""The vectorised Gauss-Legendre quadrature behind validate's quadrature-consistency checks."""
+
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+from gphazard.gamma_process import GammaProcessDraw
+from gphazard.models import LogConvexHazard
+from gphazard.validation import integrate_hazard
+
+NAMES = ["ifr", "dfr", "lwb", "sbt", "mbt", "lcv"]
+
+
+def _quad_oracle(model, t_end: float) -> float:
+    """QUADPACK on each segment between breakpoints, one scalar hazard call per node."""
+    pts = model.breakpoints()
+    pts = pts[(pts > 0.0) & (pts < t_end)]
+    edges = np.concatenate(([0.0], pts, [t_end]))
+    return sum(
+        quad(lambda s: float(model.hazard(s)), lo, hi, limit=200)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+        if hi > lo
+    )
+
+
+def _endpoints(model) -> np.ndarray:
+    """0, a breakpoint itself, a point past the last atom, and points in between."""
+    bps = model.breakpoints()
+    inner = bps[(bps > 0.0) & (bps < 5.0)]
+    return np.array([0.0, inner[inner.size // 2], bps[-1] + 0.5, 0.37, 1.9, 4.2])
+
+
+class _Counting:
+    """A model's hazard and breakpoints, counting the hazard calls."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = 0
+
+    def breakpoints(self):
+        return self.model.breakpoints()
+
+    def hazard(self, t):
+        self.calls += 1
+        return self.model.hazard(t)
+
+
+class _Stub:
+    """A hazard given as a function, with breakpoints at 1 and 2."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def breakpoints(self):
+        return np.array([1.0, 2.0])
+
+    def hazard(self, t):
+        return self.fn(np.asarray(t, dtype=float))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_matches_quad_oracle(demo, name):
+    model = demo[name]
+    ends = _endpoints(model)
+    numeric = integrate_hazard(model, ends)
+    oracle = np.array([_quad_oracle(model, float(t)) for t in ends])
+    exact = np.asarray(model.cum_hazard(ends))
+    assert numeric[0] == 0.0
+    np.testing.assert_allclose(numeric, oracle, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(numeric, exact, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_array_equals_scalar_calls(demo, name):
+    model = demo[name]
+    ends = _endpoints(model)
+    together = integrate_hazard(model, ends)
+    assert isinstance(together, np.ndarray) and together.shape == ends.shape
+    alone = np.array([integrate_hazard(model, float(t)) for t in ends])
+    np.testing.assert_allclose(together, alone, rtol=1e-15, atol=0.0)
+    grid = integrate_hazard(model, ends.reshape(2, 3))
+    assert grid.shape == (2, 3)
+    np.testing.assert_array_equal(grid.ravel(), together)
+
+
+def test_scalar_returns_python_float(demo):
+    for model in demo.values():
+        assert type(integrate_hazard(model, 1.5)) is float
+        assert type(integrate_hazard(model, np.float64(1.5))) is float
+        assert integrate_hazard(model, 0.0) == 0.0
+
+
+def test_steep_lcv_bisects_and_matches_closed_form():
+    draw = GammaProcessDraw.from_atoms([2.0, 3.0], [1.5, 4.0])
+    model = LogConvexHazard(1e-3, 25.0, draw)  # e^50 across the first 2-wide segment
+    counting = _Counting(model)
+    ends = np.array([1.0, 2.0, 3.5, 6.0])
+    numeric = integrate_hazard(counting, ends)
+    assert counting.calls > 2  # the first rule, then more than one bisection round
+    np.testing.assert_allclose(numeric, np.asarray(model.cum_hazard(ends)), rtol=1e-12, atol=0.0)
+
+
+def test_nan_hazard_raises():
+    with pytest.raises(RuntimeError, match="not finite"):
+        integrate_hazard(_Stub(lambda t: np.full(t.shape, np.nan)), 3.0)
+
+
+def test_unlisted_jump_exhausts_the_round_cap():
+    # a step at 0.3 that breakpoints() does not list never passes the halves test
+    with pytest.raises(RuntimeError, match="did not converge"):
+        integrate_hazard(_Stub(lambda t: np.where(t < 0.3, 1.0, 2.0)), 0.9)
+
+
+@pytest.mark.parametrize("t_end", [-1.0, np.nan, np.inf, [1.0, -0.5]])
+def test_bad_endpoint_raises(demo, t_end):
+    with pytest.raises(ValueError, match="t_end"):
+        integrate_hazard(demo["ifr"], t_end)
+
+
+def test_validate_runs_without_scipy():
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['gphazard', 'validate']\n"
+        "try:\n"
+        "    runpy.run_module('gphazard.cli', run_name='__main__')\n"
+        "except SystemExit as e:\n"
+        "    rc = e.code\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'], file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "43 checks, 43 passed, 0 failed" in proc.stdout
+    assert proc.stderr.strip() == "[]"

@@ -1,5 +1,7 @@
 """Determinism, distributional contracts, and domain errors of RandomStream."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -160,3 +162,27 @@ class TestCategorical:
             RandomStream(0).categorical((-0.5, 1.0))
         with pytest.raises(ValueError):
             RandomStream(0).categorical(())
+
+
+class TestGammaDrawCap:
+    @staticmethod
+    def _uncapped(gen, shape, rate):
+        """The draw-until-positive loop without a cap."""
+        x = gen.gamma(shape, 1.0 / rate)
+        while x <= 0.0:
+            x = gen.gamma(shape, 1.0 / rate)
+        return float(x)
+
+    @pytest.mark.parametrize("shape", [1e-3, 1.0, 3.0, 50.0])
+    def test_values_and_state_match_the_uncapped_loop(self, shape):
+        for seed in range(1, 21):
+            stream, ref = RandomStream(seed), RandomStream(seed)._gen
+            for _ in range(50):
+                assert stream.gamma(shape, 2.0) == self._uncapped(ref, shape, 2.0)
+            assert stream._gen.bit_generator.state == ref.bit_generator.state
+
+    def test_tiny_shape_raises_naming_the_parameters(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"shape=1e-320, rate=1\.0"):
+            RandomStream(1).gamma(1e-320, 1.0)
+        assert time.perf_counter() - start < 30.0
