@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ class Dataset:
     times: np.ndarray
     observed: np.ndarray
     tau: float | None = None
+    _orders: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -57,6 +58,26 @@ class Dataset:
 
     def censored_times(self) -> np.ndarray:
         return self.times[~self.observed]
+
+    def _ascending(self, observed: bool) -> tuple[np.ndarray | None, np.ndarray]:
+        """(order, times[order]) ascending for the observed (or censored) times.
+
+        The first request returns (None, times) unsorted, so a dataset used
+        once pays for no sort; later ones share one stable sort.  The kept
+        order is checked to still sort the times on every request, and the
+        times are sorted afresh when they were changed in place or replaced.
+        """
+        t = self.observed_times() if observed else self.censored_times()
+        if observed not in self._orders:
+            self._orders[observed] = None
+            return None, t
+        order = self._orders[observed]
+        if order is not None and order.size == t.size:
+            ascending = t[order]
+            if (ascending[1:] >= ascending[:-1]).all():
+                return order, ascending
+        order = self._orders[observed] = np.argsort(t, kind="stable")
+        return order, t[order]
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:

@@ -66,14 +66,12 @@ class NormalBase:
             raise ValueError(f"base measure sd must be positive, got {self.sd}")
 
     def sample(self, stream: RandomStream) -> float:
-        x = stream.normal(self.mean, self.sd)
-        while x < 0.0:
-            x = stream.normal(self.mean, self.sd)
-        return x
+        return float(self.samples(1, stream)[0])
 
     def samples(self, n: int, stream: RandomStream) -> np.ndarray:
         """n locations, identical to n calls of :meth:`sample`."""
-        return stream._block(n, lambda g, k: g.normal(self.mean, self.sd, k), lambda x: x < 0.0)
+        return stream._block(n, lambda g, k: g.normal(self.mean, self.sd, k), lambda x: x < 0.0,
+                             lambda: f"NormalBase(mean={self.mean!r}, sd={self.sd!r})")
 
     def to_dict(self) -> dict:
         return {"kind": "normal", "mean": self.mean, "sd": self.sd}

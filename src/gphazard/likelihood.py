@@ -41,19 +41,36 @@ class HyperParams:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
+def _in_record_order(f, order, times) -> np.ndarray:
+    """f(times) as floats, put back in record order when ``order`` sorted the records into times."""
+    values = np.asarray(f(times), dtype=float)
+    if order is None:
+        return values
+    out = np.empty(values.size)
+    out[order] = values
+    return out
+
+
 def log_likelihood(model, dataset: Dataset) -> float:
-    """Censored log-likelihood of the dataset under the model; -inf on zero hazard or overflow."""
+    """Censored log-likelihood of the dataset under the model; -inf on zero hazard or overflow.
+
+    Repeated evaluation on one ``Dataset``, as in a sampler's loop, reuses
+    one stable sort of its times: from the second call on, the model is
+    evaluated on ascending times, where its atom lookups merge in
+    O(n + K log n), and the values go back to record order before they
+    are summed, so every call returns the first call's bits.
+    """
     if dataset.n == 0:
         raise ValueError("dataset must be non-empty")
-    t_obs = dataset.observed_times()
-    t_cens = dataset.censored_times()
-    cum_sums = [float(np.sum(np.asarray(model.cum_hazard(t), dtype=float)))
-                for t in (t_obs, t_cens) if t.size]
+    obs = dataset._ascending(observed=True)
+    cens = dataset._ascending(observed=False)
+    cum_sums = [float(np.sum(_in_record_order(model.cum_hazard, *group)))
+                for group in (obs, cens) if group[1].size]
     if math.inf in cum_sums:
         return -math.inf
     total = 0.0
-    if t_obs.size:
-        lam = np.asarray(model.hazard(t_obs), dtype=float)
+    if obs[1].size:
+        lam = _in_record_order(model.hazard, *obs)
         with np.errstate(divide="ignore"):
             total += float(np.sum(np.log(lam)))
     for cum in cum_sums:

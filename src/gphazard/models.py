@@ -46,6 +46,14 @@ _ZERO_RATE = 1e-12  # below this, exponential segments are treated as linear
 
 _NEWTON_MAX_ITER = 100  # MixtureBathtub's inverse; converging takes at most ~40
 
+# _neg_log takes a long-double log where long double has a 64-bit mantissa or
+# more, and recomputes elements this close (in ulp) to a rounding midpoint
+_WIDE_LOG = np.finfo(np.longdouble).nmant >= 63
+_MIDPOINT_WINDOW = 0.05
+_MANTISSA = np.uint64((1 << 52) - 1)
+
+_MERGE_MIN = 1024  # fewest keys _rank merges; below it the merge's fixed cost dominates
+
 
 def _as_times(t, what: str = "t") -> np.ndarray:
     arr = np.asarray(t, dtype=float)
@@ -62,13 +70,52 @@ def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
     return float(out) if np.ndim(like) == 0 else out
 
 
+def _rank(edges: np.ndarray, t: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(edges, t, side)``, by merging when t is a long monotone 1-d array.
+
+    A binary search per key mispredicts its branches on unsorted keys.  On
+    non-decreasing keys the ranks are the cumulated counts of the edges
+    that fall before each key, which one search of the edges into the keys
+    gives: O(n + K log n) in place of O(n log K).  Non-increasing keys (as
+    ``a - t``) are merged reversed.  Short inputs, where the merge's fixed
+    cost outweighs the search, and unsorted ones take the plain search.
+    """
+    if t.ndim != 1 or t.size < _MERGE_MIN or t.size < 2 * edges.size:
+        return np.searchsorted(edges, t, side=side)
+    rising = t[0] <= t[-1]
+    keys = t if rising else t[::-1]
+    if not (keys[1:] >= keys[:-1]).all():
+        return np.searchsorted(edges, t, side=side)
+    first = np.searchsorted(keys, edges, side="left" if side == "right" else "right")
+    ranks = np.cumsum(np.bincount(first, minlength=keys.size + 1)[:-1])
+    return ranks if rising else ranks[::-1]
+
+
 def _neg_log(u: np.ndarray) -> np.ndarray:
-    """-log(u) per element with ``math.log``.
+    """-log(u) per element, equal to ``-math.log`` of each.
 
     ``np.log`` differs from ``math.log`` in the last bit for a small share of
     inputs, and sampled failure times have always been ``math.log`` based.
+    A long-double log rounded to double equals ``math.log`` except within
+    about 0.02 ulp of a rounding midpoint, where libm's log may round the
+    other way.  Elements within ``_MIDPOINT_WINDOW`` of a midpoint, and exact
+    powers of two (whose lower neighbour is nearer), are recomputed with
+    ``math.log``.
     """
-    return -np.fromiter(map(math.log, u.tolist()), dtype=float, count=u.size)
+    if not _WIDE_LOG:
+        return -_math_log(u)
+    wide = np.log(u.astype(np.longdouble))
+    out = wide.astype(float)
+    gap = np.abs((wide - out).astype(float))  # at most half a double ulp of out
+    redo = (gap > (0.5 - _MIDPOINT_WINDOW) * np.abs(np.spacing(out))) | (
+        (out.view(np.uint64) & _MANTISSA) == 0
+    )
+    out[redo] = _math_log(u[redo])
+    return -out
+
+
+def _math_log(u: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log, u.tolist()), dtype=float, count=u.size)
 
 
 @dataclass(eq=False)
@@ -86,7 +133,7 @@ class _PiecewiseLinear:
 
     def value(self, t):
         arr = _as_times(t)
-        idx = np.searchsorted(self.knots, arr, side="right") - 1
+        idx = _rank(self.knots, arr, "right") - 1
         out = self.values[idx] + self.slopes[idx] * (arr - self.knots[idx])
         return _maybe_scalar(out, t)
 
@@ -141,7 +188,7 @@ class _PiecewiseExponential:
 
     def value(self, t):
         arr = np.atleast_1d(_as_times(t))
-        idx = np.searchsorted(self.knots, arr, side="right") - 1
+        idx = _rank(self.knots, arr, "right") - 1
         dt = arr - self.knots[idx]
         out = self.values[idx] + self._increment(self.coeffs[idx], self.rates[idx], dt)
         return _maybe_scalar(out[0] if np.ndim(t) == 0 else out, t)
@@ -159,15 +206,18 @@ class _PiecewiseExponential:
         excess = arr - self.values[idx]
         rate = self.rates[idx]
         coeff = self.coeffs[idx]
+        knot = self.knots[idx]
         t = np.empty(arr.shape)
         lin = np.abs(rate) < _ZERO_RATE
-        t[lin] = (self.knots[idx] + excess / coeff)[lin]
+        grow = ~lin
+        with np.errstate(over="ignore"):  # a vanishing coefficient puts t past the double range
+            t[lin] = knot[lin] + excess[lin] / coeff[lin]
         with np.errstate(divide="ignore", invalid="ignore"):
-            arg = rate * excess / coeff
-            grown = self.knots[idx] + np.log1p(np.maximum(arg, -1.0)) / rate
-        t[~lin] = grown[~lin]
+            arg = rate[grow] * excess[grow] / coeff[grow]
+            grown = knot[grow] + np.log1p(np.maximum(arg, -1.0)) / rate[grow]
         # a negative-rate tail saturates: targets at or past the limit are unreachable
-        t = np.where((~lin) & (arg <= -1.0), np.inf, t)
+        grown[arg <= -1.0] = np.inf
+        t[grow] = grown
         t = np.where(arr == 0.0, 0.0, t)
         return _maybe_scalar(t[0] if np.ndim(x) == 0 else t, x)
 
@@ -296,7 +346,7 @@ class IncreasingFailureRate(_StepHazard):
 
     def hazard(self, t):
         arr = _as_times(t)
-        j = np.searchsorted(self.draw.ordered.thetas, arr, side="right")
+        j = _rank(self.draw.ordered.thetas, arr, "right")
         return _maybe_scalar(self.lambda0 + self.draw._mass0[j], t)
 
 
@@ -314,7 +364,7 @@ class DecreasingFailureRate(_StepHazard):
     def hazard(self, t):
         arr = _as_times(t)
         mass = self.draw._mass0
-        j = np.searchsorted(self.draw.ordered.thetas, arr, side="right")
+        j = _rank(self.draw.ordered.thetas, arr, "right")
         return _maybe_scalar(self.lambda0 + mass[-1] - mass[j], t)
 
 
@@ -341,8 +391,8 @@ class LoWengBathtub(_StepHazard):
     def hazard(self, t):
         arr = _as_times(t)
         thetas, mass = self.draw.ordered.thetas, self.draw._mass0
-        early = mass[np.searchsorted(thetas, self.a - arr, side="left")]   # atoms below a - t
-        late = mass[np.searchsorted(thetas, arr - self.a, side="right")]   # atoms at or below t - a
+        early = mass[_rank(thetas, self.a - arr, "left")]   # atoms below a - t
+        late = mass[_rank(thetas, arr - self.a, "right")]   # atoms at or below t - a
         return _maybe_scalar(self.lambda0 + np.where(arr < self.a, early, late), t)
 
     def breakpoints(self) -> np.ndarray:
@@ -366,8 +416,8 @@ class SuperpositionBathtub(_StepHazard):
     def hazard(self, t):
         arr = _as_times(t)
         d1, d2 = self.draw_decreasing, self.draw_increasing
-        j1 = np.searchsorted(d1.ordered.thetas, arr, side="right")
-        j2 = np.searchsorted(d2.ordered.thetas, arr, side="right")
+        j1 = _rank(d1.ordered.thetas, arr, "right")
+        j2 = _rank(d2.ordered.thetas, arr, "right")
         return _maybe_scalar(self.lambda0 + d1._mass0[-1] - d1._mass0[j1] + d2._mass0[j2], t)
 
 
@@ -516,7 +566,7 @@ class LogConvexHazard(_DrawModel):
     def hazard(self, t):
         arr = _as_times(t)
         d = self.draw
-        j = np.searchsorted(d.ordered.thetas, arr, side="right")
+        j = _rank(d.ordered.thetas, arr, "right")
         with np.errstate(over="ignore"):  # overflows to inf at large t
             out = self.lambda0 * np.exp(self.w0 * arr + arr * d._mass0[j] - d._moment0[j])
         return _maybe_scalar(out, t)

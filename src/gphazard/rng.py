@@ -19,6 +19,10 @@ import numpy as np
 __all__ = ["RandomStream"]
 
 _GAMMA_MAX_DRAWS = 10**6  # gamma's redraws of an underflowed 0; about a second of draws
+# _block gives up after this many draws in a row in top-up rounds that accepted
+# none: under a second for a block of one, and a chance of about e**-100 per
+# variate to give up at an acceptance rate of 1e-3
+_BLOCK_MAX_REJECTS = 10**5
 
 
 class RandomStream:
@@ -52,27 +56,41 @@ class RandomStream:
             u = self._gen.random()
         return float(u)
 
-    def _block(self, n: int, draw, reject) -> np.ndarray:
+    def _block(self, n: int, draw, reject, describe) -> np.ndarray:
         """n variates from ``draw(generator, size)`` with the ``reject`` mask's values redrawn.
 
         numpy's block draws reproduce its scalar draws, so dropping the
         rejected values and topping up with exactly as many fresh draws as
         are missing gives the sequence, and the generator consumption, of n
-        scalar draw-until-accepted loops.
+        scalar draw-until-accepted loops.  When the top-up draws in a row that
+        accepted none reach the cap, raises ValueError naming the
+        distribution that ``describe()`` returns.
         """
         n = int(n)
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
         out = draw(self._gen, n)
         out = out[~reject(out)]
+        rejected = 0
         while out.size < n:
             more = draw(self._gen, n - out.size)
-            out = np.concatenate((out, more[~reject(more)]))
+            kept = more[~reject(more)]
+            if kept.size:
+                rejected = 0
+                out = np.concatenate((out, kept))
+            else:
+                rejected += more.size
+                if rejected >= _BLOCK_MAX_REJECTS:
+                    raise ValueError(
+                        f"{describe()} rejected {rejected} draws in a row; "
+                        "its parameters leave almost no mass where draws are accepted"
+                    )
         return out
 
     def uniforms(self, n: int) -> np.ndarray:
         """n successive uniform draws, identical to n calls of :meth:`uniform`."""
-        return self._block(n, lambda g, k: g.random(k), lambda u: (u <= 0.0) | (u >= 1.0))
+        return self._block(n, lambda g, k: g.random(k), lambda u: (u <= 0.0) | (u >= 1.0),
+                           lambda: "uniform()")
 
     def gamma(self, shape: float, rate: float) -> float:
         """Gamma draw with mean shape/rate and variance shape/rate**2."""
@@ -89,18 +107,14 @@ class RandomStream:
 
     def beta(self, a: float, b: float) -> float:
         """Beta(a, b) draw strictly inside (0, 1)."""
-        if a <= 0.0 or b <= 0.0:
-            raise ValueError(f"beta requires positive parameters, got ({a}, {b})")
-        x = self._gen.beta(a, b)
-        while x <= 0.0 or x >= 1.0:
-            x = self._gen.beta(a, b)
-        return float(x)
+        return float(self.betas(a, b, 1)[0])
 
     def betas(self, a: float, b: float, n: int) -> np.ndarray:
         """n successive Beta(a, b) draws, identical to n calls of :meth:`beta`."""
         if a <= 0.0 or b <= 0.0:
             raise ValueError(f"beta requires positive parameters, got ({a}, {b})")
-        return self._block(n, lambda g, k: g.beta(a, b, k), lambda x: (x <= 0.0) | (x >= 1.0))
+        return self._block(n, lambda g, k: g.beta(a, b, k), lambda x: (x <= 0.0) | (x >= 1.0),
+                           lambda: f"beta(a={a!r}, b={b!r})")
 
     def exponential(self, rate: float) -> float:
         """Exponential draw with the given rate (mean 1/rate)."""
@@ -115,7 +129,8 @@ class RandomStream:
         """n successive exponential draws, identical to n calls of :meth:`exponential`."""
         if rate <= 0.0:
             raise ValueError(f"exponential requires rate > 0, got {rate}")
-        return self._block(n, lambda g, k: g.exponential(1.0 / rate, k), lambda x: x <= 0.0)
+        return self._block(n, lambda g, k: g.exponential(1.0 / rate, k), lambda x: x <= 0.0,
+                           lambda: f"exponential(rate={rate!r})")
 
     def normal(self, mean: float, sd: float) -> float:
         """Normal(mean, sd**2) draw; sd=0 returns mean exactly."""

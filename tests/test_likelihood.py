@@ -15,7 +15,12 @@ from gphazard.likelihood import (
     log_likelihood,
     sample_hyperparams,
 )
-from gphazard.models import DecreasingFailureRate, IncreasingFailureRate, LogConvexHazard
+from gphazard.models import (
+    DecreasingFailureRate,
+    IncreasingFailureRate,
+    LogConvexHazard,
+    simulate_dataset,
+)
 from gphazard.rng import RandomStream
 from gphazard.stats import ks_distance
 
@@ -150,3 +155,56 @@ class TestOverflowedCumulativeHazard:
         lam = np.asarray(model.hazard(data.times))
         cum = np.asarray(model.cum_hazard(data.times))
         assert log_likelihood(model, data) == 0.0 + math.log(lam[0]) - cum[0] - cum[1]
+
+
+class TestRepeatedEvaluation:
+    """Later calls on one Dataset evaluate on its sorted times and keep the first call's bits."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_three_calls_give_the_first_calls_bits(self, demo, seed):
+        models = dict(demo, **{"dfr-defective": DecreasingFailureRate(0.0, demo["ifr"].draw)})
+        for name, model in models.items():
+            # n far above the demo's K, so that the atom lookups merge
+            data = simulate_dataset(model, 3000, 3.0, RandomStream(seed))
+            values = [log_likelihood(model, data).hex() for _ in range(3)]
+            assert values[1] == values[2] == values[0], name
+
+    def test_later_calls_see_ascending_times(self, demo):
+        model, seen = demo["lwb"], []
+
+        class Recording:
+            def hazard(self, t):
+                seen.append(np.array(t))
+                return model.hazard(t)
+
+            def cum_hazard(self, t):
+                return model.cum_hazard(t)
+
+        data = simulate_dataset(model, 500, 3.0, RandomStream(4))
+        log_likelihood(Recording(), data)
+        log_likelihood(Recording(), data)
+        first, second = seen
+        np.testing.assert_array_equal(first, data.observed_times())
+        np.testing.assert_array_equal(second, np.sort(data.observed_times()))
+
+    def test_times_changed_in_place_or_replaced(self, demo):
+        model = demo["sbt"]
+        data = simulate_dataset(model, 3000, 3.0, RandomStream(5))
+
+        def fresh():
+            return log_likelihood(model, Dataset(data.times.copy(), data.observed.copy()))
+
+        log_likelihood(model, data)
+        log_likelihood(model, data)  # sorts
+        data.times[::3] *= 0.5
+        assert log_likelihood(model, data) == fresh()
+        data.observed[:100] = ~data.observed[:100]
+        assert log_likelihood(model, data) == fresh()
+        data.times = data.times[::-1].copy()
+        assert log_likelihood(model, data) == fresh()
+        data.times, data.observed = data.times[:1000] + 0.25, data.observed[:1000]
+        assert log_likelihood(model, data) == fresh()
+        data.times = np.concatenate((data.times, data.times[:500] * 2.0))
+        data.observed = np.concatenate((data.observed, data.observed[:500]))
+        assert log_likelihood(model, data) == fresh()
+        assert log_likelihood(model, data) == fresh()

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gphazard import models
 from gphazard.gamma_process import GammaProcessDraw
@@ -568,3 +570,93 @@ class TestLcvSkeletonOverflow:
             past = np.asarray(model.cum_hazard(np.array([1.5, 3.0])))
             assert model.cum_hazard(0.0) == 0.0
         assert np.all(at_knots == np.inf) and np.all(past == np.inf)
+
+
+class TestRank:
+    """``_rank`` merges monotone queries and must give exactly ``np.searchsorted``'s ranks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edges=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.5, 7.0, math.inf]), max_size=40),
+        size=st.sampled_from([0, 1, 2, 17, models._MERGE_MIN, models._MERGE_MIN + 333]),
+        kind=st.sampled_from(["ascending", "descending", "constant", "unsorted"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_searchsorted(self, edges, size, kind, seed):
+        edges = np.sort(np.array(edges, dtype=float))
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate((edges, [0.0, 0.25, 1.0, 3.0, math.inf], rng.exponential(2.0, 8)))
+        t = rng.choice(pool, size)
+        if kind == "ascending":
+            t = np.sort(t)
+        elif kind == "descending":
+            t = np.sort(t)[::-1]
+        elif kind == "constant":
+            t = np.full(size, pool[0])
+        for side in ("left", "right"):
+            got = models._rank(edges, t, side)
+            expected = np.searchsorted(edges, t, side=side)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+
+    def test_long_monotone_queries_search_only_the_edges(self, monkeypatch):
+        edges = np.sort(np.random.default_rng(1).exponential(1.0, 100))
+        t = np.sort(np.random.default_rng(2).exponential(1.0, 5000))
+        searched = []
+        real = np.searchsorted
+
+        def spy(a, v, side="left"):
+            searched.append(np.size(v))
+            return real(a, v, side=side)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        got = [models._rank(edges, keys, "right") for keys in (t, t[::-1])]
+        monkeypatch.undo()
+        assert searched == [edges.size, edges.size]
+        np.testing.assert_array_equal(got[0], np.searchsorted(edges, t, side="right"))
+        np.testing.assert_array_equal(got[1], np.searchsorted(edges, t[::-1], side="right"))
+
+
+class TestNegLog:
+    """The long-double ``_neg_log`` against ``math.log`` element by element."""
+
+    @staticmethod
+    def _reference(u):
+        return -np.array([math.log(x) for x in u.tolist()])
+
+    def test_a_million_uniforms(self):
+        u = RandomStream(11).uniforms(10**6)
+        np.testing.assert_array_equal(models._neg_log(u), self._reference(u))
+
+    def test_inputs_next_to_rounding_midpoints(self):
+        rng = np.random.default_rng(5)
+        # uniforms of every magnitude, kept where the long-double log lies
+        # within 0.02 ulp of a midpoint between two doubles
+        u = rng.random(2 * 10**6) * 10.0 ** -rng.integers(0, 300, 2 * 10**6)
+        u = u[u > 0.0]
+        wide = np.log(u.astype(np.longdouble))
+        gap = np.abs((wide - wide.astype(float)).astype(float)) / np.abs(np.spacing(wide.astype(float)))
+        near = u[gap > 0.48]
+        # logs next to powers of two, where the spacing halves
+        powers = np.exp(-(2.0 ** np.arange(-30, 10)))
+        steps = np.arange(-64, 65)
+        around = (powers[:, None] * (1.0 + steps * np.finfo(float).eps)).ravel()
+        u = np.concatenate((near, around[(around > 0.0) & (around < 1.0)]))
+        assert near.size > 10**4
+        np.testing.assert_array_equal(models._neg_log(u), self._reference(u))
+
+    def test_math_log_everywhere_without_a_wide_long_double(self, monkeypatch):
+        monkeypatch.setattr(models, "_WIDE_LOG", False)
+        u = RandomStream(12).uniforms(1000)
+        np.testing.assert_array_equal(models._neg_log(u), self._reference(u))
+
+
+class TestLcvInverseOverflow:
+    def test_vanishing_coefficient_gives_inf_without_a_warning(self):
+        model = LogConvexHazard(1e-300, 0.0, GammaProcessDraw.from_atoms([], []))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.invert_cum_hazard(1e10) == math.inf
+            np.testing.assert_array_equal(
+                model.invert_cum_hazard(np.array([0.0, 1e-290, 1e10])), [0.0, 1e10, math.inf]
+            )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from gphazard.gamma_process import NormalBase
 from gphazard.rng import RandomStream
 from gphazard.stats import ks_distance
 
@@ -186,3 +187,53 @@ class TestGammaDrawCap:
         with pytest.raises(ValueError, match=r"shape=1e-320, rate=1\.0"):
             RandomStream(1).gamma(1e-320, 1.0)
         assert time.perf_counter() - start < 30.0
+
+
+class TestBlockDrawCap:
+    """One capped top-up loop for the block samplers and the scalar draws built on it."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: RandomStream(1).beta(1e-320, 1.0),
+            lambda: RandomStream(1).betas(1e-320, 1.0, 3),
+            lambda: NormalBase(-50.0, 1.0).sample(RandomStream(1)),
+            lambda: NormalBase(-50.0, 1.0).samples(3, RandomStream(1)),
+        ],
+    )
+    def test_hopeless_parameters_raise_naming_them(self, call):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"(beta\(a=1e-320, b=1\.0\)|NormalBase\(mean=-50\.0, sd=1\.0\)) rejected"):
+            call()
+        assert time.perf_counter() - start < 2.0
+
+    @staticmethod
+    def _uncapped_beta(gen, a, b):
+        x = gen.beta(a, b)
+        while x <= 0.0 or x >= 1.0:
+            x = gen.beta(a, b)
+        return float(x)
+
+    @staticmethod
+    def _uncapped_normal_base(gen, mean, sd):
+        x = float(gen.normal(mean, sd))
+        while x < 0.0:
+            x = float(gen.normal(mean, sd))
+        return x
+
+    @pytest.mark.parametrize("a, b", [(1.0, 3.0), (0.4, 0.7), (5.0, 0.5)])
+    def test_beta_values_and_state_match_the_scalar_loop(self, a, b):
+        for seed in range(1, 21):
+            stream, ref = RandomStream(seed), RandomStream(seed)._gen
+            for _ in range(50):
+                assert stream.beta(a, b) == self._uncapped_beta(ref, a, b)
+            assert stream._gen.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("mean", [2.0, 0.0, -1.0])
+    def test_normal_base_values_and_state_match_the_scalar_loop(self, mean):
+        base = NormalBase(mean, 1.0)
+        for seed in range(1, 21):
+            stream, ref = RandomStream(seed), RandomStream(seed)._gen
+            for _ in range(50):
+                assert base.sample(stream) == self._uncapped_normal_base(ref, mean, 1.0)
+            assert stream._gen.bit_generator.state == ref.bit_generator.state
