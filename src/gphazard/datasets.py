@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = ["Dataset", "read_dataset_csv", "write_dataset_csv"]
+
+
+def _horizon(tau) -> float:
+    """The censoring horizon as a float; ValueError unless it is finite and positive."""
+    tau = float(tau)
+    if not 0.0 < tau < math.inf:  # false for NaN as well
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+    return tau
 
 
 @dataclass(eq=False)
@@ -30,10 +39,10 @@ class Dataset:
             raise ValueError("times and observed must be 1-d arrays of equal length")
         if not np.all(self.times > 0.0):  # false for NaN as well
             raise ValueError("all record times must be positive, not NaN")
+        if not np.all(self.times < math.inf):
+            raise ValueError("all record times must be finite, not inf")
         if self.tau is not None:
-            self.tau = float(self.tau)
-            if self.tau <= 0.0:
-                raise ValueError(f"tau must be positive, got {self.tau}")
+            self.tau = _horizon(self.tau)
             if not np.all(self.times[~self.observed] == self.tau):
                 raise ValueError("censored records must sit at the common horizon tau")
 
@@ -89,7 +98,7 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 
 
 def read_dataset_csv(path, tau: float | None = None) -> Dataset:
-    """Parse a ``time,status`` CSV; rejects non-positive times naming the row."""
+    """Parse a ``time,status`` CSV; rejects non-positive or infinite times naming the row."""
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -112,6 +121,8 @@ def read_dataset_csv(path, tau: float | None = None) -> Dataset:
             raise ValueError(f"{path}: row {i}: cannot parse time {cols[0]!r}") from None
         if not t > 0.0:  # rejects NaN too
             raise ValueError(f"{path}: row {i}: time must be positive, got {t}")
+        if t == math.inf:
+            raise ValueError(f"{path}: row {i}: time must be finite, got {t}")
         status = cols[1].strip()
         if status not in ("0", "1"):
             raise ValueError(f"{path}: row {i}: status must be 0 or 1, got {status!r}")

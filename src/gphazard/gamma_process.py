@@ -80,6 +80,13 @@ class NormalBase:
 BaseMeasure = ExponentialBase | NormalBase
 
 
+def _as_times(t, what: str = "t") -> np.ndarray:
+    arr = np.asarray(t, dtype=float)
+    if not np.all(arr >= 0.0):  # false for NaN as well as for negatives
+        raise ValueError(f"{what} must be non-negative, not NaN")
+    return arr
+
+
 def _require_keys(d, keys, what: str) -> None:
     """Raise ValueError unless ``d`` is a JSON object holding every one of ``keys``."""
     if not isinstance(d, dict):
@@ -229,10 +236,7 @@ class GammaProcessDraw:
         return np.concatenate(([0.0], self.ordered.cum_moment))
 
     def _count_below(self, t, strict: bool) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise ValueError("t must be non-negative")
-        return np.searchsorted(self.ordered.thetas, t, side="left" if strict else "right")
+        return np.searchsorted(self.ordered.thetas, _as_times(t), side="left" if strict else "right")
 
     def total_mass(self) -> float:
         return float(self._mass0[-1])

@@ -2,9 +2,11 @@
 
 Each model evaluates its hazard, cumulative hazard, density and survival
 in closed form, and samples failure times exactly by solving
-``cum_hazard(T) = -log(U)``.  Four of the models have piecewise-linear
-cumulative hazards (knots at atom locations) and the log-convex model is
-piecewise exponential; both kinds invert in closed form.  The mixture
+``cum_hazard(T) = -log(U)``.  Five of the models share one cumulative-hazard
+skeleton that inverts in closed form: between knots the hazard is
+``c * exp(r * (t - knot))``.  The four step-hazard models are its rate-0
+case, with linear segments between breakpoints, and the log-convex model
+uses its exponential segments, with knots at the atom locations.  The mixture
 model's cumulative hazard is concave between its pooled knots, so Newton's
 method started at the left knot inverts it without overshooting.
 
@@ -23,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .datasets import Dataset
-from .gamma_process import GammaProcessDraw, _require_keys
+from .datasets import Dataset, _horizon
+from .gamma_process import GammaProcessDraw, _as_times, _require_keys
 from .likelihood import HyperParams
 from .rng import RandomStream, _categorical_pick
 
@@ -53,13 +55,6 @@ _MIDPOINT_WINDOW = 0.05
 _MANTISSA = np.uint64((1 << 52) - 1)
 
 _MERGE_MIN = 1024  # fewest keys _rank merges; below it the merge's fixed cost dominates
-
-
-def _as_times(t, what: str = "t") -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    if not np.all(arr >= 0.0):  # false for NaN as well as for negatives
-        raise ValueError(f"{what} must be non-negative, not NaN")
-    return arr
 
 
 def _as_targets(x) -> np.ndarray:
@@ -119,65 +114,39 @@ def _math_log(u: np.ndarray) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class _PiecewiseLinear:
-    """Non-decreasing piecewise-linear function through (knots, values) with given slopes.
+class _Skeleton:
+    """Cumulative hazard whose hazard is exponential in t on each segment.
 
-    ``slopes[i]`` applies on [knots[i], knots[i+1]); the last slope extends
-    to infinity.  Zero-slope tails make the function defective: inverting
-    past the last attained value yields ``inf``.
+    On segment l, from ``knots[l]`` to the next knot (the last one extends
+    to infinity), the hazard is ``coeffs[l] * exp(rates[l] * (t - knots[l]))``.
+    A rate below ``_ZERO_RATE`` in magnitude makes the segment linear with
+    slope ``coeffs[l]``, and a zero coefficient makes it flat: inverting
+    past the value a flat tail holds yields ``inf``.  ``values`` holds the
+    cumulative hazard at the knots, accumulated from non-negative segment
+    increments, so the function is weakly monotone even at rounding scale
+    and evaluation and inversion share it.
     """
 
     knots: np.ndarray
-    values: np.ndarray
-    slopes: np.ndarray
-
-    def value(self, t):
-        arr = _as_times(t)
-        idx = _rank(self.knots, arr, "right") - 1
-        out = self.values[idx] + self.slopes[idx] * (arr - self.knots[idx])
-        return _maybe_scalar(out, t)
-
-    def limit(self) -> float:
-        return math.inf if self.slopes[-1] > 0.0 else float(self.values[-1])
-
-    def invert(self, x):
-        arr = _as_targets(x)
-        idx = np.searchsorted(self.values, arr, side="right") - 1
-        idx = np.maximum(idx, 0)
-        base = self.values[idx]
-        slope = self.slopes[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = self.knots[idx] + (arr - base) / slope
-        flat = slope <= 0.0
-        if np.any(flat):
-            t = np.where(flat & (arr == base), self.knots[idx], t)
-            t = np.where(flat & (arr > base), np.inf, t)
-        t = np.where(arr == 0.0, 0.0, t)
-        return _maybe_scalar(t, x)
-
-
-@dataclass(eq=False)
-class _PiecewiseExponential:
-    """Cumulative hazard whose log-slope is constant on each segment.
-
-    On segment l the hazard is ``coeffs[l] * exp(rates[l] * (t - knots[l]))``,
-    so the increment of the cumulative hazard uses expm1 for stability and
-    falls back to the linear form when the rate is (numerically) zero.
-    """
-
-    knots: np.ndarray
-    values: np.ndarray
     rates: np.ndarray
     coeffs: np.ndarray
+    values: np.ndarray = field(init=False)
 
-    @staticmethod
-    def _increment(coeff, rate, dt):
-        coeff, rate, dt = np.broadcast_arrays(
-            np.atleast_1d(np.asarray(coeff, dtype=float)),
-            np.atleast_1d(np.asarray(rate, dtype=float)),
-            np.atleast_1d(np.asarray(dt, dtype=float)),
-        )
-        out = np.zeros(coeff.shape)  # dt = 0 adds 0, also to an overflowed coefficient
+    def __post_init__(self):
+        # read once from the segments: when none grows and every slope is finite (the
+        # step models), evaluation and inversion look at no rate per element
+        self._linear = bool(np.all(np.abs(self.rates) < _ZERO_RATE)
+                            and np.all(np.isfinite(self.coeffs)))
+        incs = self._increment(np.s_[:-1], np.diff(self.knots))
+        self.values = np.concatenate(([0.0], np.cumsum(incs)))
+
+    def _increment(self, seg, dt: np.ndarray) -> np.ndarray:
+        """Integral of the hazard over [knots[seg], knots[seg] + dt], elementwise over 1-d dt."""
+        coeff = self.coeffs[seg]
+        if self._linear:
+            return coeff * dt
+        rate = self.rates[seg]
+        out = np.zeros(dt.shape)  # dt = 0 adds 0, also to an overflowed coefficient
         moved = dt != 0.0
         lin = moved & (np.abs(rate) < _ZERO_RATE)
         grow = moved & ~lin
@@ -187,39 +156,48 @@ class _PiecewiseExponential:
         return out
 
     def value(self, t):
-        arr = np.atleast_1d(_as_times(t))
-        idx = _rank(self.knots, arr, "right") - 1
-        dt = arr - self.knots[idx]
-        out = self.values[idx] + self._increment(self.coeffs[idx], self.rates[idx], dt)
-        return _maybe_scalar(out[0] if np.ndim(t) == 0 else out, t)
+        arr = _as_times(t).reshape(-1)
+        seg = _rank(self.knots, arr, "right") - 1
+        out = self.values[seg] + self._increment(seg, arr - self.knots[seg])
+        return _maybe_scalar(out.reshape(np.shape(t)), t)
 
     def limit(self) -> float:
-        rate = float(self.rates[-1])
-        if rate >= -_ZERO_RATE:
-            return math.inf
-        return float(self.values[-1] + self.coeffs[-1] / (-rate))
+        rate, coeff = float(self.rates[-1]), float(self.coeffs[-1])
+        if rate <= -_ZERO_RATE:  # a decaying tail adds coeff / -rate
+            return float(self.values[-1] + coeff / -rate)
+        return math.inf if rate >= _ZERO_RATE or coeff > 0.0 else float(self.values[-1])
 
     def invert(self, x):
-        arr = np.atleast_1d(_as_targets(x))
-        idx = np.searchsorted(self.values, arr, side="right") - 1
-        idx = np.maximum(idx, 0)
-        excess = arr - self.values[idx]
-        rate = self.rates[idx]
-        coeff = self.coeffs[idx]
-        knot = self.knots[idx]
-        t = np.empty(arr.shape)
-        lin = np.abs(rate) < _ZERO_RATE
-        grow = ~lin
-        with np.errstate(over="ignore"):  # a vanishing coefficient puts t past the double range
-            t[lin] = knot[lin] + excess[lin] / coeff[lin]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            arg = rate[grow] * excess[grow] / coeff[grow]
-            grown = knot[grow] + np.log1p(np.maximum(arg, -1.0)) / rate[grow]
-        # a negative-rate tail saturates: targets at or past the limit are unreachable
-        grown[arg <= -1.0] = np.inf
-        t[grow] = grown
+        arr = _as_targets(x).reshape(-1)
+        seg = np.maximum(np.searchsorted(self.values, arr, side="right") - 1, 0)
+        knot, base, coeff = self.knots[seg], self.values[seg], self.coeffs[seg]
+        excess = arr - base
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = knot + excess / coeff  # a vanishing slope puts t past the double range
+        if not self._linear:
+            rate = self.rates[seg]
+            g = np.abs(rate) >= _ZERO_RATE
+            t[g] = self._invert_growing(knot[g], excess[g], rate[g], coeff[g])
+        flat = coeff <= 0.0
+        if np.any(flat):
+            t = np.where(flat & (arr == base), knot, t)
+            t = np.where(flat & (arr > base), np.inf, t)
         t = np.where(arr == 0.0, 0.0, t)
-        return _maybe_scalar(t[0] if np.ndim(x) == 0 else t, x)
+        return _maybe_scalar(t.reshape(np.shape(x)), x)
+
+    @staticmethod
+    def _invert_growing(knot, excess, rate, coeff) -> np.ndarray:
+        """knot + log1p(rate * excess / coeff) / rate, or inf past a decaying tail's limit."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            arg = rate * excess / coeff
+            t = knot + np.log1p(np.maximum(arg, -1.0)) / rate
+            # where the quotient overflowed, log1p(arg) = logaddexp(0, log(arg)) in log space
+            big = arg == np.inf
+            log_arg = np.log(rate[big]) + np.log(excess[big]) - np.log(coeff[big])
+            t[big] = knot[big] + np.logaddexp(0.0, log_arg) / rate[big]
+        # a negative-rate tail saturates: targets at or past the limit are unreachable
+        t[arg <= -1.0] = np.inf
+        return t
 
 
 class HazardModel(ABC):
@@ -269,26 +247,6 @@ class HazardModel(ABC):
         return self.invert_cum_hazard(_neg_log(stream.uniforms(n)))
 
 
-def _linear_skeleton(model: HazardModel, inner_knots: np.ndarray) -> _PiecewiseLinear:
-    """Knots, accumulated cumulative-hazard values, and slopes for a step-hazard model.
-
-    Slopes come from the (piecewise-constant) hazard at segment midpoints,
-    the final one from one unit past the last knot; both are exact for
-    step hazards.  Accumulating the knot values from non-negative
-    increments keeps the function weakly monotone even at rounding scale,
-    so evaluation and inversion share one consistent skeleton.
-    """
-    knots = np.unique(np.concatenate(([0.0], np.asarray(inner_knots, dtype=float))))
-    if knots.size > 1:
-        interior = np.asarray(model.hazard(0.5 * (knots[:-1] + knots[1:])), dtype=float)
-        values = np.concatenate(([0.0], np.cumsum(interior * np.diff(knots))))
-    else:
-        interior = np.array([])
-        values = np.array([0.0])
-    final = model.hazard(knots[-1] + 1.0)
-    return _PiecewiseLinear(knots=knots, values=values, slopes=np.append(interior, final))
-
-
 def _is_draw(f: Field) -> bool:
     return f.type == "GammaProcessDraw"  # annotations are strings in this module
 
@@ -329,8 +287,15 @@ class _StepHazard(_DrawModel):
             raise ValueError(f"lambda0 must be non-negative, got {self.lambda0}")
 
     @cached_property
-    def _skeleton(self) -> _PiecewiseLinear:
-        return _linear_skeleton(self, self.breakpoints())
+    def _skeleton(self) -> _Skeleton:
+        """Linear segments between the breakpoints.
+
+        Each slope is the hazard at the segment's midpoint, the last one the
+        hazard one unit past the last knot; both are exact for step hazards.
+        """
+        knots = np.unique(np.concatenate(([0.0], self.breakpoints())))
+        mids = np.append(0.5 * (knots[:-1] + knots[1:]), knots[-1] + 1.0)
+        return _Skeleton(knots, np.zeros(knots.size), self.hazard(mids))
 
 
 @dataclass(eq=False)
@@ -550,18 +515,12 @@ class LogConvexHazard(_DrawModel):
             raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
 
     @cached_property
-    def _skeleton(self) -> _PiecewiseExponential:
+    def _skeleton(self) -> _Skeleton:
         knots = np.concatenate(([0.0], self.draw.ordered.thetas))
         rates = self.w0 + self.draw._mass0
         with np.errstate(over="ignore"):  # a steep hazard's coefficients overflow to inf
             coeffs = self.lambda0 * np.exp(rates * knots - self.draw._moment0)
-        widths = np.diff(knots)
-        if widths.size:
-            incs = _PiecewiseExponential._increment(coeffs[:-1], rates[:-1], widths)
-            values = np.concatenate(([0.0], np.cumsum(incs)))
-        else:
-            values = np.array([0.0])
-        return _PiecewiseExponential(knots=knots, values=values, rates=rates, coeffs=coeffs)
+        return _Skeleton(knots, rates, coeffs)
 
     def hazard(self, t):
         arr = _as_times(t)
@@ -583,9 +542,9 @@ def simulate_dataset(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if tau is not None and tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if tau is None and math.isfinite(model.cum_hazard_limit()):
+    if tau is not None:
+        tau = _horizon(tau)
+    elif math.isfinite(model.cum_hazard_limit()):
         raise ValueError(
             "model is defective (finite total cumulative hazard): "
             "set tau so unbounded draws can be recorded as censored"

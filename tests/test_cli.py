@@ -339,3 +339,30 @@ def test_nan_time_is_reported_with_row(tmp_path, command):
     assert proc.returncode == 1
     assert "row 2: time must be positive, got nan" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_non_finite_tau_is_reported(tmp_path, tau):
+    cfg = _write_config(tmp_path, model="dfr", lambda0=0.0, prior=DEMO_PRIOR, seed=1, n=10)
+    out = tmp_path / "data.csv"
+    proc = subprocess.run([sys.executable, "-m", "gphazard.cli", "simulate", "--config", cfg,
+                           "--tau", tau, "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert f"tau must be finite and positive, got {tau}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["km", "loglik"])
+def test_infinite_time_is_reported_with_row(tmp_path, command):
+    data = tmp_path / "inf.csv"
+    data.write_text("time,status\n1.0,0\ninf,1\n")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(TestMalformedInput.MODEL))
+    args = {"km": ["km", "--data", str(data), "--out", str(tmp_path / "km.csv")],
+            "loglik": ["loglik", "--model", str(model), "--data", str(data)]}[command]
+    proc = subprocess.run([sys.executable, "-m", "gphazard.cli", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "row 3: time must be finite, got inf" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -85,3 +85,27 @@ class TestNaNTimes:
         path.write_text("time,status\n1.0,1\nnan,1\n2.0,0\n")
         with pytest.raises(ValueError, match=r"row 3: time must be positive, got nan"):
             read_dataset_csv(path)
+
+
+class TestNonFiniteTimesAndHorizon:
+    def test_dataset_rejects_infinite_time(self):
+        with pytest.raises(ValueError, match="record times must be finite, not inf"):
+            Dataset(times=[1.0, float("inf")], observed=[True, True])
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_dataset_rejects_tau(self, tau):
+        with pytest.raises(ValueError, match=f"tau must be finite and positive, got {tau}"):
+            Dataset(times=[1.0], observed=[True], tau=tau)
+
+    def test_csv_names_the_infinite_row(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("time,status\n1.0,1\ninf,1\n")
+        with pytest.raises(ValueError, match=r"row 3: time must be finite, got inf"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_csv_rejects_tau(self, tmp_path, tau):
+        path = tmp_path / "data.csv"
+        path.write_text("time,status\n1.0,1\n")
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            read_dataset_csv(path, tau=tau)

@@ -164,6 +164,19 @@ class TestIntegrals:
             with pytest.raises(ValueError):
                 f(-0.5)
 
+    def test_nan_t_rejected(self):
+        d = GammaProcessDraw.from_atoms([1.0], [1.0])
+        for f in (
+            d.integral_below,
+            d.integral_above,
+            d.double_integral_below,
+            d.double_integral_above,
+        ):
+            with pytest.raises(ValueError, match="t must be non-negative, not NaN"):
+                f(math.nan)
+            with pytest.raises(ValueError, match="t must be non-negative, not NaN"):
+                f(np.array([0.5, math.nan]))
+
 
 class TestOrderedView:
     def test_hand_example(self):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gphazard import models
@@ -17,6 +17,7 @@ from gphazard.models import (
     LoWengBathtub,
     LogConvexHazard,
     MixtureBathtub,
+    SuperpositionBathtub,
     draw_model_params,
     model_from_dict,
     model_to_dict,
@@ -660,3 +661,124 @@ class TestLcvInverseOverflow:
             np.testing.assert_array_equal(
                 model.invert_cum_hazard(np.array([0.0, 1e-290, 1e10])), [0.0, 1e10, math.inf]
             )
+
+
+class TestNonFiniteHorizon:
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_defective_model_rejects_tau(self, demo, tau):
+        dfr0 = DecreasingFailureRate(0.0, demo["ifr"].draw)
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            simulate_dataset(dfr0, 10, tau, RandomStream(26))
+
+
+def _draw(atoms):
+    return GammaProcessDraw.from_atoms([a for a, _ in atoms], [w for _, w in atoms])
+
+
+_ATOMS = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 10.0),
+              st.just(0.0) | st.floats(0.0, 5.0)),
+    max_size=8,
+)
+
+
+class TestSkeletonMatchesDrawIntegrals:
+    """The step models' skeletons against the draws' closed-form double integrals."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(atoms=_ATOMS, atoms2=_ATOMS, lambda0=st.just(0.0) | st.floats(0.0, 5.0),
+           probes=st.lists(st.floats(0.0, 20.0), max_size=10))
+    @example(atoms=[], atoms2=[], lambda0=0.0, probes=[1.0])
+    @example(atoms=[(1.0, 2.0)], atoms2=[(0.5, 1.0)], lambda0=0.0, probes=[0.5, 3.0])
+    @example(atoms=[(1.0, 2.0), (1.0, 0.0), (1.0, 3.0)], atoms2=[(2.0, 0.0)], lambda0=0.25,
+             probes=[1.0, 2.0])
+    def test_cum_hazard_is_lambda0_t_plus_the_integrals(self, atoms, atoms2, lambda0, probes):
+        dec, inc = _draw(atoms), _draw(atoms2)
+        t = np.concatenate(([0.0], dec.thetas, inc.thetas, probes, [25.0]))
+        floor = 1e-12 * (lambda0 + dec.gamma + inc.gamma) * t.max()
+        cases = [
+            (IncreasingFailureRate(lambda0, inc), lambda0 * t + inc.double_integral_below(t)),
+            (DecreasingFailureRate(lambda0, dec), lambda0 * t + dec.double_integral_above(t)),
+            (SuperpositionBathtub(lambda0, dec, inc),
+             lambda0 * t + dec.double_integral_above(t) + inc.double_integral_below(t)),
+        ]
+        for model, expected in cases:
+            got = model.cum_hazard(t)
+            assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected) + floor), model
+            assert model.cum_hazard(float(t[-1])) == got[-1]
+
+
+class TestSkeletonBranches:
+    """Flat segments and decaying tails of the shared skeleton, for scalar and array input."""
+
+    def test_flat_first_segment(self):
+        # hazard 0 on [0, 1), 2 on [1, 3), 3 after
+        model = IncreasingFailureRate(0.0, _atoms([(1.0, 2.0), (3.0, 1.0)]))
+        assert model.cum_hazard(0.5) == 0.0
+        assert isinstance(model.cum_hazard(0.5), float)
+        np.testing.assert_array_equal(
+            model.cum_hazard(np.array([[0.0, 0.5], [1.0, 2.0]])), [[0.0, 0.0], [0.0, 2.0]]
+        )
+        assert model.invert_cum_hazard(0.0) == 0.0
+        assert model.invert_cum_hazard(1e-300) == 1.0  # the first time past the flat stretch
+        assert isinstance(model.invert_cum_hazard(2.0), float)
+        np.testing.assert_array_equal(
+            model.invert_cum_hazard(np.array([0.0, 1e-300, 2.0, 4.0, 7.0])), [0.0, 1.0, 2.0, 3.0, 4.0]
+        )
+        assert model.cum_hazard_limit() == math.inf
+
+    def test_zero_slope_tail(self):
+        # hazard 3 on [0, 1), 1 on [1, 3), 0 after: the limit is 5, reached at t = 3
+        model = DecreasingFailureRate(0.0, _atoms([(1.0, 2.0), (3.0, 1.0)]))
+        assert model.cum_hazard_limit() == 5.0
+        assert model.cum_hazard(10.0) == 5.0
+        assert model.invert_cum_hazard(5.0) == 3.0
+        assert model.invert_cum_hazard(5.5) == math.inf
+        assert isinstance(model.invert_cum_hazard(5.5), float)
+        np.testing.assert_array_equal(
+            model.invert_cum_hazard(np.array([0.0, 4.0, 5.0, 5.5])), [0.0, 2.0, 3.0, math.inf]
+        )
+        np.testing.assert_array_equal(model.cum_hazard(np.array([3.0, 10.0])), [5.0, 5.0])
+
+    def test_negative_rate_lcv_tail(self):
+        # log-slopes -2 on [0, 1) and -1.5 after: the hazard decays, so the limit is finite
+        model = LogConvexHazard(1.0, -2.0, _atoms([(1.0, 0.5)]))
+        knot_value = -math.expm1(-2.0) / 2.0
+        limit = knot_value + math.exp(-2.0) / 1.5
+        assert model.cum_hazard_limit() == pytest.approx(limit, rel=1e-15)
+        assert model.cum_hazard(1.0) == pytest.approx(knot_value, rel=1e-15)
+        assert model.cum_hazard(1e6) == pytest.approx(limit, rel=1e-15)
+        targets = np.array([0.1, knot_value, 0.5, limit * (1.0 - 1e-9)])
+        times = model.invert_cum_hazard(targets)
+        assert np.all(np.isfinite(times)) and np.all(np.diff(times) > 0.0)
+        np.testing.assert_allclose(model.cum_hazard(times), targets, rtol=1e-12)
+        assert model.invert_cum_hazard(0.1) == times[0]
+        assert isinstance(model.invert_cum_hazard(0.1), float)
+        assert model.invert_cum_hazard(knot_value) == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_array_equal(
+            model.invert_cum_hazard(np.array([limit, 2.0 * limit])), [math.inf, math.inf]
+        )
+        assert model.invert_cum_hazard(2.0 * limit) == math.inf
+
+
+class TestLcvGrowingInverseOverflow:
+    """rate * excess / coeff overflows on a growing segment; the inverse is taken in log space."""
+
+    def test_tiny_coefficient(self):
+        model = LogConvexHazard(1e-300, 1.0, GammaProcessDraw.from_atoms([], []))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = model.invert_cum_hazard(1e10)
+            array = model.invert_cum_hazard(np.array([0.0, 1.0, 1e10]))
+        assert scalar == pytest.approx(math.log(1e10) - math.log(1e-300), rel=1e-15)
+        assert array[2] == scalar
+        assert array[0] == 0.0
+        assert array[1] == np.log1p(1.0 / 1e-300)  # finite results keep the direct form
+
+    def test_overflowing_product(self):
+        # rate * excess overflows before the division by the coefficient
+        model = LogConvexHazard(1e-100, 1e200, GammaProcessDraw.from_atoms([], []))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = model.invert_cum_hazard(1e200)
+        assert t == pytest.approx(500.0 * math.log(10.0) / 1e200, rel=1e-14)
