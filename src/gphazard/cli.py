@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import read_dataset_csv, write_dataset_csv
-from .gamma_process import GammaProcessDraw, GammaProcessParams, draw_gamma_process
+from .gamma_process import GammaProcessDraw, GammaProcessParams, _require_keys, draw_gamma_process
 from .likelihood import HyperParams, log_likelihood
 from .models import (
     HazardModel,
@@ -41,11 +41,13 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as e:
         raise ValueError(f"cannot read config {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ValueError(f"config {path} is not valid JSON: {e}") from None
+    _require_keys(cfg, (), f"config {path}")
+    return cfg
 
 
 def _resolve(cfg: dict, args, keys) -> dict:
@@ -58,8 +60,19 @@ def _resolve(cfg: dict, args, keys) -> dict:
     return out
 
 
-def _prior_params(cfg: dict, key: str) -> GammaProcessParams | None:
+def _section(cfg: dict, key: str) -> dict | None:
+    """The config's ``key`` draw section, None when absent; its 'file', if any, is a path string."""
     spec = cfg.get(key)
+    if spec is not None:
+        _require_keys(spec, (), f"config section {key!r}")
+        if not isinstance(spec.get("file", ""), str):
+            raise ValueError(f"config section {key!r} needs a path string for 'file', "
+                             f"got {spec['file']!r}")
+    return spec
+
+
+def _prior_params(cfg: dict, key: str) -> GammaProcessParams | None:
+    spec = _section(cfg, key)
     if spec is None:
         return None
     if "file" in spec:
@@ -70,7 +83,7 @@ def _prior_params(cfg: dict, key: str) -> GammaProcessParams | None:
 
 
 def _resolve_draw(cfg: dict, key: str, stream: RandomStream) -> GammaProcessDraw:
-    spec = cfg.get(key)
+    spec = _section(cfg, key)
     if spec is None:
         raise ValueError(f"config is missing the {key!r} section")
     if "file" in spec:

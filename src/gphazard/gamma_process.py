@@ -12,6 +12,7 @@ serialization all live here.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -96,11 +97,22 @@ def _require_keys(d, keys, what: str) -> None:
         raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
 
 
+def _require_reals(d: dict, keys, what: str) -> None:
+    """Raise ValueError naming the first of ``keys`` whose value in ``d`` is missing or not real."""
+    for key in keys:
+        value = d.get(key)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{what} needs a real number for {key!r}, got {value!r}")
+
+
 def base_measure_from_dict(d: dict) -> BaseMeasure:
+    _require_keys(d, (), "base measure")
     kind = d.get("kind")
     if kind == "exponential":
+        _require_reals(d, ("rate",), "exponential base measure")
         return ExponentialBase(rate=float(d["rate"]))
     if kind == "normal":
+        _require_reals(d, ("mean", "sd"), "normal base measure")
         return NormalBase(mean=float(d["mean"]), sd=float(d["sd"]))
     raise ValueError(f"unknown base measure kind: {kind!r}")
 
@@ -131,6 +143,7 @@ class GammaProcessParams:
     @classmethod
     def from_dict(cls, d: dict) -> "GammaProcessParams":
         _require_keys(d, ("alpha", "beta"), "gamma process prior")
+        _require_reals(d, [k for k in ("alpha", "beta", "K") if k in d], "gamma process prior")
         return cls(
             alpha=float(d["alpha"]),
             beta=float(d["beta"]),
@@ -274,6 +287,7 @@ class GammaProcessDraw:
     @classmethod
     def from_dict(cls, d: dict) -> "GammaProcessDraw":
         _require_keys(d, ("gamma", "thetas", "sticks", "weights"), "gamma process draw")
+        _require_reals(d, ("gamma",), "gamma process draw")
         return cls(
             gamma=float(d["gamma"]),
             thetas=np.asarray(d["thetas"], dtype=float),

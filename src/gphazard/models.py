@@ -18,7 +18,6 @@ for that outcome, never an exception.
 from __future__ import annotations
 
 import math
-import numbers
 from abc import ABC, abstractmethod
 from dataclasses import Field, dataclass, field, fields
 from functools import cached_property
@@ -26,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .datasets import Dataset, _horizon
-from .gamma_process import GammaProcessDraw, _as_times, _require_keys
+from .gamma_process import GammaProcessDraw, _as_times, _require_keys, _require_reals
 from .likelihood import HyperParams
 from .rng import RandomStream, _categorical_pick
 
@@ -576,11 +575,7 @@ def _build_model(variant: str, scalars: dict, draws) -> HazardModel:
     Raises ValueError naming the variant and the field when a scalar is
     missing or not a real number.
     """
-    names, _ = _variant_fields(variant)
-    for name in names:
-        value = scalars.get(name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{variant} model needs a real number for {name!r}, got {value!r}")
+    _require_reals(scalars, _variant_fields(variant)[0], f"{variant} model")
     draws = iter(draws)
     cls = _MODELS[variant]
     return cls(*(next(draws) if _is_draw(f) else float(scalars[f.name]) for f in fields(cls)))

@@ -7,9 +7,11 @@ spawn key)`` without any coordination between them.
 
 Uniform draws are guaranteed to lie strictly inside (0, 1): endpoint values
 are rejected and redrawn so that ``-log(u)`` is always finite and positive.
-The block samplers (``uniforms``, ``exponentials``, ``betas``) return the
-same values, and advance the generator exactly as far, as the same number
-of scalar calls.
+Every sampler that redraws (uniform, beta, exponential, gamma and the
+truncated normal base) does so in one capped loop, ``_block``; a scalar
+draw is a block of one.  The block samplers (``uniforms``,
+``exponentials``, ``betas``) return the same values, and advance the
+generator exactly as far, as the same number of scalar calls.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 __all__ = ["RandomStream"]
 
-_GAMMA_MAX_DRAWS = 10**6  # gamma's redraws of an underflowed 0; about a second of draws
 # _block gives up after this many draws in a row in top-up rounds that accepted
 # none: under a second for a block of one, and a chance of about e**-100 per
 # variate to give up at an acceptance rate of 1e-3
@@ -51,10 +52,7 @@ class RandomStream:
 
     def uniform(self) -> float:
         """Uniform draw strictly inside (0, 1)."""
-        u = self._gen.random()
-        while u <= 0.0 or u >= 1.0:
-            u = self._gen.random()
-        return float(u)
+        return float(self.uniforms(1)[0])
 
     def _block(self, n: int, draw, reject, describe) -> np.ndarray:
         """n variates from ``draw(generator, size)`` with the ``reject`` mask's values redrawn.
@@ -96,14 +94,9 @@ class RandomStream:
         """Gamma draw with mean shape/rate and variance shape/rate**2."""
         if shape <= 0.0 or rate <= 0.0:
             raise ValueError(f"gamma requires shape > 0 and rate > 0, got ({shape}, {rate})")
-        for _ in range(_GAMMA_MAX_DRAWS):
-            x = self._gen.gamma(shape, 1.0 / rate)
-            if x > 0.0:  # tiny shapes can underflow to exactly 0
-                return float(x)
-        raise ValueError(
-            f"gamma(shape={shape!r}, rate={rate!r}) underflowed to 0 in "
-            f"{_GAMMA_MAX_DRAWS} draws; the shape is too small"
-        )
+        # tiny shapes can underflow to exactly 0
+        return float(self._block(1, lambda g, k: g.gamma(shape, 1.0 / rate, k), lambda x: x <= 0.0,
+                                 lambda: f"gamma(shape={shape!r}, rate={rate!r})")[0])
 
     def beta(self, a: float, b: float) -> float:
         """Beta(a, b) draw strictly inside (0, 1)."""
@@ -118,12 +111,7 @@ class RandomStream:
 
     def exponential(self, rate: float) -> float:
         """Exponential draw with the given rate (mean 1/rate)."""
-        if rate <= 0.0:
-            raise ValueError(f"exponential requires rate > 0, got {rate}")
-        x = self._gen.exponential(1.0 / rate)
-        while x <= 0.0:
-            x = self._gen.exponential(1.0 / rate)
-        return float(x)
+        return float(self.exponentials(rate, 1)[0])
 
     def exponentials(self, rate: float, n: int) -> np.ndarray:
         """n successive exponential draws, identical to n calls of :meth:`exponential`."""

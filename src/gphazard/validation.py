@@ -4,6 +4,12 @@ Runs distribution-level and identity checks on a documented demonstration
 configuration (alpha=3, beta=1, K=100, unit-rate exponential base, a
 Normal(2,1) base for the late component of the two-draw models) and
 reports one measured-value-versus-limit row per check.
+
+The checks come in groups, listed with their split ids in ``_GROUPS``.
+Each group draws from its own split of the suite stream, so a row's
+value depends only on the seed and its group, not on which other groups
+run.  ``run_validation`` applies the tolerance scale to every row in one
+place.
 """
 
 from __future__ import annotations
@@ -152,23 +158,24 @@ def _gauss_legendre(model: HazardModel, lo, hi, rule) -> np.ndarray:
     return half * (h @ weights)
 
 
-def _check(name, value, limit, note="", scale=1.0) -> CheckResult:
-    limit = limit * scale
+def _check(name, value, limit, note, tol_scale) -> CheckResult:
+    limit = limit * tol_scale
     return CheckResult(name=name, value=float(value), limit=float(limit),
                        passed=bool(value <= limit), note=note)
 
 
-def _closure_checks(stream, scale) -> list[CheckResult]:
+# Each check group is a generator ``group(models, stream)`` of (name, value,
+# limit, note) rows, one per check, yielded as soon as the check is measured.
+
+
+def _closure_checks(models, stream):
     draw = draw_gamma_process(demo_prior(), stream)
-    unscaled_gap = abs(draw.unscaled_weights.sum() - 1.0)
-    scaled_gap = abs(draw.weights.sum() - draw.gamma) / draw.gamma
-    return [
-        _check("closure-unscaled-weights", unscaled_gap, 1e-12, "sum(w~)=1", scale),
-        _check("closure-scaled-weights", scaled_gap, 1e-12, "sum(w)=gamma (rel)", scale),
-    ]
+    yield "closure-unscaled-weights", abs(draw.unscaled_weights.sum() - 1.0), 1e-12, "sum(w~)=1"
+    yield ("closure-scaled-weights", abs(draw.weights.sum() - draw.gamma) / draw.gamma, 1e-12,
+           "sum(w)=gamma (rel)")
 
 
-def _complement_check(stream, scale) -> CheckResult:
+def _complement_check(models, stream):
     draw = draw_gamma_process(demo_prior(), stream)
     ts = stream.uniforms(50) * 8.0
     gap = max(
@@ -176,10 +183,10 @@ def _complement_check(stream, scale) -> CheckResult:
         for t in ts
         if t not in draw.thetas
     )
-    return _check("integral-complement", gap, 1e-12, "below+above=gamma (rel)", scale)
+    yield "integral-complement", gap, 1e-12, "below+above=gamma (rel)"
 
 
-def _truncation_checks(stream, scale) -> list[CheckResult]:
+def _truncation_checks(models, stream):
     reps = 1000
     tails4 = np.empty(reps)
     tails40 = np.empty(reps)
@@ -188,57 +195,40 @@ def _truncation_checks(stream, scale) -> list[CheckResult]:
         remaining = np.cumprod(1.0 - sticks)
         tails4[i] = remaining[3]
         tails40[i] = remaining[39]
-    out = []
     for k, tails in ((4, tails4), (40, tails40)):
         target = expected_tail_mass(3.0, k)
         se = tails.std(ddof=1) / math.sqrt(reps)
-        out.append(
-            _check(
-                f"truncation-tail-mass[k={k}]",
-                abs(tails.mean() - target),
-                3.0 * se,
-                f"|mean-{target:.3g}| vs 3 SE",
-                scale,
-            )
-        )
-    return out
+        yield (f"truncation-tail-mass[k={k}]", abs(tails.mean() - target), 3.0 * se,
+               f"|mean-{target:.3g}| vs 3 SE")
 
 
-def _roundtrip_checks(models, stream, scale) -> list[CheckResult]:
-    out = []
+def _roundtrip_checks(models, stream):
     for name, model in models.items():
         lam_max = float(model.cum_hazard(DEMO_T_MAX))
         targets = stream.uniforms(10_000) * lam_max
         t = np.asarray(model.invert_cum_hazard(targets))
         back = np.asarray(model.cum_hazard(t))
         err = np.max(np.abs(back - targets) / np.maximum(1.0, targets))
-        out.append(_check(f"inversion-roundtrip[{name}]", err, 1e-9, "rel to max(1,x)", scale))
-    return out
+        yield f"inversion-roundtrip[{name}]", err, 1e-9, "rel to max(1,x)"
 
 
-def _quadrature_checks(models, stream, scale) -> list[CheckResult]:
-    out = []
+def _quadrature_checks(models, stream):
     for name, model in models.items():
         ts = stream.uniforms(20) * DEMO_T_MAX
         exact = np.asarray(model.cum_hazard(ts))
         numeric = integrate_hazard(model, ts)
         err = np.max(np.abs(numeric - exact) / np.maximum(np.abs(exact), 1e-300))
-        out.append(_check(f"quadrature-consistency[{name}]", err, 1e-6, "20 points, rel", scale))
-    return out
+        yield f"quadrature-consistency[{name}]", err, 1e-6, "20 points, rel"
 
 
-def _sampling_checks(models, stream, scale) -> list[CheckResult]:
-    out = []
+def _sampling_checks(models, stream):
     for i, (name, model) in enumerate(models.items()):
-        s = stream.split(i)
-        samples = model.sample_failures(10_000, s)
+        samples = model.sample_failures(10_000, stream.split(i))
         d = ks_distance(samples, lambda x: 1.0 - np.asarray(model.survival(x)))
-        out.append(_check(f"sampling-ks[{name}]", d, 0.025, "n=10^4 vs analytic", scale))
-    return out
+        yield f"sampling-ks[{name}]", d, 0.025, "n=10^4 vs analytic"
 
 
-def _identity_checks(models, stream, scale) -> list[CheckResult]:
-    out = []
+def _identity_checks(models, stream):
     ts = stream.uniforms(1000) * DEMO_T_MAX
 
     sbt: SuperpositionBathtub = models["sbt"]
@@ -248,15 +238,8 @@ def _identity_checks(models, stream, scale) -> list[CheckResult]:
         + np.asarray(IncreasingFailureRate(0.0, sbt.draw_increasing).hazard(ts))
     )
     whole = np.asarray(sbt.hazard(ts))
-    out.append(
-        _check(
-            "identity-superposition",
-            np.max(np.abs(whole - parts) / np.abs(whole)),
-            1e-12,
-            "hazard decomposes",
-            scale,
-        )
-    )
+    yield ("identity-superposition", np.max(np.abs(whole - parts) / np.abs(whole)), 1e-12,
+           "hazard decomposes")
 
     mbt: MixtureBathtub = models["mbt"]
     dfr = DecreasingFailureRate(mbt.lambda01, mbt.draw1)
@@ -265,43 +248,19 @@ def _identity_checks(models, stream, scale) -> list[CheckResult]:
     mix_dens = mbt.pi * np.asarray(dfr.density(ts)) + (1 - mbt.pi) * np.asarray(ifr.density(ts))
     surv = np.asarray(mbt.survival(ts))
     dens = np.asarray(mbt.density(ts))
-    out.append(
-        _check(
-            "identity-mixture-survival",
-            np.max(np.abs(surv - mix_surv) / surv),
-            1e-12,
-            "",
-            scale,
-        )
-    )
-    out.append(
-        _check(
-            "identity-mixture-density",
-            np.max(np.abs(dens - mix_dens) / np.maximum(dens, 1e-300)),
-            1e-12,
-            "",
-            scale,
-        )
-    )
-    out.append(
-        _check(
-            "identity-mixture-hazard",
-            np.max(np.abs(np.asarray(mbt.hazard(ts)) * surv - dens) / np.maximum(dens, 1e-300)),
-            1e-12,
-            "hazard*survival=density",
-            scale,
-        )
-    )
+    yield "identity-mixture-survival", np.max(np.abs(surv - mix_surv) / surv), 1e-12, ""
+    yield ("identity-mixture-density", np.max(np.abs(dens - mix_dens) / np.maximum(dens, 1e-300)),
+           1e-12, "")
+    yield ("identity-mixture-hazard",
+           np.max(np.abs(np.asarray(mbt.hazard(ts)) * surv - dens) / np.maximum(dens, 1e-300)),
+           1e-12, "hazard*survival=density")
 
     lwb: LoWengBathtub = models["lwb"]
     offs = stream.uniforms(1000) * lwb.a
     offs = offs[~np.isin(offs, lwb.draw.thetas)]
-    gap = np.max(
-        np.abs(
-            np.asarray(lwb.hazard(lwb.a - offs)) - np.asarray(lwb.hazard(lwb.a + offs))
-        )
-    )
-    out.append(_check("identity-reflection", gap, 0.0, "hazard(a-s)=hazard(a+s)", scale))
+    gap = np.max(np.abs(np.asarray(lwb.hazard(lwb.a - offs))
+                        - np.asarray(lwb.hazard(lwb.a + offs))))
+    yield "identity-reflection", gap, 0.0, "hazard(a-s)=hazard(a+s)"
 
     lcv: LogConvexHazard = models["lcv"]
     o = lcv.draw.ordered
@@ -317,34 +276,20 @@ def _identity_checks(models, stream, scale) -> list[CheckResult]:
             slope = (math.log(lcv.hazard(t2)) - math.log(lcv.hazard(t1))) / (t2 - t1)
             err = max(err, abs(slope - c) / abs(c))
             used += 1
-    note = f"log-hazard slope, {used} segments"
-    out.append(_check("identity-log-slope", err if used else math.inf, 1e-12, note, scale))
-    return out
+    yield ("identity-log-slope", err if used else math.inf, 1e-12,
+           f"log-hazard slope, {used} segments")
 
 
-def _shape_checks(models, scale) -> list[CheckResult]:
-    out = []
+def _shape_checks(models, stream):
     grid = np.linspace(0.0, DEMO_T_MAX, 2001)
-
     ifr_h = np.asarray(models["ifr"].hazard(grid))
-    out.append(_check("shape-ifr-nondecreasing", np.max(-np.diff(ifr_h)), 0.0, "", scale))
+    yield "shape-ifr-nondecreasing", np.max(-np.diff(ifr_h)), 0.0, ""
     dfr_h = np.asarray(models["dfr"].hazard(grid))
-    out.append(_check("shape-dfr-nonincreasing", np.max(np.diff(dfr_h)), 0.0, "", scale))
-
+    yield "shape-dfr-nonincreasing", np.max(np.diff(dfr_h)), 0.0, ""
     lwb = models["lwb"]
-    out.append(
-        _check(
-            "shape-lwb-minimum",
-            abs(lwb.hazard(lwb.a) - lwb.lambda0),
-            0.0,
-            "hazard(a)=lambda0",
-            scale,
-        )
-    )
-
-    log_h = np.log(np.asarray(models["lcv"].hazard(grid)))
-    second = np.diff(log_h, 2)
-    out.append(_check("shape-lcv-log-convex", np.max(-second), 1e-9, "2nd differences", scale))
+    yield "shape-lwb-minimum", abs(lwb.hazard(lwb.a) - lwb.lambda0), 0.0, "hazard(a)=lambda0"
+    second = np.diff(np.log(np.asarray(models["lcv"].hazard(grid))), 2)
+    yield "shape-lcv-log-convex", np.max(-second), 1e-9, "2nd differences"
 
     worst_start = 0.0
     worst_dec = 0.0
@@ -352,13 +297,11 @@ def _shape_checks(models, scale) -> list[CheckResult]:
         lam = np.asarray(model.cum_hazard(grid))
         worst_start = max(worst_start, abs(float(model.cum_hazard(0.0))))
         worst_dec = max(worst_dec, float(np.max(-np.diff(lam))))
-    out.append(_check("shape-cum-hazard-zero", worst_start, 0.0, "all models", scale))
-    out.append(_check("shape-cum-hazard-monotone", worst_dec, 0.0, "all models", scale))
-    return out
+    yield "shape-cum-hazard-zero", worst_start, 0.0, "all models"
+    yield "shape-cum-hazard-monotone", worst_dec, 0.0, "all models"
 
 
-def _defective_checks(models, stream, scale) -> list[CheckResult]:
-    out = []
+def _defective_checks(models, stream):
     g = models["ifr"].draw
 
     dfr0 = DecreasingFailureRate(0.0, g)
@@ -370,7 +313,7 @@ def _defective_checks(models, stream, scale) -> list[CheckResult]:
     )
     data = simulate_dataset(dfr0, 200, lim / 4.0, stream)
     ok = ok and data.n_observed < data.n and np.all(data.times[~data.observed] == lim / 4.0)
-    out.append(_check("defective-dfr-tail", 0.0 if ok else 1.0, 0.0, "inf past limit", scale))
+    yield "defective-dfr-tail", 0.0 if ok else 1.0, 0.0, "inf past limit"
 
     lcv_def = LogConvexHazard(1.0, -(g.gamma + 0.5), g)
     lim = lcv_def.cum_hazard_limit()
@@ -379,7 +322,7 @@ def _defective_checks(models, stream, scale) -> list[CheckResult]:
         and math.isinf(lcv_def.invert_cum_hazard(lim * 1.01))
         and math.isfinite(lcv_def.invert_cum_hazard(lim * 0.5))
     )
-    out.append(_check("defective-lcv-tail", 0.0 if ok else 1.0, 0.0, "inf past limit", scale))
+    yield "defective-lcv-tail", 0.0 if ok else 1.0, 0.0, "inf past limit"
 
     empty = GammaProcessDraw.from_atoms([], [])
     flat = LogConvexHazard(2.0, -1.0, empty)
@@ -387,26 +330,13 @@ def _defective_checks(models, stream, scale) -> list[CheckResult]:
     exact = 2.0 * (np.exp(-ts) - 1.0) / -1.0
     err = np.max(np.abs(np.asarray(flat.cum_hazard(ts)) - exact) / exact)
     ok = math.isinf(flat.invert_cum_hazard(3.0)) and flat.cum_hazard_limit() == 2.0
-    out.append(
-        _check("defective-lcv-closed-form", err if ok else math.inf, 1e-12,
-               "no-atom cum hazard", scale)
-    )
-    return out
+    yield "defective-lcv-closed-form", err if ok else math.inf, 1e-12, "no-atom cum hazard"
 
 
-def _likelihood_checks(scale) -> list[CheckResult]:
-    out = []
+def _likelihood_checks(models, stream):
     model = IncreasingFailureRate(1.0, GammaProcessDraw.from_atoms([10.0], [2.0]))
     data = Dataset(times=[1.0, 2.0, 5.0], observed=[True, True, False], tau=5.0)
-    out.append(
-        _check(
-            "likelihood-constant-hazard",
-            abs(log_likelihood(model, data) - (-8.0)),
-            0.0,
-            "equals -8",
-            scale,
-        )
-    )
+    yield "likelihood-constant-hazard", abs(log_likelihood(model, data) - (-8.0)), 0.0, "equals -8"
 
     times = np.array([0.5, 1.2, 2.0, 3.0, 3.0])
     observed = np.array([True, True, True, False, False])
@@ -422,14 +352,10 @@ def _likelihood_checks(scale) -> list[CheckResult]:
         best = grid[int(np.argmax(vals))]
         span = (hi - lo) / 50.0
         lo, hi = max(1e-9, best - span), best + span
-    out.append(
-        _check("likelihood-mle", abs(best - analytic), 1e-6, "grid search vs closed form", scale)
-    )
-    return out
+    yield "likelihood-mle", abs(best - analytic), 1e-6, "grid search vs closed form"
 
 
-def _km_checks(models, stream, scale) -> list[CheckResult]:
-    out = []
+def _km_checks(models, stream):
     km = kaplan_meier(Dataset(times=[1.0, 2.0, 3.0], observed=[True, False, True]))
     exact = (
         km(0.5) == 1.0
@@ -437,40 +363,45 @@ def _km_checks(models, stream, scale) -> list[CheckResult]:
         and km(2.5) == 2.0 / 3.0
         and km(3.0) == 0.0
     )
-    out.append(_check("km-censored-example", 0.0 if exact else 1.0, 0.0, "hand computation", scale))
+    yield "km-censored-example", 0.0 if exact else 1.0, 0.0, "hand computation"
 
     data = simulate_dataset(models["ifr"], 200, None, stream)
     km = kaplan_meier(data)
     ts = np.sort(data.times)
     surv_ecdf = (ts.size - np.searchsorted(ts, ts, side="right")) / ts.size
-    gap = np.max(np.abs(km(ts) - surv_ecdf))
-    out.append(_check("km-matches-ecdf", gap, 0.0, "no censoring", scale))
-    return out
+    yield "km-matches-ecdf", np.max(np.abs(km(ts) - surv_ecdf)), 0.0, "no censoring"
 
 
-def _uniform_check(stream, scale) -> CheckResult:
+def _uniform_check(models, stream):
     u = stream.uniforms(10_000)
-    return _check("uniform-ks", ks_distance(u, lambda x: x), 0.02, "n=10^4", scale)
+    yield "uniform-ks", ks_distance(u, lambda x: x), 0.02, "n=10^4"
+
+
+# (split id of the suite stream, check group) in report order.  A group's rows
+# depend only on the seed and its own split, so ids are never reused or
+# renumbered; the shape and likelihood groups draw nothing.
+_GROUPS = (
+    (0, _closure_checks),
+    (1, _complement_check),
+    (2, _truncation_checks),
+    (3, _roundtrip_checks),
+    (4, _quadrature_checks),
+    (5, _sampling_checks),
+    (6, _identity_checks),
+    (10, _shape_checks),
+    (7, _defective_checks),
+    (11, _likelihood_checks),
+    (8, _km_checks),
+    (9, _uniform_check),
+)
 
 
 def run_validation(seed: int = DEMO_SEED, tol_scale: float = 1.0) -> list[CheckResult]:
     """Run every check at the given seed; tolerances are multiplied by tol_scale."""
     models = demo_models(seed)
     stream = RandomStream(seed).split(99)
-    results: list[CheckResult] = []
-    results += _closure_checks(stream.split(0), tol_scale)
-    results.append(_complement_check(stream.split(1), tol_scale))
-    results += _truncation_checks(stream.split(2), tol_scale)
-    results += _roundtrip_checks(models, stream.split(3), tol_scale)
-    results += _quadrature_checks(models, stream.split(4), tol_scale)
-    results += _sampling_checks(models, stream.split(5), tol_scale)
-    results += _identity_checks(models, stream.split(6), tol_scale)
-    results += _shape_checks(models, tol_scale)
-    results += _defective_checks(models, stream.split(7), tol_scale)
-    results += _likelihood_checks(tol_scale)
-    results += _km_checks(models, stream.split(8), tol_scale)
-    results.append(_uniform_check(stream.split(9), tol_scale))
-    return results
+    return [_check(*row, tol_scale)
+            for split_id, group in _GROUPS for row in group(models, stream.split(split_id))]
 
 
 def format_report(results: list[CheckResult]) -> str:

@@ -285,6 +285,7 @@ class TestMalformedInput:
             ({k: v for k, v in MODEL.items() if k != "draw"}, "draw"),
             ({**MODEL, "lambda0": "0.1"}, "lambda0"),
             ([1], "model"),
+            ({**MODEL, "draw": {**MODEL["draw"], "gamma": [2.0]}}, "gamma"),
         ],
     )
     def test_model_file(self, tmp_path, doc, field):
@@ -303,6 +304,13 @@ class TestMalformedInput:
             ("simulate", {"lambda0": [1]}, "lambda0"),
             ("curves", {"prior": {k: v for k, v in DEMO_PRIOR.items() if k != "alpha"}}, "alpha"),
             ("curves", {"prior": "no-sticks"}, "sticks"),
+            ("draw", {"prior": {**DEMO_PRIOR, "alpha": [3]}}, "alpha"),
+            ("curves", {"prior": [1]}, "prior"),
+            ("curves", {"prior": {**DEMO_PRIOR, "K": [20]}}, "K"),
+            ("curves", {"prior": {**DEMO_PRIOR, "base": 5}}, "base"),
+            ("curves", {"prior": {**DEMO_PRIOR, "base": {"kind": "normal", "mean": 2.0}}}, "sd"),
+            ("curves", {"prior": {**DEMO_PRIOR, "base": {"kind": "exponential"}}}, "rate"),
+            ("simulate", {"prior": {"file": 5}}, "file"),
         ],
     )
     def test_config(self, tmp_path, command, fields, field):
@@ -314,6 +322,13 @@ class TestMalformedInput:
         cfg = _write_config(tmp_path, **doc)
         proc = self._run(command, "--config", cfg, "--out", str(tmp_path / "out.csv"))
         self._assert_reported(proc, field)
+
+    @pytest.mark.parametrize("command", ["draw", "curves", "simulate"])
+    def test_config_that_is_not_an_object(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        proc = self._run(command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"))
+        self._assert_reported(proc, "must be a JSON object, got list")
 
 
 def test_import_loads_no_scipy():

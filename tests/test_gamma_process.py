@@ -11,6 +11,7 @@ from gphazard.gamma_process import (
     GammaProcessDraw,
     GammaProcessParams,
     NormalBase,
+    base_measure_from_dict,
     draw_gamma_process,
     expected_tail_mass,
     stick_weights,
@@ -239,3 +240,21 @@ class TestSerialization:
             GammaProcessDraw(gamma=5.0, thetas=[1.0], sticks=[], weights=[1.0])
         with pytest.raises(ValueError):
             GammaProcessDraw(gamma=1.0, thetas=[-1.0], sticks=[], weights=[1.0])
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: GammaProcessParams.from_dict({"alpha": [3], "beta": 1.0}), "'alpha'"),
+            (lambda: GammaProcessParams.from_dict({"alpha": 3.0, "beta": True}), "'beta'"),
+            (lambda: GammaProcessParams.from_dict({"alpha": 3.0, "beta": 1.0, "K": "20"}), "'K'"),
+            (lambda: GammaProcessParams.from_dict({"alpha": 3.0, "beta": 1.0, "base": 5}),
+             "base measure must be a JSON object"),
+            (lambda: base_measure_from_dict({"kind": "normal", "mean": 2.0}), "'sd'"),
+            (lambda: base_measure_from_dict({"kind": "exponential"}), "'rate'"),
+            (lambda: GammaProcessDraw.from_dict(
+                {"gamma": [2.0], "thetas": [1.0], "sticks": [], "weights": [2.0]}), "'gamma'"),
+        ],
+    )
+    def test_malformed_fields_raise_value_error_naming_them(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()

@@ -692,10 +692,17 @@ class TestSkeletonMatchesDrawIntegrals:
     @example(atoms=[(1.0, 2.0)], atoms2=[(0.5, 1.0)], lambda0=0.0, probes=[0.5, 3.0])
     @example(atoms=[(1.0, 2.0), (1.0, 0.0), (1.0, 3.0)], atoms2=[(2.0, 0.0)], lambda0=0.25,
              probes=[1.0, 2.0])
+    # subnormal results, where the reference's own rounding is the larger error
+    @example(atoms=[(1.0, 5e-324)], atoms2=[(0.5, 0.0)], lambda0=0.0, probes=[])
+    @example(atoms=[], atoms2=[(0.5, 0.0)], lambda0=5e-324, probes=[])
+    @example(atoms=[], atoms2=[(0.5, 5e-324)], lambda0=0.0, probes=[])
     def test_cum_hazard_is_lambda0_t_plus_the_integrals(self, atoms, atoms2, lambda0, probes):
         dec, inc = _draw(atoms), _draw(atoms2)
         t = np.concatenate(([0.0], dec.thetas, inc.thetas, probes, [25.0]))
-        floor = 1e-12 * (lambda0 + dec.gamma + inc.gamma) * t.max()
+        # 1e-12 relative to the mass, plus one smallest subnormal per rounded term (the
+        # knots of both draws, lambda0*t and the sum), which a relative bound cannot cover
+        floor = (1e-12 * (lambda0 + dec.gamma + inc.gamma) * t.max()
+                 + np.finfo(float).smallest_subnormal * (dec.n_atoms + inc.n_atoms + 2))
         cases = [
             (IncreasingFailureRate(lambda0, inc), lambda0 * t + inc.double_integral_below(t)),
             (DecreasingFailureRate(lambda0, dec), lambda0 * t + dec.double_integral_above(t)),
