@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import read_dataset_csv, write_dataset_csv
-from .gamma_process import GammaProcessDraw, GammaProcessParams, _require_keys, draw_gamma_process
+from .datasets import _csv_text, read_dataset_csv, write_dataset_csv
+from .gamma_process import (GammaProcessDraw, GammaProcessParams, _require_keys, _require_reals,
+                            draw_gamma_process)
 from .likelihood import HyperParams, log_likelihood
 from .models import (
     HazardModel,
@@ -30,10 +31,6 @@ from .models import (
 from .rng import RandomStream
 from .stats import kaplan_meier
 from .validation import DEMO_SEED, format_report, run_validation
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _load_config(path: str | None) -> dict:
@@ -50,13 +47,25 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(cfg: dict, args, keys) -> dict:
-    """Overlay command-line flags (when given) onto the config document."""
+def _resolve(cfg: dict, args, defaults: dict) -> dict:
+    """The config document with the command's flags (when given) laid over it, then its defaults.
+
+    ``defaults`` maps each of the command's fields, which is also its flag's
+    name in ``args``, to its default (None for none).  Raises ValueError
+    naming the field unless 'out' is a path string and every other field
+    given is a real number ('tau' may also be null).
+    """
     out = dict(cfg)
-    for key, attr in keys.items():
-        val = getattr(args, attr, None)
+    for key, default in defaults.items():
+        val = getattr(args, key, None)
         if val is not None:
             out[key] = val
+        elif default is not None:
+            out.setdefault(key, default)
+    if not isinstance(out["out"], str):
+        raise ValueError(f"config needs a path string for 'out', got {out['out']!r}")
+    given = [k for k in defaults if k in out and k != "out" and not (k == "tau" and out[k] is None)]
+    _require_reals(out, given, "config")
     return out
 
 
@@ -104,6 +113,7 @@ def build_model(cfg: dict, stream: RandomStream) -> HazardModel:
     if not missing:
         return _build_model(variant, cfg, draws)
     if "nu" in cfg:
+        _require_reals(cfg, ("nu",), "config")
         return draw_model_params(
             variant,
             draws,
@@ -132,9 +142,7 @@ def _write_sidecar(out_path, cfg: dict, command: str) -> None:
 
 
 def _cmd_draw(args) -> int:
-    cfg = _resolve(_load_config(args.config), args, {"seed": "seed", "out": "out", "K": "K"})
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("out", "draw.json")
+    cfg = _resolve(_load_config(args.config), args, {"seed": 0, "out": "draw.json", "K": None})
     if "prior" not in cfg:
         raise ValueError("config is missing the 'prior' section")
     params = _prior_params(cfg, "prior")
@@ -144,12 +152,10 @@ def _cmd_draw(args) -> int:
     draw = draw_gamma_process(params, stream)
     out = Path(cfg["out"])
     _write_text(out, draw.to_json() + "\n")
-    lines = ["k,theta,weight"]
-    for k, (theta, w) in enumerate(zip(draw.thetas, draw.weights), start=1):
-        lines.append(f"{k},{_fmt(theta)},{_fmt(w)}")
-    _write_text(out.with_suffix(".csv"), "\n".join(lines) + "\n")
+    table = (np.arange(1, draw.n_atoms + 1), draw.thetas, draw.weights)
+    _write_text(out.with_suffix(".csv"), _csv_text("k,theta,weight", table))
     _write_sidecar(out, cfg, "draw")
-    print(f"wrote {out} and {out.with_suffix('.csv')} (total mass {_fmt(draw.gamma)})")
+    print(f"wrote {out} and {out.with_suffix('.csv')} (total mass {draw.gamma!r})")
     return 0
 
 
@@ -166,39 +172,20 @@ def _curve_grid(model: HazardModel, t_max: float, points: int) -> np.ndarray:
 
 
 def _cmd_curves(args) -> int:
-    cfg = _resolve(
-        _load_config(args.config),
-        args,
-        {"seed": "seed", "out": "out", "t_max": "tmax", "points": "points"},
-    )
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("out", "curves.csv")
-    cfg.setdefault("t_max", 5.0)
-    cfg.setdefault("points", 201)
+    cfg = _resolve(_load_config(args.config), args,
+                   {"seed": 0, "out": "curves.csv", "t_max": 5.0, "points": 201})
     model = build_model(cfg, RandomStream(int(cfg["seed"])))
     ts = _curve_grid(model, float(cfg["t_max"]), int(cfg["points"]))
-    hazard = np.asarray(model.hazard(ts))
-    cum = np.asarray(model.cum_hazard(ts))
-    dens = np.asarray(model.density(ts))
-    surv = np.asarray(model.survival(ts))
-    lines = ["t,hazard,cum_hazard,density,survival"]
-    for row in zip(ts, hazard, cum, dens, surv):
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_text(cfg["out"], "\n".join(lines) + "\n")
+    table = (ts, model.hazard(ts), model.cum_hazard(ts), model.density(ts), model.survival(ts))
+    _write_text(cfg["out"], _csv_text("t,hazard,cum_hazard,density,survival", table))
     _write_sidecar(cfg["out"], cfg, "curves")
     print(f"wrote {cfg['out']} ({len(ts)} rows)")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _resolve(
-        _load_config(args.config),
-        args,
-        {"seed": "seed", "out": "out", "n": "n", "tau": "tau"},
-    )
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("out", "dataset.csv")
-    cfg.setdefault("n", 1000)
+    cfg = _resolve(_load_config(args.config), args,
+                   {"seed": 0, "out": "dataset.csv", "n": 1000, "tau": None})
     stream = RandomStream(int(cfg["seed"]))
     model = build_model(cfg, stream)
     tau = cfg.get("tau")
@@ -255,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curves", help="tabulate hazard/cum-hazard/density/survival")
     common(p)
-    p.add_argument("--tmax", type=float, help="grid upper end")
+    p.add_argument("--tmax", dest="t_max", type=float, help="grid upper end")
     p.add_argument("--points", type=int, help="grid size")
     p.set_defaults(func=_cmd_curves)
 

@@ -89,12 +89,20 @@ class Dataset:
         return order, t[order]
 
 
+def _csv_text(header: str, columns) -> str:
+    """CSV text: the header line, then per row the equal-length columns' values, comma-joined.
+
+    Each value is written as its ``repr``, for a float the shortest text that
+    reads back to the same bits.  Each column is formatted whole before the
+    rows are joined, which is faster than formatting row by row.
+    """
+    cells = [list(map(repr, np.asarray(col).tolist())) for col in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+
+
 def write_dataset_csv(dataset: Dataset, path) -> None:
-    lines = ["time,status"]
-    for t, obs in zip(dataset.times, dataset.observed):
-        lines.append(f"{float(t)!r},{1 if obs else 0}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_csv_text("time,status", (dataset.times, dataset.observed.astype(int))))
 
 
 def read_dataset_csv(path, tau: float | None = None) -> Dataset:

@@ -6,7 +6,9 @@ weights are built from Beta(1, alpha) sticks with the final weight closing
 the sum to one, and the whole measure is scaled by an independent
 Gamma(alpha, beta) total mass.  The measure-level integrals needed for
 hazard evaluation, an ordered view with prefix sums, and JSON
-serialization all live here.
+serialization all live here.  So does the atom lookup: a draw's
+``_count_below`` is the one place that ranks cuts among its sorted atoms,
+for its own integrals and for every hazard model.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ __all__ = [
 ]
 
 _CLOSURE_TOL = 1e-9
+
+_MERGE_MIN = 1024  # fewest keys _rank merges; below it the merge's fixed cost dominates
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,31 @@ def _as_times(t, what: str = "t") -> np.ndarray:
     return arr
 
 
+def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
+    return float(out) if np.ndim(like) == 0 else out
+
+
+def _rank(edges: np.ndarray, t: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(edges, t, side)``, by merging when t is a long monotone 1-d array.
+
+    A binary search per key mispredicts its branches on unsorted keys.  On
+    non-decreasing keys the ranks are the cumulated counts of the edges
+    that fall before each key, which one search of the edges into the keys
+    gives: O(n + K log n) in place of O(n log K).  Non-increasing keys (as
+    ``a - t``) are merged reversed.  Short inputs, where the merge's fixed
+    cost outweighs the search, and unsorted ones take the plain search.
+    """
+    if t.ndim != 1 or t.size < _MERGE_MIN or t.size < 2 * edges.size:
+        return np.searchsorted(edges, t, side=side)
+    rising = t[0] <= t[-1]
+    keys = t if rising else t[::-1]
+    if not (keys[1:] >= keys[:-1]).all():
+        return np.searchsorted(edges, t, side=side)
+    first = np.searchsorted(keys, edges, side="left" if side == "right" else "right")
+    ranks = np.cumsum(np.bincount(first, minlength=keys.size + 1)[:-1])
+    return ranks if rising else ranks[::-1]
+
+
 def _require_keys(d, keys, what: str) -> None:
     """Raise ValueError unless ``d`` is a JSON object holding every one of ``keys``."""
     if not isinstance(d, dict):
@@ -97,12 +126,24 @@ def _require_keys(d, keys, what: str) -> None:
         raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _require_reals(d: dict, keys, what: str) -> None:
     """Raise ValueError naming the first of ``keys`` whose value in ``d`` is missing or not real."""
     for key in keys:
         value = d.get(key)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not _is_real(value):
             raise ValueError(f"{what} needs a real number for {key!r}, got {value!r}")
+
+
+def _require_real_lists(d: dict, keys, what: str) -> None:
+    """Raise ValueError naming the first of ``keys`` whose value in ``d`` is not a list of reals."""
+    for key in keys:
+        value = d.get(key)
+        if not (isinstance(value, list) and all(map(_is_real, value))):
+            raise ValueError(f"{what} needs a list of real numbers for {key!r}, got {value!r}")
 
 
 def base_measure_from_dict(d: dict) -> BaseMeasure:
@@ -248,33 +289,38 @@ class GammaProcessDraw:
     def _moment0(self) -> np.ndarray:
         return np.concatenate(([0.0], self.ordered.cum_moment))
 
-    def _count_below(self, t, strict: bool) -> np.ndarray:
-        return np.searchsorted(self.ordered.thetas, _as_times(t), side="left" if strict else "right")
+    def _count_below(self, t: np.ndarray, strict: bool = False) -> np.ndarray:
+        """Atoms below each cut of ``t`` (strictly, or at or below), counted in the sorted atoms.
+
+        ``t`` is taken as given, not checked again: callers pass checked times
+        or cuts shifted from them, as the bathtub's ``a - t``, which may be negative.
+        """
+        return _rank(self.ordered.thetas, t, "left" if strict else "right")
 
     def total_mass(self) -> float:
         return float(self._mass0[-1])
 
     def integral_below(self, t):
         """Mass of atoms strictly below t."""
-        out = self._mass0[self._count_below(t, strict=True)]
-        return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+        arr = _as_times(t)
+        return _maybe_scalar(self._mass0[self._count_below(arr, strict=True)], t)
 
     def integral_above(self, t):
         """Mass of atoms strictly above t."""
-        out = self._mass0[-1] - self._mass0[self._count_below(t, strict=False)]
-        return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+        arr = _as_times(t)
+        return _maybe_scalar(self._mass0[-1] - self._mass0[self._count_below(arr)], t)
 
     def double_integral_below(self, t):
         """sum_k w_k * max(t - theta_k, 0)."""
-        j = self._count_below(t, strict=True)
-        out = np.asarray(t, dtype=float) * self._mass0[j] - self._moment0[j]
-        return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+        arr = _as_times(t)
+        j = self._count_below(arr, strict=True)
+        return _maybe_scalar(arr * self._mass0[j] - self._moment0[j], t)
 
     def double_integral_above(self, t):
         """sum_k w_k * min(t, theta_k)."""
-        j = self._count_below(t, strict=False)
-        out = self._moment0[j] + np.asarray(t, dtype=float) * (self._mass0[-1] - self._mass0[j])
-        return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+        arr = _as_times(t)
+        j = self._count_below(arr)
+        return _maybe_scalar(self._moment0[j] + arr * (self._mass0[-1] - self._mass0[j]), t)
 
     def to_dict(self) -> dict:
         return {
@@ -288,6 +334,7 @@ class GammaProcessDraw:
     def from_dict(cls, d: dict) -> "GammaProcessDraw":
         _require_keys(d, ("gamma", "thetas", "sticks", "weights"), "gamma process draw")
         _require_reals(d, ("gamma",), "gamma process draw")
+        _require_real_lists(d, ("thetas", "sticks", "weights"), "gamma process draw")
         return cls(
             gamma=float(d["gamma"]),
             thetas=np.asarray(d["thetas"], dtype=float),

@@ -2,13 +2,15 @@
 
 Each model evaluates its hazard, cumulative hazard, density and survival
 in closed form, and samples failure times exactly by solving
-``cum_hazard(T) = -log(U)``.  Five of the models share one cumulative-hazard
-skeleton that inverts in closed form: between knots the hazard is
-``c * exp(r * (t - knot))``.  The four step-hazard models are its rate-0
-case, with linear segments between breakpoints, and the log-convex model
-uses its exponential segments, with knots at the atom locations.  The mixture
-model's cumulative hazard is concave between its pooled knots, so Newton's
-method started at the left knot inverts it without overshooting.
+``cum_hazard(T) = -log(U)``.  All six are dataclasses on the one base
+``HazardModel`` and write out only their hazard, which counts the atoms below
+each cut through the draw's own lookup.  Five of the models share one
+cumulative-hazard skeleton that inverts in closed form: between knots the
+hazard is ``c * exp(r * (t - knot))``.  The four step-hazard models are its
+rate-0 case, with linear segments between breakpoints, and the log-convex
+model uses its exponential segments, with knots at the atom locations.  The
+mixture model's cumulative hazard is concave between its pooled knots, so
+Newton's method started at the left knot inverts it without overshooting.
 
 A failure draw can be infinite when the total cumulative hazard is
 finite (a defective failure distribution); ``math.inf`` is the sentinel
@@ -25,7 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .datasets import Dataset, _horizon
-from .gamma_process import GammaProcessDraw, _as_times, _require_keys, _require_reals
+from .gamma_process import (GammaProcessDraw, _as_times, _maybe_scalar, _rank, _require_keys,
+                            _require_reals)
 from .likelihood import HyperParams
 from .rng import RandomStream, _categorical_pick
 
@@ -53,36 +56,9 @@ _WIDE_LOG = np.finfo(np.longdouble).nmant >= 63
 _MIDPOINT_WINDOW = 0.05
 _MANTISSA = np.uint64((1 << 52) - 1)
 
-_MERGE_MIN = 1024  # fewest keys _rank merges; below it the merge's fixed cost dominates
-
 
 def _as_targets(x) -> np.ndarray:
     return _as_times(x, "target")
-
-
-def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
-    return float(out) if np.ndim(like) == 0 else out
-
-
-def _rank(edges: np.ndarray, t: np.ndarray, side: str) -> np.ndarray:
-    """``np.searchsorted(edges, t, side)``, by merging when t is a long monotone 1-d array.
-
-    A binary search per key mispredicts its branches on unsorted keys.  On
-    non-decreasing keys the ranks are the cumulated counts of the edges
-    that fall before each key, which one search of the edges into the keys
-    gives: O(n + K log n) in place of O(n log K).  Non-increasing keys (as
-    ``a - t``) are merged reversed.  Short inputs, where the merge's fixed
-    cost outweighs the search, and unsorted ones take the plain search.
-    """
-    if t.ndim != 1 or t.size < _MERGE_MIN or t.size < 2 * edges.size:
-        return np.searchsorted(edges, t, side=side)
-    rising = t[0] <= t[-1]
-    keys = t if rising else t[::-1]
-    if not (keys[1:] >= keys[:-1]).all():
-        return np.searchsorted(edges, t, side=side)
-    first = np.searchsorted(keys, edges, side="left" if side == "right" else "right")
-    ranks = np.cumsum(np.bincount(first, minlength=keys.size + 1)[:-1])
-    return ranks if rising else ranks[::-1]
 
 
 def _neg_log(u: np.ndarray) -> np.ndarray:
@@ -200,7 +176,13 @@ class _Skeleton:
 
 
 class HazardModel(ABC):
-    """Common evaluation and sampling surface of all six models."""
+    """The one base of all six models: their evaluation and sampling surface.
+
+    Each model is a dataclass whose fields, in order, are its constructor
+    arguments and document keys, and ``hazard`` is its only abstract method.
+    By default the cumulative hazard goes through the model's cached
+    ``_skeleton`` and the breakpoints are the draws' pooled atom locations.
+    """
 
     variant: str
 
@@ -208,24 +190,33 @@ class HazardModel(ABC):
     def hazard(self, t):
         """Instantaneous failure rate at t (scalar or array)."""
 
-    @abstractmethod
     def cum_hazard(self, t):
         """Integral of the hazard over [0, t]."""
+        return self._skeleton.value(t)
 
-    @abstractmethod
     def cum_hazard_limit(self) -> float:
         """Total cumulative hazard as t grows without bound; finite means defective."""
+        return self._skeleton.limit()
 
-    @abstractmethod
     def invert_cum_hazard(self, target):
         """Smallest-segment solution T of cum_hazard(T) = target, or inf past the limit."""
+        return self._skeleton.invert(target)
 
-    @abstractmethod
     def breakpoints(self) -> np.ndarray:
         """Sorted locations where the hazard jumps or kinks."""
+        draws = [getattr(self, f.name) for f in fields(self) if self._is_draw(f)]
+        return np.unique(np.concatenate([d.ordered.thetas for d in draws]))
 
-    @abstractmethod
-    def to_dict(self) -> dict: ...
+    def to_dict(self) -> dict:
+        out = {"model": self.variant}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.metadata.get("key", f.name)] = value.to_dict() if self._is_draw(f) else value
+        return out
+
+    @staticmethod
+    def _is_draw(f: Field) -> bool:
+        return f.type == "GammaProcessDraw"  # annotations are strings in this module
 
     def survival(self, t):
         out = np.exp(-np.asarray(self.cum_hazard(t), dtype=float))
@@ -246,39 +237,7 @@ class HazardModel(ABC):
         return self.invert_cum_hazard(_neg_log(stream.uniforms(n)))
 
 
-def _is_draw(f: Field) -> bool:
-    return f.type == "GammaProcessDraw"  # annotations are strings in this module
-
-
-class _DrawModel(HazardModel):
-    """Dataclass model whose fields, in order, are its constructor arguments and document keys.
-
-    By default the cumulative hazard goes through the subclass's cached
-    ``_skeleton`` and the breakpoints are the draws' pooled atom locations.
-    """
-
-    def cum_hazard(self, t):
-        return self._skeleton.value(t)
-
-    def cum_hazard_limit(self) -> float:
-        return self._skeleton.limit()
-
-    def invert_cum_hazard(self, target):
-        return self._skeleton.invert(target)
-
-    def breakpoints(self) -> np.ndarray:
-        draws = [getattr(self, f.name) for f in fields(self) if _is_draw(f)]
-        return np.unique(np.concatenate([d.ordered.thetas for d in draws]))
-
-    def to_dict(self) -> dict:
-        out = {"model": self.variant}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.metadata.get("key", f.name)] = value.to_dict() if _is_draw(f) else value
-        return out
-
-
-class _StepHazard(_DrawModel):
+class _StepHazard(HazardModel):
     """Piecewise-constant hazard at least ``lambda0`` >= 0, with a linear skeleton."""
 
     def __post_init__(self):
@@ -310,8 +269,7 @@ class IncreasingFailureRate(_StepHazard):
 
     def hazard(self, t):
         arr = _as_times(t)
-        j = _rank(self.draw.ordered.thetas, arr, "right")
-        return _maybe_scalar(self.lambda0 + self.draw._mass0[j], t)
+        return _maybe_scalar(self.lambda0 + self.draw._mass0[self.draw._count_below(arr)], t)
 
 
 @dataclass(eq=False)
@@ -328,8 +286,7 @@ class DecreasingFailureRate(_StepHazard):
     def hazard(self, t):
         arr = _as_times(t)
         mass = self.draw._mass0
-        j = _rank(self.draw.ordered.thetas, arr, "right")
-        return _maybe_scalar(self.lambda0 + mass[-1] - mass[j], t)
+        return _maybe_scalar(self.lambda0 + mass[-1] - mass[self.draw._count_below(arr)], t)
 
 
 @dataclass(eq=False)
@@ -354,9 +311,9 @@ class LoWengBathtub(_StepHazard):
 
     def hazard(self, t):
         arr = _as_times(t)
-        thetas, mass = self.draw.ordered.thetas, self.draw._mass0
-        early = mass[_rank(thetas, self.a - arr, "left")]   # atoms below a - t
-        late = mass[_rank(thetas, arr - self.a, "right")]   # atoms at or below t - a
+        d, mass = self.draw, self.draw._mass0
+        early = mass[d._count_below(self.a - arr, strict=True)]   # atoms below a - t
+        late = mass[d._count_below(arr - self.a)]   # atoms at or below t - a
         return _maybe_scalar(self.lambda0 + np.where(arr < self.a, early, late), t)
 
     def breakpoints(self) -> np.ndarray:
@@ -380,13 +337,12 @@ class SuperpositionBathtub(_StepHazard):
     def hazard(self, t):
         arr = _as_times(t)
         d1, d2 = self.draw_decreasing, self.draw_increasing
-        j1 = _rank(d1.ordered.thetas, arr, "right")
-        j2 = _rank(d2.ordered.thetas, arr, "right")
+        j1, j2 = d1._count_below(arr), d2._count_below(arr)
         return _maybe_scalar(self.lambda0 + d1._mass0[-1] - d1._mass0[j1] + d2._mass0[j2], t)
 
 
 @dataclass(eq=False)
-class MixtureBathtub(_DrawModel):
+class MixtureBathtub(HazardModel):
     """Two-component survival mixture of a decreasing and an increasing model.
 
     With log-weights a1 = log(pi) - L1 and a2 = log(1-pi) - L2 the survival
@@ -496,7 +452,7 @@ class MixtureBathtub(_DrawModel):
 
 
 @dataclass(eq=False)
-class LogConvexHazard(_DrawModel):
+class LogConvexHazard(HazardModel):
     """Hazard whose logarithm is piecewise linear and convex.
 
     log hazard(t) = log(lambda0) + w0*t + sum_k w_k * max(0, t - theta_k):
@@ -524,7 +480,7 @@ class LogConvexHazard(_DrawModel):
     def hazard(self, t):
         arr = _as_times(t)
         d = self.draw
-        j = _rank(d.ordered.thetas, arr, "right")
+        j = d._count_below(arr)
         with np.errstate(over="ignore"):  # overflows to inf at large t
             out = self.lambda0 * np.exp(self.w0 * arr + arr * d._mass0[j] - d._moment0[j])
         return _maybe_scalar(out, t)
@@ -565,8 +521,8 @@ def _variant_fields(variant) -> tuple[list[str], list[str]]:
     if cls is None:
         raise ValueError(f"unknown model variant: {variant!r}")
     fs = fields(cls)
-    draw_keys = [f.metadata.get("key", f.name) for f in fs if _is_draw(f)]
-    return [f.name for f in fs if not _is_draw(f)], draw_keys
+    draw_keys = [f.metadata.get("key", f.name) for f in fs if cls._is_draw(f)]
+    return [f.name for f in fs if not cls._is_draw(f)], draw_keys
 
 
 def _build_model(variant: str, scalars: dict, draws) -> HazardModel:
@@ -578,7 +534,7 @@ def _build_model(variant: str, scalars: dict, draws) -> HazardModel:
     _require_reals(scalars, _variant_fields(variant)[0], f"{variant} model")
     draws = iter(draws)
     cls = _MODELS[variant]
-    return cls(*(next(draws) if _is_draw(f) else float(scalars[f.name]) for f in fields(cls)))
+    return cls(*(next(draws) if cls._is_draw(f) else float(scalars[f.name]) for f in fields(cls)))
 
 
 def draw_model_params(

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, _csv_text
+from .gamma_process import _maybe_scalar
 
 __all__ = ["StepFunction", "kaplan_meier", "ks_distance", "histogram"]
 
@@ -40,15 +41,11 @@ class StepFunction:
     def __call__(self, t):
         levels = np.concatenate(([self.initial], self.values))
         idx = np.searchsorted(self.breakpoints, t, side="right")
-        out = levels[idx]
-        return float(out) if np.ndim(t) == 0 else out
+        return _maybe_scalar(levels[idx], t)
 
     def to_csv(self, path) -> None:
-        lines = ["t,value"]
-        for b, v in zip(self.breakpoints, self.values):
-            lines.append(f"{float(b)!r},{float(v)!r}")
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(_csv_text("t,value", (self.breakpoints, self.values)))
 
 
 def kaplan_meier(dataset: Dataset) -> StepFunction:

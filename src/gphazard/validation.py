@@ -25,6 +25,7 @@ from .gamma_process import (
     GammaProcessDraw,
     GammaProcessParams,
     NormalBase,
+    _maybe_scalar,
     draw_gamma_process,
     expected_tail_mass,
 )
@@ -143,7 +144,7 @@ def integrate_hazard(model: HazardModel, t_end):
         whole = np.concatenate((left[keep], right[keep]))
     if lo.size:
         raise RuntimeError(f"hazard quadrature did not converge in {_QUAD_MAX_ROUNDS} rounds")
-    return float(total[0]) if ends.ndim == 0 else total.reshape(ends.shape)
+    return _maybe_scalar(total.reshape(ends.shape), ends)
 
 
 def _gauss_legendre(model: HazardModel, lo, hi, rule) -> np.ndarray:

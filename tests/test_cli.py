@@ -150,6 +150,15 @@ class TestSimulate:
         assert len(lines) == 201
         assert all(ln.endswith(",1") for ln in lines[1:])  # no tau, all observed
 
+    def test_null_tau_means_no_horizon(self, tmp_path):
+        fields = dict(model="ifr", lambda0=0.1, prior=DEMO_PRIOR, seed=12, n=50)
+        runs = {}
+        for name, extra in (("absent", {}), ("null", {"tau": None})):
+            cfg = _write_config(tmp_path, name=f"{name}.json", **fields, **extra)
+            runs[name] = tmp_path / f"{name}.csv"
+            assert main(["simulate", "--config", cfg, "--out", str(runs[name])]) == 0
+        assert runs["null"].read_bytes() == runs["absent"].read_bytes()
+
     def test_tiny_tau_censors_everything(self, tmp_path):
         cfg = _write_config(
             tmp_path, model="ifr", lambda0=0.1, prior=DEMO_PRIOR, seed=13, n=100
@@ -286,6 +295,9 @@ class TestMalformedInput:
             ({**MODEL, "lambda0": "0.1"}, "lambda0"),
             ([1], "model"),
             ({**MODEL, "draw": {**MODEL["draw"], "gamma": [2.0]}}, "gamma"),
+            ({**MODEL, "draw": {**MODEL["draw"], "thetas": {"a": 1}}}, "'thetas'"),
+            ({**MODEL, "draw": {**MODEL["draw"], "thetas": [[1.0]]}}, "'thetas'"),
+            ({**MODEL, "draw": {**MODEL["draw"], "weights": [True]}}, "'weights'"),
         ],
     )
     def test_model_file(self, tmp_path, doc, field):
@@ -311,6 +323,14 @@ class TestMalformedInput:
             ("curves", {"prior": {**DEMO_PRIOR, "base": {"kind": "normal", "mean": 2.0}}}, "sd"),
             ("curves", {"prior": {**DEMO_PRIOR, "base": {"kind": "exponential"}}}, "rate"),
             ("simulate", {"prior": {"file": 5}}, "file"),
+            ("curves", {"seed": [1]}, "'seed'"),
+            ("curves", {"seed": "1"}, "'seed'"),
+            ("simulate", {"n": [5]}, "'n'"),
+            ("simulate", {"tau": [3]}, "'tau'"),
+            ("curves", {"points": "x"}, "'points'"),
+            ("curves", {"t_max": [1]}, "'t_max'"),
+            ("draw", {"K": [3]}, "'K'"),
+            ("curves", {"model": "lcv", "nu": [1]}, "'nu'"),  # no w0: nu draws the scalars
         ],
     )
     def test_config(self, tmp_path, command, fields, field):
@@ -322,6 +342,13 @@ class TestMalformedInput:
         cfg = _write_config(tmp_path, **doc)
         proc = self._run(command, "--config", cfg, "--out", str(tmp_path / "out.csv"))
         self._assert_reported(proc, field)
+
+    @pytest.mark.parametrize("command", ["draw", "curves", "simulate"])
+    def test_out_that_is_not_a_path_string(self, tmp_path, command):
+        cfg = _write_config(tmp_path, model="ifr", lambda0=0.1, prior=DEMO_PRIOR, seed=1, out=5)
+        # rejected before anything is written, so no file lands in the working directory
+        self._assert_reported(self._run(command, "--config", cfg),
+                              "needs a path string for 'out', got 5")
 
     @pytest.mark.parametrize("command", ["draw", "curves", "simulate"])
     def test_config_that_is_not_an_object(self, tmp_path, command):

@@ -44,6 +44,16 @@ class TestCsv:
         np.testing.assert_array_equal(back.times, d.times)
         np.testing.assert_array_equal(back.observed, d.observed)
 
+    @pytest.mark.parametrize("t", [0.1 + 0.2, 1.0 / 3.0, 5e-324, 1.7976931348623157e308])
+    def test_round_trip_keeps_every_bit(self, tmp_path, t):
+        d = Dataset(times=[t, 2.0], observed=[True, False])
+        path = tmp_path / "data.csv"
+        write_dataset_csv(d, path)
+        assert path.read_text() == f"time,status\n{t!r},1\n2.0,0\n"
+        back = read_dataset_csv(path)
+        assert back.times.tobytes() == d.times.tobytes()
+        np.testing.assert_array_equal(back.observed, d.observed)
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1.0,1\n")

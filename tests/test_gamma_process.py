@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from gphazard.gamma_process import (
+    _MERGE_MIN,
     ExponentialBase,
     GammaProcessDraw,
     GammaProcessParams,
@@ -178,6 +179,48 @@ class TestIntegrals:
             with pytest.raises(ValueError, match="t must be non-negative, not NaN"):
                 f(np.array([0.5, math.nan]))
 
+    @pytest.mark.parametrize("descending", [False, True])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_long_sorted_cuts_merge_and_equal_scalar_calls(self, monkeypatch, descending, tied):
+        rng = np.random.default_rng(11)
+        thetas = rng.exponential(1.0, 40)
+        if tied:
+            thetas = np.repeat(np.round(thetas[:20], 1), 2)
+        d = GammaProcessDraw.from_atoms(thetas, rng.exponential(1.0, thetas.size))
+        # cuts exactly at every atom, at 0, and between atoms
+        t = np.sort(np.concatenate(([0.0], thetas, rng.exponential(1.5, _MERGE_MIN + 333))))
+        if descending:
+            t = t[::-1]
+        searched = []
+        real = np.searchsorted
+
+        def spy(a, v, side="left"):
+            searched.append(np.size(v))
+            return real(a, v, side=side)
+
+        for name in ("integral_below", "integral_above", "double_integral_below",
+                     "double_integral_above"):
+            f = getattr(d, name)
+            monkeypatch.setattr(np, "searchsorted", spy)
+            got = f(t)
+            monkeypatch.undo()
+            expected = np.array([f(float(x)) for x in t])
+            assert got.tobytes() == expected.tobytes(), name
+            below, at = thetas < t[:, None], thetas == t[:, None]
+            reference = {  # atoms at the cut count neither below nor above it
+                "integral_below": below @ d.weights,
+                "integral_above": ~(below | at) @ d.weights,
+                "double_integral_below": np.maximum(t[:, None] - thetas, 0.0) @ d.weights,
+                "double_integral_above": np.minimum(t[:, None], thetas) @ d.weights,
+            }[name]
+            np.testing.assert_allclose(got, reference, rtol=1e-12, atol=1e-12)
+            nan_at = t.copy()
+            nan_at[t.size // 2] = math.nan
+            with pytest.raises(ValueError, match="t must be non-negative, not NaN"):
+                f(nan_at)
+        # every search was of the atoms into the cuts, none of the cuts into the atoms
+        assert searched == [thetas.size] * 4
+
 
 class TestOrderedView:
     def test_hand_example(self):
@@ -253,6 +296,16 @@ class TestSerialization:
             (lambda: base_measure_from_dict({"kind": "exponential"}), "'rate'"),
             (lambda: GammaProcessDraw.from_dict(
                 {"gamma": [2.0], "thetas": [1.0], "sticks": [], "weights": [2.0]}), "'gamma'"),
+            (lambda: GammaProcessDraw.from_dict(
+                {"gamma": 2.0, "thetas": {"a": 1}, "sticks": [], "weights": [2.0]}), "'thetas'"),
+            (lambda: GammaProcessDraw.from_dict(
+                {"gamma": 2.0, "thetas": [[1.0]], "sticks": [], "weights": [2.0]}), "'thetas'"),
+            (lambda: GammaProcessDraw.from_dict(
+                {"gamma": 2.0, "thetas": [1.0], "sticks": "x", "weights": [2.0]}), "'sticks'"),
+            (lambda: GammaProcessDraw.from_dict(
+                {"gamma": 2.0, "thetas": [1.0], "sticks": [], "weights": [True]}), "'weights'"),
+            (lambda: GammaProcessDraw.from_dict(
+                {"gamma": 2.0, "thetas": [1.0], "sticks": [], "weights": ["2.0"]}), "'weights'"),
         ],
     )
     def test_malformed_fields_raise_value_error_naming_them(self, build, field):

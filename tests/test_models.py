@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gphazard import models
+from gphazard import gamma_process, models
 from gphazard.gamma_process import GammaProcessDraw
 from gphazard.likelihood import HyperParams
 from gphazard.models import (
@@ -579,7 +579,8 @@ class TestRank:
     @settings(max_examples=200, deadline=None)
     @given(
         edges=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.5, 7.0, math.inf]), max_size=40),
-        size=st.sampled_from([0, 1, 2, 17, models._MERGE_MIN, models._MERGE_MIN + 333]),
+        size=st.sampled_from([0, 1, 2, 17, gamma_process._MERGE_MIN,
+                              gamma_process._MERGE_MIN + 333]),
         kind=st.sampled_from(["ascending", "descending", "constant", "unsorted"]),
         seed=st.integers(0, 2**32 - 1),
     )

@@ -30,6 +30,15 @@ class TestStepFunction:
         assert lines[1] == f"{1.0!r},{2.0 / 3.0!r}"
         assert lines[2] == f"{3.0!r},{0.0!r}"
 
+    def test_csv_rows_are_repr_of_full_precision_values(self, tmp_path):
+        values = [5e-324, 0.1 + 0.2, 1.0 / 3.0, 1.7976931348623157e308]
+        f = StepFunction(breakpoints=values, values=values[::-1], initial=1.0)
+        path = tmp_path / "step.csv"
+        f.to_csv(path)
+        rows = [f"{b!r},{v!r}" for b, v in zip(values, values[::-1])]
+        assert path.read_text() == "\n".join(["t,value", *rows]) + "\n"
+        assert rows[0] == "5e-324,1.7976931348623157e+308"
+
 
 class TestKaplanMeier:
     def test_all_observed(self):
