@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import _check_count, _check_range, _require_keys, _require_reals
 from .datasets import _csv_text, read_dataset_csv, write_dataset_csv
-from .gamma_process import (GammaProcessDraw, GammaProcessParams, _require_keys, _require_reals,
-                            draw_gamma_process)
+from .gamma_process import GammaProcessDraw, GammaProcessParams, draw_gamma_process
 from .likelihood import HyperParams, log_likelihood
 from .models import (
     HazardModel,
@@ -148,7 +148,7 @@ def _cmd_draw(args) -> int:
     params = _prior_params(cfg, "prior")
     if params is None:
         raise ValueError("draw needs prior parameters, not a frozen draw file")
-    stream = RandomStream(int(cfg["seed"]))
+    stream = RandomStream(cfg["seed"])
     draw = draw_gamma_process(params, stream)
     out = Path(cfg["out"])
     _write_text(out, draw.to_json() + "\n")
@@ -160,9 +160,8 @@ def _cmd_draw(args) -> int:
 
 
 def _curve_grid(model: HazardModel, t_max: float, points: int) -> np.ndarray:
-    if t_max <= 0.0 or points < 2:
-        raise ValueError("grid needs t_max > 0 and points >= 2")
-    grid = np.linspace(0.0, t_max, points)
+    t_max = _check_range("t_max", t_max, "positive")
+    grid = np.linspace(0.0, t_max, _check_count("points", points, 2))
     bps = model.breakpoints()
     bps = bps[(bps > 0.0) & (bps <= t_max)]
     # paired rows just before and at each breakpoint render steps exactly
@@ -174,8 +173,8 @@ def _curve_grid(model: HazardModel, t_max: float, points: int) -> np.ndarray:
 def _cmd_curves(args) -> int:
     cfg = _resolve(_load_config(args.config), args,
                    {"seed": 0, "out": "curves.csv", "t_max": 5.0, "points": 201})
-    model = build_model(cfg, RandomStream(int(cfg["seed"])))
-    ts = _curve_grid(model, float(cfg["t_max"]), int(cfg["points"]))
+    model = build_model(cfg, RandomStream(cfg["seed"]))
+    ts = _curve_grid(model, cfg["t_max"], cfg["points"])
     table = (ts, model.hazard(ts), model.cum_hazard(ts), model.density(ts), model.survival(ts))
     _write_text(cfg["out"], _csv_text("t,hazard,cum_hazard,density,survival", table))
     _write_sidecar(cfg["out"], cfg, "curves")
@@ -186,10 +185,9 @@ def _cmd_curves(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _resolve(_load_config(args.config), args,
                    {"seed": 0, "out": "dataset.csv", "n": 1000, "tau": None})
-    stream = RandomStream(int(cfg["seed"]))
+    stream = RandomStream(cfg["seed"])
     model = build_model(cfg, stream)
-    tau = cfg.get("tau")
-    data = simulate_dataset(model, int(cfg["n"]), None if tau is None else float(tau), stream)
+    data = simulate_dataset(model, cfg["n"], cfg.get("tau"), stream)
     write_dataset_csv(data, cfg["out"])
     _write_sidecar(cfg["out"], cfg, "simulate")
     print(f"wrote {cfg['out']} ({data.n} rows, {data.n - data.n_observed} censored)")

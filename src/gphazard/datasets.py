@@ -7,15 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import _horizon
+
 __all__ = ["Dataset", "read_dataset_csv", "write_dataset_csv"]
-
-
-def _horizon(tau) -> float:
-    """The censoring horizon as a float; ValueError unless it is finite and positive."""
-    tau = float(tau)
-    if not 0.0 < tau < math.inf:  # false for NaN as well
-        raise ValueError(f"tau must be finite and positive, got {tau}")
-    return tau
 
 
 @dataclass(eq=False)

@@ -14,12 +14,13 @@ for its own integrals and for every hazard model.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from ._checks import (_as_times, _check_count, _check_range, _require_keys, _require_real_lists,
+                      _require_reals)
 from .rng import RandomStream
 
 __all__ = [
@@ -45,8 +46,7 @@ class ExponentialBase:
     rate: float = 1.0
 
     def __post_init__(self):
-        if self.rate <= 0.0:
-            raise ValueError(f"base measure rate must be positive, got {self.rate}")
+        _check_range("base measure rate", self.rate, "positive")
 
     def sample(self, stream: RandomStream) -> float:
         return stream.exponential(self.rate)
@@ -67,8 +67,8 @@ class NormalBase:
     sd: float
 
     def __post_init__(self):
-        if self.sd <= 0.0:
-            raise ValueError(f"base measure sd must be positive, got {self.sd}")
+        _check_range("base measure mean", self.mean)
+        _check_range("base measure sd", self.sd, "positive")
 
     def sample(self, stream: RandomStream) -> float:
         return float(self.samples(1, stream)[0])
@@ -83,13 +83,6 @@ class NormalBase:
 
 
 BaseMeasure = ExponentialBase | NormalBase
-
-
-def _as_times(t, what: str = "t") -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    if not np.all(arr >= 0.0):  # false for NaN as well as for negatives
-        raise ValueError(f"{what} must be non-negative, not NaN")
-    return arr
 
 
 def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
@@ -117,35 +110,6 @@ def _rank(edges: np.ndarray, t: np.ndarray, side: str) -> np.ndarray:
     return ranks if rising else ranks[::-1]
 
 
-def _require_keys(d, keys, what: str) -> None:
-    """Raise ValueError unless ``d`` is a JSON object holding every one of ``keys``."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
-    missing = [k for k in keys if k not in d]
-    if missing:
-        raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _require_reals(d: dict, keys, what: str) -> None:
-    """Raise ValueError naming the first of ``keys`` whose value in ``d`` is missing or not real."""
-    for key in keys:
-        value = d.get(key)
-        if not _is_real(value):
-            raise ValueError(f"{what} needs a real number for {key!r}, got {value!r}")
-
-
-def _require_real_lists(d: dict, keys, what: str) -> None:
-    """Raise ValueError naming the first of ``keys`` whose value in ``d`` is not a list of reals."""
-    for key in keys:
-        value = d.get(key)
-        if not (isinstance(value, list) and all(map(_is_real, value))):
-            raise ValueError(f"{what} needs a list of real numbers for {key!r}, got {value!r}")
-
-
 def base_measure_from_dict(d: dict) -> BaseMeasure:
     _require_keys(d, (), "base measure")
     kind = d.get("kind")
@@ -168,10 +132,9 @@ class GammaProcessParams:
     base: BaseMeasure = field(default_factory=ExponentialBase)
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ValueError(f"alpha and beta must be positive, got ({self.alpha}, {self.beta})")
-        if self.n_atoms < 1:
-            raise ValueError(f"truncation level must be >= 1, got {self.n_atoms}")
+        _check_range("alpha", self.alpha, "positive")
+        _check_range("beta", self.beta, "positive")
+        object.__setattr__(self, "n_atoms", _check_count("K", self.n_atoms, 1))
 
     def to_dict(self) -> dict:
         return {
@@ -188,7 +151,7 @@ class GammaProcessParams:
         return cls(
             alpha=float(d["alpha"]),
             beta=float(d["beta"]),
-            n_atoms=int(d.get("K", 100)),
+            n_atoms=d.get("K", 100),
             base=base_measure_from_dict(d["base"]) if "base" in d else ExponentialBase(),
         )
 
@@ -227,7 +190,7 @@ class GammaProcessDraw:
         self.thetas = np.asarray(self.thetas, dtype=float)
         self.sticks = np.asarray(self.sticks, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        self.gamma = float(self.gamma)
+        self.gamma = _check_range("total mass", self.gamma, "non-negative")
         if self.unscaled_weights is None:
             if self.gamma > 0.0:
                 self.unscaled_weights = self.weights / self.gamma
@@ -240,10 +203,8 @@ class GammaProcessDraw:
             raise ValueError("thetas and weights must have matching lengths")
         if self.sticks.size not in (0, max(k - 1, 0)):
             raise ValueError("sticks must be empty or have one fewer entry than thetas")
-        if np.any(self.thetas < 0.0):
-            raise ValueError("atom locations must be non-negative")
-        if np.any(self.weights < 0.0) or self.gamma < 0.0:
-            raise ValueError("weights and total mass must be non-negative")
+        _as_times(self.thetas, "atom locations")
+        _as_times(self.weights, "weights")
         if abs(self.weights.sum() - self.gamma) > _CLOSURE_TOL * max(1.0, self.gamma):
             raise ValueError("weights do not sum to the total mass")
 
@@ -357,11 +318,10 @@ def stick_weights(sticks, n_atoms: int) -> np.ndarray:
     w[-1] = prod(1 - sticks).
     """
     sticks = np.asarray(sticks, dtype=float)
-    if n_atoms < 1:
-        raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
+    n_atoms = _check_count("n_atoms", n_atoms, 1)
     if sticks.shape != (n_atoms - 1,):
         raise ValueError(f"expected {n_atoms - 1} stick values, got {sticks.shape}")
-    if np.any((sticks <= 0.0) | (sticks >= 1.0)):
+    if not np.all((sticks > 0.0) & (sticks < 1.0)):  # false for NaN as well
         raise ValueError("stick values must lie strictly inside (0, 1)")
     remaining = np.concatenate(([1.0], np.cumprod(1.0 - sticks)))
     w = np.empty(n_atoms)
@@ -388,8 +348,5 @@ def draw_gamma_process(params: GammaProcessParams, stream: RandomStream) -> Gamm
 
 def expected_tail_mass(alpha: float, k: int) -> float:
     """Expected unscaled weight remaining after the first k atoms: (alpha/(1+alpha))**k."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    return float((alpha / (1.0 + alpha)) ** k)
+    alpha = _check_range("alpha", alpha, "positive")
+    return float((alpha / (1.0 + alpha)) ** _check_count("k", k))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _check_range
 from .datasets import Dataset
 from .rng import RandomStream
 
@@ -37,8 +38,7 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2", "f1", "f2", "nu"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            _check_range(name, getattr(self, name), "positive")
 
 
 def _in_record_order(f, order, times) -> np.ndarray:

@@ -26,9 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .datasets import Dataset, _horizon
-from .gamma_process import (GammaProcessDraw, _as_times, _maybe_scalar, _rank, _require_keys,
-                            _require_reals)
+from ._checks import _as_times, _check_count, _check_range, _horizon, _require_keys, _require_reals
+from .datasets import Dataset
+from .gamma_process import GammaProcessDraw, _maybe_scalar, _rank
 from .likelihood import HyperParams
 from .rng import RandomStream, _categorical_pick
 
@@ -55,10 +55,6 @@ _NEWTON_MAX_ITER = 100  # MixtureBathtub's inverse; converging takes at most ~40
 _WIDE_LOG = np.finfo(np.longdouble).nmant >= 63
 _MIDPOINT_WINDOW = 0.05
 _MANTISSA = np.uint64((1 << 52) - 1)
-
-
-def _as_targets(x) -> np.ndarray:
-    return _as_times(x, "target")
 
 
 def _neg_log(u: np.ndarray) -> np.ndarray:
@@ -143,7 +139,7 @@ class _Skeleton:
         return math.inf if rate >= _ZERO_RATE or coeff > 0.0 else float(self.values[-1])
 
     def invert(self, x):
-        arr = _as_targets(x).reshape(-1)
+        arr = _as_times(x, "target").reshape(-1)
         seg = np.maximum(np.searchsorted(self.values, arr, side="right") - 1, 0)
         knot, base, coeff = self.knots[seg], self.values[seg], self.coeffs[seg]
         excess = arr - base
@@ -180,11 +176,18 @@ class HazardModel(ABC):
 
     Each model is a dataclass whose fields, in order, are its constructor
     arguments and document keys, and ``hazard`` is its only abstract method.
-    By default the cumulative hazard goes through the model's cached
-    ``_skeleton`` and the breakpoints are the draws' pooled atom locations.
+    Each scalar field must lie in the domain its metadata names, or be finite
+    if it names none.  By default the cumulative hazard goes through the
+    model's cached ``_skeleton`` and the breakpoints are the draws' pooled
+    atom locations.
     """
 
     variant: str
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not self._is_draw(f):
+                _check_range(f.name, getattr(self, f.name), f.metadata.get("domain", "finite"))
 
     @abstractmethod
     def hazard(self, t):
@@ -237,12 +240,11 @@ class HazardModel(ABC):
         return self.invert_cum_hazard(_neg_log(stream.uniforms(n)))
 
 
+@dataclass(eq=False)
 class _StepHazard(HazardModel):
     """Piecewise-constant hazard at least ``lambda0`` >= 0, with a linear skeleton."""
 
-    def __post_init__(self):
-        if self.lambda0 < 0.0:
-            raise ValueError(f"lambda0 must be non-negative, got {self.lambda0}")
+    lambda0: float = field(metadata={"domain": "non-negative"})
 
     @cached_property
     def _skeleton(self) -> _Skeleton:
@@ -263,7 +265,6 @@ class IncreasingFailureRate(_StepHazard):
     The cumulative hazard is lambda0*t + sum_k w_k * max(0, t - theta_k).
     """
 
-    lambda0: float
     draw: GammaProcessDraw
     variant = "ifr"
 
@@ -279,7 +280,6 @@ class DecreasingFailureRate(_StepHazard):
     The cumulative hazard is lambda0*t + sum_k w_k * min(t, theta_k).
     """
 
-    lambda0: float
     draw: GammaProcessDraw
     variant = "dfr"
 
@@ -299,15 +299,9 @@ class LoWengBathtub(_StepHazard):
     pooled breakpoints.
     """
 
-    lambda0: float
-    a: float
+    a: float = field(metadata={"domain": "non-negative"})
     draw: GammaProcessDraw
     variant = "lwb"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.a < 0.0:
-            raise ValueError(f"a must be non-negative, got {self.a}")
 
     def hazard(self, t):
         arr = _as_times(t)
@@ -329,7 +323,6 @@ class SuperpositionBathtub(_StepHazard):
     + sum_k w2k*max(0, t - theta2k).
     """
 
-    lambda0: float
     draw_decreasing: GammaProcessDraw = field(metadata={"key": "draw1"})
     draw_increasing: GammaProcessDraw = field(metadata={"key": "draw2"})
     variant = "sbt"
@@ -354,16 +347,15 @@ class MixtureBathtub(HazardModel):
     a target's segment rises to the root without overshooting or a bracket.
     """
 
-    pi: float
-    lambda01: float
+    pi: float = field(metadata={"domain": "(0, 1]"})
+    lambda01: float = field(metadata={"domain": "non-negative"})
     draw1: GammaProcessDraw
-    lambda02: float
+    lambda02: float = field(metadata={"domain": "non-negative"})
     draw2: GammaProcessDraw
     variant = "mbt"
 
     def __post_init__(self):
-        if not (0.0 < self.pi <= 1.0):
-            raise ValueError(f"pi must be in (0, 1], got {self.pi}")
+        super().__post_init__()
         self._decreasing = DecreasingFailureRate(self.lambda01, self.draw1)
         self._increasing = IncreasingFailureRate(self.lambda02, self.draw2)
         with np.errstate(divide="ignore"):  # pi = 1 gives log(1 - pi) = -inf
@@ -415,7 +407,7 @@ class MixtureBathtub(HazardModel):
         return knots, np.asarray(self.cum_hazard(knots))
 
     def invert_cum_hazard(self, target):
-        x = _as_targets(target)
+        x = _as_times(target, "target")
         limit = self.cum_hazard_limit()
         out = np.where(x >= limit, np.inf, 0.0)
         live = (x > 0.0) & (x < limit)
@@ -441,7 +433,7 @@ class MixtureBathtub(HazardModel):
         """Per record one uniform picks the component (as ``categorical``), the next inverts it."""
         if self.pi == 1.0:  # degenerate mixture, no component pick needed
             return self._decreasing.sample_failures(n, stream)
-        u = stream.uniforms(2 * int(n)).reshape(-1, 2)
+        u = stream.uniforms(2 * _check_count("n", n)).reshape(-1, 2)
         pick = _categorical_pick(np.array([self.pi, 1.0 - self.pi]), u[:, 0])
         x = _neg_log(u[:, 1])
         out = np.empty(x.size)
@@ -460,14 +452,10 @@ class LogConvexHazard(HazardModel):
     plus the atom mass accumulated so far.
     """
 
-    lambda0: float
+    lambda0: float = field(metadata={"domain": "positive"})
     w0: float
     draw: GammaProcessDraw
     variant = "lcv"
-
-    def __post_init__(self):
-        if self.lambda0 <= 0.0:
-            raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
 
     @cached_property
     def _skeleton(self) -> _Skeleton:
@@ -495,8 +483,7 @@ def simulate_dataset(
     recorded as censored at tau.  A defective model without tau cannot
     produce a complete dataset and is rejected.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_count("n", n, 1)
     if tau is not None:
         tau = _horizon(tau)
     elif math.isfinite(model.cum_hazard_limit()):
@@ -560,10 +547,11 @@ def draw_model_params(
     if len(draws) != len(draw_keys):
         raise ValueError(f"{variant} needs {len(draw_keys)} draw(s), got {len(draws)}")
 
+    def mass(draw: GammaProcessDraw) -> float:  # every scalar prior is scaled by it
+        return _check_range("the total mass of a draw", draw.gamma, "positive")
+
     def offset(draw: GammaProcessDraw) -> float:
-        if draw.gamma <= 0.0:
-            raise ValueError("draw has zero total mass; offset prior is undefined")
-        return stream.exponential(hyper.nu / draw.gamma)
+        return stream.exponential(hyper.nu / mass(draw))
 
     # the order of the prior draws below fixes the random stream
     if variant in ("ifr", "dfr"):
@@ -585,9 +573,7 @@ def draw_model_params(
             pi = stream.uniform()
         scalars["pi"] = pi
     else:  # lcv
-        if draws[0].gamma <= 0.0:
-            raise ValueError("draw has zero total mass; scalar priors are undefined")
-        scale = draws[0].gamma / hyper.nu
+        scale = mass(draws[0]) / hyper.nu
         log_lambda0 = stream.normal(0.0, scale)
         try:
             lambda0 = math.exp(log_lambda0)

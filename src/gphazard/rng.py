@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import _as_times, _check_count, _check_range
+
 __all__ = ["RandomStream"]
 
 # _block gives up after this many draws in a row in top-up rounds that accepted
@@ -36,7 +38,7 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
-        self.seed = int(seed)
+        self.seed = _check_count("seed", seed)
         self._spawn_key = tuple(_spawn_key)
         seq = np.random.SeedSequence(self.seed, spawn_key=self._spawn_key)
         self._gen = np.random.Generator(np.random.PCG64(seq))
@@ -46,9 +48,7 @@ class RandomStream:
 
     def split(self, child_id: int) -> "RandomStream":
         """Derive an independent child stream, deterministic in (seed, child_id)."""
-        if child_id < 0:
-            raise ValueError("child_id must be non-negative")
-        return RandomStream(self.seed, self._spawn_key + (int(child_id),))
+        return RandomStream(self.seed, self._spawn_key + (_check_count("child_id", child_id),))
 
     def uniform(self) -> float:
         """Uniform draw strictly inside (0, 1)."""
@@ -64,9 +64,7 @@ class RandomStream:
         accepted none reach the cap, raises ValueError naming the
         distribution that ``describe()`` returns.
         """
-        n = int(n)
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
+        n = _check_count("n", n)
         out = draw(self._gen, n)
         out = out[~reject(out)]
         rejected = 0
@@ -92,8 +90,8 @@ class RandomStream:
 
     def gamma(self, shape: float, rate: float) -> float:
         """Gamma draw with mean shape/rate and variance shape/rate**2."""
-        if shape <= 0.0 or rate <= 0.0:
-            raise ValueError(f"gamma requires shape > 0 and rate > 0, got ({shape}, {rate})")
+        _check_range("gamma shape", shape, "positive")
+        _check_range("gamma rate", rate, "positive")
         # tiny shapes can underflow to exactly 0
         return float(self._block(1, lambda g, k: g.gamma(shape, 1.0 / rate, k), lambda x: x <= 0.0,
                                  lambda: f"gamma(shape={shape!r}, rate={rate!r})")[0])
@@ -104,8 +102,8 @@ class RandomStream:
 
     def betas(self, a: float, b: float, n: int) -> np.ndarray:
         """n successive Beta(a, b) draws, identical to n calls of :meth:`beta`."""
-        if a <= 0.0 or b <= 0.0:
-            raise ValueError(f"beta requires positive parameters, got ({a}, {b})")
+        _check_range("beta a", a, "positive")
+        _check_range("beta b", b, "positive")
         return self._block(n, lambda g, k: g.beta(a, b, k), lambda x: (x <= 0.0) | (x >= 1.0),
                            lambda: f"beta(a={a!r}, b={b!r})")
 
@@ -115,28 +113,24 @@ class RandomStream:
 
     def exponentials(self, rate: float, n: int) -> np.ndarray:
         """n successive exponential draws, identical to n calls of :meth:`exponential`."""
-        if rate <= 0.0:
-            raise ValueError(f"exponential requires rate > 0, got {rate}")
+        _check_range("exponential rate", rate, "positive")
         return self._block(n, lambda g, k: g.exponential(1.0 / rate, k), lambda x: x <= 0.0,
                            lambda: f"exponential(rate={rate!r})")
 
     def normal(self, mean: float, sd: float) -> float:
         """Normal(mean, sd**2) draw; sd=0 returns mean exactly."""
-        if sd < 0.0:
-            raise ValueError(f"normal requires sd >= 0, got {sd}")
+        _check_range("normal mean", mean)
+        _check_range("normal sd", sd, "non-negative")
         if sd == 0.0:
             return float(mean)
         return float(self._gen.normal(mean, sd))
 
     def categorical(self, weights) -> int:
         """Index k drawn with probability weights[k] / sum(weights)."""
-        w = np.asarray(weights, dtype=float)
+        w = _as_times(weights, "weights")
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d sequence")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be non-negative")
-        if float(w.sum()) <= 0.0:
-            raise ValueError("at least one weight must be positive")
+        _check_range("the sum of the weights", w.sum(), "positive")
         return int(_categorical_pick(w, self.uniform()))
 
 

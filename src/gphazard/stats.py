@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _as_times, _check_count, _check_range
 from .datasets import Dataset, _csv_text
 from .gamma_process import _maybe_scalar
 
@@ -40,7 +41,7 @@ class StepFunction:
 
     def __call__(self, t):
         levels = np.concatenate(([self.initial], self.values))
-        idx = np.searchsorted(self.breakpoints, t, side="right")
+        idx = np.searchsorted(self.breakpoints, _as_times(t), side="right")
         return _maybe_scalar(levels[idx], t)
 
     def to_csv(self, path) -> None:
@@ -96,23 +97,16 @@ def histogram(samples, bin_count: int | None = None, bin_width: float | None = N
 
     Returns (edges, counts) with len(edges) == len(counts) + 1.
     """
-    x = np.asarray(samples, dtype=float)
+    x = _as_times(samples, "samples")
     if x.size == 0:
         raise ValueError("samples must be non-empty")
-    if np.any(x < 0.0):
-        raise ValueError("samples must be non-negative")
     if (bin_count is None) == (bin_width is None):
         raise ValueError("give exactly one of bin_count or bin_width")
-    hi = float(x.max())
-    if hi <= 0.0:
-        raise ValueError("samples must have a positive maximum")
+    hi = _check_range("the largest sample", x.max(), "positive")
     if bin_count is not None:
-        if bin_count < 1:
-            raise ValueError(f"bin_count must be >= 1, got {bin_count}")
-        edges = np.linspace(0.0, hi, bin_count + 1)
+        edges = np.linspace(0.0, hi, _check_count("bin_count", bin_count, 1) + 1)
     else:
-        if bin_width <= 0.0:
-            raise ValueError(f"bin_width must be positive, got {bin_width}")
+        _check_range("bin_width", bin_width, "positive")
         m = max(1, int(np.ceil(hi / bin_width)))
         edges = bin_width * np.arange(m + 1)
         if edges[-1] < hi:  # guard against ceil rounding under fp division

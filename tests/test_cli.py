@@ -298,6 +298,7 @@ class TestMalformedInput:
             ({**MODEL, "draw": {**MODEL["draw"], "thetas": {"a": 1}}}, "'thetas'"),
             ({**MODEL, "draw": {**MODEL["draw"], "thetas": [[1.0]]}}, "'thetas'"),
             ({**MODEL, "draw": {**MODEL["draw"], "weights": [True]}}, "'weights'"),
+            ({**MODEL, "lambda0": float("nan")}, "lambda0 must be finite"),
         ],
     )
     def test_model_file(self, tmp_path, doc, field):
@@ -331,6 +332,15 @@ class TestMalformedInput:
             ("curves", {"t_max": [1]}, "'t_max'"),
             ("draw", {"K": [3]}, "'K'"),
             ("curves", {"model": "lcv", "nu": [1]}, "'nu'"),  # no w0: nu draws the scalars
+            ("curves", {"seed": float("inf")}, "seed must be"),
+            ("simulate", {"n": 1e300}, "n must be"),
+            ("curves", {"points": 2.5}, "points must be"),
+            ("curves", {"prior": {**DEMO_PRIOR, "K": 2.5}}, "K must be"),
+            ("curves", {"prior": {**DEMO_PRIOR, "alpha": float("inf")}}, "alpha must be"),
+            ("curves", {"model": "lcv", "lambda0": 1.0, "w0": float("nan")}, "w0 must be"),
+            ("curves", {"model": "lcv", "lambda0": float("inf"), "w0": 0.1}, "lambda0 must be"),
+            ("curves", {"model": "lwb", "a": float("nan")}, "a must be"),
+            ("curves", {"model": "lwb", "a": 0.5, "t_max": float("inf")}, "t_max must be"),
         ],
     )
     def test_config(self, tmp_path, command, fields, field):
