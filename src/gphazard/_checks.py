@@ -29,6 +29,8 @@ def _check_count(what: str, x, lo: int = 0) -> int:
 
     2.0 counts; 2.5, NaN, inf and 1e300 do not.  Ints of any size compare exactly.
     """
+    if type(x) is int and lo <= x < 2**63:  # the common case, without the checks below
+        return x
     if not (_is_real(x) and lo <= x < 2**63 and x == int(x)):
         bound = "non-negative" if lo == 0 else "positive" if lo == 1 else f">= {lo}"
         raise ValueError(f"{what} must be {bound}, integral and below 2**63, got {x!r}")
@@ -48,7 +50,16 @@ def _as_times(t, what: str = "t") -> np.ndarray:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number that is not a bool and converts to a float (an int below about 1.8e308)."""
+    if type(value) is float:
+        return True
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _require_keys(d, keys, what: str) -> None:
@@ -72,5 +83,7 @@ def _require_real_lists(d: dict, keys, what: str) -> None:
     """Raise ValueError naming the first of ``keys`` whose value in ``d`` is not a list of reals."""
     for key in keys:
         value = d.get(key)
-        if not (isinstance(value, list) and all(map(_is_real, value))):
+        # a JSON array of floats passes on its element types alone
+        if not (isinstance(value, list)
+                and (set(map(type, value)) <= {float} or all(map(_is_real, value)))):
             raise ValueError(f"{what} needs a list of real numbers for {key!r}, got {value!r}")

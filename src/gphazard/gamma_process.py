@@ -93,9 +93,9 @@ def _rank(edges: np.ndarray, t: np.ndarray, side: str) -> np.ndarray:
     """``np.searchsorted(edges, t, side)``, by merging when t is a long monotone 1-d array.
 
     A binary search per key mispredicts its branches on unsorted keys.  On
-    non-decreasing keys the ranks are the cumulated counts of the edges
-    that fall before each key, which one search of the edges into the keys
-    gives: O(n + K log n) in place of O(n log K).  Non-increasing keys (as
+    non-decreasing keys one search of the edges into the keys splits the
+    keys into runs of equal rank, and each rank is repeated over its run:
+    O(n + K log n) in place of O(n log K).  Non-increasing keys (as
     ``a - t``) are merged reversed.  Short inputs, where the merge's fixed
     cost outweighs the search, and unsorted ones take the plain search.
     """
@@ -106,7 +106,7 @@ def _rank(edges: np.ndarray, t: np.ndarray, side: str) -> np.ndarray:
     if not (keys[1:] >= keys[:-1]).all():
         return np.searchsorted(edges, t, side=side)
     first = np.searchsorted(keys, edges, side="left" if side == "right" else "right")
-    ranks = np.cumsum(np.bincount(first, minlength=keys.size + 1)[:-1])
+    ranks = np.repeat(np.arange(edges.size + 1), np.diff(first, prepend=0, append=keys.size))
     return ranks if rising else ranks[::-1]
 
 

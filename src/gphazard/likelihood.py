@@ -41,9 +41,9 @@ class HyperParams:
             _check_range(name, getattr(self, name), "positive")
 
 
-def _in_record_order(f, order, times) -> np.ndarray:
-    """f(times) as floats, put back in record order when ``order`` sorted the records into times."""
-    values = np.asarray(f(times), dtype=float)
+def _in_record_order(values, order) -> np.ndarray:
+    """Values as floats, put back in record order when ``order`` sorted the records."""
+    values = np.asarray(values, dtype=float)
     if order is None:
         return values
     out = np.empty(values.size)
@@ -58,19 +58,26 @@ def log_likelihood(model, dataset: Dataset) -> float:
     one stable sort of its times: from the second call on, the model is
     evaluated on ascending times, where its atom lookups merge in
     O(n + K log n), and the values go back to record order before they
-    are summed, so every call returns the first call's bits.
+    are summed, so every call returns the first call's bits.  The hazard
+    and cumulative hazard come from the model's ``_hazard_and_cum``, if any.
     """
     if dataset.n == 0:
         raise ValueError("dataset must be non-empty")
-    obs = dataset._ascending(observed=True)
-    cens = dataset._ascending(observed=False)
-    cum_sums = [float(np.sum(_in_record_order(model.cum_hazard, *group)))
-                for group in (obs, cens) if group[1].size]
+    both = getattr(model, "_hazard_and_cum", None) or (
+        lambda t: (model.hazard(t), model.cum_hazard(t)))
+    obs_order, obs = dataset._ascending(observed=True)
+    cens_order, cens = dataset._ascending(observed=False)
+    cum_sums = []
+    if obs.size:
+        lam, cum = both(obs)
+        cum_sums.append(float(np.sum(_in_record_order(cum, obs_order))))
+    if cens.size:
+        cum_sums.append(float(np.sum(_in_record_order(model.cum_hazard(cens), cens_order))))
     if math.inf in cum_sums:
         return -math.inf
     total = 0.0
-    if obs[1].size:
-        lam = _in_record_order(model.hazard, *obs)
+    if obs.size:
+        lam = _in_record_order(lam, obs_order)
         with np.errstate(divide="ignore"):
             total += float(np.sum(np.log(lam)))
     for cum in cum_sums:
@@ -86,16 +93,18 @@ def sample_hyperparams(hyper: HyperParams, stream: RandomStream) -> tuple[float,
     return alpha, beta, phi
 
 
-def _gamma_logpdf(x: float, shape: float, rate: float) -> float:
-    if x <= 0.0:
+def _gamma_logpdf(name: str, x: float, shape: float, rate: float) -> float:
+    if math.isnan(x):
+        raise ValueError(f"{name} must not be NaN")
+    if not 0.0 < x < math.inf:
         return -math.inf
     return shape * math.log(rate) - math.lgamma(shape) + (shape - 1.0) * math.log(x) - rate * x
 
 
 def log_hyperprior(alpha: float, beta: float, phi: float, hyper: HyperParams) -> float:
-    """Sum of the three gamma log-densities; -inf off the support."""
+    """Sum of the three gamma log-densities; -inf off the support, ValueError naming a NaN."""
     return (
-        _gamma_logpdf(alpha, hyper.a1, hyper.a2)
-        + _gamma_logpdf(beta, hyper.b1, hyper.b2)
-        + _gamma_logpdf(phi, hyper.f1, hyper.f2)
+        _gamma_logpdf("alpha", alpha, hyper.a1, hyper.a2)
+        + _gamma_logpdf("beta", beta, hyper.b1, hyper.b2)
+        + _gamma_logpdf("phi", phi, hyper.f1, hyper.f2)
     )

@@ -11,6 +11,9 @@ rate-0 case, with linear segments between breakpoints, and the log-convex
 model uses its exponential segments, with knots at the atom locations.  The
 mixture model's cumulative hazard is concave between its pooled knots, so
 Newton's method started at the left knot inverts it without overshooting.
+Where a time's segment also tells its hazard (every model but lwb, whose
+rounded knots ``a - theta`` need not), one lookup serves both the hazard and
+the cumulative hazard, for the likelihood, the density and that Newton loop.
 
 A failure draw can be infinite when the total cumulative hazard is
 finite (a defective failure distribution); ``math.inf`` is the sentinel
@@ -84,6 +87,13 @@ def _math_log(u: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, u.tolist()), dtype=float, count=u.size)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted 1-d array, in order: ``np.unique`` without its sort."""
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 @dataclass(eq=False)
 class _Skeleton:
     """Cumulative hazard whose hazard is exponential in t on each segment.
@@ -104,19 +114,25 @@ class _Skeleton:
     values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # read once from the segments: when none grows and every slope is finite (the
-        # step models), evaluation and inversion look at no rate per element
-        self._linear = bool(np.all(np.abs(self.rates) < _ZERO_RATE)
-                            and np.all(np.isfinite(self.coeffs)))
+        # read once from the segments: with finite coefficients, when none grows (the step
+        # models) no rate is looked at per element, and when all do (lcv) no mask is needed
+        finite = bool(np.all(np.isfinite(self.coeffs)))
+        steep = np.abs(self.rates) >= _ZERO_RATE
+        self._linear = finite and not steep.any()
+        self._exponential = finite and bool(steep.all())
         incs = self._increment(np.s_[:-1], np.diff(self.knots))
         self.values = np.concatenate(([0.0], np.cumsum(incs)))
 
     def _increment(self, seg, dt: np.ndarray) -> np.ndarray:
-        """Integral of the hazard over [knots[seg], knots[seg] + dt], elementwise over 1-d dt."""
+        """Integral of the hazard over [knots[seg], knots[seg] + dt]; may overwrite the 1-d dt."""
         coeff = self.coeffs[seg]
         if self._linear:
-            return coeff * dt
+            dt *= coeff
+            return dt
         rate = self.rates[seg]
+        if self._exponential:  # a finite coefficient c >= 0 gives c * expm1(0) / rate = +0
+            with np.errstate(over="ignore"):  # a growing hazard's integral overflows to inf
+                return coeff * np.expm1(rate * dt) / rate
         out = np.zeros(dt.shape)  # dt = 0 adds 0, also to an overflowed coefficient
         moved = dt != 0.0
         lin = moved & (np.abs(rate) < _ZERO_RATE)
@@ -126,11 +142,17 @@ class _Skeleton:
             out[grow] = coeff[grow] * np.expm1(rate[grow] * dt[grow]) / rate[grow]
         return out
 
+    def _locate(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The segment of each time in a checked 1-d ``arr``, and the cumulative hazard there."""
+        seg = _rank(self.knots, arr, "right") - 1
+        dt = self.knots[seg]
+        out = self._increment(seg, np.subtract(arr, dt, out=dt))
+        out += self.values[seg]
+        return seg, out
+
     def value(self, t):
         arr = _as_times(t).reshape(-1)
-        seg = _rank(self.knots, arr, "right") - 1
-        out = self.values[seg] + self._increment(seg, arr - self.knots[seg])
-        return _maybe_scalar(out.reshape(np.shape(t)), t)
+        return _maybe_scalar(self._locate(arr)[1].reshape(np.shape(t)), t)
 
     def limit(self) -> float:
         rate, coeff = float(self.rates[-1]), float(self.coeffs[-1])
@@ -205,10 +227,14 @@ class HazardModel(ABC):
         """Smallest-segment solution T of cum_hazard(T) = target, or inf past the limit."""
         return self._skeleton.invert(target)
 
+    def _hazard_and_cum(self, t):
+        """(hazard(t), cum_hazard(t)) at 1-d times, which an override finds with one lookup."""
+        return self.hazard(t), self.cum_hazard(t)
+
     def breakpoints(self) -> np.ndarray:
         """Sorted locations where the hazard jumps or kinks."""
-        draws = [getattr(self, f.name) for f in fields(self) if self._is_draw(f)]
-        return np.unique(np.concatenate([d.ordered.thetas for d in draws]))
+        thetas = [getattr(self, f.name).ordered.thetas for f in fields(self) if self._is_draw(f)]
+        return _distinct(np.sort(np.concatenate(thetas), kind="stable"))
 
     def to_dict(self) -> dict:
         out = {"model": self.variant}
@@ -226,10 +252,11 @@ class HazardModel(ABC):
         return _maybe_scalar(out, t)
 
     def density(self, t):
-        surv = np.asarray(self.survival(t), dtype=float)
+        lam, cum = self._hazard_and_cum(_as_times(t).reshape(-1))
+        surv = np.exp(-cum)
         with np.errstate(invalid="ignore"):  # an overflowed hazard times zero survival
-            out = np.where(surv == 0.0, 0.0, np.asarray(self.hazard(t)) * surv)
-        return _maybe_scalar(out, t)
+            out = np.where(surv == 0.0, 0.0, lam * surv)
+        return _maybe_scalar(out.reshape(np.shape(t)), t)
 
     def sample_failure(self, stream: RandomStream) -> float:
         """One failure time via inverse transform; may be inf for defective models."""
@@ -253,9 +280,18 @@ class _StepHazard(HazardModel):
         Each slope is the hazard at the segment's midpoint, the last one the
         hazard one unit past the last knot; both are exact for step hazards.
         """
-        knots = np.unique(np.concatenate(([0.0], self.breakpoints())))
+        knots = _distinct(np.concatenate(([0.0], self.breakpoints())))
         mids = np.append(0.5 * (knots[:-1] + knots[1:]), knots[-1] + 1.0)
         return _Skeleton(knots, np.zeros(knots.size), self.hazard(mids))
+
+    @cached_property
+    def _levels(self) -> np.ndarray:
+        # the hazard counts atoms at or below t, and none lies between t and its segment's knot
+        return self.hazard(self._skeleton.knots)
+
+    def _hazard_and_cum(self, t):
+        seg, cum = self._skeleton._locate(_as_times(t))
+        return self._levels[seg], cum
 
 
 @dataclass(eq=False)
@@ -303,12 +339,16 @@ class LoWengBathtub(_StepHazard):
     draw: GammaProcessDraw
     variant = "lwb"
 
+    # rounded knots a - theta and a + theta need not fix the atom counts on their segments
+    _hazard_and_cum = HazardModel._hazard_and_cum
+
     def hazard(self, t):
         arr = _as_times(t)
         d, mass = self.draw, self.draw._mass0
-        early = mass[d._count_below(self.a - arr, strict=True)]   # atoms below a - t
-        late = mass[d._count_below(arr - self.a)]   # atoms at or below t - a
-        return _maybe_scalar(self.lambda0 + np.where(arr < self.a, early, late), t)
+        early, out = arr < self.a, np.empty(arr.shape)
+        out[early] = mass[d._count_below(self.a - arr[early], strict=True)]   # atoms below a - t
+        out[~early] = mass[d._count_below(arr[~early] - self.a)]   # atoms at or below t - a
+        return _maybe_scalar(out + self.lambda0, t)
 
     def breakpoints(self) -> np.ndarray:
         th = self.draw.ordered.thetas
@@ -386,10 +426,20 @@ class MixtureBathtub(HazardModel):
 
     def hazard(self, t):
         arr = _as_times(t)
-        dec, inc = self.components
-        a1, a2, log_s = self._log_weights(dec.cum_hazard(arr), inc.cum_hazard(arr))
-        out = np.exp(a1 - log_s) * dec.hazard(arr) + np.exp(a2 - log_s) * inc.hazard(arr)
-        return _maybe_scalar(out, t)
+        return _maybe_scalar(self._hazard_and_cum(arr.reshape(-1))[0].reshape(arr.shape), t)
+
+    def _hazard_and_cum(self, t):
+        (h1, l1), (h2, l2) = (c._hazard_and_cum(t) for c in self.components)
+        a1, a2, log_s = self._log_weights(l1, l2)
+        with np.errstate(invalid="ignore"):  # both survivals 0: nan hazard, inf cum_hazard
+            a1 -= log_s
+            a2 -= log_s
+        np.exp(a1, out=a1)
+        np.exp(a2, out=a2)
+        a1 *= h1
+        a2 *= h2
+        a1 += a2
+        return a1, np.subtract(self._log_one, log_s, out=log_s)
 
     def cum_hazard(self, t):
         arr = _as_times(t)
@@ -403,7 +453,7 @@ class MixtureBathtub(HazardModel):
 
     @cached_property
     def _knot_values(self) -> tuple[np.ndarray, np.ndarray]:
-        knots = np.unique(np.concatenate(([0.0], self.breakpoints())))
+        knots = _distinct(np.concatenate(([0.0], self.breakpoints())))
         return knots, np.asarray(self.cum_hazard(knots))
 
     def invert_cum_hazard(self, target):
@@ -416,14 +466,15 @@ class MixtureBathtub(HazardModel):
         t = knots[np.maximum(np.searchsorted(kvals, xs, side="right") - 1, 0)]
         gap = np.full(xs.size, np.inf)
         for _ in range(_NEWTON_MAX_ITER):
-            resid = xs - self.cum_hazard(t)
+            lam, cum = self._hazard_and_cum(t)
+            resid = xs - cum
             # exact steps shrink the gap x - cum_hazard(t) > 0 every time; once
             # it is closed or stops shrinking, only rounding is left
             going = (resid > 0.0) & (resid < gap)
             if not going.any():
                 break
             gap[going] = resid[going]
-            t[going] += resid[going] / self.hazard(t[going])
+            t[going] += resid[going] / lam[going]
         else:
             raise RuntimeError(f"mixture inverse did not converge in {_NEWTON_MAX_ITER} steps")
         out[live] = t
@@ -467,11 +518,19 @@ class LogConvexHazard(HazardModel):
 
     def hazard(self, t):
         arr = _as_times(t)
+        return _maybe_scalar(self._hazard_at(arr, self.draw._count_below(arr)), t)
+
+    def _hazard_and_cum(self, t):
+        arr = _as_times(t)
+        # the knots are 0 and every atom, so a time's segment counts the atoms at or below it
+        seg, cum = self._skeleton._locate(arr)
+        return self._hazard_at(arr, seg), cum
+
+    def _hazard_at(self, arr: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The hazard at times ``arr`` with ``j`` atoms at or below each."""
         d = self.draw
-        j = d._count_below(arr)
         with np.errstate(over="ignore"):  # overflows to inf at large t
-            out = self.lambda0 * np.exp(self.w0 * arr + arr * d._mass0[j] - d._moment0[j])
-        return _maybe_scalar(out, t)
+            return self.lambda0 * np.exp(self.w0 * arr + arr * d._mass0[j] - d._moment0[j])
 
 
 def simulate_dataset(

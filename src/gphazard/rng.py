@@ -9,9 +9,10 @@ Uniform draws are guaranteed to lie strictly inside (0, 1): endpoint values
 are rejected and redrawn so that ``-log(u)`` is always finite and positive.
 Every sampler that redraws (uniform, beta, exponential, gamma and the
 truncated normal base) does so in one capped loop, ``_block``; a scalar
-draw is a block of one.  The block samplers (``uniforms``,
-``exponentials``, ``betas``) return the same values, and advance the
-generator exactly as far, as the same number of scalar calls.
+draw is a block of one, whose first try is numpy's cheaper scalar draw.
+The block samplers (``uniforms``, ``exponentials``, ``betas``) return the
+same values, and advance the generator exactly as far, as the same number
+of scalar calls.
 """
 
 from __future__ import annotations
@@ -65,8 +66,14 @@ class RandomStream:
         distribution that ``describe()`` returns.
         """
         n = _check_count("n", n)
-        out = draw(self._gen, n)
-        out = out[~reject(out)]
+        if n == 1:  # numpy's scalar draw is its block of one, at a fraction of the cost
+            x = draw(self._gen, None)
+            if not reject(x):
+                return np.array([x])
+            out = np.empty(0)
+        else:
+            out = draw(self._gen, n)
+            out = out[~reject(out)]
         rejected = 0
         while out.size < n:
             more = draw(self._gen, n - out.size)

@@ -36,8 +36,8 @@ class StepFunction:
         self.values = np.asarray(self.values, dtype=float)
         if self.breakpoints.shape != self.values.shape or self.breakpoints.ndim != 1:
             raise ValueError("breakpoints and values must be 1-d arrays of equal length")
-        if np.any(np.diff(self.breakpoints) <= 0.0):
-            raise ValueError("breakpoints must be strictly increasing")
+        if np.isnan(self.breakpoints).any() or not np.all(np.diff(self.breakpoints) > 0.0):
+            raise ValueError("breakpoints must be strictly increasing, not NaN")
 
     def __call__(self, t):
         levels = np.concatenate(([self.initial], self.values))

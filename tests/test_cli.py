@@ -353,6 +353,24 @@ class TestMalformedInput:
         proc = self._run(command, "--config", cfg, "--out", str(tmp_path / "out.csv"))
         self._assert_reported(proc, field)
 
+    @pytest.mark.parametrize("where", ["lambda0", "prior alpha", "draw file thetas"])
+    def test_int_too_large_for_a_float(self, tmp_path, where):
+        huge = 10**400
+        doc = {"model": "ifr", "lambda0": 0.1, "prior": DEMO_PRIOR, "seed": 1}
+        if where == "lambda0":
+            doc["lambda0"] = huge
+        elif where == "prior alpha":
+            doc["prior"] = {**DEMO_PRIOR, "alpha": huge}
+        else:
+            draw = tmp_path / "draw.json"
+            draw.write_text(json.dumps({"gamma": 2.0, "thetas": [1.0, huge], "sticks": [0.5],
+                                        "weights": [1.0, 1.0]}))
+            doc["prior"] = {"file": str(draw)}
+        cfg = _write_config(tmp_path, **doc)
+        proc = self._run("curves", "--config", cfg, "--out", str(tmp_path / "out.csv"))
+        self._assert_reported(proc, repr(where.split()[-1]))
+        assert len([ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]) == 1
+
     @pytest.mark.parametrize("command", ["draw", "curves", "simulate"])
     def test_out_that_is_not_a_path_string(self, tmp_path, command):
         cfg = _write_config(tmp_path, model="ifr", lambda0=0.1, prior=DEMO_PRIOR, seed=1, out=5)

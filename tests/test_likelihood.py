@@ -19,6 +19,7 @@ from gphazard.models import (
     DecreasingFailureRate,
     IncreasingFailureRate,
     LogConvexHazard,
+    MixtureBathtub,
     simulate_dataset,
 )
 from gphazard.rng import RandomStream
@@ -133,6 +134,32 @@ class TestLogHyperprior:
             lambda x: math.exp(log_hyperprior(x, 1.0, 1.0, hyper)), 0.0, np.inf, limit=200
         )
         assert total == pytest.approx(math.exp(-2.0), rel=1e-6)
+
+
+class TestLogHyperpriorNaN:
+    @pytest.mark.parametrize("position, name", [(0, "alpha"), (1, "beta"), (2, "phi")])
+    def test_nan_raises_naming_the_argument(self, position, name):
+        args = [1.0, 1.0, 1.0]
+        args[position] = math.nan
+        with pytest.raises(ValueError, match=f"^{name} must not be NaN"):
+            log_hyperprior(*args, HyperParams())
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -math.inf, math.inf])
+    def test_off_the_support_is_minus_inf(self, x):
+        assert log_hyperprior(1.0, 1.0, x, HyperParams(f1=2.0)) == -math.inf
+
+
+class TestOverflowedMixtureCumulativeHazard:
+    def test_log_likelihood_is_minus_inf_without_a_warning(self):
+        draw = GammaProcessDraw.from_atoms([1.0, 2.0], [0.5, 0.5])
+        model = MixtureBathtub(0.5, 1.7e308, draw, 1.7e308, draw)
+        with np.errstate(over="ignore"):  # both components' knot values overflow as they are built
+            assert model.cum_hazard(3.0) == math.inf
+        data = Dataset(times=[3.0] * 1500 + [2.5], observed=[True] * 1500 + [False])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):  # records as given, then sorted
+                assert log_likelihood(model, data) == -math.inf
 
 
 class TestOverflowedCumulativeHazard:

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -790,3 +791,85 @@ class TestLcvGrowingInverseOverflow:
             warnings.simplefilter("error")
             t = model.invert_cum_hazard(1e200)
         assert t == pytest.approx(500.0 * math.log(10.0) / 1e200, rel=1e-14)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestFusedHazardAndCumHazard:
+    """``_hazard_and_cum(t)`` is ``(hazard(t), cum_hazard(t))`` bit for bit, from one lookup."""
+
+    @pytest.fixture(scope="class")
+    def models(self, demo):
+        empty = GammaProcessDraw.from_atoms([], [])
+        return {**demo, "dfr-defective": DecreasingFailureRate(0.0, demo["dfr"].draw),
+                "lcv-no-atoms": LogConvexHazard(0.7, -0.3, empty)}
+
+    @staticmethod
+    def _probes(model) -> np.ndarray:
+        """0, every atom and knot, points past the last knot, and enough random points to merge."""
+        draws = [getattr(model, f.name) for f in fields(model) if model._is_draw(f)]
+        atoms = np.concatenate([d.thetas for d in draws])
+        knots = np.unique(np.concatenate(([0.0], model.breakpoints())))
+        last = float(knots[-1])
+        grid = RandomStream(3).uniforms(2 * gamma_process._MERGE_MIN) * 1.2 * (last + 1.0)
+        return np.concatenate(([0.0, last + 1.0, 2.0 * last + 10.0], atoms, knots, grid))
+
+    @pytest.mark.parametrize("name", ["ifr", "dfr", "lwb", "sbt", "mbt", "lcv",
+                                      "dfr-defective", "lcv-no-atoms"])
+    @pytest.mark.parametrize("order", ["unsorted", "ascending", "descending"])
+    def test_bits_equal_the_two_calls(self, models, name, order):
+        model = models[name]
+        t = self._probes(model)
+        if order != "unsorted":
+            t = np.sort(t) if order == "ascending" else np.sort(t)[::-1]
+        lam, cum = model._hazard_and_cum(t)
+        np.testing.assert_array_equal(_bits(lam), _bits(model.hazard(t)))
+        np.testing.assert_array_equal(_bits(cum), _bits(model.cum_hazard(t)))
+
+    @pytest.mark.parametrize("name", ["ifr", "lwb", "mbt", "lcv"])
+    def test_callers_keep_scalars_and_shapes(self, models, name):
+        model = models[name]
+        grid = np.linspace(0.0, 4.0, 12)
+        for method in (model.hazard, model.density):
+            flat = np.asarray(method(grid))
+            assert isinstance(method(0.75), float) and method(grid[5]) == flat[5]
+            np.testing.assert_array_equal(method(grid.reshape(3, 4)), flat.reshape(3, 4))
+
+    def test_step_levels_past_a_knot_one_ulp_wide(self):
+        # the midpoint of two adjacent doubles rounds (to even) onto the upper one
+        lo = np.nextafter(1.0, 2.0)
+        draw = GammaProcessDraw.from_atoms([lo, np.nextafter(lo, 2.0)], [0.25, 0.5])
+        for model in (IncreasingFailureRate(0.1, draw), DecreasingFailureRate(0.1, draw)):
+            t = np.array([lo, np.nextafter(lo, 2.0), 1.5])
+            lam, cum = model._hazard_and_cum(t)
+            np.testing.assert_array_equal(_bits(lam), _bits(model.hazard(t)))
+            np.testing.assert_array_equal(_bits(cum), _bits(model.cum_hazard(t)))
+
+    def test_lwb_hazard_on_each_side_matches_both_lookups(self, models):
+        lwb = models["lwb"]
+        d, mass = lwb.draw, lwb.draw._mass0
+        t = self._probes(lwb)
+        t = np.concatenate((t, lwb.a - d.thetas[d.thetas <= lwb.a], lwb.a + d.thetas))
+        early = mass[d._count_below(lwb.a - t, strict=True)]
+        late = mass[d._count_below(t - lwb.a)]
+        expected = lwb.lambda0 + np.where(t < lwb.a, early, late)
+        np.testing.assert_array_equal(_bits(lwb.hazard(t)), _bits(expected))
+        order = np.argsort(t, kind="stable")  # ascending times take the merge
+        np.testing.assert_array_equal(_bits(lwb.hazard(t[order])), _bits(expected[order]))
+
+    @pytest.mark.parametrize("name", ["ifr", "lwb", "sbt", "mbt"])
+    def test_breakpoints_with_tied_atoms_equal_np_unique(self, models, name):
+        th = np.array([0.0, 1.0, 1.0, 0.25, 2.0, 0.25, 0.6])
+        doc = model_to_dict(models[name])
+        for key in ("draw", "draw1", "draw2"):
+            if key in doc:
+                doc[key] = GammaProcessDraw.from_atoms(th, [0.1] * th.size).to_dict()
+        model = model_from_dict(doc)
+        if name == "lwb":
+            a = model.a
+            expected = np.unique(np.concatenate((a - th[th < a], [a], a + th)))
+        else:
+            expected = np.unique(th)
+        np.testing.assert_array_equal(model.breakpoints(), expected)

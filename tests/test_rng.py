@@ -237,3 +237,33 @@ class TestBlockDrawCap:
             for _ in range(50):
                 assert base.sample(stream) == self._uncapped_normal_base(ref, mean, 1.0)
             assert stream._gen.bit_generator.state == ref.bit_generator.state
+
+
+class TestScalarDrawIsABlockOfOne:
+    """A scalar draw takes numpy's scalar draw first; values and state match a block of one."""
+
+    CASES = {  # the stream's scalar draw, numpy's block of one, and the accepted values
+        "uniform": (lambda s: s.uniform(), lambda g: g.random(1), lambda x: 0.0 < x < 1.0),
+        "gamma": (lambda s: s.gamma(0.5, 2.0), lambda g: g.gamma(0.5, 1.0 / 2.0, 1),
+                  lambda x: x > 0.0),
+        "beta": (lambda s: s.beta(0.4, 0.7), lambda g: g.beta(0.4, 0.7, 1),
+                 lambda x: 0.0 < x < 1.0),
+        "exponential": (lambda s: s.exponential(3.0), lambda g: g.exponential(1.0 / 3.0, 1),
+                        lambda x: x > 0.0),
+        # rejects about five draws in six
+        "normal base": (lambda s: NormalBase(-1.0, 1.0).sample(s), lambda g: g.normal(-1.0, 1.0, 1),
+                        lambda x: x >= 0.0),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_values_and_state(self, name):
+        scalar, block, accept = self.CASES[name]
+        stream, ref = RandomStream(11), RandomStream(11)._gen
+        expected = []
+        for _ in range(10**4):
+            x = block(ref)[0]
+            while not accept(x):
+                x = block(ref)[0]
+            expected.append(float(x))
+        assert [scalar(stream) for _ in range(10**4)] == expected
+        assert stream._gen.bit_generator.state == ref.bit_generator.state

@@ -21,6 +21,12 @@ class TestStepFunction:
         with pytest.raises(ValueError):
             StepFunction(breakpoints=[2.0, 1.0], values=[0.5, 0.2], initial=1.0)
 
+    @pytest.mark.parametrize("breakpoints", [[1.0, np.nan], [np.nan, 1.0], [np.nan]])
+    def test_nan_breakpoint_rejected(self, breakpoints):
+        values = [0.5, 0.25][: len(breakpoints)]
+        with pytest.raises(ValueError, match="strictly increasing, not NaN"):
+            StepFunction(breakpoints=breakpoints, values=values, initial=1.0)
+
     def test_csv_serialization(self, tmp_path):
         f = StepFunction(breakpoints=[1.0, 3.0], values=[2.0 / 3.0, 0.0], initial=1.0)
         path = tmp_path / "step.csv"
