@@ -29,8 +29,6 @@ def _check_count(what: str, x, lo: int = 0) -> int:
 
     2.0 counts; 2.5, NaN, inf and 1e300 do not.  Ints of any size compare exactly.
     """
-    if type(x) is int and lo <= x < 2**63:  # the common case, without the checks below
-        return x
     if not (_is_real(x) and lo <= x < 2**63 and x == int(x)):
         bound = "non-negative" if lo == 0 else "positive" if lo == 1 else f">= {lo}"
         raise ValueError(f"{what} must be {bound}, integral and below 2**63, got {x!r}")
@@ -51,8 +49,6 @@ def _as_times(t, what: str = "t") -> np.ndarray:
 
 def _is_real(value) -> bool:
     """A real number that is not a bool and converts to a float (an int below about 1.8e308)."""
-    if type(value) is float:
-        return True
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
     try:

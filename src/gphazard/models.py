@@ -114,8 +114,8 @@ class _Skeleton:
     values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # read once from the segments: with finite coefficients, when none grows (the step
-        # models) no rate is looked at per element, and when all do (lcv) no mask is needed
+        # read once from the segments: with finite coefficients, when every rate is 0 (the
+        # step models) no rate is looked at per element, and when none is (lcv) no mask is needed
         finite = bool(np.all(np.isfinite(self.coeffs)))
         steep = np.abs(self.rates) >= _ZERO_RATE
         self._linear = finite and not steep.any()
@@ -130,7 +130,7 @@ class _Skeleton:
             dt *= coeff
             return dt
         rate = self.rates[seg]
-        if self._exponential:  # a finite coefficient c >= 0 gives c * expm1(0) / rate = +0
+        if self._exponential:  # dt = 0 gives c * expm1(0) / rate = +-0 for a finite c >= 0
             with np.errstate(over="ignore"):  # a growing hazard's integral overflows to inf
                 return coeff * np.expm1(rate * dt) / rate
         out = np.zeros(dt.shape)  # dt = 0 adds 0, also to an overflowed coefficient
@@ -233,8 +233,8 @@ class HazardModel(ABC):
 
     def breakpoints(self) -> np.ndarray:
         """Sorted locations where the hazard jumps or kinks."""
-        thetas = [getattr(self, f.name).ordered.thetas for f in fields(self) if self._is_draw(f)]
-        return _distinct(np.sort(np.concatenate(thetas), kind="stable"))
+        draws = [getattr(self, f.name) for f in fields(self) if self._is_draw(f)]
+        return np.unique(np.concatenate([d.ordered.thetas for d in draws]))
 
     def to_dict(self) -> dict:
         out = {"model": self.variant}
@@ -432,14 +432,8 @@ class MixtureBathtub(HazardModel):
         (h1, l1), (h2, l2) = (c._hazard_and_cum(t) for c in self.components)
         a1, a2, log_s = self._log_weights(l1, l2)
         with np.errstate(invalid="ignore"):  # both survivals 0: nan hazard, inf cum_hazard
-            a1 -= log_s
-            a2 -= log_s
-        np.exp(a1, out=a1)
-        np.exp(a2, out=a2)
-        a1 *= h1
-        a2 *= h2
-        a1 += a2
-        return a1, np.subtract(self._log_one, log_s, out=log_s)
+            lam = np.exp(a1 - log_s) * h1 + np.exp(a2 - log_s) * h2
+        return lam, self._log_one - log_s
 
     def cum_hazard(self, t):
         arr = _as_times(t)
