@@ -143,6 +143,8 @@ def _write_sidecar(out_path, cfg: dict, command: str) -> None:
 
 def _cmd_draw(args) -> int:
     cfg = _resolve(_load_config(args.config), args, {"seed": 0, "out": "draw.json", "K": None})
+    if args.K is not None and "K" in (_section(cfg, "prior") or {}):  # the flag overrides it
+        cfg["prior"] = {**cfg["prior"], "K": args.K}
     if "prior" not in cfg:
         raise ValueError("config is missing the 'prior' section")
     params = _prior_params(cfg, "prior")

@@ -204,6 +204,9 @@ class GammaProcessDraw:
         if self.sticks.size not in (0, max(k - 1, 0)):
             raise ValueError("sticks must be empty or have one fewer entry than thetas")
         _as_times(self.thetas, "atom locations")
+        n_inf = int(np.sum(self.thetas == np.inf))
+        if n_inf:  # the closed-form cumulative hazards turn wrong, yet finite, at an inf knot
+            raise ValueError(f"atom locations must be finite, got inf for {n_inf} of {k} atoms")
         _as_times(self.weights, "weights")
         if abs(self.weights.sum() - self.gamma) > _CLOSURE_TOL * max(1.0, self.gamma):
             raise ValueError("weights do not sum to the total mass")

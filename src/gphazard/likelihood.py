@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _check_range
+from ._checks import _as_times, _check_range
 from .datasets import Dataset
 from .rng import RandomStream
 
@@ -59,7 +59,8 @@ def log_likelihood(model, dataset: Dataset) -> float:
     evaluated on ascending times, where its atom lookups merge in
     O(n + K log n), and the values go back to record order before they
     are summed, so every call returns the first call's bits.  The hazard
-    and cumulative hazard come from the model's ``_hazard_and_cum``, if any.
+    and cumulative hazard come from the model's ``_hazard_and_cum``, if any,
+    which takes the observed times checked here, once per evaluation.
     """
     if dataset.n == 0:
         raise ValueError("dataset must be non-empty")
@@ -69,7 +70,7 @@ def log_likelihood(model, dataset: Dataset) -> float:
     cens_order, cens = dataset._ascending(observed=False)
     cum_sums = []
     if obs.size:
-        lam, cum = both(obs)
+        lam, cum = both(_as_times(obs))
         cum_sums.append(float(np.sum(_in_record_order(cum, obs_order))))
     if cens.size:
         cum_sums.append(float(np.sum(_in_record_order(model.cum_hazard(cens), cens_order))))

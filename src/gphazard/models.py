@@ -14,6 +14,8 @@ Newton's method started at the left knot inverts it without overshooting.
 Where a time's segment also tells its hazard (every model but lwb, whose
 rounded knots ``a - theta`` need not), one lookup serves both the hazard and
 the cumulative hazard, for the likelihood, the density and that Newton loop.
+The public methods check their input once; the kernels behind them (the
+skeleton's methods and every ``_hazard_and_cum``) take checked 1-d arrays.
 
 A failure draw can be infinite when the total cumulative hazard is
 finite (a defective failure distribution); ``math.inf`` is the sentinel
@@ -87,13 +89,6 @@ def _math_log(u: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, u.tolist()), dtype=float, count=u.size)
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a sorted 1-d array, in order: ``np.unique`` without its sort."""
-    keep = np.ones(values.size, dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
-
-
 @dataclass(eq=False)
 class _Skeleton:
     """Cumulative hazard whose hazard is exponential in t on each segment.
@@ -130,16 +125,12 @@ class _Skeleton:
             dt *= coeff
             return dt
         rate = self.rates[seg]
-        if self._exponential:  # dt = 0 gives c * expm1(0) / rate = +-0 for a finite c >= 0
-            with np.errstate(over="ignore"):  # a growing hazard's integral overflows to inf
-                return coeff * np.expm1(rate * dt) / rate
-        out = np.zeros(dt.shape)  # dt = 0 adds 0, also to an overflowed coefficient
-        moved = dt != 0.0
-        lin = moved & (np.abs(rate) < _ZERO_RATE)
-        grow = moved & ~lin
-        out[lin] = coeff[lin] * dt[lin]
-        with np.errstate(over="ignore"):  # a growing hazard's integral overflows to inf
-            out[grow] = coeff[grow] * np.expm1(rate[grow] * dt[grow]) / rate[grow]
+        with np.errstate(over="ignore", invalid=None if self._exponential else "ignore"):
+            out = coeff * np.expm1(rate * dt) / rate  # may overflow to inf; dt = 0 adds +-0
+        if not self._exponential:  # nan where r = 0, or where c = inf and dt = 0
+            lin = np.abs(rate) < _ZERO_RATE
+            out[lin] = coeff[lin] * dt[lin]
+            out[dt == 0.0] = 0.0
         return out
 
     def _locate(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,18 +141,14 @@ class _Skeleton:
         out += self.values[seg]
         return seg, out
 
-    def value(self, t):
-        arr = _as_times(t).reshape(-1)
-        return _maybe_scalar(self._locate(arr)[1].reshape(np.shape(t)), t)
-
     def limit(self) -> float:
         rate, coeff = float(self.rates[-1]), float(self.coeffs[-1])
         if rate <= -_ZERO_RATE:  # a decaying tail adds coeff / -rate
             return float(self.values[-1] + coeff / -rate)
         return math.inf if rate >= _ZERO_RATE or coeff > 0.0 else float(self.values[-1])
 
-    def invert(self, x):
-        arr = _as_times(x, "target").reshape(-1)
+    def invert(self, arr: np.ndarray) -> np.ndarray:
+        """Where the cumulative hazard reaches each checked 1-d target in ``arr``."""
         seg = np.maximum(np.searchsorted(self.values, arr, side="right") - 1, 0)
         knot, base, coeff = self.knots[seg], self.values[seg], self.coeffs[seg]
         excess = arr - base
@@ -175,8 +162,7 @@ class _Skeleton:
         if np.any(flat):
             t = np.where(flat & (arr == base), knot, t)
             t = np.where(flat & (arr > base), np.inf, t)
-        t = np.where(arr == 0.0, 0.0, t)
-        return _maybe_scalar(t.reshape(np.shape(x)), x)
+        return np.where(arr == 0.0, 0.0, t)
 
     @staticmethod
     def _invert_growing(knot, excess, rate, coeff) -> np.ndarray:
@@ -217,7 +203,8 @@ class HazardModel(ABC):
 
     def cum_hazard(self, t):
         """Integral of the hazard over [0, t]."""
-        return self._skeleton.value(t)
+        arr = _as_times(t)
+        return _maybe_scalar(self._skeleton._locate(arr.reshape(-1))[1].reshape(arr.shape), t)
 
     def cum_hazard_limit(self) -> float:
         """Total cumulative hazard as t grows without bound; finite means defective."""
@@ -225,10 +212,11 @@ class HazardModel(ABC):
 
     def invert_cum_hazard(self, target):
         """Smallest-segment solution T of cum_hazard(T) = target, or inf past the limit."""
-        return self._skeleton.invert(target)
+        x = _as_times(target, "target")
+        return _maybe_scalar(self._skeleton.invert(x.reshape(-1)).reshape(x.shape), target)
 
     def _hazard_and_cum(self, t):
-        """(hazard(t), cum_hazard(t)) at 1-d times, which an override finds with one lookup."""
+        """(hazard(t), cum_hazard(t)) at checked 1-d times; an override finds both in one lookup."""
         return self.hazard(t), self.cum_hazard(t)
 
     def breakpoints(self) -> np.ndarray:
@@ -280,7 +268,7 @@ class _StepHazard(HazardModel):
         Each slope is the hazard at the segment's midpoint, the last one the
         hazard one unit past the last knot; both are exact for step hazards.
         """
-        knots = _distinct(np.concatenate(([0.0], self.breakpoints())))
+        knots = np.unique(np.concatenate(([0.0], self.breakpoints())))
         mids = np.append(0.5 * (knots[:-1] + knots[1:]), knots[-1] + 1.0)
         return _Skeleton(knots, np.zeros(knots.size), self.hazard(mids))
 
@@ -290,7 +278,7 @@ class _StepHazard(HazardModel):
         return self.hazard(self._skeleton.knots)
 
     def _hazard_and_cum(self, t):
-        seg, cum = self._skeleton._locate(_as_times(t))
+        seg, cum = self._skeleton._locate(t)
         return self._levels[seg], cum
 
 
@@ -437,9 +425,7 @@ class MixtureBathtub(HazardModel):
 
     def cum_hazard(self, t):
         arr = _as_times(t)
-        dec, inc = self.components
-        log_s = self._log_weights(dec.cum_hazard(arr), inc.cum_hazard(arr))[2]
-        return _maybe_scalar(self._log_one - log_s, t)
+        return _maybe_scalar(self._hazard_and_cum(arr.reshape(-1))[1].reshape(arr.shape), t)
 
     def cum_hazard_limit(self) -> float:
         log_s = self._log_weights(*(c.cum_hazard_limit() for c in self.components))[2]
@@ -447,8 +433,8 @@ class MixtureBathtub(HazardModel):
 
     @cached_property
     def _knot_values(self) -> tuple[np.ndarray, np.ndarray]:
-        knots = _distinct(np.concatenate(([0.0], self.breakpoints())))
-        return knots, np.asarray(self.cum_hazard(knots))
+        knots = np.unique(np.concatenate(([0.0], self.breakpoints())))
+        return knots, self._hazard_and_cum(knots)[1]
 
     def invert_cum_hazard(self, target):
         x = _as_times(target, "target")
@@ -515,10 +501,9 @@ class LogConvexHazard(HazardModel):
         return _maybe_scalar(self._hazard_at(arr, self.draw._count_below(arr)), t)
 
     def _hazard_and_cum(self, t):
-        arr = _as_times(t)
         # the knots are 0 and every atom, so a time's segment counts the atoms at or below it
-        seg, cum = self._skeleton._locate(arr)
-        return self._hazard_at(arr, seg), cum
+        seg, cum = self._skeleton._locate(t)
+        return self._hazard_at(t, seg), cum
 
     def _hazard_at(self, arr: np.ndarray, j: np.ndarray) -> np.ndarray:
         """The hazard at times ``arr`` with ``j`` atoms at or below each."""

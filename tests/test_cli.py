@@ -436,3 +436,42 @@ def test_infinite_time_is_reported_with_row(tmp_path, command):
     assert proc.returncode == 1
     assert "row 3: time must be finite, got inf" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+class TestDrawKFlag:
+    """``--K`` sets the truncation level, also over a ``K`` in the prior section."""
+
+    @pytest.mark.parametrize("prior_k", [20, None])
+    def test_flag_overrides_the_prior(self, tmp_path, prior_k):
+        prior = {k: v for k, v in DEMO_PRIOR.items() if k != "K" or prior_k is not None}
+        cfg = _write_config(tmp_path, prior=prior, seed=3)
+        out = tmp_path / "draw.json"
+        assert main(["draw", "--config", cfg, "--K", "5", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["thetas"]) == 5
+        sidecar = json.loads((tmp_path / "draw.json.config.json").read_text())
+        assert sidecar["K"] == 5 and sidecar["prior"].get("K") == (5 if prior_k else None)
+        again = tmp_path / "again.json"
+        assert main(["draw", "--config", str(out) + ".config.json", "--out", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "draw.csv").read_bytes()
+
+    def test_without_the_flag_the_prior_k_stands(self, tmp_path):
+        cfg = _write_config(tmp_path, prior=DEMO_PRIOR, seed=3, K=5)
+        out = tmp_path / "draw.json"
+        assert main(["draw", "--config", cfg, "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["thetas"]) == DEMO_PRIOR["K"]
+
+
+@pytest.mark.parametrize("command", ["draw", "curves", "simulate"])
+@pytest.mark.parametrize("base", [{"kind": "exponential", "rate": 1e-320},
+                                  {"kind": "normal", "mean": 1e308, "sd": 1e308}])
+def test_prior_drawing_infinite_atoms_is_one_error(tmp_path, command, base):
+    cfg = _write_config(tmp_path, model="ifr", lambda0=0.1, seed=1,
+                        prior={**DEMO_PRIOR, "base": base})
+    out = tmp_path / "out.csv"
+    proc = subprocess.run([sys.executable, "-m", "gphazard.cli", command, "--config", cfg,
+                           "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert errors == [errors[0]] and "atom locations must be finite, got inf" in errors[0]
+    assert "Traceback" not in proc.stderr and not out.exists()

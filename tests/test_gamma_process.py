@@ -311,3 +311,26 @@ class TestSerialization:
     def test_malformed_fields_raise_value_error_naming_them(self, build, field):
         with pytest.raises(ValueError, match=field):
             build()
+
+
+class TestInfiniteAtomLocations:
+    """An atom at inf would add its mass to every finite-time integral; draws reject it."""
+
+    def test_from_atoms_names_the_locations(self):
+        with pytest.raises(ValueError, match=r"^atom locations must be finite, got inf for 1 of 2"):
+            GammaProcessDraw.from_atoms([1.0, math.inf], [1.0, 1.0])
+
+    def test_from_dict_rejects_infinity(self):
+        doc = {"gamma": 2.0, "thetas": [1.0, math.inf], "sticks": [0.5], "weights": [1.0, 1.0]}
+        with pytest.raises(ValueError, match="atom locations must be finite"):
+            GammaProcessDraw.from_dict(doc)
+
+    @pytest.mark.parametrize("base", [ExponentialBase(rate=1e-320), NormalBase(1e308, 1e308)])
+    def test_in_domain_priors_that_draw_inf(self, base):
+        params = GammaProcessParams(alpha=3.0, beta=1.0, n_atoms=20, base=base)
+        with pytest.raises(ValueError, match="atom locations must be finite, got inf"):
+            draw_gamma_process(params, RandomStream(1))
+
+    def test_finite_extremes_still_pass(self):
+        d = GammaProcessDraw.from_atoms([0.0, np.finfo(float).max], [1.0, 1.0])
+        assert d.thetas[1] == np.finfo(float).max

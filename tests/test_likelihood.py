@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from gphazard import _checks, likelihood, models
 from gphazard.datasets import Dataset
 from gphazard.gamma_process import GammaProcessDraw
 from gphazard.likelihood import (
@@ -235,3 +236,36 @@ class TestRepeatedEvaluation:
         data.observed = np.concatenate((data.observed, data.observed[:500]))
         assert log_likelihood(model, data) == fresh()
         assert log_likelihood(model, data) == fresh()
+
+
+class TestObservedTimesCheckedOnce:
+    """``log_likelihood`` checks the observed times; the model's kernel takes them as given."""
+
+    def test_times_changed_in_place_are_rejected(self, demo):
+        for name in ("ifr", "lwb", "mbt", "lcv"):
+            data = simulate_dataset(demo[name], 50, 3.0, RandomStream(2))
+            log_likelihood(demo[name], data)
+            data.times[np.flatnonzero(data.observed)[0]] = math.nan
+            with pytest.raises(ValueError, match="t must be non-negative, not NaN"):
+                log_likelihood(demo[name], data)
+
+    def test_one_check_per_evaluation(self, demo, monkeypatch):
+        calls = []
+
+        def counting(t, what="t"):
+            calls.append(np.size(t))
+            return _checks._as_times(t, what)
+
+        names = ("ifr", "dfr", "sbt", "mbt", "lcv")
+        datasets = {name: simulate_dataset(demo[name], 200, 3.0, RandomStream(3)) for name in names}
+        for name in names:  # builds the model's cached skeleton, which evaluates the hazard
+            log_likelihood(demo[name], simulate_dataset(demo[name], 5, 3.0, RandomStream(4)))
+        monkeypatch.setattr(likelihood, "_as_times", counting)
+        monkeypatch.setattr(models, "_as_times", counting)
+        for name, data in datasets.items():
+            for _ in range(2):
+                calls.clear()
+                log_likelihood(demo[name], data)
+                # the observed times once, the censored times once (by cum_hazard)
+                n_cens = data.n - data.n_observed
+                assert calls == [data.n_observed] + ([n_cens] if n_cens else []), name

@@ -873,3 +873,104 @@ class TestFusedHazardAndCumHazard:
         else:
             expected = np.unique(th)
         np.testing.assert_array_equal(model.breakpoints(), expected)
+
+
+def _masked_cum_hazard(skeleton, t) -> np.ndarray:
+    """The skeleton's cumulative hazard element by element, from the masked formula.
+
+    An increment is 0 where dt = 0, c*dt where |r| < 1e-12 and c*expm1(r*dt)/r
+    otherwise; the knot values accumulate the increments over whole segments.
+    """
+    knots, rates, coeffs = skeleton.knots, skeleton.rates, skeleton.coeffs
+
+    def increment(seg, dt):
+        c, r = coeffs[seg], rates[seg]
+        if dt == 0.0:
+            return 0.0
+        if abs(r) < 1e-12:
+            return c * dt
+        with np.errstate(over="ignore"):
+            return c * np.expm1(r * dt) / r
+
+    widths = np.diff(knots)
+    values = np.concatenate(([0.0], np.cumsum([increment(s, w) for s, w in enumerate(widths)])))
+    out = []
+    for x in t:
+        seg = int(np.searchsorted(knots, x, side="right")) - 1
+        out.append(values[seg] + increment(seg, x - knots[seg]))
+    return np.array(out)
+
+
+class TestExponentialSkeletonFixUp:
+    """lcv skeletons with a zero-rate segment or an overflowed coefficient, which take the
+    fix-up after the exponential formula, against the masked formula bit for bit."""
+
+    CASES = {
+        # w0 = 0 makes the first segment linear
+        "w0-zero": LogConvexHazard(1.0, 0.0, _atoms([(0.5, 0.3), (1.5, 0.7)])),
+        # tied atoms: a zero-width segment, then a zero-rate one of positive width
+        "tied-zero-rate": LogConvexHazard(0.8, -0.75, _atoms([(1.0, 0.25), (1.0, 0.5),
+                                                              (2.0, 0.75)])),
+        # tied atoms whose zero-rate segment is the zero-width one
+        "tied-zero-width": LogConvexHazard(0.8, -0.25, _atoms([(1.0, 0.25), (1.0, 0.5),
+                                                               (2.0, 0.75)])),
+        # the coefficients overflow to inf past the first knot
+        "overflow": LogConvexHazard(1e200, 500.0, _atoms([(0.5, 1.0), (1.0, 2.0), (2.0, 3.0)])),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    @pytest.mark.parametrize("order", ["unsorted", "ascending"])
+    def test_cum_hazard_bits(self, name, order):
+        model = self.CASES[name]
+        skeleton = model._skeleton
+        assert not skeleton._linear and not skeleton._exponential
+        knots = skeleton.knots
+        grid = RandomStream(8).uniforms(gamma_process._MERGE_MIN + 10) * (knots[-1] + 2.0)
+        t = np.concatenate(([0.0], knots, 0.5 * (knots[:-1] + knots[1:]), knots + 0.25, grid))
+        if order == "ascending":
+            t = np.sort(t)
+        expected = _masked_cum_hazard(skeleton, t)
+        np.testing.assert_array_equal(_bits(model.cum_hazard(t)), _bits(expected))
+        np.testing.assert_array_equal(_bits([model.cum_hazard(float(x)) for x in t[:40]]),
+                                      _bits(expected[:40]))
+        np.testing.assert_array_equal(_bits(model._hazard_and_cum(t)[1]), _bits(expected))
+
+    def test_exact_knots_of_the_overflowed_model(self):
+        model = self.CASES["overflow"]
+        knots = model._skeleton.knots
+        expected = _masked_cum_hazard(model._skeleton, knots)
+        assert expected[0] == 0.0 and np.all(expected[1:] == np.inf)
+        np.testing.assert_array_equal(_bits(model.cum_hazard(knots)), _bits(expected))
+
+
+class TestMixtureCumHazardOracle:
+    """The mixture's cumulative hazard from its components' ``cum_hazard`` and log weights."""
+
+    @staticmethod
+    def _oracle(model, t) -> np.ndarray:
+        dec, inc = model.components
+        with np.errstate(divide="ignore"):  # pi = 1 gives log(1 - pi) = -inf
+            a1 = math.log(model.pi) - np.asarray(dec.cum_hazard(t))
+            a2 = float(np.log1p(-model.pi)) - np.asarray(inc.cum_hazard(t))
+        return model._log_one - np.logaddexp(a1, a2)
+
+    @pytest.mark.parametrize("variant", ["demo", "defective-dfr", "pi-one"])
+    @pytest.mark.parametrize("order", ["unsorted", "ascending", "descending"])
+    def test_bits(self, demo, variant, order):
+        mbt = demo["mbt"]
+        model = {
+            "demo": mbt,
+            "defective-dfr": MixtureBathtub(0.3, 0.0, mbt.draw1, 0.1, mbt.draw2),
+            "pi-one": MixtureBathtub(1.0, 0.1, mbt.draw1, 0.1, mbt.draw2),
+        }[variant]
+        knots = np.unique(np.concatenate(([0.0], model.breakpoints())))
+        grid = RandomStream(9).uniforms(gamma_process._MERGE_MIN + 10) * (knots[-1] + 2.0)
+        t = np.concatenate(([0.0, 1e3], knots, grid))
+        if order != "unsorted":
+            t = np.sort(t) if order == "ascending" else np.sort(t)[::-1]
+        expected = self._oracle(model, t)
+        np.testing.assert_array_equal(_bits(model.cum_hazard(t)), _bits(expected))
+        np.testing.assert_array_equal(_bits(model._knot_values[1]),
+                                      _bits(self._oracle(model, knots)))
+        assert model.cum_hazard(float(t[7])) == expected[7]
+        assert isinstance(model.cum_hazard(float(t[7])), float)
