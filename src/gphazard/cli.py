@@ -80,17 +80,6 @@ def _section(cfg: dict, key: str) -> dict | None:
     return spec
 
 
-def _prior_params(cfg: dict, key: str) -> GammaProcessParams | None:
-    spec = _section(cfg, key)
-    if spec is None:
-        return None
-    if "file" in spec:
-        return None  # frozen draw, no parameters to report
-    spec = dict(spec)
-    spec.setdefault("K", cfg.get("K", 100))
-    return GammaProcessParams.from_dict(spec)
-
-
 def _resolve_draw(cfg: dict, key: str, stream: RandomStream) -> GammaProcessDraw:
     spec = _section(cfg, key)
     if spec is None:
@@ -101,7 +90,8 @@ def _resolve_draw(cfg: dict, key: str, stream: RandomStream) -> GammaProcessDraw
                 return GammaProcessDraw.from_json(fh.read())
         except OSError as e:
             raise ValueError(f"cannot read draw file {spec['file']}: {e}") from None
-    return draw_gamma_process(_prior_params(cfg, key), stream)
+    params = GammaProcessParams.from_dict({"K": cfg.get("K", 100), **spec})
+    return draw_gamma_process(params, stream)
 
 
 def build_model(cfg: dict, stream: RandomStream) -> HazardModel:
@@ -143,15 +133,12 @@ def _write_sidecar(out_path, cfg: dict, command: str) -> None:
 
 def _cmd_draw(args) -> int:
     cfg = _resolve(_load_config(args.config), args, {"seed": 0, "out": "draw.json", "K": None})
-    if args.K is not None and "K" in (_section(cfg, "prior") or {}):  # the flag overrides it
-        cfg["prior"] = {**cfg["prior"], "K": args.K}
-    if "prior" not in cfg:
-        raise ValueError("config is missing the 'prior' section")
-    params = _prior_params(cfg, "prior")
-    if params is None:
+    spec = _section(cfg, "prior") or {}
+    if args.K is not None and "K" in spec:  # the flag overrides it
+        cfg["prior"] = {**spec, "K": args.K}
+    if "file" in spec:
         raise ValueError("draw needs prior parameters, not a frozen draw file")
-    stream = RandomStream(cfg["seed"])
-    draw = draw_gamma_process(params, stream)
+    draw = _resolve_draw(cfg, "prior", RandomStream(cfg["seed"]))
     out = Path(cfg["out"])
     _write_text(out, draw.to_json() + "\n")
     table = (np.arange(1, draw.n_atoms + 1), draw.thetas, draw.weights)

@@ -236,11 +236,13 @@ class GammaProcessDraw:
         idx = np.argsort(self.thetas, kind="stable")
         thetas = self.thetas[idx]
         weights = self.weights[idx]
+        with np.errstate(over="ignore"):  # atoms near the top of the double range
+            cum_moment = np.cumsum(weights * thetas)
         return OrderedAtoms(
             thetas=thetas,
             weights=weights,
             cum_mass=np.cumsum(weights),
-            cum_moment=np.cumsum(weights * thetas),
+            cum_moment=cum_moment,
         )
 
     # Prefix sums with a leading zero so that index j = "number of atoms

@@ -3,17 +3,18 @@
 Each model evaluates its hazard, cumulative hazard, density and survival
 in closed form, and samples failure times exactly by solving
 ``cum_hazard(T) = -log(U)``.  All six are dataclasses on the one base
-``HazardModel`` and write out only their hazard, which counts the atoms below
-each cut through the draw's own lookup.  Five of the models share one
-cumulative-hazard skeleton that inverts in closed form: between knots the
-hazard is ``c * exp(r * (t - knot))``.  The four step-hazard models are its
-rate-0 case, with linear segments between breakpoints, and the log-convex
-model uses its exponential segments, with knots at the atom locations.  The
+``HazardModel`` and write out only their hazard (the step models: its level
+at each knot), which counts the atoms below each cut through the draw's own
+lookup.  Five of the models share one cumulative-hazard skeleton that
+inverts in closed form: between knots the hazard is
+``c * exp(r * (t - knot))``.  The four step-hazard models are its rate-0
+case, with linear segments between breakpoints, and the log-convex model
+uses its exponential segments, with knots at the atom locations.  The
 mixture model's cumulative hazard is concave between its pooled knots, so
 Newton's method started at the left knot inverts it without overshooting.
-Where a time's segment also tells its hazard (every model but lwb, whose
-rounded knots ``a - theta`` need not), one lookup serves both the hazard and
-the cumulative hazard, for the likelihood, the density and that Newton loop.
+A time's segment also tells its hazard (the step models' level table, lcv's
+atom count), so one lookup serves both the hazard and the cumulative hazard,
+for the likelihood, the density and that Newton loop.
 The public methods check their input once; the kernels behind them (the
 skeleton's methods and every ``_hazard_and_cum``) take checked 1-d arrays.
 
@@ -151,8 +152,8 @@ class _Skeleton:
         """Where the cumulative hazard reaches each checked 1-d target in ``arr``."""
         seg = np.maximum(np.searchsorted(self.values, arr, side="right") - 1, 0)
         knot, base, coeff = self.knots[seg], self.values[seg], self.coeffs[seg]
-        excess = arr - base
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            excess = arr - base  # inf - inf where the knot values overflowed
             t = knot + excess / coeff  # a vanishing slope puts t past the double range
         if not self._linear:
             rate = self.rates[seg]
@@ -162,6 +163,7 @@ class _Skeleton:
         if np.any(flat):
             t = np.where(flat & (arr == base), knot, t)
             t = np.where(flat & (arr > base), np.inf, t)
+        t[arr == np.inf] = np.inf
         return np.where(arr == 0.0, 0.0, t)
 
     @staticmethod
@@ -257,29 +259,31 @@ class HazardModel(ABC):
 
 @dataclass(eq=False)
 class _StepHazard(HazardModel):
-    """Piecewise-constant hazard at least ``lambda0`` >= 0, with a linear skeleton."""
+    """Piecewise-constant hazard at least ``lambda0`` >= 0, with a linear skeleton.
+
+    The skeleton's ``coeffs`` are the one level table, the hazard from each
+    knot on, so the hazard steps exactly where the cumulative hazard bends.
+    """
 
     lambda0: float = field(metadata={"domain": "non-negative"})
 
     @cached_property
     def _skeleton(self) -> _Skeleton:
-        """Linear segments between the breakpoints.
-
-        Each slope is the hazard at the segment's midpoint, the last one the
-        hazard one unit past the last knot; both are exact for step hazards.
-        """
         knots = np.unique(np.concatenate(([0.0], self.breakpoints())))
-        mids = np.append(0.5 * (knots[:-1] + knots[1:]), knots[-1] + 1.0)
-        return _Skeleton(knots, np.zeros(knots.size), self.hazard(mids))
+        return _Skeleton(knots, np.zeros(knots.size), self._levels_at(knots))
 
-    @cached_property
-    def _levels(self) -> np.ndarray:
-        # the hazard counts atoms at or below t, and none lies between t and its segment's knot
-        return self.hazard(self._skeleton.knots)
+    @abstractmethod
+    def _levels_at(self, knots: np.ndarray) -> np.ndarray:
+        """The hazard on the segment that starts at each knot."""
+
+    def hazard(self, t):
+        arr = _as_times(t)
+        skeleton = self._skeleton
+        return _maybe_scalar(skeleton.coeffs[_rank(skeleton.knots, arr, "right") - 1], t)
 
     def _hazard_and_cum(self, t):
         seg, cum = self._skeleton._locate(t)
-        return self._levels[seg], cum
+        return self._skeleton.coeffs[seg], cum
 
 
 @dataclass(eq=False)
@@ -292,9 +296,8 @@ class IncreasingFailureRate(_StepHazard):
     draw: GammaProcessDraw
     variant = "ifr"
 
-    def hazard(self, t):
-        arr = _as_times(t)
-        return _maybe_scalar(self.lambda0 + self.draw._mass0[self.draw._count_below(arr)], t)
+    def _levels_at(self, knots):
+        return self.lambda0 + self.draw._mass0[self.draw._count_below(knots)]
 
 
 @dataclass(eq=False)
@@ -307,10 +310,9 @@ class DecreasingFailureRate(_StepHazard):
     draw: GammaProcessDraw
     variant = "dfr"
 
-    def hazard(self, t):
-        arr = _as_times(t)
+    def _levels_at(self, knots):
         mass = self.draw._mass0
-        return _maybe_scalar(self.lambda0 + mass[-1] - mass[self.draw._count_below(arr)], t)
+        return self.lambda0 + mass[-1] - mass[self.draw._count_below(knots)]
 
 
 @dataclass(eq=False)
@@ -320,27 +322,29 @@ class LoWengBathtub(_StepHazard):
     Decreasing on [0, a), minimum value lambda0 at t = a, then mirrored
     increases: each atom at theta steps the hazard down at a - theta and
     up at a + theta, so the cumulative hazard is linear between those
-    pooled breakpoints.
+    pooled breakpoints.  The atoms are counted by those rounded knots.
     """
 
     a: float = field(metadata={"domain": "non-negative"})
     draw: GammaProcessDraw
     variant = "lwb"
 
-    # rounded knots a - theta and a + theta need not fix the atom counts on their segments
-    _hazard_and_cum = HazardModel._hazard_and_cum
+    def _mirrored(self) -> tuple[np.ndarray, np.ndarray]:
+        """The knots a - theta of the atoms below a, and a + theta of all, in atom order."""
+        th = self.draw.ordered.thetas
+        return self.a - th[th < self.a], self.a + th
 
-    def hazard(self, t):
-        arr = _as_times(t)
-        d, mass = self.draw, self.draw._mass0
-        early, out = arr < self.a, np.empty(arr.shape)
-        out[early] = mass[d._count_below(self.a - arr[early], strict=True)]   # atoms below a - t
-        out[~early] = mass[d._count_below(arr[~early] - self.a)]   # atoms at or below t - a
-        return _maybe_scalar(out + self.lambda0, t)
+    def _levels_at(self, knots):
+        # a knot's level counts a prefix of the sorted atoms: before a, those whose
+        # knot a - theta lies above it; from a on, those whose knot a + theta does not
+        down, up = self._mirrored()
+        above = down.size - np.searchsorted(down[::-1], knots, "right")
+        j = np.where(knots < self.a, above, np.searchsorted(up, knots, "right"))
+        return self.draw._mass0[j] + self.lambda0
 
     def breakpoints(self) -> np.ndarray:
-        th = self.draw.ordered.thetas
-        return np.unique(np.concatenate((self.a - th[th < self.a], [self.a], self.a + th)))
+        down, up = self._mirrored()
+        return np.unique(np.concatenate((down, [self.a], up)))
 
 
 @dataclass(eq=False)
@@ -355,11 +359,10 @@ class SuperpositionBathtub(_StepHazard):
     draw_increasing: GammaProcessDraw = field(metadata={"key": "draw2"})
     variant = "sbt"
 
-    def hazard(self, t):
-        arr = _as_times(t)
+    def _levels_at(self, knots):
         d1, d2 = self.draw_decreasing, self.draw_increasing
-        j1, j2 = d1._count_below(arr), d2._count_below(arr)
-        return _maybe_scalar(self.lambda0 + d1._mass0[-1] - d1._mass0[j1] + d2._mass0[j2], t)
+        j1, j2 = d1._count_below(knots), d2._count_below(knots)
+        return self.lambda0 + d1._mass0[-1] - d1._mass0[j1] + d2._mass0[j2]
 
 
 @dataclass(eq=False)

@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from gphazard.cli import main
+from gphazard.cli import build_model, main
 from gphazard.gamma_process import GammaProcessDraw
 from gphazard.models import IncreasingFailureRate, model_to_dict
+from gphazard.rng import RandomStream
 
 DEMO_PRIOR = {"alpha": 3.0, "beta": 1.0, "K": 20, "base": {"kind": "exponential", "rate": 1.0}}
 
@@ -96,6 +97,18 @@ class TestCurves:
         at_a = rows[rows[:, 0] == 0.6]
         assert at_a.shape[0] == 1
         assert at_a[0, 1] == rows[:, 1].min() == 0.1
+
+    @pytest.mark.parametrize("seed", [8, 20250812])
+    def test_lwb_hazard_steps_at_every_breakpoint(self, tmp_path, seed):
+        doc = {"model": "lwb", "lambda0": 0.1, "a": 0.6, "prior": DEMO_PRIOR, "seed": seed}
+        out = tmp_path / "curves.csv"
+        assert main(["curves", "--config", _write_config(tmp_path, **doc), "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        bps = build_model(doc, RandomStream(seed)).breakpoints()
+        bps = bps[(bps > 0.0) & (bps <= 5.0) & (bps != 0.6)]  # the minimum a need not step
+        at = np.searchsorted(rows[:, 0], bps)
+        np.testing.assert_array_equal(rows[at, 0], bps)
+        assert np.all(rows[at, 1] != rows[at - 1, 1])
 
     def test_grid_includes_breakpoint_pairs(self, tmp_path):
         cfg = _write_config(
@@ -370,6 +383,21 @@ class TestMalformedInput:
         proc = self._run("curves", "--config", cfg, "--out", str(tmp_path / "out.csv"))
         self._assert_reported(proc, repr(where.split()[-1]))
         assert len([ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]) == 1
+
+    @pytest.mark.parametrize("prior, message", [
+        (None, "config is missing the 'prior' section"),
+        ("file", "draw needs prior parameters, not a frozen draw file"),
+    ])
+    def test_draw_without_prior_parameters(self, tmp_path, capsys, prior, message):
+        doc = {"seed": 1}
+        if prior == "file":
+            draw = tmp_path / "frozen.json"
+            draw.write_text(GammaProcessDraw.from_atoms([1.0], [2.0]).to_json())
+            doc["prior"] = {"file": str(draw)}
+        cfg = _write_config(tmp_path, **doc)
+        assert main(["draw", "--config", cfg, "--out", str(tmp_path / "draw.json")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "draw.json").exists()
 
     @pytest.mark.parametrize("command", ["draw", "curves", "simulate"])
     def test_out_that_is_not_a_path_string(self, tmp_path, command):

@@ -26,6 +26,7 @@ from gphazard.models import (
 )
 from gphazard.rng import RandomStream
 from gphazard.stats import ks_distance
+from gphazard.validation import DEMO_SEED, demo_models
 
 
 def _atoms(pairs):
@@ -848,10 +849,11 @@ class TestFusedHazardAndCumHazard:
             np.testing.assert_array_equal(_bits(cum), _bits(model.cum_hazard(t)))
 
     def test_lwb_hazard_on_each_side_matches_both_lookups(self, models):
+        # off the knots; at a knot the hazard is its segment's level (TestStepLevels)
         lwb = models["lwb"]
         d, mass = lwb.draw, lwb.draw._mass0
         t = self._probes(lwb)
-        t = np.concatenate((t, lwb.a - d.thetas[d.thetas <= lwb.a], lwb.a + d.thetas))
+        t = t[~np.isin(t, lwb.breakpoints())]
         early = mass[d._count_below(lwb.a - t, strict=True)]
         late = mass[d._count_below(t - lwb.a)]
         expected = lwb.lambda0 + np.where(t < lwb.a, early, late)
@@ -873,6 +875,84 @@ class TestFusedHazardAndCumHazard:
         else:
             expected = np.unique(th)
         np.testing.assert_array_equal(model.breakpoints(), expected)
+
+
+def _step_models() -> dict:
+    """ifr, dfr, lwb and sbt at 3 demo seeds, on tied atoms and with an atom at 0; lwb at a = 0."""
+    out = {}
+    for seed in (DEMO_SEED, 7, 1):
+        demo = demo_models(seed)
+        out.update({f"{name}-{seed}": demo[name] for name in ("ifr", "dfr", "lwb", "sbt")})
+    for label, draw in (("tied", _atoms([(0.3, 0.5), (1.0, 0.125), (0.3, 0.25), (2.5, 1.0)])),
+                        ("atom-at-0", _atoms([(0.7, 0.25), (0.0, 0.5), (1.2, 1.0)]))):
+        out.update({f"ifr-{label}": IncreasingFailureRate(0.1, draw),
+                    f"dfr-{label}": DecreasingFailureRate(0.1, draw),
+                    f"lwb-{label}": LoWengBathtub(0.1, 0.6, draw),
+                    f"sbt-{label}": SuperpositionBathtub(0.1, draw, draw)})
+    out["lwb-a-0"] = LoWengBathtub(0.1, 0.0, demo_models(DEMO_SEED)["lwb"].draw)
+    return out
+
+
+STEP_MODELS = _step_models()
+
+
+class TestStepLevels:
+    """A step model's hazard takes each segment's level from the segment's left knot on."""
+
+    @staticmethod
+    def _segments(model):
+        """The knots, and a point inside the segment each starts (the knot, if one ulp wide)."""
+        knots = np.unique(np.concatenate(([0.0], model.breakpoints())))
+        ends = np.append(knots[1:], knots[-1] + 1.0)
+        inside = knots + 0.5 * (ends - knots)
+        return knots, ends, np.where(inside < ends, inside, knots)
+
+    @pytest.mark.parametrize("name", list(STEP_MODELS))
+    def test_hazard_steps_at_every_knot(self, name):
+        model = STEP_MODELS[name]
+        knots, _, inside = self._segments(model)
+        level = model.hazard(inside)
+        np.testing.assert_array_equal(_bits(model.hazard(knots)), _bits(level))
+        # just before a knot, the previous segment's level still holds
+        before = np.nextafter(knots[1:], -np.inf)
+        np.testing.assert_array_equal(_bits(model.hazard(before)), _bits(level[:-1]))
+        np.testing.assert_array_equal(_bits(model._hazard_and_cum(knots)[0]), _bits(level))
+
+    @pytest.mark.parametrize("name", list(STEP_MODELS))
+    def test_level_is_the_cum_hazard_slope(self, name):
+        model = STEP_MODELS[name]
+        knots, ends, inside = self._segments(model)
+        wide = ends - knots > 1e-3
+        slope = (model.cum_hazard(ends) - model.cum_hazard(knots)) / (ends - knots)
+        np.testing.assert_allclose(slope[wide], model.hazard(knots)[wide], rtol=1e-9)
+
+    def test_atoms_near_the_top_of_the_double_range(self):
+        # the midpoint of these two knots overflows; the levels are read at the knots
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = IncreasingFailureRate(0.0, GammaProcessDraw.from_atoms([1e308, 1.6e308],
+                                                                           [1.0, 1.0]))
+            assert model.cum_hazard(1.5e308) == 5e307
+            assert model.invert_cum_hazard(5e307) == 1.5e308
+
+
+class TestInfiniteTarget:
+    """``invert_cum_hazard(inf)`` is inf, also where the skeleton's knot values overflowed."""
+
+    @pytest.mark.parametrize("name", ["ifr", "dfr", "lwb", "sbt", "mbt", "lcv", "dfr-defective",
+                                      "lcv-overflow"])
+    def test_inverts_to_inf(self, demo, name):
+        if name == "dfr-defective":
+            model = DecreasingFailureRate(0.0, demo["dfr"].draw)
+        elif name == "lcv-overflow":
+            model = LogConvexHazard(1e200, 500.0, _atoms([(0.5, 1.0), (1.0, 2.0), (2.0, 3.0)]))
+        else:
+            model = demo[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.invert_cum_hazard(math.inf) == math.inf
+            np.testing.assert_array_equal(model.invert_cum_hazard(np.full(3, math.inf)),
+                                          np.full(3, math.inf))
 
 
 def _masked_cum_hazard(skeleton, t) -> np.ndarray:
