@@ -47,6 +47,13 @@ def _as_times(t, what: str = "t") -> np.ndarray:
     return arr
 
 
+def _frozen(x, dtype=float) -> np.ndarray:
+    """A read-only copy of ``x`` as a ``dtype`` array; the caller's own array stays writeable."""
+    arr = np.array(x, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 def _is_real(value) -> bool:
     """A real number that is not a bool and converts to a float (an int below about 1.8e308)."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):

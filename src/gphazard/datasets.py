@@ -3,32 +3,32 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._checks import _horizon
+from ._checks import _frozen, _horizon
 
 __all__ = ["Dataset", "read_dataset_csv", "write_dataset_csv"]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Failure times with status flags and an optional common censoring horizon.
 
     Every record carries its own time; a censored record's time is the
     horizon it survived past.  When a common ``tau`` is given, censored
-    times must equal it.
+    times must equal it.  Immutable: the arrays are read-only copies of
+    those given.
     """
 
     times: np.ndarray
     observed: np.ndarray
     tau: float | None = None
-    _orders: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.observed = np.asarray(self.observed, dtype=bool)
+        vars(self).update(times=_frozen(self.times), observed=_frozen(self.observed, bool))
         if self.times.shape != self.observed.shape or self.times.ndim != 1:
             raise ValueError("times and observed must be 1-d arrays of equal length")
         if not np.all(self.times > 0.0):  # false for NaN as well
@@ -36,7 +36,7 @@ class Dataset:
         if not np.all(self.times < math.inf):
             raise ValueError("all record times must be finite, not inf")
         if self.tau is not None:
-            self.tau = _horizon(self.tau)
+            vars(self)["tau"] = _horizon(self.tau)
             if not np.all(self.times[~self.observed] == self.tau):
                 raise ValueError("censored records must sit at the common horizon tau")
 
@@ -62,25 +62,15 @@ class Dataset:
     def censored_times(self) -> np.ndarray:
         return self.times[~self.observed]
 
-    def _ascending(self, observed: bool) -> tuple[np.ndarray | None, np.ndarray]:
-        """(order, times[order]) ascending for the observed (or censored) times.
+    @cached_property
+    def _ascending(self) -> tuple[np.ndarray, np.ndarray]:
+        """The observed times and the censored times, each sorted ascending and read-only.
 
-        The first request returns (None, times) unsorted, so a dataset used
-        once pays for no sort; later ones share one stable sort.  The kept
-        order is checked to still sort the times on every request, and the
-        times are sorted afresh when they were changed in place or replaced.
+        Sorted on first use and kept: the likelihood and Kaplan-Meier share it.
         """
-        t = self.observed_times() if observed else self.censored_times()
-        if observed not in self._orders:
-            self._orders[observed] = None
-            return None, t
-        order = self._orders[observed]
-        if order is not None and order.size == t.size:
-            ascending = t[order]
-            if (ascending[1:] >= ascending[:-1]).all():
-                return order, ascending
-        order = self._orders[observed] = np.argsort(t, kind="stable")
-        return order, t[order]
+        obs, cens = np.sort(self.observed_times()), np.sort(self.censored_times())
+        obs.flags.writeable = cens.flags.writeable = False
+        return obs, cens
 
 
 def _csv_text(header: str, columns) -> str:

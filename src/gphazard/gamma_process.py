@@ -14,13 +14,13 @@ for its own integrals and for every hazard model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
-from ._checks import (_as_times, _check_count, _check_range, _require_keys, _require_real_lists,
-                      _require_reals)
+from ._checks import (_as_times, _check_count, _check_range, _frozen, _require_keys,
+                      _require_real_lists, _require_reals)
 from .rng import RandomStream
 
 __all__ = [
@@ -163,7 +163,7 @@ class OrderedAtoms:
     ``cum_mass[l]`` is the total weight of the first l+1 sorted atoms and
     ``cum_moment[l]`` the corresponding sum of weight*location products;
     both are the partial sums the inverse-transform samplers interpolate
-    between.
+    between.  The arrays are read-only copies of those given.
     """
 
     thetas: np.ndarray
@@ -171,13 +171,17 @@ class OrderedAtoms:
     cum_mass: np.ndarray
     cum_moment: np.ndarray
 
+    def __post_init__(self):
+        vars(self).update({f.name: _frozen(getattr(self, f.name)) for f in fields(self)})
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True, eq=False)
 class GammaProcessDraw:
     """One truncated draw: total mass, atom locations, sticks, and weights.
 
-    Immutable after construction; evaluation methods accept scalars or
-    arrays of non-negative time points.
+    Immutable after construction: the arrays are read-only copies of those
+    given.  Evaluation methods accept scalars or arrays of non-negative
+    time points.
     """
 
     gamma: float
@@ -187,28 +191,25 @@ class GammaProcessDraw:
     unscaled_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        self.thetas = np.asarray(self.thetas, dtype=float)
-        self.sticks = np.asarray(self.sticks, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.gamma = _check_range("total mass", self.gamma, "non-negative")
-        if self.unscaled_weights is None:
-            if self.gamma > 0.0:
-                self.unscaled_weights = self.weights / self.gamma
-            else:
-                self.unscaled_weights = np.zeros_like(self.weights)
-        else:
-            self.unscaled_weights = np.asarray(self.unscaled_weights, dtype=float)
-        k = self.thetas.size
-        if self.weights.shape != (k,) or self.unscaled_weights.shape != (k,):
+        thetas, sticks, weights = _frozen(self.thetas), _frozen(self.sticks), _frozen(self.weights)
+        gamma = _check_range("total mass", self.gamma, "non-negative")
+        unscaled = self.unscaled_weights
+        if unscaled is None:
+            unscaled = weights / gamma if gamma > 0.0 else np.zeros_like(weights)
+        unscaled = _frozen(unscaled)
+        vars(self).update(gamma=gamma, thetas=thetas, sticks=sticks, weights=weights,
+                          unscaled_weights=unscaled)
+        k = thetas.size
+        if weights.shape != (k,) or unscaled.shape != (k,):
             raise ValueError("thetas and weights must have matching lengths")
-        if self.sticks.size not in (0, max(k - 1, 0)):
+        if sticks.size not in (0, max(k - 1, 0)):
             raise ValueError("sticks must be empty or have one fewer entry than thetas")
-        _as_times(self.thetas, "atom locations")
-        n_inf = int(np.sum(self.thetas == np.inf))
+        _as_times(thetas, "atom locations")
+        n_inf = int(np.sum(thetas == np.inf))
         if n_inf:  # the closed-form cumulative hazards turn wrong, yet finite, at an inf knot
             raise ValueError(f"atom locations must be finite, got inf for {n_inf} of {k} atoms")
-        _as_times(self.weights, "weights")
-        if abs(self.weights.sum() - self.gamma) > _CLOSURE_TOL * max(1.0, self.gamma):
+        _as_times(weights, "weights")
+        if abs(weights.sum() - gamma) > _CLOSURE_TOL * max(1.0, gamma):
             raise ValueError("weights do not sum to the total mass")
 
     @classmethod

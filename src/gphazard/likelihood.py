@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _as_times, _check_range
+from ._checks import _check_range
 from .datasets import Dataset
 from .rng import RandomStream
 
@@ -41,49 +41,27 @@ class HyperParams:
             _check_range(name, getattr(self, name), "positive")
 
 
-def _in_record_order(values, order) -> np.ndarray:
-    """Values as floats, put back in record order when ``order`` sorted the records."""
-    values = np.asarray(values, dtype=float)
-    if order is None:
-        return values
-    out = np.empty(values.size)
-    out[order] = values
-    return out
-
-
 def log_likelihood(model, dataset: Dataset) -> float:
     """Censored log-likelihood of the dataset under the model; -inf on zero hazard or overflow.
 
-    Repeated evaluation on one ``Dataset``, as in a sampler's loop, reuses
-    one stable sort of its times: from the second call on, the model is
-    evaluated on ascending times, where its atom lookups merge in
-    O(n + K log n), and the values go back to record order before they
-    are summed, so every call returns the first call's bits.  The hazard
-    and cumulative hazard come from the model's ``_hazard_and_cum``, if any,
-    which takes the observed times checked here, once per evaluation.
+    The model is evaluated on the dataset's ascending observed and censored
+    times, sorted on first use and kept, so in a sampler's loop over one
+    ``Dataset`` each atom lookup merges the atoms into the sorted times in
+    O(n + K log n).  The value is a sum over records, summed in that one
+    order, so it does not depend on the order of the records.  One call of
+    the model's ``_hazard_and_cum`` per array finds the hazard and the
+    cumulative hazard; the times were checked when the dataset was built.
     """
     if dataset.n == 0:
         raise ValueError("dataset must be non-empty")
-    both = getattr(model, "_hazard_and_cum", None) or (
-        lambda t: (model.hazard(t), model.cum_hazard(t)))
-    obs_order, obs = dataset._ascending(observed=True)
-    cens_order, cens = dataset._ascending(observed=False)
-    cum_sums = []
-    if obs.size:
-        lam, cum = both(_as_times(obs))
-        cum_sums.append(float(np.sum(_in_record_order(cum, obs_order))))
-    if cens.size:
-        cum_sums.append(float(np.sum(_in_record_order(model.cum_hazard(cens), cens_order))))
+    obs, cens = dataset._ascending
+    lam, cum = model._hazard_and_cum(obs)
+    cum_sums = (float(np.sum(cum)), float(np.sum(model._hazard_and_cum(cens)[1])))
     if math.inf in cum_sums:
         return -math.inf
-    total = 0.0
-    if obs.size:
-        lam = _in_record_order(lam, obs_order)
-        with np.errstate(divide="ignore"):
-            total += float(np.sum(np.log(lam)))
-    for cum in cum_sums:
-        total -= cum
-    return total
+    with np.errstate(divide="ignore"):
+        total = float(np.sum(np.log(lam)))
+    return total - cum_sums[0] - cum_sums[1]
 
 
 def sample_hyperparams(hyper: HyperParams, stream: RandomStream) -> tuple[float, float, float]:

@@ -184,10 +184,11 @@ class _Skeleton:
 class HazardModel(ABC):
     """The one base of all six models: their evaluation and sampling surface.
 
-    Each model is a dataclass whose fields, in order, are its constructor
-    arguments and document keys, and ``hazard`` is its only abstract method.
-    Each scalar field must lie in the domain its metadata names, or be finite
-    if it names none.  By default the cumulative hazard goes through the
+    Each model is a frozen dataclass whose fields, in order, are its
+    constructor arguments and document keys, and ``hazard`` is its only
+    abstract method.  Its draws are immutable too, so what a model caches
+    from them never goes stale.  Each scalar field must lie in the domain
+    its metadata names, or be finite if it names none.  By default the cumulative hazard goes through the
     model's cached ``_skeleton`` and the breakpoints are the draws' pooled
     atom locations.
     """
@@ -257,7 +258,7 @@ class HazardModel(ABC):
         return self.invert_cum_hazard(_neg_log(stream.uniforms(n)))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _StepHazard(HazardModel):
     """Piecewise-constant hazard at least ``lambda0`` >= 0, with a linear skeleton.
 
@@ -286,7 +287,7 @@ class _StepHazard(HazardModel):
         return self._skeleton.coeffs[seg], cum
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class IncreasingFailureRate(_StepHazard):
     """Non-decreasing hazard: a background rate plus the atom mass at or below t.
 
@@ -300,7 +301,7 @@ class IncreasingFailureRate(_StepHazard):
         return self.lambda0 + self.draw._mass0[self.draw._count_below(knots)]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DecreasingFailureRate(_StepHazard):
     """Non-increasing hazard: a background rate plus the atom mass strictly above t.
 
@@ -315,7 +316,7 @@ class DecreasingFailureRate(_StepHazard):
         return self.lambda0 + mass[-1] - mass[self.draw._count_below(knots)]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LoWengBathtub(_StepHazard):
     """Bathtub hazard symmetric about its minimum at t = a.
 
@@ -347,7 +348,7 @@ class LoWengBathtub(_StepHazard):
         return np.unique(np.concatenate((down, [self.a], up)))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SuperpositionBathtub(_StepHazard):
     """Sum of a decreasing and an increasing hazard from two independent draws.
 
@@ -365,7 +366,7 @@ class SuperpositionBathtub(_StepHazard):
         return self.lambda0 + d1._mass0[-1] - d1._mass0[j1] + d2._mass0[j2]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MixtureBathtub(HazardModel):
     """Two-component survival mixture of a decreasing and an increasing model.
 
@@ -387,12 +388,12 @@ class MixtureBathtub(HazardModel):
 
     def __post_init__(self):
         super().__post_init__()
-        self._decreasing = DecreasingFailureRate(self.lambda01, self.draw1)
-        self._increasing = IncreasingFailureRate(self.lambda02, self.draw2)
         with np.errstate(divide="ignore"):  # pi = 1 gives log(1 - pi) = -inf
-            self._log_pi = (math.log(self.pi), float(np.log1p(-self.pi)))
-        # 0 up to rounding; subtracting it keeps cum_hazard(0) exactly 0
-        self._log_one = float(np.logaddexp(*self._log_pi))
+            log_pi = (math.log(self.pi), float(np.log1p(-self.pi)))
+        # _log_one is 0 up to rounding; subtracting it keeps cum_hazard(0) exactly 0
+        vars(self).update(_decreasing=DecreasingFailureRate(self.lambda01, self.draw1),
+                          _increasing=IncreasingFailureRate(self.lambda02, self.draw2),
+                          _log_pi=log_pi, _log_one=float(np.logaddexp(*log_pi)))
 
     @property
     def components(self) -> tuple[DecreasingFailureRate, IncreasingFailureRate]:
@@ -477,7 +478,7 @@ class MixtureBathtub(HazardModel):
         return out
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LogConvexHazard(HazardModel):
     """Hazard whose logarithm is piecewise linear and convex.
 

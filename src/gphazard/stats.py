@@ -11,20 +11,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _as_times, _check_count, _check_range
+from ._checks import _as_times, _check_count, _check_range, _frozen
 from .datasets import Dataset, _csv_text
 from .gamma_process import _maybe_scalar
 
 __all__ = ["StepFunction", "kaplan_meier", "ks_distance", "histogram"]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StepFunction:
     """Right-continuous piecewise-constant function.
 
     ``values[i]`` is the level from ``breakpoints[i]`` (inclusive) up to
     the next breakpoint; ``initial`` is the level before the first
-    breakpoint.
+    breakpoint.  Immutable: the arrays are read-only copies of those given.
     """
 
     breakpoints: np.ndarray
@@ -32,8 +32,7 @@ class StepFunction:
     initial: float
 
     def __post_init__(self):
-        self.breakpoints = np.asarray(self.breakpoints, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
+        vars(self).update(breakpoints=_frozen(self.breakpoints), values=_frozen(self.values))
         if self.breakpoints.shape != self.values.shape or self.breakpoints.ndim != 1:
             raise ValueError("breakpoints and values must be 1-d arrays of equal length")
         if np.isnan(self.breakpoints).any() or not np.all(np.diff(self.breakpoints) > 0.0):
@@ -50,7 +49,7 @@ class StepFunction:
 
 
 def kaplan_meier(dataset: Dataset) -> StepFunction:
-    """Product-limit survival estimate (Kaplan & Meier, 1958) in O(n log n).
+    """Product-limit survival estimate (Kaplan & Meier, 1958) from the dataset's sorted times.
 
     At each distinct observed failure time the survival drops by the
     factor (1 - deaths/at-risk); censored records only shrink the risk
@@ -64,11 +63,13 @@ def kaplan_meier(dataset: Dataset) -> StepFunction:
     """
     if dataset.n == 0:
         raise ValueError("dataset must be non-empty")
-    event_times, deaths = np.unique(dataset.times[dataset.observed], return_counts=True)
+    obs, cens = dataset._ascending
+    event_times, deaths = np.unique(obs, return_counts=True)
     if event_times.size == 0:
         # everything censored: the estimate never leaves 1
         return StepFunction(breakpoints=np.array([]), values=np.array([]), initial=1.0)
-    at_risk = dataset.n - np.searchsorted(np.sort(dataset.times), event_times, side="left")
+    at_risk = (dataset.n - np.searchsorted(obs, event_times, side="left")
+               - np.searchsorted(cens, event_times, side="left"))
     after = at_risk - deaths
     starts = np.concatenate(([True], at_risk[1:] != after[:-1]))  # censoring since last event
     run = np.cumsum(starts) - 1
