@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from dataclasses import fields
 
 import numpy as np
 
@@ -52,6 +53,15 @@ def _frozen(x, dtype=float) -> np.ndarray:
     arr = np.array(x, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+def _rebuild(obj):
+    """``__reduce__`` of the immutable dataclasses: a copy or an unpickled one is built anew.
+
+    Passing the fields to the constructor checks them again, freezes fresh
+    copies of the arrays and starts with no cache, as for any new object.
+    """
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
 
 
 def _is_real(value) -> bool:

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._checks import _frozen, _horizon
+from ._checks import _frozen, _horizon, _rebuild
 
 __all__ = ["Dataset", "read_dataset_csv", "write_dataset_csv"]
 
@@ -26,6 +26,8 @@ class Dataset:
     times: np.ndarray
     observed: np.ndarray
     tau: float | None = None
+
+    __reduce__ = _rebuild
 
     def __post_init__(self):
         vars(self).update(times=_frozen(self.times), observed=_frozen(self.observed, bool))

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._checks import (_as_times, _check_count, _check_range, _frozen, _require_keys,
+from ._checks import (_as_times, _check_count, _check_range, _frozen, _rebuild, _require_keys,
                       _require_real_lists, _require_reals)
 from .rng import RandomStream
 
@@ -171,6 +171,8 @@ class OrderedAtoms:
     cum_mass: np.ndarray
     cum_moment: np.ndarray
 
+    __reduce__ = _rebuild
+
     def __post_init__(self):
         vars(self).update({f.name: _frozen(getattr(self, f.name)) for f in fields(self)})
 
@@ -189,6 +191,8 @@ class GammaProcessDraw:
     sticks: np.ndarray
     weights: np.ndarray
     unscaled_weights: np.ndarray | None = None
+
+    __reduce__ = _rebuild
 
     def __post_init__(self):
         thetas, sticks, weights = _frozen(self.thetas), _frozen(self.sticks), _frozen(self.weights)
@@ -234,8 +238,11 @@ class GammaProcessDraw:
     @cached_property
     def ordered(self) -> OrderedAtoms:
         """Sorted view with prefix sums (stable under ties, weights kept separate)."""
-        idx = np.argsort(self.thetas, kind="stable")
+        idx = np.argsort(self.thetas)
         thetas = self.thetas[idx]
+        if (thetas[1:] == thetas[:-1]).any():  # only tied atoms can take another order
+            idx = np.argsort(self.thetas, kind="stable")
+            thetas = self.thetas[idx]
         weights = self.weights[idx]
         with np.errstate(over="ignore"):  # atoms near the top of the double range
             cum_moment = np.cumsum(weights * thetas)

@@ -8,14 +8,18 @@ optimizers can reject the state rather than crash).  So does a
 cumulative-hazard sum that overflows to ``+inf``: the exact log-likelihood
 is then below -1.8e308, so ``-inf`` is its correctly rounded value, where
 ``log(inf) - inf`` would be nan.
+
+Each model family scores the observed times from one split of the
+ascending times by its knots, with no per-record hazard: the step models
+from each segment's event count and summed offsets from its knot (the
+piecewise exponential likelihood), lcv from its log hazard, linear on each
+segment, and the mixture from its log density.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._checks import _check_range
 from .datasets import Dataset
@@ -44,24 +48,18 @@ class HyperParams:
 def log_likelihood(model, dataset: Dataset) -> float:
     """Censored log-likelihood of the dataset under the model; -inf on zero hazard or overflow.
 
-    The model is evaluated on the dataset's ascending observed and censored
-    times, sorted on first use and kept, so in a sampler's loop over one
-    ``Dataset`` each atom lookup merges the atoms into the sorted times in
-    O(n + K log n).  The value is a sum over records, summed in that one
-    order, so it does not depend on the order of the records.  One call of
-    the model's ``_hazard_and_cum`` per array finds the hazard and the
-    cumulative hazard; the times were checked when the dataset was built.
+    The model's family scores the dataset's ascending observed and censored
+    times, sorted on first use and kept: its ``_log_likelihood_terms``
+    returns the sum of ``log hazard - cum_hazard`` over the observed times,
+    -inf where their cumulative hazard overflows, and the sum of
+    ``cum_hazard`` over the censored.  An overflowed censored sum gives -inf
+    before the two are combined.  The value does not depend on the order of
+    the records, and the times were checked when the dataset was built.
     """
     if dataset.n == 0:
         raise ValueError("dataset must be non-empty")
-    obs, cens = dataset._ascending
-    lam, cum = model._hazard_and_cum(obs)
-    cum_sums = (float(np.sum(cum)), float(np.sum(model._hazard_and_cum(cens)[1])))
-    if math.inf in cum_sums:
-        return -math.inf
-    with np.errstate(divide="ignore"):
-        total = float(np.sum(np.log(lam)))
-    return total - cum_sums[0] - cum_sums[1]
+    observed, censored = model._log_likelihood_terms(*dataset._ascending)
+    return -math.inf if censored == math.inf else observed - censored
 
 
 def sample_hyperparams(hyper: HyperParams, stream: RandomStream) -> tuple[float, float, float]:

@@ -14,9 +14,12 @@ mixture model's cumulative hazard is concave between its pooled knots, so
 Newton's method started at the left knot inverts it without overshooting.
 A time's segment also tells its hazard (the step models' level table, lcv's
 atom count), so one lookup serves both the hazard and the cumulative hazard,
-for the likelihood, the density and that Newton loop.
+for the density and that Newton loop.  The likelihood splits a dataset's
+sorted times by the knots once, and each family scores it from that split
+(``_log_likelihood_terms``).
 The public methods check their input once; the kernels behind them (the
-skeleton's methods and every ``_hazard_and_cum``) take checked 1-d arrays.
+skeleton's methods, every ``_hazard_and_cum`` and ``_log_likelihood_terms``)
+take checked 1-d arrays.
 
 A failure draw can be infinite when the total cumulative hazard is
 finite (a defective failure distribution); ``math.inf`` is the sentinel
@@ -28,11 +31,13 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import Field, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
+from operator import itemgetter
 
 import numpy as np
 
-from ._checks import _as_times, _check_count, _check_range, _horizon, _require_keys, _require_reals
+from ._checks import (_as_times, _check_count, _check_range, _horizon, _rebuild, _require_keys,
+                      _require_reals)
 from .datasets import Dataset
 from .gamma_process import GammaProcessDraw, _maybe_scalar, _rank
 from .likelihood import HyperParams
@@ -90,6 +95,13 @@ def _math_log(u: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, u.tolist()), dtype=float, count=u.size)
 
 
+def _from_zero(breakpoints: np.ndarray) -> np.ndarray:
+    """The sorted, distinct, non-negative ``breakpoints`` with 0 in front unless they start at 0."""
+    if breakpoints.size and breakpoints[0] == 0.0:
+        return breakpoints
+    return np.concatenate(([0.0], breakpoints))
+
+
 @dataclass(eq=False)
 class _Skeleton:
     """Cumulative hazard whose hazard is exponential in t on each segment.
@@ -116,18 +128,24 @@ class _Skeleton:
         steep = np.abs(self.rates) >= _ZERO_RATE
         self._linear = finite and not steep.any()
         self._exponential = finite and bool(steep.all())
-        incs = self._increment(np.s_[:-1], np.diff(self.knots))
+        incs = self._increment(itemgetter(np.s_[:-1]), np.diff(self.knots))
         self.values = np.concatenate(([0.0], np.cumsum(incs)))
 
-    def _increment(self, seg, dt: np.ndarray) -> np.ndarray:
-        """Integral of the hazard over [knots[seg], knots[seg] + dt]; may overwrite the 1-d dt."""
-        coeff = self.coeffs[seg]
+    def _increment(self, pick, dt: np.ndarray) -> np.ndarray:
+        """Integral of the hazard over dt from the knot of each segment ``pick`` takes.
+
+        May overwrite the 1-d dt.
+        """
+        coeff = pick(self.coeffs)
         if self._linear:
             dt *= coeff
             return dt
-        rate = self.rates[seg]
+        rate = pick(self.rates)
         with np.errstate(over="ignore", invalid=None if self._exponential else "ignore"):
-            out = coeff * np.expm1(rate * dt) / rate  # may overflow to inf; dt = 0 adds +-0
+            out = rate * dt  # then c * expm1(r * dt) / r in the same buffer
+            np.expm1(out, out=out)
+            out *= coeff  # may overflow to inf; dt = 0 adds +-0
+            out /= rate
         if not self._exponential:  # nan where r = 0, or where c = inf and dt = 0
             lin = np.abs(rate) < _ZERO_RATE
             out[lin] = coeff[lin] * dt[lin]
@@ -137,10 +155,29 @@ class _Skeleton:
     def _locate(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The segment of each time in a checked 1-d ``arr``, and the cumulative hazard there."""
         seg = _rank(self.knots, arr, "right") - 1
-        dt = self.knots[seg]
-        out = self._increment(seg, np.subtract(arr, dt, out=dt))
-        out += self.values[seg]
-        return seg, out
+        return seg, self._cum_at(itemgetter(seg), arr)
+
+    def _cum_at(self, pick, arr: np.ndarray) -> np.ndarray:
+        """The cumulative hazard at the checked 1-d times ``arr``, in the segments ``pick`` takes.
+
+        ``pick`` takes the segments' entries from a per-segment array: by
+        index (an ``itemgetter``), or repeated over the runs of sorted times.
+        """
+        dt = pick(self.knots)
+        out = self._increment(pick, np.subtract(arr, dt, out=dt))
+        out += pick(self.values)
+        return out
+
+    def _split(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, partial]:
+        """The ascending ``times`` split by the knots, in O(K log n): one search of the knots.
+
+        Segment l holds ``times[starts[l]:starts[l] + counts[l]]``, the times
+        from its knot on.  ``spread`` repeats each entry of a per-segment
+        array over its segment's times, the same as indexing it by segment.
+        """
+        starts = np.searchsorted(times, self.knots, "left")
+        counts = np.concatenate((starts[1:], [times.size])) - starts
+        return starts, counts, partial(np.repeat, repeats=counts)
 
     def limit(self) -> float:
         rate, coeff = float(self.rates[-1]), float(self.coeffs[-1])
@@ -194,6 +231,8 @@ class HazardModel(ABC):
     """
 
     variant: str
+
+    __reduce__ = _rebuild
 
     def __post_init__(self):
         for f in fields(self):
@@ -270,7 +309,7 @@ class _StepHazard(HazardModel):
 
     @cached_property
     def _skeleton(self) -> _Skeleton:
-        knots = np.unique(np.concatenate(([0.0], self.breakpoints())))
+        knots = _from_zero(self.breakpoints())
         return _Skeleton(knots, np.zeros(knots.size), self._levels_at(knots))
 
     @abstractmethod
@@ -285,6 +324,26 @@ class _StepHazard(HazardModel):
     def _hazard_and_cum(self, t):
         seg, cum = self._skeleton._locate(t)
         return self._skeleton.coeffs[seg], cum
+
+    def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
+        """The sum of log h - H over the ascending observed times, and of H over the censored.
+
+        The hazard is constant on each segment, so the n_l observed times in
+        segment l add ``n_l log(level_l) - n_l values_l - level_l sum(t - knot_l)``.
+        The offsets t - knot_l are taken per record, exactly, and summed per
+        segment; the segments' terms are summed pairwise.  The censored times
+        take the skeleton per record.
+        """
+        skeleton = self._skeleton
+        starts, counts, spread = skeleton._split(obs)
+        seg = np.flatnonzero(counts)
+        n, level = counts[seg], skeleton.coeffs[seg]
+        offsets = spread(skeleton.knots)
+        spent = np.add.reduceat(np.subtract(obs, offsets, out=offsets), starts[seg])
+        # a zero level under an event gives log 0 = -inf, an overflowed cumulative hazard -inf
+        with np.errstate(divide="ignore", over="ignore"):
+            observed = np.sum(n * np.log(level) - (n * skeleton.values[seg] + level * spent))
+        return float(observed), float(np.sum(skeleton._locate(cens)[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,9 +494,31 @@ class MixtureBathtub(HazardModel):
         log_s = self._log_weights(*(c.cum_hazard_limit() for c in self.components))[2]
         return float(self._log_one - log_s)
 
+    def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
+        """The sum of log h - H over the ascending observed times, and of H over the censored.
+
+        At an observed time log h - H = log f - _log_one: the log survival in
+        both cancels, leaving the log density
+        ``log f = logaddexp(log(pi) + log h1 - L1, log(1-pi) + log h2 - L2)``.
+        Each component's log h is the log of its segment's level, K logs in
+        all, and its L the skeleton in the segments of the split of the times
+        by its knots.  Where both L overflow, log f is -inf.
+        """
+        log_terms = []
+        for component, log_pi in zip(self.components, self._log_pi):
+            skeleton = component._skeleton
+            spread = skeleton._split(obs)[2]
+            with np.errstate(divide="ignore"):  # a zero level, or pi = 1
+                lead = log_pi + np.log(skeleton.coeffs)
+            cum = skeleton._cum_at(spread, obs)
+            log_terms.append(np.subtract(spread(lead), cum, out=cum))
+        observed = float(np.sum(np.logaddexp(*log_terms))) - obs.size * self._log_one
+        cums = (c._skeleton._locate(cens)[1] for c in self.components)
+        return observed, float(np.sum(self._log_one - self._log_weights(*cums)[2]))
+
     @cached_property
     def _knot_values(self) -> tuple[np.ndarray, np.ndarray]:
-        knots = np.unique(np.concatenate(([0.0], self.breakpoints())))
+        knots = _from_zero(self.breakpoints())
         return knots, self._hazard_and_cum(knots)[1]
 
     def invert_cum_hazard(self, target):
@@ -508,6 +589,25 @@ class LogConvexHazard(HazardModel):
         # the knots are 0 and every atom, so a time's segment counts the atoms at or below it
         seg, cum = self._skeleton._locate(t)
         return self._hazard_at(t, seg), cum
+
+    def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
+        """The sum of log h - H over the ascending observed times, and of H over the censored.
+
+        On segment l the log hazard ``log(lambda0) - moment_l + rate_l * t`` is
+        linear in t, so the n_l observed times there add
+        ``n_l (log(lambda0) - moment_l) + rate_l sum(t)``: no exp or log per
+        record.  The cumulative hazard is taken per record, in the segments of
+        the same split; where its sum overflows, the first sum is -inf.
+        """
+        skeleton = self._skeleton
+        starts, counts, spread = skeleton._split(obs)
+        seg = np.flatnonzero(counts)
+        with np.errstate(over="ignore"):  # a steep hazard's terms overflow, as its cum_hazard does
+            log_hazard = np.sum(counts[seg] * (math.log(self.lambda0) - self.draw._moment0[seg])
+                                + skeleton.rates[seg] * np.add.reduceat(obs, starts[seg]))
+        cum = float(np.sum(skeleton._cum_at(spread, obs)))
+        observed = -math.inf if cum == math.inf else float(log_hazard) - cum
+        return observed, float(np.sum(skeleton._locate(cens)[1]))
 
     def _hazard_at(self, arr: np.ndarray, j: np.ndarray) -> np.ndarray:
         """The hazard at times ``arr`` with ``j`` atoms at or below each."""

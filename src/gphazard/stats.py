@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _as_times, _check_count, _check_range, _frozen
+from ._checks import _as_times, _check_count, _check_range, _frozen, _rebuild
 from .datasets import Dataset, _csv_text
 from .gamma_process import _maybe_scalar
 
@@ -30,6 +30,8 @@ class StepFunction:
     breakpoints: np.ndarray
     values: np.ndarray
     initial: float
+
+    __reduce__ = _rebuild
 
     def __post_init__(self):
         vars(self).update(breakpoints=_frozen(self.breakpoints), values=_frozen(self.values))

@@ -240,6 +240,19 @@ class TestOrderedView:
         d = draw_gamma_process(_demo_params(), RandomStream(10))
         assert abs(d.ordered.cum_mass[-1] - d.gamma) <= 1e-12 * d.gamma
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tied_atoms_keep_their_given_order(self, seed):
+        # the same arrays as a stable sort, so the prefix sums keep their bits under ties
+        rng = np.random.default_rng(seed)
+        thetas = rng.integers(0, 20, 500).astype(float)
+        weights = rng.exponential(size=thetas.size)
+        o = GammaProcessDraw.from_atoms(thetas, weights).ordered
+        idx = np.argsort(thetas, kind="stable")
+        for got, expected in [(o.thetas, thetas[idx]), (o.weights, weights[idx]),
+                              (o.cum_mass, np.cumsum(weights[idx])),
+                              (o.cum_moment, np.cumsum(weights[idx] * thetas[idx]))]:
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
 
 class TestExpectedTailMass:
     def test_exact_values(self):

@@ -4,14 +4,17 @@ Each mutation below used to be accepted and leave a cached skeleton, prefix
 sum or sort stale, so that an evaluation returned a wrong finite number.
 """
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from gphazard.datasets import Dataset
 from gphazard.gamma_process import GammaProcessDraw, OrderedAtoms
+from gphazard.likelihood import log_likelihood
 from gphazard.models import DecreasingFailureRate, IncreasingFailureRate, simulate_dataset
 from gphazard.rng import RandomStream
 from gphazard.stats import StepFunction, kaplan_meier
@@ -96,3 +99,41 @@ def test_a_callers_array_stays_writeable_and_unshared(build):
     assert not np.shares_memory(a, kept)
     a[0] = 3.0
     assert kept[0] == 1.0
+
+
+_COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}
+
+
+class TestCopies:
+    """A copy or an unpickled object is built again by its constructor, so it is as immutable."""
+
+    @pytest.mark.parametrize("how", _COPIES)
+    def test_arrays_stay_read_only(self, demo, how):
+        data = simulate_dataset(demo["ifr"], 20, 3.0, RandomStream(1))
+        draw = demo["ifr"].draw
+        for obj, names in [(data, ("times", "observed")),
+                           (draw, ("thetas", "sticks", "weights", "unscaled_weights")),
+                           (draw.ordered, ("thetas", "weights", "cum_mass", "cum_moment")),
+                           (kaplan_meier(data), ("breakpoints", "values"))]:
+            copied = _COPIES[how](obj)
+            assert type(copied) is type(obj)
+            for name in names:
+                arr = getattr(copied, name)
+                assert not arr.flags.writeable, (type(obj).__name__, name)
+                np.testing.assert_array_equal(arr, getattr(obj, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(copied, names[0], getattr(copied, names[0]))
+
+    @pytest.mark.parametrize("how", _COPIES)
+    def test_models_start_uncached_and_give_the_same_bits(self, demo, how):
+        for name, model in demo.items():
+            data = simulate_dataset(model, 300, 3.0, RandomStream(2))
+            expected = log_likelihood(model, data).hex()  # the original caches its skeleton
+            copied, copied_data = _COPIES[how](model), _COPIES[how](data)
+            assert not {"_skeleton", "_knot_values"} & set(vars(copied)), name
+            assert "_ascending" not in vars(copied_data)
+            for f in dataclasses.fields(copied):
+                if isinstance(getattr(copied, f.name), GammaProcessDraw):
+                    assert not getattr(copied, f.name).thetas.flags.writeable, name
+            assert log_likelihood(copied, copied_data).hex() == expected, name

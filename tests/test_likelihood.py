@@ -1,6 +1,8 @@
 """Censored likelihood evaluation and hyperprior sampling/density."""
 
+import collections
 import dataclasses
+import decimal
 import math
 import warnings
 
@@ -22,8 +24,11 @@ from gphazard.likelihood import (
 from gphazard.models import (
     DecreasingFailureRate,
     IncreasingFailureRate,
+    LoWengBathtub,
     LogConvexHazard,
     MixtureBathtub,
+    SuperpositionBathtub,
+    draw_model_params,
     simulate_dataset,
 )
 from gphazard.rng import RandomStream
@@ -155,11 +160,19 @@ class TestLogHyperpriorNaN:
 
 class TestOverflowedMixtureCumulativeHazard:
     def test_log_likelihood_is_minus_inf_without_a_warning(self):
+        self._check(last_observed=False)
+
+    def test_all_observed_is_minus_inf_without_a_warning(self):
+        # no censored sum to overflow: the log density of the events is -inf
+        self._check(last_observed=True)
+
+    @staticmethod
+    def _check(last_observed):
         draw = GammaProcessDraw.from_atoms([1.0, 2.0], [0.5, 0.5])
         model = MixtureBathtub(0.5, 1.7e308, draw, 1.7e308, draw)
         with np.errstate(over="ignore"):  # both components' knot values overflow as they are built
             assert model.cum_hazard(3.0) == math.inf
-        data = Dataset(times=[3.0] * 1500 + [2.5], observed=[True] * 1500 + [False])
+        data = Dataset(times=[3.0] * 1500 + [2.5], observed=[True] * 1500 + [last_observed])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(2):  # records as given, then sorted
@@ -181,11 +194,34 @@ class TestOverflowedCumulativeHazard:
             assert log_likelihood(self._model(), data) == -math.inf
 
     def test_finite_records_keep_their_value(self):
+        # the log hazard is linear on a segment, log(lambda0) + rate * t before the first
+        # atom, and is summed as such; the cumulative hazard is taken per record
         model = self._model()
         data = Dataset(times=[1e-3, 2e-3], observed=[True, False])
-        lam = np.asarray(model.hazard(data.times))
         cum = np.asarray(model.cum_hazard(data.times))
-        assert log_likelihood(model, data) == 0.0 + math.log(lam[0]) - cum[0] - cum[1]
+        log_hazard = math.log(1e200) + 500.0 * 1e-3
+        assert log_likelihood(model, data) == log_hazard - cum[0] - cum[1]
+        assert log_hazard == pytest.approx(math.log(model.hazard(1e-3)), rel=1e-15)
+
+
+class TestUnderflowedHazard:
+    def test_lcv_stays_finite_where_its_hazard_underflows(self):
+        # the log hazard, -1000 t here, is summed as such, so a hazard below the
+        # smallest double at a record does not make the log-likelihood -inf
+        model = LogConvexHazard(1.0, -1000.0, GammaProcessDraw.from_atoms([], []))
+        assert model.hazard(1.0) == 0.0
+        data = Dataset(times=[0.5, 1.0], observed=[True, True])
+        expected = -1500.0 - model.cum_hazard(0.5) - model.cum_hazard(1.0)
+        assert log_likelihood(model, data) == pytest.approx(expected, rel=1e-15)
+
+    def test_mbt_stays_finite_where_its_hazard_underflows(self):
+        # past its atom the decreasing component's hazard is 0, and the increasing one's
+        # weight exp(-799) underflows, so hazard(800) is 0; its log density is not
+        empty = GammaProcessDraw.from_atoms([], [])
+        model = MixtureBathtub(0.5, 0.0, GammaProcessDraw.from_atoms([1.0], [1.0]), 1.0, empty)
+        assert model.hazard(800.0) == 0.0
+        data = Dataset(times=[800.0], observed=[True])
+        assert log_likelihood(model, data) == pytest.approx(math.log(0.5) - 800.0, rel=1e-15)
 
 
 class TestRepeatedEvaluation:
@@ -204,16 +240,17 @@ class TestRepeatedEvaluation:
         model, seen = demo["lwb"], []
 
         class Recording:
-            def _hazard_and_cum(self, t):
-                seen.append(np.array(t))
-                return model._hazard_and_cum(t)
+            def _log_likelihood_terms(self, obs, cens):
+                seen.append((np.array(obs), np.array(cens)))
+                return model._log_likelihood_terms(obs, cens)
 
         data = simulate_dataset(model, 500, 3.0, RandomStream(4))
         for _ in range(2):
             assert log_likelihood(Recording(), data) == log_likelihood(model, data)
-        ascending = [np.sort(data.observed_times()), np.sort(data.censored_times())]
-        for got, expected in zip(seen, ascending * 2, strict=True):
-            np.testing.assert_array_equal(got, expected)
+        assert len(seen) == 2
+        for obs, cens in seen:
+            np.testing.assert_array_equal(obs, np.sort(data.observed_times()))
+            np.testing.assert_array_equal(cens, np.sort(data.censored_times()))
 
     def test_times_cannot_be_changed_in_place_or_replaced(self, demo):
         model = demo["sbt"]
@@ -276,3 +313,138 @@ class TestRecordOrder:
         expected = log_likelihood(demo[name], data).hex()
         assert log_likelihood(demo[name], shuffled).hex() == expected
         assert log_likelihood(demo[name], reversed_).hex() == expected
+
+
+def _six_models(draw, draw2, lambda0=0.3, a=1.0):
+    return {
+        "ifr": IncreasingFailureRate(lambda0, draw),
+        "dfr": DecreasingFailureRate(lambda0, draw),
+        "lwb": LoWengBathtub(lambda0, a, draw),
+        "sbt": SuperpositionBathtub(lambda0, draw, draw2),
+        "mbt": MixtureBathtub(0.4, lambda0, draw, lambda0, draw2),
+        "lcv": LogConvexHazard(lambda0 or 1.0, -0.5, draw),
+    }
+
+
+def _per_record(model, data) -> tuple[float, float]:
+    """The log-likelihood from the public ``hazard`` and ``cum_hazard``, record by record,
+    and the sum of the terms' magnitudes."""
+    obs, cens = data.observed_times(), data.censored_times()
+    with np.errstate(divide="ignore"):
+        log_h = np.log(np.asarray(model.hazard(obs), dtype=float))
+    cum = np.concatenate((model.cum_hazard(obs), model.cum_hazard(cens)))
+    if np.any(cum == math.inf):
+        return -math.inf, math.inf
+    return math.fsum(log_h) - math.fsum(cum), math.fsum(np.abs(log_h)) + math.fsum(cum)
+
+
+_ATOMS = GammaProcessDraw.from_atoms([0.5, 1.0, 2.0], [0.7, 0.4, 1.1])
+_ATOMS2 = GammaProcessDraw.from_atoms([1.0, 2.5], [0.3, 0.9])
+_TIED = GammaProcessDraw.from_atoms([1.0, 0.5, 1.0, 2.0, 0.5], [0.2, 0.7, 0.4, 1.1, 0.1])
+_ONE = GammaProcessDraw.from_atoms([1.2], [0.8])
+_EDGES = {  # draws, then the records
+    # with a = 1 every knot of every model lies in 0.5, 1.0, 1.5, 2.0, 2.5, 3.0
+    "times at the knots": (_ATOMS, _ATOMS2,
+                           Dataset([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.0], [True] * 6 + [False])),
+    "tied atoms and times": (_TIED, _TIED, Dataset([0.5, 0.5, 1.0, 1.0, 1.0, 0.7, 3.0, 3.0],
+                                                   [True] * 6 + [False] * 2, tau=3.0)),
+    "n = 1, K = 1": (_ONE, _ONE, Dataset([0.9], [True])),
+    "K = 0": (GammaProcessDraw.from_atoms([], []), _ONE, Dataset([0.4, 2.0], [True, False])),
+    "all censored": (_ATOMS, _ATOMS2, Dataset([3.0] * 5, [False] * 5, tau=3.0)),
+    "all observed": (_ATOMS, _ATOMS2, Dataset(np.linspace(0.05, 4.0, 80), [True] * 80)),
+}
+
+
+class TestAgainstThePerRecordSum:
+    """The per-segment sums agree with the public hazard and cum_hazard summed record by record."""
+
+    @pytest.mark.parametrize("case", _EDGES)
+    @pytest.mark.parametrize("name", ["ifr", "dfr", "lwb", "sbt", "mbt", "lcv"])
+    def test_edge_cases(self, case, name):
+        draw, draw2, data = _EDGES[case]
+        model = _six_models(draw, draw2)[name]
+        expected, scale = _per_record(model, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_likelihood(model, data)
+        assert got == pytest.approx(expected, rel=0.0, abs=64 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("name, t", [("ifr", 0.25), ("dfr", 3.0), ("lwb", 1.2),
+                                         ("sbt", 2.2), ("mbt", 2.2)])
+    def test_a_zero_level_under_an_event_is_minus_inf(self, name, t):
+        # lambda0 = 0: ifr below its atoms, dfr above them, lwb between a and a + 0.5,
+        # sbt and mbt above the decreasing atoms and below the increasing one
+        model = _six_models(_ATOMS, GammaProcessDraw.from_atoms([2.5], [1.0]), lambda0=0.0)[name]
+        assert model.hazard(t) == 0.0
+        data = Dataset([0.4, t, 2.9, 3.0], [True, True, False, True])
+        assert _per_record(model, data)[0] == -math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_likelihood(model, data) == -math.inf
+
+    @pytest.mark.parametrize("name", ["ifr", "dfr", "lwb", "sbt", "mbt", "lcv"])
+    def test_simulated_records(self, demo, name):
+        data = simulate_dataset(demo[name], 3000, 3.0, RandomStream(6))
+        expected, scale = _per_record(demo[name], data)
+        got = log_likelihood(demo[name], data)
+        assert got == pytest.approx(expected, rel=0.0, abs=64 * np.finfo(float).eps * scale)
+
+
+def _decimal_error_ulp(model, data, got: float) -> float:
+    """How far ``got`` lies from a 50-digit evaluation of the model's skeleton, in ulp of it.
+
+    The skeleton's knots, levels (``coeffs``) and knot values are taken as
+    exact.  For lcv only the log-hazard sum, ``log(lambda0) - moment_l +
+    rate_l * t`` on segment l, is evaluated so; its cumulative hazard is the
+    model's ``cum_hazard`` per record, summed exactly.
+    """
+    D = decimal.Decimal
+    skeleton = model._skeleton
+    obs, cens = data.observed_times(), data.censored_times()
+    with decimal.localcontext(decimal.Context(prec=50)):
+        knots, coeffs, values = ([D(x) for x in a.tolist()]
+                                 for a in (skeleton.knots, skeleton.coeffs, skeleton.values))
+        segs = [(np.searchsorted(skeleton.knots, times, "right") - 1).tolist()
+                for times in (obs, cens)]
+        if model.variant == "lcv":
+            cum = np.concatenate((model.cum_hazard(obs), model.cum_hazard(cens)))
+            lead = [D(model.lambda0).ln() - D(m) for m in model.draw._moment0.tolist()]
+            rates = [D(r) for r in skeleton.rates.tolist()]
+            exact = (sum(lead[l] + rates[l] * D(t) for t, l in zip(obs.tolist(), segs[0]))
+                     - sum(map(D, cum.tolist())))
+        else:
+            exact = sum(n * coeffs[l].ln() for l, n in collections.Counter(segs[0]).items())
+            for times, seg in zip((obs, cens), segs):
+                exact -= sum(values[l] + coeffs[l] * (D(t) - knots[l])
+                             for t, l in zip(times.tolist(), seg))
+        return float(abs(D(got) - exact) / D(float(np.spacing(abs(float(exact))))))
+
+
+def _prior_models(variants, first_seed: int, n_atoms: int = 200):
+    """One model per variant, its draws and scalars from the priors the fit loop draws from."""
+    hyper = HyperParams(a1=3.0, a2=1.0)
+    for i, variant in enumerate(variants):
+        stream = RandomStream(first_seed + i)
+        alpha, beta, _ = sample_hyperparams(hyper, stream)
+        bases = [gamma_process.ExponentialBase(1.0)]
+        if variant == "sbt":
+            bases.append(gamma_process.NormalBase(2.0, 1.0))
+        draws = [gamma_process.draw_gamma_process(
+            gamma_process.GammaProcessParams(alpha, beta, n_atoms, base), stream) for base in bases]
+        yield draw_model_params(variant, draws, hyper, stream, a=0.6)
+
+
+class TestSummationAccuracy:
+    """The per-segment sums stay within a pinned ulp budget of a 50-digit decimal evaluation."""
+
+    BOUND_ULP = 31.2  # twice the worst error over these examples, 15.6 ulp (an sbt model)
+
+    def test_prior_draws_on_a_fit_style_dataset(self, demo):
+        data = simulate_dataset(demo["lwb"], 2000, 3.0, RandomStream(7))
+        errors = []
+        for model in _prior_models(["ifr", "dfr", "lwb", "sbt", "lcv"] * 10, 1000):
+            got = log_likelihood(model, data)
+            if math.isfinite(got):
+                errors.append(_decimal_error_ulp(model, data, got))
+        assert len(errors) >= 45
+        assert max(errors) <= self.BOUND_ULP
