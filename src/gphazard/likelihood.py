@@ -7,7 +7,9 @@ observed time yields ``-inf`` (a first-class value, so samplers and
 optimizers can reject the state rather than crash).  So does a
 cumulative-hazard sum that overflows to ``+inf``: the exact log-likelihood
 is then below -1.8e308, so ``-inf`` is its correctly rounded value, where
-``log(inf) - inf`` would be nan.
+``log(inf) - inf`` would be nan.  So does a step model's hazard level
+that has overflowed to ``+inf`` under an observed time, whose log is not
+known; a mixture gives such a component a density of 0 there.
 
 Each model family scores the observed times from one split of the
 ascending times by its knots, with no per-record hazard: the step models
@@ -51,15 +53,16 @@ def log_likelihood(model, dataset: Dataset) -> float:
     The model's family scores the dataset's ascending observed and censored
     times, sorted on first use and kept: its ``_log_likelihood_terms``
     returns the sum of ``log hazard - cum_hazard`` over the observed times,
-    -inf where their cumulative hazard overflows, and the sum of
-    ``cum_hazard`` over the censored.  An overflowed censored sum gives -inf
-    before the two are combined.  The value does not depend on the order of
-    the records, and the times were checked when the dataset was built.
+    -inf where their hazard or cumulative hazard overflows, and the sum of
+    ``cum_hazard`` over the censored.  Either -inf first or an overflowed
+    censored sum gives -inf before the two are combined.  The value does
+    not depend on the order of the records, and the times were checked
+    when the dataset was built.
     """
     if dataset.n == 0:
         raise ValueError("dataset must be non-empty")
     observed, censored = model._log_likelihood_terms(*dataset._ascending)
-    return -math.inf if censored == math.inf else observed - censored
+    return -math.inf if observed == -math.inf or censored == math.inf else observed - censored
 
 
 def sample_hyperparams(hyper: HyperParams, stream: RandomStream) -> tuple[float, float, float]:

@@ -134,7 +134,10 @@ class _Skeleton:
     def _increment(self, pick, dt: np.ndarray) -> np.ndarray:
         """Integral of the hazard over dt from the knot of each segment ``pick`` takes.
 
-        May overwrite the 1-d dt.
+        ``pick`` takes each segment's entry from a per-segment array: by index
+        (an ``itemgetter``), or repeated over a run of sorted times (the
+        ``spread`` of ``_split``, which allocates no index array).  May
+        overwrite the 1-d dt.
         """
         coeff = pick(self.coeffs)
         if self._linear:
@@ -142,42 +145,43 @@ class _Skeleton:
             return dt
         rate = pick(self.rates)
         with np.errstate(over="ignore", invalid=None if self._exponential else "ignore"):
-            out = rate * dt  # then c * expm1(r * dt) / r in the same buffer
+            # c * expm1(r * dt) / r in one buffer, dt's own when nothing else reads it
+            out = np.multiply(rate, dt, out=dt if self._exponential else None)
             np.expm1(out, out=out)
             out *= coeff  # may overflow to inf; dt = 0 adds +-0
             out /= rate
-        if not self._exponential:  # nan where r = 0, or where c = inf and dt = 0
-            lin = np.abs(rate) < _ZERO_RATE
-            out[lin] = coeff[lin] * dt[lin]
-            out[dt == 0.0] = 0.0
+            if not self._exponential:  # nan where r = 0, or where c = inf and dt = 0
+                lin = np.abs(rate) < _ZERO_RATE
+                out[lin] = coeff[lin] * dt[lin]
+                out[dt == 0.0] = 0.0
         return out
 
     def _locate(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The segment of each time in a checked 1-d ``arr``, and the cumulative hazard there."""
         seg = _rank(self.knots, arr, "right") - 1
-        return seg, self._cum_at(itemgetter(seg), arr)
-
-    def _cum_at(self, pick, arr: np.ndarray) -> np.ndarray:
-        """The cumulative hazard at the checked 1-d times ``arr``, in the segments ``pick`` takes.
-
-        ``pick`` takes the segments' entries from a per-segment array: by
-        index (an ``itemgetter``), or repeated over the runs of sorted times.
-        """
+        pick = itemgetter(seg)
         dt = pick(self.knots)
-        out = self._increment(pick, np.subtract(arr, dt, out=dt))
+        return seg, self._cum_past(pick, np.subtract(arr, dt, out=dt))
+
+    def _cum_past(self, pick, dt: np.ndarray) -> np.ndarray:
+        """The cumulative hazard dt past the knot of each segment ``pick`` takes; may overwrite dt."""
+        out = self._increment(pick, dt)
         out += pick(self.values)
         return out
 
-    def _split(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, partial]:
+    def _split(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, partial, np.ndarray]:
         """The ascending ``times`` split by the knots, in O(K log n): one search of the knots.
 
         Segment l holds ``times[starts[l]:starts[l] + counts[l]]``, the times
         from its knot on.  ``spread`` repeats each entry of a per-segment
-        array over its segment's times, the same as indexing it by segment.
+        array over its segment's times, the same as indexing it by segment,
+        and ``offsets`` is how far each time lies past its knot.
         """
         starts = np.searchsorted(times, self.knots, "left")
         counts = np.concatenate((starts[1:], [times.size])) - starts
-        return starts, counts, partial(np.repeat, repeats=counts)
+        spread = partial(np.repeat, repeats=counts)
+        offsets = spread(self.knots)
+        return starts, counts, spread, np.subtract(times, offsets, out=offsets)
 
     def limit(self) -> float:
         rate, coeff = float(self.rates[-1]), float(self.coeffs[-1])
@@ -331,19 +335,21 @@ class _StepHazard(HazardModel):
         The hazard is constant on each segment, so the n_l observed times in
         segment l add ``n_l log(level_l) - n_l values_l - level_l sum(t - knot_l)``.
         The offsets t - knot_l are taken per record, exactly, and summed per
-        segment; the segments' terms are summed pairwise.  The censored times
-        take the skeleton per record.
+        segment; the segments' terms are summed pairwise.  A zero level under
+        an event gives -inf, and so do an overflowed cumulative hazard and an
+        infinite level under an event, whose term is inf - inf or inf * 0,
+        nan.  The censored times take the skeleton per record.
         """
         skeleton = self._skeleton
-        starts, counts, spread = skeleton._split(obs)
+        starts, counts, _, offsets = skeleton._split(obs)
         seg = np.flatnonzero(counts)
         n, level = counts[seg], skeleton.coeffs[seg]
-        offsets = spread(skeleton.knots)
-        spent = np.add.reduceat(np.subtract(obs, offsets, out=offsets), starts[seg])
-        # a zero level under an event gives log 0 = -inf, an overflowed cumulative hazard -inf
-        with np.errstate(divide="ignore", over="ignore"):
-            observed = np.sum(n * np.log(level) - (n * skeleton.values[seg] + level * spent))
-        return float(observed), float(np.sum(skeleton._locate(cens)[1]))
+        spent = np.add.reduceat(offsets, starts[seg])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            terms = n * np.log(level) - (n * skeleton.values[seg] + level * spent)
+            observed = float(np.sum(terms))
+        observed = -math.inf if math.isnan(observed) else observed
+        return observed, float(np.sum(skeleton._locate(cens)[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -502,17 +508,23 @@ class MixtureBathtub(HazardModel):
         ``log f = logaddexp(log(pi) + log h1 - L1, log(1-pi) + log h2 - L2)``.
         Each component's log h is the log of its segment's level, K logs in
         all, and its L the skeleton in the segments of the split of the times
-        by its knots.  Where both L overflow, log f is -inf.
+        by its knots.  Where both L overflow, log f is -inf.  An infinite
+        level gives its component a log density of -inf in its segment, as
+        it gives that component scored alone, so no inf - inf appears.
         """
         log_terms = []
-        for component, log_pi in zip(self.components, self._log_pi):
-            skeleton = component._skeleton
-            spread = skeleton._split(obs)[2]
-            with np.errstate(divide="ignore"):  # a zero level, or pi = 1
+        # log 0 = -inf for a zero level or pi = 1, nan for inf with log(1 - pi) = -inf,
+        # and a sum below the double range is -inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for component, log_pi in zip(self.components, self._log_pi):
+                skeleton = component._skeleton
+                _, _, spread, offsets = skeleton._split(obs)
                 lead = log_pi + np.log(skeleton.coeffs)
-            cum = skeleton._cum_at(spread, obs)
-            log_terms.append(np.subtract(spread(lead), cum, out=cum))
-        observed = float(np.sum(np.logaddexp(*log_terms))) - obs.size * self._log_one
+                if not skeleton._linear:  # an infinite level
+                    lead[~(lead < math.inf)] = -math.inf
+                cum = skeleton._cum_past(spread, offsets)
+                log_terms.append(np.subtract(spread(lead), cum, out=cum))
+            observed = float(np.sum(np.logaddexp(*log_terms))) - obs.size * self._log_one
         cums = (c._skeleton._locate(cens)[1] for c in self.components)
         return observed, float(np.sum(self._log_one - self._log_weights(*cums)[2]))
 
@@ -593,21 +605,27 @@ class LogConvexHazard(HazardModel):
     def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
         """The sum of log h - H over the ascending observed times, and of H over the censored.
 
-        On segment l the log hazard ``log(lambda0) - moment_l + rate_l * t`` is
-        linear in t, so the n_l observed times there add
-        ``n_l (log(lambda0) - moment_l) + rate_l sum(t)``: no exp or log per
-        record.  The cumulative hazard is taken per record, in the segments of
-        the same split; where its sum overflows, the first sum is -inf.
+        On segment l the log hazard is ``lead_l + rate_l * (t - knot_l)``, with
+        ``lead_l = rate_l * knot_l - moment_l`` the log of the skeleton's
+        coefficient over lambda0, taken without its exp.  So the n observed
+        times add ``n log(lambda0) + sum_l (n_l lead_l + rate_l sum(t - knot_l))``:
+        no exp or log per record.  The offsets t - knot_l are taken per
+        record, exactly; they also give the cumulative hazard per record.  An
+        overflowed log hazard or cumulative hazard gives -inf.
         """
         skeleton = self._skeleton
-        starts, counts, spread = skeleton._split(obs)
+        starts, counts, spread, offsets = skeleton._split(obs)
         seg = np.flatnonzero(counts)
-        with np.errstate(over="ignore"):  # a steep hazard's terms overflow, as its cum_hazard does
-            log_hazard = np.sum(counts[seg] * (math.log(self.lambda0) - self.draw._moment0[seg])
-                                + skeleton.rates[seg] * np.add.reduceat(obs, starts[seg]))
-        cum = float(np.sum(skeleton._cum_at(spread, obs)))
-        observed = -math.inf if cum == math.inf else float(log_hazard) - cum
-        return observed, float(np.sum(skeleton._locate(cens)[1]))
+        rates = skeleton.rates[seg]
+        # a steep hazard's terms overflow, and with an overflowed moment give inf - inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            lead = rates * skeleton.knots[seg] - self.draw._moment0[seg]
+            spent = np.add.reduceat(offsets, starts[seg])
+            log_hazard = np.sum(counts[seg] * lead + rates * spent)
+        cum = float(np.sum(skeleton._cum_past(spread, offsets)))
+        overflowed = cum == math.inf or not log_hazard < math.inf
+        observed = -math.inf if overflowed else obs.size * math.log(self.lambda0) + log_hazard - cum
+        return float(observed), float(np.sum(skeleton._locate(cens)[1]))
 
     def _hazard_at(self, arr: np.ndarray, j: np.ndarray) -> np.ndarray:
         """The hazard at times ``arr`` with ``j`` atoms at or below each."""

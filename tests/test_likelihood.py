@@ -179,6 +179,33 @@ class TestOverflowedMixtureCumulativeHazard:
                 assert log_likelihood(model, data) == -math.inf
 
 
+class TestOverflowedMixtureLogDensity:
+    def test_a_sum_below_the_double_range_is_minus_inf_without_a_warning(self):
+        # at t = 1 the decreasing component's level is 0 and its L is 1, while the
+        # increasing one's log density is log(0.5e308) - 1e308: two such events sum
+        # below -1.8e308, where the cumulative hazard stays about 1 per record
+        model = MixtureBathtub(0.5, 0.0, GammaProcessDraw.from_atoms([1.0], [1.0]), 1e308,
+                               GammaProcessDraw.from_atoms([], []))
+        data = Dataset(times=[1.0, 1.0], observed=[True, True])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_likelihood(model, data) == -math.inf
+
+
+class TestOverflowedMoment:
+    def test_a_nan_censored_cumulative_hazard_after_an_overflowed_one_is_minus_inf(self):
+        # the atom moments overflow to inf from t = 3 on, where the skeleton's
+        # coefficient is nan; the observed cumulative hazard overflows before it
+        model = LogConvexHazard(2.0, -1.0, GammaProcessDraw.from_atoms([3.0, 0.5], [1e308, 1e200]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(model._skeleton.coeffs[-1])
+        data = Dataset(times=[0.5, 0.25, 10.0, 2.0, 1.0], observed=[True, True, False, True, True])
+        assert model.cum_hazard(2.0) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_likelihood(model, data) == -math.inf
+
+
 class TestOverflowedCumulativeHazard:
     """An lcv model steep enough that hazard and cum_hazard overflow at the records."""
 
@@ -212,6 +239,15 @@ class TestUnderflowedHazard:
         assert model.hazard(1.0) == 0.0
         data = Dataset(times=[0.5, 1.0], observed=[True, True])
         expected = -1500.0 - model.cum_hazard(0.5) - model.cum_hazard(1.0)
+        assert log_likelihood(model, data) == pytest.approx(expected, rel=1e-15)
+
+    def test_lcv_keeps_lambda0_beside_a_large_moment(self):
+        # at t = 1 the log hazard is log(1e-300) + (1e200 * 1 - 1e200): the rate times
+        # the knot cancels the moment exactly, and log(lambda0) is added after
+        model = LogConvexHazard(1e-300, 0.0, GammaProcessDraw.from_atoms([1.0, 2.0], [1e200, 0.5]))
+        assert model.hazard(1.0) == 1e-300
+        data = Dataset(times=[1.0, 0.25], observed=[True, True])
+        expected = 2.0 * math.log(1e-300) - model.cum_hazard(0.25) - model.cum_hazard(1.0)
         assert log_likelihood(model, data) == pytest.approx(expected, rel=1e-15)
 
     def test_mbt_stays_finite_where_its_hazard_underflows(self):
@@ -342,6 +378,7 @@ _ATOMS = GammaProcessDraw.from_atoms([0.5, 1.0, 2.0], [0.7, 0.4, 1.1])
 _ATOMS2 = GammaProcessDraw.from_atoms([1.0, 2.5], [0.3, 0.9])
 _TIED = GammaProcessDraw.from_atoms([1.0, 0.5, 1.0, 2.0, 0.5], [0.2, 0.7, 0.4, 1.1, 0.1])
 _ONE = GammaProcessDraw.from_atoms([1.2], [0.8])
+_HUGE = GammaProcessDraw.from_atoms([1.0], [1e308])
 _EDGES = {  # draws, then the records
     # with a = 1 every knot of every model lies in 0.5, 1.0, 1.5, 2.0, 2.5, 3.0
     "times at the knots": (_ATOMS, _ATOMS2,
@@ -381,6 +418,41 @@ class TestAgainstThePerRecordSum:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert log_likelihood(model, data) == -math.inf
+
+    @pytest.mark.parametrize("name, t", [("ifr", 2.0), ("ifr", 1.0), ("dfr", 0.5), ("lwb", 2.0),
+                                         ("lwb", 3.0), ("sbt", 1.0), ("sbt", 0.5)])
+    @pytest.mark.parametrize("censored", [False, True])
+    def test_an_infinite_level_under_an_event_is_minus_inf(self, name, t, censored):
+        # lambda0 = 1e308 plus an atom weight of 1e308 at 1: the level is inf from the atom
+        # on for ifr, up to it for dfr, from a + 1 = 2 on for lwb, and everywhere for sbt;
+        # an event at t = 1 or 2 lies at its segment's knot, where it adds no offset
+        model = _six_models(_HUGE, _HUGE, lambda0=1e308)[name]
+        with np.errstate(over="ignore"):  # the level overflows as the skeleton is built
+            assert model.hazard(t) == math.inf
+        data = Dataset([0.25, t], [censored, True])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_likelihood(model, data) == -math.inf
+
+    @pytest.mark.parametrize("pi", [0.4, 1.0])
+    def test_an_infinite_level_gives_a_mixture_component_a_zero_density(self, pi):
+        # 1e308 + 1e308 overflows: the increasing component's level is inf from its atom
+        # on (pi = 1: with a weight of 0, log(1 - pi) + log(inf) is nan), the decreasing
+        # one's everywhere (pi = 0.4); the mixture scores as the other component
+        if pi == 1.0:
+            model = MixtureBathtub(pi, 0.3, _ATOMS, 1e308, _HUGE)
+            alone, log_weight = DecreasingFailureRate(0.3, _ATOMS), 0.0
+        else:
+            model = MixtureBathtub(pi, 1e308, _HUGE, 0.3, _ATOMS2)
+            alone, log_weight = IncreasingFailureRate(0.3, _ATOMS2), math.log1p(-pi)
+        with np.errstate(over="ignore"):  # the level overflows as the skeleton is built
+            for component in model.components:
+                component._skeleton
+        data = Dataset([0.5, 1.0, 2.0, 2.5], [True, True, True, False])
+        expected = log_likelihood(alone, data) + data.n * (log_weight - model._log_one)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_likelihood(model, data) == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("name", ["ifr", "dfr", "lwb", "sbt", "mbt", "lcv"])
     def test_simulated_records(self, demo, name):
