@@ -18,7 +18,7 @@ import numpy as np
 
 from ._checks import _check_count, _check_range, _require_keys, _require_reals
 from .datasets import _csv_text, read_dataset_csv, write_dataset_csv
-from .gamma_process import GammaProcessDraw, GammaProcessParams, draw_gamma_process
+from .gamma_process import GammaProcessDraw, GammaProcessParams, _distinct, draw_gamma_process
 from .likelihood import HyperParams, log_likelihood
 from .models import (
     HazardModel,
@@ -155,8 +155,7 @@ def _curve_grid(model: HazardModel, t_max: float, points: int) -> np.ndarray:
     bps = bps[(bps > 0.0) & (bps <= t_max)]
     # paired rows just before and at each breakpoint render steps exactly
     before = np.nextafter(bps, -np.inf)
-    ts = np.unique(np.concatenate((grid, bps, before[before >= 0.0])))
-    return ts
+    return _distinct(np.sort(np.concatenate((grid, bps, before[before >= 0.0]))))[0]
 
 
 def _cmd_curves(args) -> int:

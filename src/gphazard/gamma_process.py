@@ -8,7 +8,8 @@ Gamma(alpha, beta) total mass.  The measure-level integrals needed for
 hazard evaluation, an ordered view with prefix sums, and JSON
 serialization all live here.  So does the atom lookup: a draw's
 ``_count_below`` is the one place that ranks cuts among its sorted atoms,
-for its own integrals and for every hazard model.
+for its own integrals and for every hazard model, and ``_distinct`` the one
+that takes the distinct values of an array already sorted.
 """
 
 from __future__ import annotations
@@ -108,6 +109,23 @@ def _rank(edges: np.ndarray, t: np.ndarray, side: str) -> np.ndarray:
     first = np.searchsorted(keys, edges, side="left" if side == "right" else "right")
     ranks = np.repeat(np.arange(edges.size + 1), np.diff(first, prepend=0, append=keys.size))
     return ranks if rising else ranks[::-1]
+
+
+def _distinct(ascending: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a non-decreasing 1-d array, and the index just past each one's run.
+
+    One comparison of neighbours marks where each run of equal values
+    starts, with no second sort.  Each value is its run's first element, so
+    of a -0.0 and a 0.0 side by side the first one is kept.
+    """
+    new = np.empty(ascending.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=new[1:])
+    starts = new.nonzero()[0]
+    run_ends = np.empty_like(starts)
+    run_ends[:-1] = starts[1:]
+    run_ends[-1:] = ascending.size  # nothing to set for an empty array
+    return ascending[starts], run_ends
 
 
 def base_measure_from_dict(d: dict) -> BaseMeasure:

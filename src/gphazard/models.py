@@ -14,9 +14,12 @@ mixture model's cumulative hazard is concave between its pooled knots, so
 Newton's method started at the left knot inverts it without overshooting.
 A time's segment also tells its hazard (the step models' level table, lcv's
 atom count), so one lookup serves both the hazard and the cumulative hazard,
-for the density and that Newton loop.  The likelihood splits a dataset's
-sorted times by the knots once, and each family scores it from that split
-(``_log_likelihood_terms``).
+for the density and that Newton loop, which evaluates only the targets
+still moving.  The likelihood splits a dataset's sorted times by the knots
+once, and each family scores it from that split (``_log_likelihood_terms``).
+The knots are the distinct atoms, taken by one comparison of neighbours from
+the atoms as the draw has sorted them (two draws' are joined and sorted once;
+lwb's mirrored knots come out sorted as they are built).
 The public methods check their input once; the kernels behind them (the
 skeleton's methods, every ``_hazard_and_cum`` and ``_log_likelihood_terms``)
 take checked 1-d arrays.
@@ -39,7 +42,7 @@ import numpy as np
 from ._checks import (_as_times, _check_count, _check_range, _horizon, _rebuild, _require_keys,
                       _require_reals)
 from .datasets import Dataset
-from .gamma_process import GammaProcessDraw, _maybe_scalar, _rank
+from .gamma_process import GammaProcessDraw, _distinct, _maybe_scalar, _rank
 from .likelihood import HyperParams
 from .rng import RandomStream, _categorical_pick
 
@@ -266,9 +269,13 @@ class HazardModel(ABC):
         return self.hazard(t), self.cum_hazard(t)
 
     def breakpoints(self) -> np.ndarray:
-        """Sorted locations where the hazard jumps or kinks."""
-        draws = [getattr(self, f.name) for f in fields(self) if self._is_draw(f)]
-        return np.unique(np.concatenate([d.ordered.thetas for d in draws]))
+        """Sorted locations where the hazard jumps or kinks: the draws' distinct atoms.
+
+        One draw's atoms are sorted already; two draws' sorted atoms are
+        joined and sorted once.
+        """
+        atoms = [getattr(self, f.name).ordered.thetas for f in fields(self) if self._is_draw(f)]
+        return _distinct(atoms[0] if len(atoms) == 1 else np.sort(np.concatenate(atoms)))[0]
 
     def to_dict(self) -> dict:
         out = {"model": self.variant}
@@ -409,8 +416,9 @@ class LoWengBathtub(_StepHazard):
         return self.draw._mass0[j] + self.lambda0
 
     def breakpoints(self) -> np.ndarray:
+        # non-decreasing as it stands: a - theta <= a <= a + theta, and rounding keeps the order
         down, up = self._mirrored()
-        return np.unique(np.concatenate((down, [self.a], up)))
+        return _distinct(np.concatenate((down[::-1], [self.a], up)))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -542,16 +550,19 @@ class MixtureBathtub(HazardModel):
         knots, kvals = self._knot_values
         t = knots[np.maximum(np.searchsorted(kvals, xs, side="right") - 1, 0)]
         gap = np.full(xs.size, np.inf)
+        moving = np.arange(xs.size)
         for _ in range(_NEWTON_MAX_ITER):
-            lam, cum = self._hazard_and_cum(t)
-            resid = xs - cum
+            lam, cum = self._hazard_and_cum(t[moving])
+            resid = xs[moving] - cum
             # exact steps shrink the gap x - cum_hazard(t) > 0 every time; once
-            # it is closed or stops shrinking, only rounding is left
-            going = (resid > 0.0) & (resid < gap)
+            # it is closed or stops shrinking, only rounding is left.  A target
+            # that stops keeps its t and gap, so it would stop again: it is dropped
+            going = (resid > 0.0) & (resid < gap[moving])
             if not going.any():
                 break
-            gap[going] = resid[going]
-            t[going] += resid[going] / lam[going]
+            moving = moving[going]
+            gap[moving] = resid[going]
+            t[moving] += resid[going] / lam[going]
         else:
             raise RuntimeError(f"mixture inverse did not converge in {_NEWTON_MAX_ITER} steps")
         out[live] = t

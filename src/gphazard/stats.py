@@ -13,7 +13,7 @@ import numpy as np
 
 from ._checks import _as_times, _check_count, _check_range, _frozen, _rebuild
 from .datasets import Dataset, _csv_text
-from .gamma_process import _maybe_scalar
+from .gamma_process import _distinct, _maybe_scalar
 
 __all__ = ["StepFunction", "kaplan_meier", "ks_distance", "histogram"]
 
@@ -66,12 +66,13 @@ def kaplan_meier(dataset: Dataset) -> StepFunction:
     if dataset.n == 0:
         raise ValueError("dataset must be non-empty")
     obs, cens = dataset._ascending
-    event_times, deaths = np.unique(obs, return_counts=True)
+    event_times, run_ends = _distinct(obs)
     if event_times.size == 0:
         # everything censored: the estimate never leaves 1
         return StepFunction(breakpoints=np.array([]), values=np.array([]), initial=1.0)
-    at_risk = (dataset.n - np.searchsorted(obs, event_times, side="left")
-               - np.searchsorted(cens, event_times, side="left"))
+    deaths = np.diff(run_ends, prepend=0)
+    # the observed times below an event time are those of the runs before its own
+    at_risk = dataset.n - (run_ends - deaths) - np.searchsorted(cens, event_times, side="left")
     after = at_risk - deaths
     starts = np.concatenate(([True], at_risk[1:] != after[:-1]))  # censoring since last event
     run = np.cumsum(starts) - 1
