@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -95,27 +96,29 @@ def _resolve_draw(cfg: dict, key: str, stream: RandomStream) -> GammaProcessDraw
 
 
 def build_model(cfg: dict, stream: RandomStream) -> HazardModel:
-    """Assemble the configured model, drawing priors (and scalars, if nu is set) in order."""
+    """Assemble the configured model, drawing priors (and scalars, if nu is set) in order.
+
+    With nu set, every scalar that has a prior is drawn, and the scalars
+    the config gives then replace the drawn ones.
+    """
     variant = cfg.get("model")
-    scalars, draw_keys = _variant_fields(variant)
+    scalars, draw_keys, drawable = _variant_fields(variant)
+    draw_pi = cfg.get("draw_pi", False)
+    if not isinstance(draw_pi, bool):
+        raise ValueError(f"config needs true or false for 'draw_pi', got {draw_pi!r}")
     draws = [_resolve_draw(cfg, key, stream) for key in ("prior", "prior2")[: len(draw_keys)]]
     missing = [k for k in scalars if k not in cfg]
     if not missing:
         return _build_model(variant, cfg, draws)
-    if "nu" in cfg:
-        _require_reals(cfg, ("nu",), "config")
-        return draw_model_params(
-            variant,
-            draws,
-            HyperParams(nu=cfg["nu"]),
-            stream,
-            a=cfg.get("a"),
-            pi=cfg.get("pi"),
-            draw_pi=bool(cfg.get("draw_pi", False)),
-        )
-    raise ValueError(
-        f"{variant} needs {missing} in the config (or 'nu' to draw them from their priors)"
-    )
+    if "nu" not in cfg:
+        offer = [k for k in missing if k in drawable]
+        hint = f" (or 'nu' to draw {offer} from their priors)" if offer else ""
+        raise ValueError(f"{variant} needs {missing} in the config{hint}")
+    given = [k for k in drawable if k in cfg]
+    _require_reals(cfg, ["nu", *given], "config")
+    model = draw_model_params(variant, draws, HyperParams(nu=cfg["nu"]), stream,
+                              a=cfg.get("a"), pi=cfg.get("pi"), draw_pi=draw_pi)
+    return replace(model, **{k: float(cfg[k]) for k in given})
 
 
 def _write_text(path, text: str) -> None:

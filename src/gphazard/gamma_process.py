@@ -91,24 +91,19 @@ def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
 
 
 def _rank(edges: np.ndarray, t: np.ndarray, side: str) -> np.ndarray:
-    """``np.searchsorted(edges, t, side)``, by merging when t is a long monotone 1-d array.
+    """``np.searchsorted(edges, t, side)``, by merging when t is a long non-decreasing 1-d array.
 
     A binary search per key mispredicts its branches on unsorted keys.  On
     non-decreasing keys one search of the edges into the keys splits the
     keys into runs of equal rank, and each rank is repeated over its run:
-    O(n + K log n) in place of O(n log K).  Non-increasing keys (as
-    ``a - t``) are merged reversed.  Short inputs, where the merge's fixed
-    cost outweighs the search, and unsorted ones take the plain search.
+    O(n + K log n) in place of O(n log K).  Short inputs, where the merge's
+    fixed cost outweighs the search, and unsorted ones take the plain search.
     """
-    if t.ndim != 1 or t.size < _MERGE_MIN or t.size < 2 * edges.size:
+    if (t.ndim != 1 or t.size < _MERGE_MIN or t.size < 2 * edges.size
+            or not (t[1:] >= t[:-1]).all()):
         return np.searchsorted(edges, t, side=side)
-    rising = t[0] <= t[-1]
-    keys = t if rising else t[::-1]
-    if not (keys[1:] >= keys[:-1]).all():
-        return np.searchsorted(edges, t, side=side)
-    first = np.searchsorted(keys, edges, side="left" if side == "right" else "right")
-    ranks = np.repeat(np.arange(edges.size + 1), np.diff(first, prepend=0, append=keys.size))
-    return ranks if rising else ranks[::-1]
+    first = np.searchsorted(t, edges, side="left" if side == "right" else "right")
+    return np.repeat(np.arange(edges.size + 1), np.diff(first, prepend=0, append=t.size))
 
 
 def _distinct(ascending: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,8 +279,7 @@ class GammaProcessDraw:
     def _count_below(self, t: np.ndarray, strict: bool = False) -> np.ndarray:
         """Atoms below each cut of ``t`` (strictly, or at or below), counted in the sorted atoms.
 
-        ``t`` is taken as given, not checked again: callers pass checked times
-        or cuts shifted from them, as the bathtub's ``a - t``, which may be negative.
+        ``t`` is taken as given, not checked again: callers pass checked times or knots.
         """
         return _rank(self.ordered.thetas, t, "left" if strict else "right")
 

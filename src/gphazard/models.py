@@ -232,9 +232,10 @@ class HazardModel(ABC):
     constructor arguments and document keys, and ``hazard`` is its only
     abstract method.  Its draws are immutable too, so what a model caches
     from them never goes stale.  Each scalar field must lie in the domain
-    its metadata names, or be finite if it names none.  By default the cumulative hazard goes through the
-    model's cached ``_skeleton`` and the breakpoints are the draws' pooled
-    atom locations.
+    its metadata names, or be finite if it names none; a scalar with a
+    conditional prior names it there too (``draw_model_params`` draws it).
+    By default the cumulative hazard goes through the model's cached
+    ``_skeleton`` and the breakpoints are the draws' pooled atom locations.
     """
 
     variant: str
@@ -316,7 +317,7 @@ class _StepHazard(HazardModel):
     knot on, so the hazard steps exactly where the cumulative hazard bends.
     """
 
-    lambda0: float = field(metadata={"domain": "non-negative"})
+    lambda0: float = field(metadata={"domain": "non-negative", "prior": ("offset", -1)})
 
     @cached_property
     def _skeleton(self) -> _Skeleton:
@@ -453,9 +454,9 @@ class MixtureBathtub(HazardModel):
     """
 
     pi: float = field(metadata={"domain": "(0, 1]"})
-    lambda01: float = field(metadata={"domain": "non-negative"})
+    lambda01: float = field(metadata={"domain": "non-negative", "prior": ("offset", 0)})
     draw1: GammaProcessDraw
-    lambda02: float = field(metadata={"domain": "non-negative"})
+    lambda02: float = field(metadata={"domain": "non-negative", "prior": ("offset", 1)})
     draw2: GammaProcessDraw
     variant = "mbt"
 
@@ -591,8 +592,8 @@ class LogConvexHazard(HazardModel):
     plus the atom mass accumulated so far.
     """
 
-    lambda0: float = field(metadata={"domain": "positive"})
-    w0: float
+    lambda0: float = field(metadata={"domain": "positive", "prior": ("log-normal", 0)})
+    w0: float = field(metadata={"prior": ("normal", 0)})
     draw: GammaProcessDraw
     variant = "lcv"
 
@@ -673,14 +674,15 @@ _MODELS = {cls.variant: cls for cls in (IncreasingFailureRate, DecreasingFailure
                                          SuperpositionBathtub, MixtureBathtub, LogConvexHazard)}
 
 
-def _variant_fields(variant) -> tuple[list[str], list[str]]:
-    """Scalar field names and draw keys of a variant tag, in constructor order."""
+def _variant_fields(variant) -> tuple[list[str], list[str], list[str]]:
+    """Scalar names, draw keys and the scalars with a prior, of a variant tag, in field order."""
     cls = _MODELS.get(variant) if isinstance(variant, str) else None
     if cls is None:
         raise ValueError(f"unknown model variant: {variant!r}")
     fs = fields(cls)
     draw_keys = [f.metadata.get("key", f.name) for f in fs if cls._is_draw(f)]
-    return [f.name for f in fs if not cls._is_draw(f)], draw_keys
+    priors = [f.name for f in fs if "prior" in f.metadata]
+    return [f.name for f in fs if not cls._is_draw(f)], draw_keys, priors
 
 
 def _build_model(variant: str, scalars: dict, draws) -> HazardModel:
@@ -705,54 +707,44 @@ def draw_model_params(
     pi: float | None = None,
     draw_pi: bool = False,
 ) -> HazardModel:
-    """Fill a model's scalar parameters from their conditional priors.
+    """Fill a model's scalar parameters from the conditional priors its fields declare.
 
-    Rate offsets are exponential with mean gamma/nu given each draw's
-    total mass; the log-convex model draws log(lambda0) and w0 from
-    centred normals with sd gamma/nu.  The bathtub minimum ``a`` and the
-    mixture weight ``pi`` have no standard prior and must be supplied
-    (``draw_pi=True`` draws pi uniformly as an extension).
+    A field's ``prior`` metadata names the prior's kind and, by position,
+    the draw whose total mass gamma scales it: an ``offset`` is exponential
+    with mean gamma/nu, a ``normal`` is centred with sd gamma/nu, and a
+    ``log-normal`` is the exp of such a normal.  The priors are drawn in
+    field order, which fixes the random stream.  The bathtub minimum ``a``
+    and the mixture weight ``pi`` have no prior and must be supplied;
+    ``draw_pi=True`` draws a missing pi uniformly after the priors, an
+    extension with no standard prior.  A missing one raises before any draw.
     """
-    _, draw_keys = _variant_fields(variant)
+    names, draw_keys, _ = _variant_fields(variant)
     draws = list(draws)
     if len(draws) != len(draw_keys):
         raise ValueError(f"{variant} needs {len(draw_keys)} draw(s), got {len(draws)}")
-
-    def mass(draw: GammaProcessDraw) -> float:  # every scalar prior is scaled by it
-        return _check_range("the total mass of a draw", draw.gamma, "positive")
-
-    def offset(draw: GammaProcessDraw) -> float:
-        return stream.exponential(hyper.nu / mass(draw))
-
-    # the order of the prior draws below fixes the random stream
-    if variant in ("ifr", "dfr"):
-        scalars = {"lambda0": offset(draws[0])}
-    elif variant == "lwb":
-        if a is None:
-            raise ValueError("lwb requires the symmetry point a (no prior is defined)")
-        scalars = {"lambda0": offset(draws[0]), "a": a}
-    elif variant == "sbt":
-        scalars = {"lambda0": offset(draws[1])}
-    elif variant == "mbt":
-        scalars = {"lambda01": offset(draws[0]), "lambda02": offset(draws[1])}
-        if pi is None:
-            if not draw_pi:
-                raise ValueError(
-                    "mbt requires the mixture weight pi (or draw_pi=True for a "
-                    "uniform draw, an extension with no standard prior)"
-                )
-            pi = stream.uniform()
-        scalars["pi"] = pi
-    else:  # lcv
-        scale = mass(draws[0]) / hyper.nu
-        log_lambda0 = stream.normal(0.0, scale)
-        try:
-            lambda0 = math.exp(log_lambda0)
-        except OverflowError:
-            raise ValueError(
-                f"lcv prior drew log(lambda0) = {log_lambda0!r}, too large for a float lambda0"
-            ) from None
-        scalars = {"lambda0": lambda0, "w0": stream.normal(0.0, scale)}
+    scalars = {name: value for name, value in (("a", a), ("pi", pi)) if name in names}
+    for name, value in scalars.items():
+        if value is None and not (name == "pi" and draw_pi):
+            hint = " (or draw_pi=True for a uniform draw)" if name == "pi" else ""
+            raise ValueError(f"{variant} requires {name}: it has no prior{hint}")
+    for f in fields(_MODELS[variant]):
+        if "prior" not in f.metadata:
+            continue
+        kind, which = f.metadata["prior"]
+        gamma = _check_range("the total mass of a draw", draws[which].gamma, "positive")
+        if kind == "offset":
+            value = stream.exponential(hyper.nu / gamma)
+        else:
+            value = stream.normal(0.0, gamma / hyper.nu)
+        if kind == "log-normal":
+            try:
+                value = math.exp(value)
+            except OverflowError:
+                raise ValueError(f"{variant} prior drew log({f.name}) = {value!r}, "
+                                 f"too large for a float {f.name}") from None
+        scalars[f.name] = value
+    if "pi" in scalars and scalars["pi"] is None:  # draw_pi is set
+        scalars["pi"] = stream.uniform()
     return _build_model(variant, scalars, draws)
 
 
@@ -763,6 +755,6 @@ def model_to_dict(model: HazardModel) -> dict:
 def model_from_dict(d: dict) -> HazardModel:
     _require_keys(d, ("model",), "model document")
     variant = d["model"]
-    _, draw_keys = _variant_fields(variant)
+    _, draw_keys, _ = _variant_fields(variant)
     _require_keys(d, draw_keys, f"{variant} model")
     return _build_model(variant, d, [GammaProcessDraw.from_dict(d[k]) for k in draw_keys])

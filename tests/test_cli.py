@@ -151,6 +151,52 @@ class TestCurves:
         assert main(["curves", "--config", cfg, "--out", str(out)]) == 0
 
 
+class TestScalarsUnderNu:
+    """With nu set, the priors are drawn as always and the scalars the config gives are kept."""
+
+    MBT = {"model": "mbt", "pi": 0.5, "nu": 1.0, "prior": DEMO_PRIOR, "prior2": DEMO_PRIOR}
+
+    @pytest.mark.parametrize("doc, kept", [
+        ({**MBT, "lambda01": 7.0}, {"lambda01": 7.0}),
+        ({**MBT, "lambda02": 3}, {"lambda02": 3.0}),
+        ({"model": "lcv", "nu": 2.0, "w0": -0.5, "prior": DEMO_PRIOR}, {"w0": -0.5}),
+    ])
+    def test_given_scalars_replace_the_drawn_ones(self, doc, kept):
+        stream, drawn_stream = RandomStream(1), RandomStream(1)
+        model = build_model(doc, stream)
+        drawn = build_model({k: v for k, v in doc.items() if k not in kept}, drawn_stream)
+        assert model_to_dict(model) == {**model_to_dict(drawn), **kept}
+        assert stream.uniform() == drawn_stream.uniform()  # the same draws, in the same order
+
+    def test_partial_config_replays_from_its_sidecar(self, tmp_path):
+        cfg = _write_config(tmp_path, **self.MBT, lambda01=7.0, seed=1, n=50, tau=3.0)
+        out1, out2 = tmp_path / "d1.csv", tmp_path / "d2.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["simulate", "--config", str(out1) + ".config.json", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"model": "lwb", "lambda0": 0.1}, "lwb needs ['a'] in the config"),
+        ({"model": "lwb"}, "lwb needs ['lambda0', 'a'] in the config "
+                           "(or 'nu' to draw ['lambda0'] from their priors)"),
+        ({"model": "lwb", "lambda0": 0.1, "nu": 1.0}, "lwb requires a: it has no prior"),
+        ({"model": "lcv", "w0": "0.1", "nu": 1.0},
+         "config needs a real number for 'w0', got '0.1'"),
+    ])
+    def test_missing_or_malformed_scalar(self, tmp_path, capsys, doc, message):
+        cfg = _write_config(tmp_path, **doc, prior=DEMO_PRIOR, seed=1)
+        assert main(["curves", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("draw_pi", ["false", "true", 0, 1, None])
+    def test_draw_pi_must_be_a_boolean(self, tmp_path, capsys, draw_pi):
+        cfg = _write_config(tmp_path, **self.MBT, draw_pi=draw_pi, seed=1)
+        assert main(["curves", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config needs true or false for 'draw_pi', got {draw_pi!r}"
+        ]
+
+
 class TestSimulate:
     def test_row_count_and_status(self, tmp_path):
         cfg = _write_config(

@@ -1,5 +1,6 @@
 """Closed-form curve values, exact inversion, model identities, and sampling."""
 
+import json
 import math
 import warnings
 from dataclasses import fields
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gphazard import gamma_process, models
+from gphazard._checks import _check_range
 from gphazard.gamma_process import GammaProcessDraw
 from gphazard.likelihood import HyperParams
 from gphazard.models import (
@@ -561,6 +563,114 @@ class TestLcvPriorOverflow:
         assert overflowed > 0
 
 
+def _reference_draw_model_params(variant, draws, hyper, stream, *, a=None, pi=None,
+                                 draw_pi=False):
+    """The prior draws as once written out per variant; the stream order to keep."""
+
+    def mass(draw):
+        return _check_range("the total mass of a draw", draw.gamma, "positive")
+
+    def offset(draw):
+        return stream.exponential(hyper.nu / mass(draw))
+
+    if variant in ("ifr", "dfr"):
+        scalars = {"lambda0": offset(draws[0])}
+    elif variant == "lwb":
+        if a is None:
+            raise ValueError("lwb requires the symmetry point a (no prior is defined)")
+        scalars = {"lambda0": offset(draws[0]), "a": a}
+    elif variant == "sbt":
+        scalars = {"lambda0": offset(draws[1])}
+    elif variant == "mbt":
+        scalars = {"lambda01": offset(draws[0]), "lambda02": offset(draws[1])}
+        if pi is None:
+            if not draw_pi:
+                raise ValueError("mbt requires the mixture weight pi")
+            pi = stream.uniform()
+        scalars["pi"] = pi
+    else:  # lcv
+        scale = mass(draws[0]) / hyper.nu
+        log_lambda0 = stream.normal(0.0, scale)
+        try:
+            lambda0 = math.exp(log_lambda0)
+        except OverflowError:
+            raise ValueError(
+                f"lcv prior drew log(lambda0) = {log_lambda0!r}, too large for a float lambda0"
+            ) from None
+        scalars = {"lambda0": lambda0, "w0": stream.normal(0.0, scale)}
+    return models._build_model(variant, scalars, draws)
+
+
+class TestPriorStream:
+    """``draw_model_params`` against the per-variant reference, bit for bit."""
+
+    VARIANTS = ("ifr", "dfr", "lwb", "sbt", "mbt", "lcv")
+    GIVEN = [dict(a=a, pi=pi, draw_pi=d) for a in (None, 0.6) for pi in (None, 0.3)
+             for d in (False, True)]
+
+    @staticmethod
+    def _outcome(fn, variant, draws, nu, stream, given):
+        """The model document or the error, and the stream's next uniform."""
+        try:
+            out = json.dumps(model_to_dict(fn(variant, draws, HyperParams(nu=nu), stream, **given)))
+        except ValueError as e:
+            out = e
+        return out, stream.uniform()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("nu", [1e-3, 1.0, 50.0])
+    def test_same_models_and_stream_as_the_reference(self, variant, nu):
+        late = gamma_process.NormalBase(2.0, 1.0)
+        params = [gamma_process.GammaProcessParams(3.0, 1.0, 20),
+                  gamma_process.GammaProcessParams(3.0, 1.0, 20, late)]
+        n_draws = len(models._variant_fields(variant)[1])
+        for seed in range(50):
+            draws = [gamma_process.draw_gamma_process(p, RandomStream(seed).split(k))
+                     for k, p in enumerate(params[:n_draws])]
+            for given in self.GIVEN:
+                expected, next_ref = self._outcome(_reference_draw_model_params, variant, draws,
+                                                   nu, RandomStream(seed).split(9), given)
+                got, next_new = self._outcome(draw_model_params, variant, draws, nu,
+                                              RandomStream(seed).split(9), given)
+                if isinstance(expected, ValueError) and "requires" in str(expected):
+                    # a missing scalar without a prior: named, and raised before any draw
+                    assert isinstance(got, ValueError)
+                    name = "a" if given["a"] is None and variant == "lwb" else "pi"
+                    assert f"requires {name}:" in str(got)
+                    assert next_new == RandomStream(seed).split(9).uniform()
+                    continue
+                if isinstance(expected, ValueError):
+                    assert isinstance(got, ValueError) and str(got) == str(expected)
+                else:
+                    assert got == expected
+                assert next_new == next_ref
+
+    @pytest.mark.parametrize("normals", [[0.5, -0.25], [800.0, 0.5], [-3.0, 1e-300]])
+    def test_same_lcv_draws_from_a_normal_only_stream(self, normals):
+        g = _atoms([(1.0, 2.0)])
+        outcomes = []
+        for fn in (_reference_draw_model_params, draw_model_params):
+            stream = _NormalStream(normals)
+            try:
+                out = json.dumps(model_to_dict(fn("lcv", [g], HyperParams(), stream)))
+            except ValueError as e:
+                out = str(e)
+            outcomes.append((out, stream.calls))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("variant, given, name", [
+        ("lwb", {}, "a"), ("lwb", {"pi": 0.3, "draw_pi": True}, "a"),
+        ("mbt", {}, "pi"), ("mbt", {"a": 0.6}, "pi"),
+    ])
+    def test_missing_scalar_raises_before_any_draw(self, variant, given, name):
+        g = _atoms([(1.0, 2.0)])
+        draws = [g] * len(models._variant_fields(variant)[1])
+        stream = RandomStream(40)
+        with pytest.raises(ValueError, match=f"requires {name}:"):
+            draw_model_params(variant, draws, HyperParams(nu=1.0), stream, **given)
+        assert stream.uniform() == RandomStream(40).uniform()
+
+
 class TestLcvSkeletonOverflow:
     """Skeleton coefficients that overflow to inf, from a large lambda0 and w0."""
 
@@ -576,7 +686,7 @@ class TestLcvSkeletonOverflow:
 
 
 class TestRank:
-    """``_rank`` merges monotone queries and must give exactly ``np.searchsorted``'s ranks."""
+    """``_rank`` merges non-decreasing queries and must give exactly ``np.searchsorted``'s ranks."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -603,7 +713,7 @@ class TestRank:
             assert got.dtype == expected.dtype
             np.testing.assert_array_equal(got, expected)
 
-    def test_long_monotone_queries_search_only_the_edges(self, monkeypatch):
+    def test_long_ascending_queries_search_only_the_edges(self, monkeypatch):
         edges = np.sort(np.random.default_rng(1).exponential(1.0, 100))
         t = np.sort(np.random.default_rng(2).exponential(1.0, 5000))
         searched = []
@@ -616,7 +726,7 @@ class TestRank:
         monkeypatch.setattr(np, "searchsorted", spy)
         got = [models._rank(edges, keys, "right") for keys in (t, t[::-1])]
         monkeypatch.undo()
-        assert searched == [edges.size, edges.size]
+        assert searched == [edges.size, t.size]  # descending keys take the plain search
         np.testing.assert_array_equal(got[0], np.searchsorted(edges, t, side="right"))
         np.testing.assert_array_equal(got[1], np.searchsorted(edges, t[::-1], side="right"))
 
