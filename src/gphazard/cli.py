@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +23,8 @@ from .likelihood import HyperParams, log_likelihood
 from .models import (
     HazardModel,
     _build_model,
+    _draw_model_params,
     _variant_fields,
-    draw_model_params,
     model_from_dict,
     simulate_dataset,
 )
@@ -98,8 +97,8 @@ def _resolve_draw(cfg: dict, key: str, stream: RandomStream) -> GammaProcessDraw
 def build_model(cfg: dict, stream: RandomStream) -> HazardModel:
     """Assemble the configured model, drawing priors (and scalars, if nu is set) in order.
 
-    With nu set, every scalar that has a prior is drawn, and the scalars
-    the config gives then replace the drawn ones.
+    With nu set, every prior is drawn, in field order, and a scalar the
+    config gives takes the place of its draw.
     """
     variant = cfg.get("model")
     scalars, draw_keys, drawable = _variant_fields(variant)
@@ -116,9 +115,7 @@ def build_model(cfg: dict, stream: RandomStream) -> HazardModel:
         raise ValueError(f"{variant} needs {missing} in the config{hint}")
     given = [k for k in drawable if k in cfg]
     _require_reals(cfg, ["nu", *given], "config")
-    model = draw_model_params(variant, draws, HyperParams(nu=cfg["nu"]), stream,
-                              a=cfg.get("a"), pi=cfg.get("pi"), draw_pi=draw_pi)
-    return replace(model, **{k: float(cfg[k]) for k in given})
+    return _draw_model_params(variant, draws, HyperParams(nu=cfg["nu"]), stream, cfg, draw_pi)
 
 
 def _write_text(path, text: str) -> None:

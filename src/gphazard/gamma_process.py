@@ -266,15 +266,23 @@ class GammaProcessDraw:
             cum_moment=cum_moment,
         )
 
-    # Prefix sums with a leading zero so that index j = "number of atoms
-    # at or below the cut" addresses them directly.
+    # Tables with a leading zero so that index j = "number of atoms at or
+    # below the cut" addresses them directly.
     @cached_property
     def _mass0(self) -> np.ndarray:
         return np.concatenate(([0.0], self.ordered.cum_mass))
 
     @cached_property
-    def _moment0(self) -> np.ndarray:
-        return np.concatenate(([0.0], self.ordered.cum_moment))
+    def _above0(self) -> np.ndarray:
+        """Suffix masses: the weight of the sorted atoms after the first j, a sum of weights."""
+        return np.concatenate((np.cumsum(self.ordered.weights[::-1])[::-1], [0.0]))
+
+    @cached_property
+    def _integrated0(self) -> np.ndarray:
+        """Integrated masses sum_k w_k max(x - theta_k, 0) at the j-th atom x, summed by gaps."""
+        with np.errstate(over="ignore"):  # inf for atoms near the top of the double range
+            gaps = self._mass0[:-1] * np.diff(np.concatenate(([0.0], self.ordered.thetas)))
+            return np.concatenate(([0.0], np.cumsum(gaps)))
 
     def _count_below(self, t: np.ndarray, strict: bool = False) -> np.ndarray:
         """Atoms below each cut of ``t`` (strictly, or at or below), counted in the sorted atoms.
@@ -294,19 +302,21 @@ class GammaProcessDraw:
     def integral_above(self, t):
         """Mass of atoms strictly above t."""
         arr = _as_times(t)
-        return _maybe_scalar(self._mass0[-1] - self._mass0[self._count_below(arr)], t)
+        return _maybe_scalar(self._above0[self._count_below(arr)], t)
 
     def double_integral_below(self, t):
-        """sum_k w_k * max(t - theta_k, 0)."""
+        """sum_k w_k * max(t - theta_k, 0), from the integrated mass at the last atom below t."""
         arr = _as_times(t)
         j = self._count_below(arr, strict=True)
-        return _maybe_scalar(arr * self._mass0[j] - self._moment0[j], t)
+        last = np.concatenate(([0.0], self.ordered.thetas))[j]
+        return _maybe_scalar(self._integrated0[j] + self._mass0[j] * (arr - last), t)
 
     def double_integral_above(self, t):
         """sum_k w_k * min(t, theta_k)."""
         arr = _as_times(t)
         j = self._count_below(arr)
-        return _maybe_scalar(self._moment0[j] + arr * (self._mass0[-1] - self._mass0[j]), t)
+        moment0 = np.concatenate(([0.0], self.ordered.cum_moment))
+        return _maybe_scalar(moment0[j] + arr * self._above0[j], t)
 
     def to_dict(self) -> dict:
         return {

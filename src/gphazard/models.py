@@ -9,11 +9,11 @@ lookup.  Five of the models share one cumulative-hazard skeleton that
 inverts in closed form: between knots the hazard is
 ``c * exp(r * (t - knot))``.  The four step-hazard models are its rate-0
 case, with linear segments between breakpoints, and the log-convex model
-uses its exponential segments, with knots at the atom locations.  The
-mixture model's cumulative hazard is concave between its pooled knots, so
-Newton's method started at the left knot inverts it without overshooting.
-A time's segment also tells its hazard (the step models' level table, lcv's
-atom count), so one lookup serves both the hazard and the cumulative hazard,
+uses its exponential segments.  The mixture model's cumulative hazard is
+concave between its pooled knots, so Newton's method started at the left
+knot inverts it without overshooting.  A time's segment also tells its
+hazard (the step models' level table, lcv's log hazard at the knot and
+log-slope), so one lookup serves both the hazard and the cumulative hazard,
 for the density and that Newton loop, which evaluates only the targets
 still moving.  The likelihood splits a dataset's sorted times by the knots
 once, and each family scores it from that split (``_log_likelihood_terms``).
@@ -96,13 +96,6 @@ def _neg_log(u: np.ndarray) -> np.ndarray:
 
 def _math_log(u: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, u.tolist()), dtype=float, count=u.size)
-
-
-def _from_zero(breakpoints: np.ndarray) -> np.ndarray:
-    """The sorted, distinct, non-negative ``breakpoints`` with 0 in front unless they start at 0."""
-    if breakpoints.size and breakpoints[0] == 0.0:
-        return breakpoints
-    return np.concatenate(([0.0], breakpoints))
 
 
 @dataclass(eq=False)
@@ -229,13 +222,13 @@ class HazardModel(ABC):
     """The one base of all six models: their evaluation and sampling surface.
 
     Each model is a frozen dataclass whose fields, in order, are its
-    constructor arguments and document keys, and ``hazard`` is its only
-    abstract method.  Its draws are immutable too, so what a model caches
-    from them never goes stale.  Each scalar field must lie in the domain
-    its metadata names, or be finite if it names none; a scalar with a
-    conditional prior names it there too (``draw_model_params`` draws it).
-    By default the cumulative hazard goes through the model's cached
-    ``_skeleton`` and the breakpoints are the draws' pooled atom locations.
+    constructor arguments and document keys.  Its draws are immutable too,
+    so what a model caches from them never goes stale.  Each scalar field
+    must lie in the domain its metadata names, or be finite if it names
+    none; a scalar with a conditional prior names it there too
+    (``draw_model_params`` draws it).  By default the breakpoints are the
+    draws' pooled atoms, and a time's segment of the cached ``_skeleton``
+    gives its cumulative hazard and, by ``_segment_hazard``, its hazard.
     """
 
     variant: str
@@ -247,9 +240,14 @@ class HazardModel(ABC):
             if not self._is_draw(f):
                 _check_range(f.name, getattr(self, f.name), f.metadata.get("domain", "finite"))
 
-    @abstractmethod
     def hazard(self, t):
         """Instantaneous failure rate at t (scalar or array)."""
+        arr = _as_times(t)
+        return _maybe_scalar(self._segment_hazard(_rank(self._knots, arr, "right") - 1, arr), t)
+
+    def _segment_hazard(self, seg: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The hazard at checked times ``t`` in skeleton segments ``seg``: the segment's level."""
+        return self._skeleton.coeffs[seg]
 
     def cum_hazard(self, t):
         """Integral of the hazard over [0, t]."""
@@ -266,8 +264,9 @@ class HazardModel(ABC):
         return _maybe_scalar(self._skeleton.invert(x.reshape(-1)).reshape(x.shape), target)
 
     def _hazard_and_cum(self, t):
-        """(hazard(t), cum_hazard(t)) at checked 1-d times; an override finds both in one lookup."""
-        return self.hazard(t), self.cum_hazard(t)
+        """(hazard(t), cum_hazard(t)) at checked 1-d times, from one lookup of their segments."""
+        seg, cum = self._skeleton._locate(t)
+        return self._segment_hazard(seg, t), cum
 
     def breakpoints(self) -> np.ndarray:
         """Sorted locations where the hazard jumps or kinks: the draws' distinct atoms.
@@ -277,6 +276,12 @@ class HazardModel(ABC):
         """
         atoms = [getattr(self, f.name).ordered.thetas for f in fields(self) if self._is_draw(f)]
         return _distinct(atoms[0] if len(atoms) == 1 else np.sort(np.concatenate(atoms)))[0]
+
+    @cached_property
+    def _knots(self) -> np.ndarray:
+        """The skeleton's knots: 0, then the breakpoints (0 only once)."""
+        bps = self.breakpoints()
+        return bps if bps.size and bps[0] == 0.0 else np.concatenate(([0.0], bps))
 
     def to_dict(self) -> dict:
         out = {"model": self.variant}
@@ -321,21 +326,11 @@ class _StepHazard(HazardModel):
 
     @cached_property
     def _skeleton(self) -> _Skeleton:
-        knots = _from_zero(self.breakpoints())
-        return _Skeleton(knots, np.zeros(knots.size), self._levels_at(knots))
+        return _Skeleton(self._knots, np.zeros(self._knots.size), self._levels_at(self._knots))
 
     @abstractmethod
     def _levels_at(self, knots: np.ndarray) -> np.ndarray:
         """The hazard on the segment that starts at each knot."""
-
-    def hazard(self, t):
-        arr = _as_times(t)
-        skeleton = self._skeleton
-        return _maybe_scalar(skeleton.coeffs[_rank(skeleton.knots, arr, "right") - 1], t)
-
-    def _hazard_and_cum(self, t):
-        seg, cum = self._skeleton._locate(t)
-        return self._skeleton.coeffs[seg], cum
 
     def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
         """The sum of log h - H over the ascending observed times, and of H over the censored.
@@ -385,8 +380,7 @@ class DecreasingFailureRate(_StepHazard):
     variant = "dfr"
 
     def _levels_at(self, knots):
-        mass = self.draw._mass0
-        return self.lambda0 + mass[-1] - mass[self.draw._count_below(knots)]
+        return self.lambda0 + self.draw._above0[self.draw._count_below(knots)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,7 +431,7 @@ class SuperpositionBathtub(_StepHazard):
     def _levels_at(self, knots):
         d1, d2 = self.draw_decreasing, self.draw_increasing
         j1, j2 = d1._count_below(knots), d2._count_below(knots)
-        return self.lambda0 + d1._mass0[-1] - d1._mass0[j1] + d2._mass0[j2]
+        return self.lambda0 + d1._above0[j1] + d2._mass0[j2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -539,8 +533,7 @@ class MixtureBathtub(HazardModel):
 
     @cached_property
     def _knot_values(self) -> tuple[np.ndarray, np.ndarray]:
-        knots = _from_zero(self.breakpoints())
-        return knots, self._hazard_and_cum(knots)[1]
+        return self._knots, self._hazard_and_cum(self._knots)[1]
 
     def invert_cum_hazard(self, target):
         x = _as_times(target, "target")
@@ -598,52 +591,46 @@ class LogConvexHazard(HazardModel):
     variant = "lcv"
 
     @cached_property
+    def _lead_and_rates(self) -> tuple[np.ndarray, np.ndarray]:
+        """At each knot, log(hazard / lambda0) = w0 knot + integrated mass, and w0 + mass."""
+        j = self.draw._count_below(self._knots)
+        with np.errstate(over="ignore"):  # inf for a steep hazard
+            return self.w0 * self._knots + self.draw._integrated0[j], self.w0 + self.draw._mass0[j]
+
+    @cached_property
     def _skeleton(self) -> _Skeleton:
-        knots = np.concatenate(([0.0], self.draw.ordered.thetas))
-        rates = self.w0 + self.draw._mass0
+        lead, rates = self._lead_and_rates
         with np.errstate(over="ignore"):  # a steep hazard's coefficients overflow to inf
-            coeffs = self.lambda0 * np.exp(rates * knots - self.draw._moment0)
-        return _Skeleton(knots, rates, coeffs)
+            coeffs = self.lambda0 * np.exp(lead)
+        return _Skeleton(self._knots, rates, coeffs)
 
-    def hazard(self, t):
-        arr = _as_times(t)
-        return _maybe_scalar(self._hazard_at(arr, self.draw._count_below(arr)), t)
-
-    def _hazard_and_cum(self, t):
-        # the knots are 0 and every atom, so a time's segment counts the atoms at or below it
-        seg, cum = self._skeleton._locate(t)
-        return self._hazard_at(t, seg), cum
+    def _segment_hazard(self, seg, t):
+        lead, rates = self._lead_and_rates
+        with np.errstate(over="ignore"):  # one exp, so no factor underflows alone; inf at large t
+            return self.lambda0 * np.exp(lead[seg] + rates[seg] * (t - self._knots[seg]))
 
     def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
         """The sum of log h - H over the ascending observed times, and of H over the censored.
 
-        On segment l the log hazard is ``lead_l + rate_l * (t - knot_l)``, with
-        ``lead_l = rate_l * knot_l - moment_l`` the log of the skeleton's
-        coefficient over lambda0, taken without its exp.  So the n observed
-        times add ``n log(lambda0) + sum_l (n_l lead_l + rate_l sum(t - knot_l))``:
+        On segment l the log hazard is ``log(lambda0) + lead_l + rate_l * (t -
+        knot_l)``, with ``lead_l`` the log of the skeleton's coefficient over
+        lambda0, taken without its exp.  So the n observed times add
+        ``n log(lambda0) + sum_l (n_l lead_l + rate_l sum(t - knot_l))``:
         no exp or log per record.  The offsets t - knot_l are taken per
         record, exactly; they also give the cumulative hazard per record.  An
         overflowed log hazard or cumulative hazard gives -inf.
         """
-        skeleton = self._skeleton
+        skeleton, (lead, rates) = self._skeleton, self._lead_and_rates
         starts, counts, spread, offsets = skeleton._split(obs)
         seg = np.flatnonzero(counts)
-        rates = skeleton.rates[seg]
-        # a steep hazard's terms overflow, and with an overflowed moment give inf - inf
+        # a steep hazard's terms overflow, and with an overflowed lead give inf - inf
         with np.errstate(over="ignore", invalid="ignore"):
-            lead = rates * skeleton.knots[seg] - self.draw._moment0[seg]
             spent = np.add.reduceat(offsets, starts[seg])
-            log_hazard = np.sum(counts[seg] * lead + rates * spent)
+            log_hazard = np.sum(counts[seg] * lead[seg] + rates[seg] * spent)
         cum = float(np.sum(skeleton._cum_past(spread, offsets)))
         overflowed = cum == math.inf or not log_hazard < math.inf
         observed = -math.inf if overflowed else obs.size * math.log(self.lambda0) + log_hazard - cum
         return float(observed), float(np.sum(skeleton._locate(cens)[1]))
-
-    def _hazard_at(self, arr: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """The hazard at times ``arr`` with ``j`` atoms at or below each."""
-        d = self.draw
-        with np.errstate(over="ignore"):  # overflows to inf at large t
-            return self.lambda0 * np.exp(self.w0 * arr + arr * d._mass0[j] - d._moment0[j])
 
 
 def simulate_dataset(
@@ -718,13 +705,18 @@ def draw_model_params(
     ``draw_pi=True`` draws a missing pi uniformly after the priors, an
     extension with no standard prior.  A missing one raises before any draw.
     """
+    return _draw_model_params(variant, draws, hyper, stream, {"a": a, "pi": pi}, draw_pi)
+
+
+def _draw_model_params(variant, draws, hyper, stream, given: dict, draw_pi) -> HazardModel:
+    """``draw_model_params`` keeping each scalar in ``given`` (not None); its prior is drawn."""
     names, draw_keys, _ = _variant_fields(variant)
     draws = list(draws)
     if len(draws) != len(draw_keys):
         raise ValueError(f"{variant} needs {len(draw_keys)} draw(s), got {len(draws)}")
-    scalars = {name: value for name, value in (("a", a), ("pi", pi)) if name in names}
-    for name, value in scalars.items():
-        if value is None and not (name == "pi" and draw_pi):
+    scalars = {name: value for name, value in given.items() if name in names and value is not None}
+    for name in ("a", "pi"):
+        if name in names and name not in scalars and not (name == "pi" and draw_pi):
             hint = " (or draw_pi=True for a uniform draw)" if name == "pi" else ""
             raise ValueError(f"{variant} requires {name}: it has no prior{hint}")
     for f in fields(_MODELS[variant]):
@@ -736,14 +728,14 @@ def draw_model_params(
             value = stream.exponential(hyper.nu / gamma)
         else:
             value = stream.normal(0.0, gamma / hyper.nu)
-        if kind == "log-normal":
+        if kind == "log-normal" and f.name not in scalars:
             try:
                 value = math.exp(value)
             except OverflowError:
                 raise ValueError(f"{variant} prior drew log({f.name}) = {value!r}, "
                                  f"too large for a float {f.name}") from None
-        scalars[f.name] = value
-    if "pi" in scalars and scalars["pi"] is None:  # draw_pi is set
+        scalars.setdefault(f.name, value)
+    if "pi" in names and "pi" not in scalars:  # draw_pi is set
         scalars["pi"] = stream.uniform()
     return _build_model(variant, scalars, draws)
 

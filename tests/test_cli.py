@@ -175,6 +175,16 @@ class TestScalarsUnderNu:
         assert main(["simulate", "--config", str(out1) + ".config.json", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_a_given_lambda0_skips_its_discarded_draw(self, tmp_path, seed):
+        # sd 2e6 for log(lambda0): the draw overflows or underflows exp, yet lambda0 is given
+        prior = {"alpha": 2.0, "beta": 1.0, "K": 20}
+        cfg = _write_config(tmp_path, model="lcv", lambda0=1.0, nu=1e-6, prior=prior, seed=seed)
+        out1, out2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
+        assert main(["curves", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["curves", "--config", str(out1) + ".config.json", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     @pytest.mark.parametrize("doc, message", [
         ({"model": "lwb", "lambda0": 0.1}, "lwb needs ['a'] in the config"),
         ({"model": "lwb"}, "lwb needs ['lambda0', 'a'] in the config "

@@ -1,6 +1,7 @@
 """Stick-breaking draws, measure integrals, ordered views, and serialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,23 @@ class TestIntegrals:
         # ascending cuts: every search was of the atoms into the cuts, none of the cuts
         # into the atoms; descending ones take the plain search of the cuts
         assert searched == [t.size if descending else thetas.size] * 4
+
+
+class TestSumsOfNonNegativeTerms:
+    """The integrals from suffix and integrated masses, with no cancelling difference."""
+
+    def test_mass_above_a_large_weight(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert GammaProcessDraw.from_atoms([1.0, 2.0], [1e20, 0.5]).integral_above(1.5) == 0.5
+
+    def test_integrated_mass_near_the_top_of_the_double_range(self):
+        # 0.6 * 0.5e308 + 1.2 * 0.1e308, where t * mass = 1.92e308 overflows
+        d = GammaProcessDraw.from_atoms([1e308, 1.5e308], [0.6, 0.6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.double_integral_below(1.6e308) == pytest.approx(4.2e307, rel=1e-15)
+            assert d.double_integral_below(1.25e308) == pytest.approx(1.5e307, rel=1e-15)
 
 
 class TestOrderedView:

@@ -34,6 +34,8 @@ from gphazard.models import (
 from gphazard.rng import RandomStream
 from gphazard.stats import ks_distance
 
+import _oracle
+
 
 def _constant_hazard_model(lambda0=1.0):
     # atom far beyond the data keeps the hazard constant over the horizon
@@ -193,17 +195,30 @@ class TestOverflowedMixtureLogDensity:
 
 
 class TestOverflowedMoment:
-    def test_a_nan_censored_cumulative_hazard_after_an_overflowed_one_is_minus_inf(self):
-        # the atom moments overflow to inf from t = 3 on, where the skeleton's
-        # coefficient is nan; the observed cumulative hazard overflows before it
+    def test_an_inf_coefficient_after_an_overflowed_cumulative_hazard_is_minus_inf(self):
+        # from t = 3 on the log hazard exceeds 2.5e200, so the skeleton's coefficient
+        # there is inf, its true value; the observed cumulative hazard overflows before it
         model = LogConvexHazard(2.0, -1.0, GammaProcessDraw.from_atoms([3.0, 0.5], [1e308, 1e200]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert math.isnan(model._skeleton.coeffs[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model._skeleton.coeffs[-1] == math.inf
         data = Dataset(times=[0.5, 0.25, 10.0, 2.0, 1.0], observed=[True, True, False, True, True])
         assert model.cum_hazard(2.0) == math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert log_likelihood(model, data) == -math.inf
+
+
+class TestSmallWeightBehindALargeOne:
+    def test_an_event_where_the_large_weight_has_passed_is_finite(self):
+        # the dfr hazard at 1.5 is 0.3 + 0.5, which a difference of prefix sums loses
+        # behind the weight of 1e20
+        model = DecreasingFailureRate(0.3, GammaProcessDraw.from_atoms([1.0, 2.0], [1e20, 0.5]))
+        data = Dataset(times=[1.5, 2.5], observed=[True, False])
+        expected = math.log(0.8) - model.cum_hazard(1.5) - model.cum_hazard(2.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_likelihood(model, data) == pytest.approx(expected, rel=1e-15)
 
 
 class TestOverflowedCumulativeHazard:
@@ -466,9 +481,11 @@ def _decimal_error_ulp(model, data, got: float) -> float:
     """How far ``got`` lies from a 50-digit evaluation of the model's skeleton, in ulp of it.
 
     The skeleton's knots, levels (``coeffs``) and knot values are taken as
-    exact.  For lcv only the log-hazard sum, ``log(lambda0) - moment_l +
-    rate_l * t`` on segment l, is evaluated so; its cumulative hazard is the
-    model's ``cum_hazard`` per record, summed exactly.
+    exact.  For lcv only the log-hazard sum is evaluated so: on segment l it
+    is ``log(lambda0) + lead_l + rate_l * (t - knot_l)``, with the log hazard
+    over lambda0 at the knot and the log-slope taken from the atoms by the
+    oracle.  Its cumulative hazard is the model's ``cum_hazard`` per record,
+    summed exactly.
     """
     D = decimal.Decimal
     skeleton = model._skeleton
@@ -480,9 +497,10 @@ def _decimal_error_ulp(model, data, got: float) -> float:
                 for times in (obs, cens)]
         if model.variant == "lcv":
             cum = np.concatenate((model.cum_hazard(obs), model.cum_hazard(cens)))
-            lead = [D(model.lambda0).ln() - D(m) for m in model.draw._moment0.tolist()]
-            rates = [D(r) for r in skeleton.rates.tolist()]
-            exact = (sum(lead[l] + rates[l] * D(t) for t, l in zip(obs.tolist(), segs[0]))
+            log_lambda0 = D(model.lambda0).ln()
+            terms = _oracle.lcv_log_terms(model, skeleton.knots.tolist())
+            exact = (sum(log_lambda0 + terms[l][0] + terms[l][1] * (D(t) - knots[l])
+                         for t, l in zip(obs.tolist(), segs[0]))
                      - sum(map(D, cum.tolist())))
         else:
             exact = sum(n * coeffs[l].ln() for l, n in collections.Counter(segs[0]).items())

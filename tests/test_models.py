@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from gphazard import gamma_process, models
@@ -29,6 +29,8 @@ from gphazard.models import (
 from gphazard.rng import RandomStream
 from gphazard.stats import ks_distance
 from gphazard.validation import DEMO_SEED, demo_models
+
+import _oracle
 
 
 def _atoms(pairs):
@@ -1093,15 +1095,16 @@ def _masked_cum_hazard(skeleton, t) -> np.ndarray:
 
 class TestExponentialSkeletonFixUp:
     """lcv skeletons with a zero-rate segment or an overflowed coefficient, which take the
-    fix-up after the exponential formula, against the masked formula bit for bit."""
+    fix-up after the exponential formula, against the masked formula bit for bit; and tied
+    atoms, which give one knot."""
 
     CASES = {
         # w0 = 0 makes the first segment linear
         "w0-zero": LogConvexHazard(1.0, 0.0, _atoms([(0.5, 0.3), (1.5, 0.7)])),
-        # tied atoms: a zero-width segment, then a zero-rate one of positive width
+        # tied atoms, then a zero-rate segment of positive width
         "tied-zero-rate": LogConvexHazard(0.8, -0.75, _atoms([(1.0, 0.25), (1.0, 0.5),
                                                               (2.0, 0.75)])),
-        # tied atoms whose zero-rate segment is the zero-width one
+        # tied atoms with a zero rate between them: one knot, so no zero-width segment
         "tied-zero-width": LogConvexHazard(0.8, -0.25, _atoms([(1.0, 0.25), (1.0, 0.5),
                                                                (2.0, 0.75)])),
         # the coefficients overflow to inf past the first knot
@@ -1113,7 +1116,10 @@ class TestExponentialSkeletonFixUp:
     def test_cum_hazard_bits(self, name, order):
         model = self.CASES[name]
         skeleton = model._skeleton
-        assert not skeleton._linear and not skeleton._exponential
+        if name == "tied-zero-width":
+            np.testing.assert_array_equal(skeleton.knots, [0.0, 1.0, 2.0])
+        else:
+            assert not skeleton._linear and not skeleton._exponential
         knots = skeleton.knots
         grid = RandomStream(8).uniforms(gamma_process._MERGE_MIN + 10) * (knots[-1] + 2.0)
         t = np.concatenate(([0.0], knots, 0.5 * (knots[:-1] + knots[1:]), knots + 0.25, grid))
@@ -1164,3 +1170,92 @@ class TestMixtureCumHazardOracle:
                                       _bits(self._oracle(model, knots)))
         assert model.cum_hazard(float(t[7])) == expected[7]
         assert isinstance(model.cum_hazard(float(t[7])), float)
+
+
+# one weight 2^66 times the other, and lambda0 below both: a difference of prefix sums
+# loses the small weight and lambda0
+_DOMINATED = GammaProcessDraw.from_atoms([1.0, 2.0], [1e20, 0.5])
+
+
+class TestSumsOfNonNegativeTerms:
+    """Levels and log hazards from suffix and integrated masses, with no cancelling difference."""
+
+    @pytest.mark.parametrize("t, expected", [(1.5, 0.8), (2.5, 0.3)])
+    @pytest.mark.parametrize("variant", ["dfr", "sbt"])
+    def test_a_small_weight_behind_a_large_one(self, variant, t, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if variant == "dfr":
+                model = DecreasingFailureRate(0.3, _DOMINATED)
+            else:
+                model = SuperpositionBathtub(0.3, _DOMINATED, GammaProcessDraw.from_atoms([], []))
+            assert model.hazard(t) == expected
+            assert model._hazard_and_cum(np.array([t]))[0][0] == expected
+
+    def test_lcv_log_hazard_beside_a_large_weight(self):
+        # log hazard(3) = log 0.3 - 3000 + (0.5 * 2 + 3 + 3): 0.3 e^-2993 rounds to 0
+        model = LogConvexHazard(0.3, -1000.0, _atoms([(3.0, 1e200), (1.0, 0.5), (2.0, 3.0),
+                                                      (2.0, 3.0)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.hazard(3.0) == 0.0
+            assert model._hazard_and_cum(np.array([3.0]))[0][0] == 0.0
+            np.testing.assert_array_equal(model._skeleton.knots, [0.0, 1.0, 2.0, 3.0])
+
+
+_ORACLE_THETAS = st.sampled_from([0.0, 0.5, 1.0, 2.5]) | st.floats(0.0, 10.0)
+# zero weights, and weights whose ratios reach 1e20
+_ORACLE_WEIGHTS = st.just(0.0) | st.builds(lambda m, k: m * 10.0 ** k, st.floats(0.5, 2.0),
+                                           st.integers(-20, 0))
+
+
+@st.composite
+def _oracle_cases(draw, variant):
+    """A model of the variant on 1-8 generated atoms, and times at, beside and between them."""
+
+    def atoms():
+        k = draw(st.integers(1, 8))
+        return GammaProcessDraw.from_atoms(draw(st.lists(_ORACLE_THETAS, min_size=k, max_size=k)),
+                                           draw(st.lists(_ORACLE_WEIGHTS, min_size=k, max_size=k)))
+
+    d = atoms()
+    lambda0 = draw(st.just(0.0) | st.floats(1e-3, 10.0))
+    model = {"ifr": lambda: IncreasingFailureRate(lambda0, d),
+             "dfr": lambda: DecreasingFailureRate(lambda0, d),
+             "sbt": lambda: SuperpositionBathtub(lambda0, d, atoms()),
+             "lcv": lambda: LogConvexHazard(draw(st.floats(1e-3, 10.0)),
+                                            draw(st.floats(-3.0, 3.0)), d)}[variant]()
+    knots = [float(x) for x in model.breakpoints()]
+    near = st.sampled_from(knots).flatmap(
+        lambda x: st.sampled_from([x, float(np.nextafter(x, -1.0)), float(np.nextafter(x, 20.0))]))
+    ts = draw(st.lists(near.filter(lambda x: x >= 0.0) | st.floats(0.0, 12.0), min_size=1,
+                       max_size=10))
+    return model, ts
+
+
+class TestHazardAgainstTheAtoms:
+    """The hazard within a per-model ulp budget of a 60-digit evaluation from the atoms alone.
+
+    Each budget is twice the worst error over four 1,000-example runs of this
+    strategy per model, with ``target`` steering each run toward large errors:
+    ifr 1.97, dfr 1.21, sbt 2.04 and lcv 117.2 ulp.  lcv's error grows with
+    the size of the terms of its log hazard, as exp turns their rounding into
+    a relative error.  The run here is derandomized, so it is the same every time.
+    """
+
+    BUDGET_ULP = {"ifr": 4.0, "dfr": 2.5, "sbt": 4.1, "lcv": 235.0}
+
+    @pytest.mark.parametrize("variant", list(BUDGET_ULP))
+    def test_within_budget(self, variant):
+        @settings(max_examples=75, deadline=None, database=None, derandomize=True)
+        @given(_oracle_cases(variant))
+        def check(case):
+            model, ts = case
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = np.asarray(model.hazard(np.array(ts))).tolist()
+            errors = [_oracle.error_ulp(g, _oracle.hazard(model, t)) for g, t in zip(got, ts)]
+            target(max(errors))
+            assert max(errors) <= self.BUDGET_ULP[variant], (ts, errors)
+
+        check()
