@@ -37,8 +37,6 @@ __all__ = [
 
 _CLOSURE_TOL = 1e-9
 
-_MERGE_MIN = 1024  # fewest keys _rank merges; below it the merge's fixed cost dominates
-
 
 @dataclass(frozen=True)
 class ExponentialBase:
@@ -88,22 +86,6 @@ BaseMeasure = ExponentialBase | NormalBase
 
 def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
     return float(out) if np.ndim(like) == 0 else out
-
-
-def _rank(edges: np.ndarray, t: np.ndarray, side: str) -> np.ndarray:
-    """``np.searchsorted(edges, t, side)``, by merging when t is a long non-decreasing 1-d array.
-
-    A binary search per key mispredicts its branches on unsorted keys.  On
-    non-decreasing keys one search of the edges into the keys splits the
-    keys into runs of equal rank, and each rank is repeated over its run:
-    O(n + K log n) in place of O(n log K).  Short inputs, where the merge's
-    fixed cost outweighs the search, and unsorted ones take the plain search.
-    """
-    if (t.ndim != 1 or t.size < _MERGE_MIN or t.size < 2 * edges.size
-            or not (t[1:] >= t[:-1]).all()):
-        return np.searchsorted(edges, t, side=side)
-    first = np.searchsorted(t, edges, side="left" if side == "right" else "right")
-    return np.repeat(np.arange(edges.size + 1), np.diff(first, prepend=0, append=t.size))
 
 
 def _distinct(ascending: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,9 +156,10 @@ class OrderedAtoms:
     """Atoms sorted by location with prefix sums of mass and first moment.
 
     ``cum_mass[l]`` is the total weight of the first l+1 sorted atoms and
-    ``cum_moment[l]`` the corresponding sum of weight*location products;
-    both are the partial sums the inverse-transform samplers interpolate
-    between.  The arrays are read-only copies of those given.
+    ``cum_moment[l]`` the corresponding sum of weight*location products:
+    ``cum_mass`` gives the draw's prefix masses, ``cum_moment`` its
+    ``double_integral_above``.  The arrays are read-only copies of those
+    given.
     """
 
     thetas: np.ndarray
@@ -289,7 +272,7 @@ class GammaProcessDraw:
 
         ``t`` is taken as given, not checked again: callers pass checked times or knots.
         """
-        return _rank(self.ordered.thetas, t, "left" if strict else "right")
+        return np.searchsorted(self.ordered.thetas, t, "left" if strict else "right")
 
     def total_mass(self) -> float:
         return float(self._mass0[-1])

@@ -11,11 +11,11 @@ is then below -1.8e308, so ``-inf`` is its correctly rounded value, where
 that has overflowed to ``+inf`` under an observed time, whose log is not
 known; a mixture gives such a component a density of 0 there.
 
-Each model family scores the observed times from one split of the
-ascending times by its knots, with no per-record hazard: the step models
-from each segment's event count and summed offsets from its knot (the
-piecewise exponential likelihood), lcv from its log hazard, linear on each
-segment, and the mixture from its log density.
+Each model scores the observed times from one split of the ascending
+times by its knots, with no per-record hazard: the five skeleton models,
+whose log hazard is linear on each segment, from each segment's event
+count, log level and summed offsets (the piecewise exponential likelihood
+where the log-slope is 0), and the mixture from its log density.
 """
 
 from __future__ import annotations

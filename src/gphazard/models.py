@@ -16,7 +16,7 @@ hazard (the step models' level table, lcv's log hazard at the knot and
 log-slope), so one lookup serves both the hazard and the cumulative hazard,
 for the density and that Newton loop, which evaluates only the targets
 still moving.  The likelihood splits a dataset's sorted times by the knots
-once, and each family scores it from that split (``_log_likelihood_terms``).
+once; one kernel scores that split for the skeleton models, one the mixture.
 The knots are the distinct atoms, taken by one comparison of neighbours from
 the atoms as the draw has sorted them (two draws' are joined and sorted once;
 lwb's mirrored knots come out sorted as they are built).
@@ -42,7 +42,7 @@ import numpy as np
 from ._checks import (_as_times, _check_count, _check_range, _horizon, _rebuild, _require_keys,
                       _require_reals)
 from .datasets import Dataset
-from .gamma_process import GammaProcessDraw, _distinct, _maybe_scalar, _rank
+from .gamma_process import GammaProcessDraw, _distinct, _maybe_scalar
 from .likelihood import HyperParams
 from .rng import RandomStream, _categorical_pick
 
@@ -103,21 +103,27 @@ class _Skeleton:
     """Cumulative hazard whose hazard is exponential in t on each segment.
 
     On segment l, from ``knots[l]`` to the next knot (the last one extends
-    to infinity), the hazard is ``coeffs[l] * exp(rates[l] * (t - knots[l]))``.
-    A rate below ``_ZERO_RATE`` in magnitude makes the segment linear with
-    slope ``coeffs[l]``, and a zero coefficient makes it flat: inverting
-    past the value a flat tail holds yields ``inf``.  ``values`` holds the
-    cumulative hazard at the knots, accumulated from non-negative segment
-    increments, so the function is weakly monotone even at rounding scale
-    and evaluation and inversion share it.
+    to infinity), the hazard is ``coeffs[l] * exp(rates[l] * (t - knots[l]))``,
+    with ``log_coeffs`` its log at the knots: ``log(coeffs)`` unless a model
+    gives it without the exp (lcv).  A rate below ``_ZERO_RATE`` in magnitude
+    makes the segment linear with slope ``coeffs[l]``, and a zero coefficient
+    makes it flat: inverting past the value a flat tail holds yields ``inf``.
+    ``values`` holds the cumulative hazard at the knots, accumulated from
+    non-negative segment increments ``expm1(r dt) / r * c``, divided first so
+    that only an overflowing increment is inf.  So the function is weakly
+    monotone even at rounding scale, and evaluation and inversion share it.
     """
 
     knots: np.ndarray
     rates: np.ndarray
     coeffs: np.ndarray
+    log_coeffs: np.ndarray | None = None
     values: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.log_coeffs is None:
+            with np.errstate(divide="ignore"):
+                self.log_coeffs = np.log(self.coeffs)
         # read once from the segments: with finite coefficients, when every rate is 0 (the
         # step models) no rate is looked at per element, and when none is (lcv) no mask is needed
         finite = bool(np.all(np.isfinite(self.coeffs)))
@@ -141,11 +147,11 @@ class _Skeleton:
             return dt
         rate = pick(self.rates)
         with np.errstate(over="ignore", invalid=None if self._exponential else "ignore"):
-            # c * expm1(r * dt) / r in one buffer, dt's own when nothing else reads it
+            # expm1(r * dt) / r * c in one buffer, dt's own when nothing else reads it
             out = np.multiply(rate, dt, out=dt if self._exponential else None)
             np.expm1(out, out=out)
-            out *= coeff  # may overflow to inf; dt = 0 adds +-0
             out /= rate
+            out *= coeff  # inf where the increment overflows; dt = 0 adds +-0
             if not self._exponential:  # nan where r = 0, or where c = inf and dt = 0
                 lin = np.abs(rate) < _ZERO_RATE
                 out[lin] = coeff[lin] * dt[lin]
@@ -154,7 +160,7 @@ class _Skeleton:
 
     def _locate(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The segment of each time in a checked 1-d ``arr``, and the cumulative hazard there."""
-        seg = _rank(self.knots, arr, "right") - 1
+        seg = np.searchsorted(self.knots, arr, "right") - 1
         pick = itemgetter(seg)
         dt = pick(self.knots)
         return seg, self._cum_past(pick, np.subtract(arr, dt, out=dt))
@@ -227,8 +233,9 @@ class HazardModel(ABC):
     must lie in the domain its metadata names, or be finite if it names
     none; a scalar with a conditional prior names it there too
     (``draw_model_params`` draws it).  By default the breakpoints are the
-    draws' pooled atoms, and a time's segment of the cached ``_skeleton``
-    gives its cumulative hazard and, by ``_segment_hazard``, its hazard.
+    draws' pooled atoms, a time's segment of the cached ``_skeleton`` gives
+    its cumulative hazard and, by ``_segment_hazard``, its hazard, and the
+    skeleton's log levels give the one likelihood kernel its log hazard.
     """
 
     variant: str
@@ -243,7 +250,8 @@ class HazardModel(ABC):
     def hazard(self, t):
         """Instantaneous failure rate at t (scalar or array)."""
         arr = _as_times(t)
-        return _maybe_scalar(self._segment_hazard(_rank(self._knots, arr, "right") - 1, arr), t)
+        seg = np.searchsorted(self._knots, arr, "right") - 1
+        return _maybe_scalar(self._segment_hazard(seg, arr), t)
 
     def _segment_hazard(self, seg: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The hazard at checked times ``t`` in skeleton segments ``seg``: the segment's level."""
@@ -267,6 +275,31 @@ class HazardModel(ABC):
         """(hazard(t), cum_hazard(t)) at checked 1-d times, from one lookup of their segments."""
         seg, cum = self._skeleton._locate(t)
         return self._segment_hazard(seg, t), cum
+
+    def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
+        """The sum of log h - H over the ascending observed times, and of H over the censored.
+
+        The log hazard is linear on each segment, so the n_l observed times in
+        segment l, their offsets t - knot_l summing to s_l, add ``n_l log_coeffs_l
+        + rates_l s_l - (n_l values_l + past_l)``, where ``past_l`` is ``coeffs_l
+        s_l`` on a linear skeleton (the piecewise exponential likelihood), else
+        the increments summed.  A zero level, a nan or a +inf sum gives -inf.
+        """
+        skeleton = self._skeleton
+        starts, counts, spread, offsets = skeleton._split(obs)
+        seg = np.flatnonzero(counts)
+        n, at = counts[seg], starts[seg]
+        with np.errstate(over="ignore", invalid="ignore"):
+            spent = np.add.reduceat(offsets, at)
+            if skeleton._linear:
+                past = skeleton.coeffs[seg] * spent
+            else:  # the increments may overwrite the offsets, read by now
+                past = np.add.reduceat(skeleton._increment(spread, offsets), at)
+            terms = (n * skeleton.log_coeffs[seg] + skeleton.rates[seg] * spent
+                     - (n * skeleton.values[seg] + past))
+            observed = float(np.sum(terms))
+        observed = observed if observed < math.inf else -math.inf
+        return observed, float(np.sum(skeleton._locate(cens)[1]))
 
     def breakpoints(self) -> np.ndarray:
         """Sorted locations where the hazard jumps or kinks: the draws' distinct atoms.
@@ -331,28 +364,6 @@ class _StepHazard(HazardModel):
     @abstractmethod
     def _levels_at(self, knots: np.ndarray) -> np.ndarray:
         """The hazard on the segment that starts at each knot."""
-
-    def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
-        """The sum of log h - H over the ascending observed times, and of H over the censored.
-
-        The hazard is constant on each segment, so the n_l observed times in
-        segment l add ``n_l log(level_l) - n_l values_l - level_l sum(t - knot_l)``.
-        The offsets t - knot_l are taken per record, exactly, and summed per
-        segment; the segments' terms are summed pairwise.  A zero level under
-        an event gives -inf, and so do an overflowed cumulative hazard and an
-        infinite level under an event, whose term is inf - inf or inf * 0,
-        nan.  The censored times take the skeleton per record.
-        """
-        skeleton = self._skeleton
-        starts, counts, _, offsets = skeleton._split(obs)
-        seg = np.flatnonzero(counts)
-        n, level = counts[seg], skeleton.coeffs[seg]
-        spent = np.add.reduceat(offsets, starts[seg])
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            terms = n * np.log(level) - (n * skeleton.values[seg] + level * spent)
-            observed = float(np.sum(terms))
-        observed = -math.inf if math.isnan(observed) else observed
-        return observed, float(np.sum(skeleton._locate(cens)[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -509,20 +520,19 @@ class MixtureBathtub(HazardModel):
         At an observed time log h - H = log f - _log_one: the log survival in
         both cancels, leaving the log density
         ``log f = logaddexp(log(pi) + log h1 - L1, log(1-pi) + log h2 - L2)``.
-        Each component's log h is the log of its segment's level, K logs in
-        all, and its L the skeleton in the segments of the split of the times
-        by its knots.  Where both L overflow, log f is -inf.  An infinite
-        level gives its component a log density of -inf in its segment, as
-        it gives that component scored alone, so no inf - inf appears.
+        Each component's log h is its skeleton's ``log_coeffs``, and its L
+        the skeleton in the segments of the split of the times by its knots.
+        Where both L overflow, log f is -inf.  An infinite level gives its
+        component a log density of -inf in its segment, as it gives that
+        component scored alone, so no inf - inf appears.
         """
         log_terms = []
-        # log 0 = -inf for a zero level or pi = 1, nan for inf with log(1 - pi) = -inf,
-        # and a sum below the double range is -inf
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # nan for an inf level with log(1 - pi) = -inf; a sum below the double range is -inf
+        with np.errstate(invalid="ignore", over="ignore"):
             for component, log_pi in zip(self.components, self._log_pi):
                 skeleton = component._skeleton
                 _, _, spread, offsets = skeleton._split(obs)
-                lead = log_pi + np.log(skeleton.coeffs)
+                lead = log_pi + skeleton.log_coeffs
                 if not skeleton._linear:  # an infinite level
                     lead[~(lead < math.inf)] = -math.inf
                 cum = skeleton._cum_past(spread, offsets)
@@ -602,35 +612,12 @@ class LogConvexHazard(HazardModel):
         lead, rates = self._lead_and_rates
         with np.errstate(over="ignore"):  # a steep hazard's coefficients overflow to inf
             coeffs = self.lambda0 * np.exp(lead)
-        return _Skeleton(self._knots, rates, coeffs)
+        return _Skeleton(self._knots, rates, coeffs, math.log(self.lambda0) + lead)
 
     def _segment_hazard(self, seg, t):
         lead, rates = self._lead_and_rates
         with np.errstate(over="ignore"):  # one exp, so no factor underflows alone; inf at large t
             return self.lambda0 * np.exp(lead[seg] + rates[seg] * (t - self._knots[seg]))
-
-    def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
-        """The sum of log h - H over the ascending observed times, and of H over the censored.
-
-        On segment l the log hazard is ``log(lambda0) + lead_l + rate_l * (t -
-        knot_l)``, with ``lead_l`` the log of the skeleton's coefficient over
-        lambda0, taken without its exp.  So the n observed times add
-        ``n log(lambda0) + sum_l (n_l lead_l + rate_l sum(t - knot_l))``:
-        no exp or log per record.  The offsets t - knot_l are taken per
-        record, exactly; they also give the cumulative hazard per record.  An
-        overflowed log hazard or cumulative hazard gives -inf.
-        """
-        skeleton, (lead, rates) = self._skeleton, self._lead_and_rates
-        starts, counts, spread, offsets = skeleton._split(obs)
-        seg = np.flatnonzero(counts)
-        # a steep hazard's terms overflow, and with an overflowed lead give inf - inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            spent = np.add.reduceat(offsets, starts[seg])
-            log_hazard = np.sum(counts[seg] * lead[seg] + rates[seg] * spent)
-        cum = float(np.sum(skeleton._cum_past(spread, offsets)))
-        overflowed = cum == math.inf or not log_hazard < math.inf
-        observed = -math.inf if overflowed else obs.size * math.log(self.lambda0) + log_hazard - cum
-        return float(observed), float(np.sum(skeleton._locate(cens)[1]))
 
 
 def simulate_dataset(

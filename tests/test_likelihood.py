@@ -282,7 +282,7 @@ class TestRepeatedEvaluation:
     def test_three_calls_give_the_first_calls_bits(self, demo, seed):
         models = dict(demo, **{"dfr-defective": DecreasingFailureRate(0.0, demo["ifr"].draw)})
         for name, model in models.items():
-            # n far above the demo's K, so that the atom lookups merge
+            # n far above the demo's K
             data = simulate_dataset(model, 3000, 3.0, RandomStream(seed))
             values = [log_likelihood(model, data).hex() for _ in range(3)]
             assert values[1] == values[2] == values[0], name
@@ -538,3 +538,23 @@ class TestSummationAccuracy:
                 errors.append(_decimal_error_ulp(model, data, got))
         assert len(errors) >= 45
         assert max(errors) <= self.BOUND_ULP
+
+    LCV_BOUND_ULP = 18.8  # twice the worst lcv error at seeds 9000-9999, 9.36 ulp (seed 9834)
+
+    def test_lcv_prior_draws(self, demo):
+        # these seeds hold 9026, 30.5 ulp off when the log hazard and the cumulative hazard
+        # were summed apart
+        data = simulate_dataset(demo["lwb"], 2000, 3.0, RandomStream(7))
+        errors = []
+        for seed in range(9000, 9040):
+            try:
+                (model,) = _prior_models(["lcv"], seed)
+            except ValueError:  # the prior's lambda0 underflows to 0
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = log_likelihood(model, data)
+            if math.isfinite(got):
+                errors.append(_decimal_error_ulp(model, data, got))
+        assert len(errors) >= 35
+        assert max(errors) <= self.LCV_BOUND_ULP
