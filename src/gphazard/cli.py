@@ -30,7 +30,6 @@ from .models import (
 )
 from .rng import RandomStream
 from .stats import kaplan_meier
-from .validation import DEMO_SEED, format_report, run_validation
 
 
 def _load_config(path: str | None) -> dict:
@@ -203,9 +202,10 @@ def _cmd_km(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    results = run_validation(seed=args.seed if args.seed is not None else DEMO_SEED,
-                             tol_scale=args.tol_scale)
-    print(format_report(results))
+    from . import validation  # only this command loads the suite; its names are read at call time
+    seed = validation.DEMO_SEED if args.seed is None else args.seed
+    results = validation.run_validation(seed=seed, tol_scale=args.tol_scale)
+    print(validation.format_report(results))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_km)
 
     p = sub.add_parser("validate", help="run the built-in verification suite")
-    p.add_argument("--seed", type=int, help=f"suite seed (default {DEMO_SEED})")
+    p.add_argument("--seed", type=int, help="suite seed (default 20250812, the documented seed)")
     p.add_argument("--tol-scale", type=float, default=1.0,
                    help="multiply all tolerances (diagnostic)")
     p.set_defaults(func=_cmd_validate)

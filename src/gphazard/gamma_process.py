@@ -267,6 +267,15 @@ class GammaProcessDraw:
             gaps = self._mass0[:-1] * np.diff(np.concatenate(([0.0], self.ordered.thetas)))
             return np.concatenate(([0.0], np.cumsum(gaps)))
 
+    @cached_property
+    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
+        """0 and the distinct atoms (a one-draw model's knots), and the atoms at or below each."""
+        atoms, counts = _distinct(self.ordered.thetas)
+        if not (atoms.size and atoms[0] == 0.0):
+            atoms, counts = np.concatenate(([0.0], atoms)), np.concatenate(([0], counts))
+        atoms.flags.writeable = counts.flags.writeable = False
+        return atoms, counts
+
     def _count_below(self, t: np.ndarray, strict: bool = False) -> np.ndarray:
         """Atoms below each cut of ``t`` (strictly, or at or below), counted in the sorted atoms.
 

@@ -17,9 +17,9 @@ log-slope), so one lookup serves both the hazard and the cumulative hazard,
 for the density and that Newton loop, which evaluates only the targets
 still moving.  The likelihood splits a dataset's sorted times by the knots
 once; one kernel scores that split for the skeleton models, one the mixture.
-The knots are the distinct atoms, taken by one comparison of neighbours from
-the atoms as the draw has sorted them (two draws' are joined and sorted once;
-lwb's mirrored knots come out sorted as they are built).
+The knots are the distinct atoms, by one comparison of neighbours in the
+sorted atoms, whose run ends count the atoms up to each: one draw keeps both
+for its models (two draws' are joined and sorted; lwb's are built sorted).
 The public methods check their input once; the kernels behind them (the
 skeleton's methods, every ``_hazard_and_cum`` and ``_log_likelihood_terms``)
 take checked 1-d arrays.
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import Field, dataclass, field, fields
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from operator import itemgetter
 
 import numpy as np
@@ -115,7 +115,7 @@ class _Skeleton:
     """
 
     knots: np.ndarray
-    rates: np.ndarray
+    rates: np.ndarray | None  # None: every rate is 0 by construction (the step models)
     coeffs: np.ndarray
     log_coeffs: np.ndarray | None = None
     values: np.ndarray = field(init=False)
@@ -124,12 +124,14 @@ class _Skeleton:
         if self.log_coeffs is None:
             with np.errstate(divide="ignore"):
                 self.log_coeffs = np.log(self.coeffs)
-        # read once from the segments: with finite coefficients, when every rate is 0 (the
-        # step models) no rate is looked at per element, and when none is (lcv) no mask is needed
+        if linear := self.rates is None:
+            self.rates = np.zeros(self.knots.size)
+        # read once from the segments (given rates only): with finite coefficients, when every
+        # rate is 0 no rate is looked at per element, and when none is (lcv) no mask is needed
         finite = bool(np.all(np.isfinite(self.coeffs)))
-        steep = np.abs(self.rates) >= _ZERO_RATE
-        self._linear = finite and not steep.any()
-        self._exponential = finite and bool(steep.all())
+        steep = None if linear else np.abs(self.rates) >= _ZERO_RATE
+        self._linear = finite and (linear or not steep.any())
+        self._exponential = finite and not linear and bool(steep.all())
         incs = self._increment(itemgetter(np.s_[:-1]), np.diff(self.knots))
         self.values = np.concatenate(([0.0], np.cumsum(incs)))
 
@@ -243,9 +245,8 @@ class HazardModel(ABC):
     __reduce__ = _rebuild
 
     def __post_init__(self):
-        for f in fields(self):
-            if not self._is_draw(f):
-                _check_range(f.name, getattr(self, f.name), f.metadata.get("domain", "finite"))
+        for name, domain in self._fields()[1].items():
+            _check_range(name, getattr(self, name), domain)
 
     def hazard(self, t):
         """Instantaneous failure rate at t (scalar or array)."""
@@ -307,7 +308,7 @@ class HazardModel(ABC):
         One draw's atoms are sorted already; two draws' sorted atoms are
         joined and sorted once.
         """
-        atoms = [getattr(self, f.name).ordered.thetas for f in fields(self) if self._is_draw(f)]
+        atoms = [getattr(self, name).ordered.thetas for name in self._fields()[2]]
         return _distinct(atoms[0] if len(atoms) == 1 else np.sort(np.concatenate(atoms)))[0]
 
     @cached_property
@@ -326,6 +327,16 @@ class HazardModel(ABC):
     @staticmethod
     def _is_draw(f: Field) -> bool:
         return f.type == "GammaProcessDraw"  # annotations are strings in this module
+
+    @classmethod
+    @cache
+    def _fields(cls) -> tuple[tuple, dict, dict, dict]:
+        """Read once per class, in field order: names, scalar domains, draw keys and priors."""
+        fs = fields(cls)
+        return (tuple(f.name for f in fs),
+                {f.name: f.metadata.get("domain", "finite") for f in fs if not cls._is_draw(f)},
+                {f.name: f.metadata.get("key", f.name) for f in fs if cls._is_draw(f)},
+                {f.name: f.metadata["prior"] for f in fs if "prior" in f.metadata})
 
     def survival(self, t):
         out = np.exp(-np.asarray(self.cum_hazard(t), dtype=float))
@@ -359,15 +370,26 @@ class _StepHazard(HazardModel):
 
     @cached_property
     def _skeleton(self) -> _Skeleton:
-        return _Skeleton(self._knots, np.zeros(self._knots.size), self._levels_at(self._knots))
+        return _Skeleton(self._knots, None, self._levels_at(self._knots))
 
     @abstractmethod
     def _levels_at(self, knots: np.ndarray) -> np.ndarray:
         """The hazard on the segment that starts at each knot."""
 
 
+class _OnOneDraw:
+    """A model whose knots are 0 and its one draw's distinct atoms, which the draw holds."""
+
+    _knots = property(lambda self: self.draw._knots[0])
+
+    def _count_at(self, knots: np.ndarray) -> np.ndarray:
+        """The atoms at or below each knot: at the model's own knots, the draw's run ends."""
+        own, counts = self.draw._knots
+        return counts if knots is own else self.draw._count_below(knots)
+
+
 @dataclass(frozen=True, eq=False)
-class IncreasingFailureRate(_StepHazard):
+class IncreasingFailureRate(_OnOneDraw, _StepHazard):
     """Non-decreasing hazard: a background rate plus the atom mass at or below t.
 
     The cumulative hazard is lambda0*t + sum_k w_k * max(0, t - theta_k).
@@ -377,11 +399,11 @@ class IncreasingFailureRate(_StepHazard):
     variant = "ifr"
 
     def _levels_at(self, knots):
-        return self.lambda0 + self.draw._mass0[self.draw._count_below(knots)]
+        return self.lambda0 + self.draw._mass0[self._count_at(knots)]
 
 
 @dataclass(frozen=True, eq=False)
-class DecreasingFailureRate(_StepHazard):
+class DecreasingFailureRate(_OnOneDraw, _StepHazard):
     """Non-increasing hazard: a background rate plus the atom mass strictly above t.
 
     The cumulative hazard is lambda0*t + sum_k w_k * min(t, theta_k).
@@ -391,7 +413,7 @@ class DecreasingFailureRate(_StepHazard):
     variant = "dfr"
 
     def _levels_at(self, knots):
-        return self.lambda0 + self.draw._above0[self.draw._count_below(knots)]
+        return self.lambda0 + self.draw._above0[self._count_at(knots)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -587,7 +609,7 @@ class MixtureBathtub(HazardModel):
 
 
 @dataclass(frozen=True, eq=False)
-class LogConvexHazard(HazardModel):
+class LogConvexHazard(_OnOneDraw, HazardModel):
     """Hazard whose logarithm is piecewise linear and convex.
 
     log hazard(t) = log(lambda0) + w0*t + sum_k w_k * max(0, t - theta_k):
@@ -603,7 +625,7 @@ class LogConvexHazard(HazardModel):
     @cached_property
     def _lead_and_rates(self) -> tuple[np.ndarray, np.ndarray]:
         """At each knot, log(hazard / lambda0) = w0 knot + integrated mass, and w0 + mass."""
-        j = self.draw._count_below(self._knots)
+        j = self.draw._knots[1]
         with np.errstate(over="ignore"):  # inf for a steep hazard
             return self.w0 * self._knots + self.draw._integrated0[j], self.w0 + self.draw._mass0[j]
 
@@ -650,13 +672,11 @@ _MODELS = {cls.variant: cls for cls in (IncreasingFailureRate, DecreasingFailure
 
 def _variant_fields(variant) -> tuple[list[str], list[str], list[str]]:
     """Scalar names, draw keys and the scalars with a prior, of a variant tag, in field order."""
-    cls = _MODELS.get(variant) if isinstance(variant, str) else None
+    cls = _MODELS.get(variant) if isinstance(variant, str) else None  # no unhashable lookup
     if cls is None:
         raise ValueError(f"unknown model variant: {variant!r}")
-    fs = fields(cls)
-    draw_keys = [f.metadata.get("key", f.name) for f in fs if cls._is_draw(f)]
-    priors = [f.name for f in fs if "prior" in f.metadata]
-    return [f.name for f in fs if not cls._is_draw(f)], draw_keys, priors
+    _, domains, draws, priors = cls._fields()
+    return list(domains), list(draws.values()), list(priors)
 
 
 def _build_model(variant: str, scalars: dict, draws) -> HazardModel:
@@ -666,9 +686,9 @@ def _build_model(variant: str, scalars: dict, draws) -> HazardModel:
     missing or not a real number.
     """
     _require_reals(scalars, _variant_fields(variant)[0], f"{variant} model")
-    draws = iter(draws)
-    cls = _MODELS[variant]
-    return cls(*(next(draws) if cls._is_draw(f) else float(scalars[f.name]) for f in fields(cls)))
+    cls, draws = _MODELS[variant], iter(draws)
+    names, _, draw_keys, _ = cls._fields()
+    return cls(*(next(draws) if name in draw_keys else float(scalars[name]) for name in names))
 
 
 def draw_model_params(
@@ -706,22 +726,19 @@ def _draw_model_params(variant, draws, hyper, stream, given: dict, draw_pi) -> H
         if name in names and name not in scalars and not (name == "pi" and draw_pi):
             hint = " (or draw_pi=True for a uniform draw)" if name == "pi" else ""
             raise ValueError(f"{variant} requires {name}: it has no prior{hint}")
-    for f in fields(_MODELS[variant]):
-        if "prior" not in f.metadata:
-            continue
-        kind, which = f.metadata["prior"]
+    for name, (kind, which) in _MODELS[variant]._fields()[3].items():
         gamma = _check_range("the total mass of a draw", draws[which].gamma, "positive")
         if kind == "offset":
             value = stream.exponential(hyper.nu / gamma)
         else:
             value = stream.normal(0.0, gamma / hyper.nu)
-        if kind == "log-normal" and f.name not in scalars:
+        if kind == "log-normal" and name not in scalars:
             try:
                 value = math.exp(value)
             except OverflowError:
-                raise ValueError(f"{variant} prior drew log({f.name}) = {value!r}, "
-                                 f"too large for a float {f.name}") from None
-        scalars.setdefault(f.name, value)
+                raise ValueError(f"{variant} prior drew log({name}) = {value!r}, "
+                                 f"too large for a float {name}") from None
+        scalars.setdefault(name, value)
     if "pi" in names and "pi" not in scalars:  # draw_pi is set
         scalars["pi"] = stream.uniform()
     return _build_model(variant, scalars, draws)

@@ -116,12 +116,13 @@ def integrate_hazard(model: HazardModel, t_end):
     """Adaptive Gauss-Legendre quadrature of the hazard over [0, t_end], split at breakpoints.
 
     ``t_end`` may be a scalar (a float is returned) or an array of
-    endpoints.  Every segment between consecutive breakpoints of every
-    endpoint is integrated at once, one ``hazard`` call per round: a
-    segment is accepted when the rule on its two halves agrees with the
-    rule on the whole to a relative ``_QUAD_RTOL``, and is otherwise split
-    in two.  Raises RuntimeError when the hazard is not finite or a segment
-    has not converged after ``_QUAD_MAX_ROUNDS`` rounds.
+    endpoints.  Each whole segment between breakpoints below the largest
+    endpoint, and each endpoint's cut last one, is integrated once, all in
+    one ``hazard`` call per round, and each endpoint adds up its own by a
+    prefix sum.  A segment is accepted when the rule on its two halves agrees
+    with the rule on the whole to a relative ``_QUAD_RTOL``, and is otherwise
+    split in two.  Raises RuntimeError when the hazard is not finite or a
+    segment has not converged after ``_QUAD_MAX_ROUNDS`` rounds.
     """
     ends = np.asarray(t_end, dtype=float)
     flat = ends.ravel()
@@ -129,13 +130,13 @@ def integrate_hazard(model: HazardModel, t_end):
         raise ValueError("t_end must be finite and non-negative")
     pts = model.breakpoints()
     knots = np.concatenate(([0.0], pts[pts > 0.0]))
-    # endpoint i owns the segments from its count[i] knots below it, the last one cut at t_end
+    # endpoint i lies past count[i] knots: count[i] - 1 whole segments, then one cut at t_end
     count = np.searchsorted(knots, flat, side="left")
-    owner = np.repeat(np.arange(flat.size), count)
-    j = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-    lo = knots[j]
-    hi = np.minimum(np.append(knots, np.inf)[j + 1], flat[owner])
-    total = np.zeros(flat.size)
+    cut = count > 0
+    n_whole = max(int(count.max(initial=0)) - 1, 0)
+    lo = np.concatenate((knots[:n_whole], knots[count[cut] - 1]))
+    hi = np.concatenate((knots[1:n_whole + 1], flat[cut]))
+    owner, segments = np.arange(lo.size), np.zeros(lo.size)
     whole = _gauss_legendre(model, lo, hi)
     for _ in range(_QUAD_MAX_ROUNDS):
         if not lo.size:
@@ -147,13 +148,16 @@ def integrate_hazard(model: HazardModel, t_end):
         if not np.all(np.isfinite(halves)):
             raise RuntimeError("hazard is not finite on [0, t_end]; cannot integrate it")
         done = np.abs(halves - whole) <= _QUAD_RTOL * np.abs(halves)
-        np.add.at(total, owner[done], halves[done])
+        np.add.at(segments, owner[done], halves[done])
         keep = ~done
         lo, hi = np.concatenate((lo[keep], mid[keep])), np.concatenate((mid[keep], hi[keep]))
         owner = np.tile(owner[keep], 2)
         whole = np.concatenate((left[keep], right[keep]))
     if lo.size:
         raise RuntimeError(f"hazard quadrature did not converge in {_QUAD_MAX_ROUNDS} rounds")
+    below = np.concatenate(([0.0], np.cumsum(segments[:n_whole])))
+    total = np.zeros(flat.size)
+    total[cut] = below[count[cut] - 1] + segments[n_whole:]
     return _maybe_scalar(total.reshape(ends.shape), ends)
 
 

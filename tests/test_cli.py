@@ -480,6 +480,34 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_validation_suite():
+    code = "import sys, gphazard.cli; print('gphazard.validation' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_validate_help_names_the_documented_seed(capsys):
+    from gphazard.validation import DEMO_SEED
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["validate", "--help"])
+    assert exit_info.value.code == 0
+    assert f"default {DEMO_SEED}," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tag", [["ifr"], {"a": 1}, None, 3])
+def test_loglik_model_tag_that_is_not_a_string(tmp_path, capsys, tag):
+    g = GammaProcessDraw.from_atoms([1.0], [2.0])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"model": tag, "lambda0": 0.1, "draw": g.to_dict()}))
+    data = tmp_path / "data.csv"
+    data.write_text("time,status\n1.0,1\n")
+    assert main(["loglik", "--model", str(model), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error: unknown model variant"), err
+
+
 @pytest.mark.parametrize("command", ["km", "loglik"])
 def test_nan_time_is_reported_with_row(tmp_path, command):
     data = tmp_path / "nan.csv"

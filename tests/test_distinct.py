@@ -155,6 +155,76 @@ class TestBreakpointsProperty:
                                       _bits(reference.invert(targets)))
 
 
+def _one_draw_models(g1, g2) -> dict:
+    """ifr, dfr and lcv on ``g1``, and the two components of an mbt on ``g1`` and ``g2``."""
+    mbt = MixtureBathtub(0.4, 0.1, g1, 0.0, g2)
+    return {"ifr": IncreasingFailureRate(0.1, g1), "dfr": DecreasingFailureRate(0.0, g1),
+            "lcv": LogConvexHazard(2.0, -1.5, g1), "mbt-dfr": mbt.components[0],
+            "mbt-ifr": mbt.components[1]}
+
+
+def _searched_levels(model, knots):
+    """coeffs and log_coeffs at ``knots`` from the atoms at or below each, searched in the draw."""
+    draw = model.draw
+    j = draw._count_below(knots)
+    if isinstance(model, LogConvexHazard):
+        lead = model.w0 * knots + draw._integrated0[j]
+        return model.lambda0 * np.exp(lead), np.log(model.lambda0) + lead
+    coeffs = model.lambda0 + (draw._mass0 if isinstance(model, IncreasingFailureRate)
+                              else draw._above0)[j]
+    with np.errstate(divide="ignore"):  # a zero level has log -inf
+        return coeffs, np.log(coeffs)
+
+
+# ties, an atom at exactly 0 (and at -0.0), K = 1 and no atoms
+_KNOT_DRAWS = {
+    "ties": GammaProcessDraw.from_atoms([1.0, 0.5, 1.0, 2.0, 0.5], [0.3, 0.2, 0.7, 0.1, 0.4]),
+    "zero-atom": GammaProcessDraw.from_atoms([0.0, 1.5, 0.0, 0.7], [0.5, 0.25, 0.125, 1.0]),
+    "signed-zeros": GammaProcessDraw.from_atoms([-0.0, 0.0, 2.0], [0.5, 0.25, 1.0]),
+    "k1": GammaProcessDraw.from_atoms([0.8], [1.3]),
+    "k1-zero": GammaProcessDraw.from_atoms([0.0], [1.3]),
+    "no-atoms": GammaProcessDraw.from_atoms([], []),
+}
+
+
+class TestKnotCountsFromTheDraw:
+    """One-draw models read their knots and knot counts from the draw, with no search."""
+
+    @staticmethod
+    def _assert_levels_equal_the_search(model):
+        skeleton = model._skeleton
+        knots = np.unique(np.concatenate(([0.0], model.draw.thetas)))
+        _assert_distinct_equal(skeleton.knots, knots, _zero_of(model))
+        coeffs, log_coeffs = _searched_levels(model, skeleton.knots)
+        np.testing.assert_array_equal(_bits(skeleton.coeffs), _bits(coeffs))
+        np.testing.assert_array_equal(_bits(skeleton.log_coeffs), _bits(log_coeffs))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("first", list(_KNOT_DRAWS))
+    def test_levels_equal_the_searched_counts(self, first, monkeypatch):
+        models = _one_draw_models(_KNOT_DRAWS[first], _KNOT_DRAWS["ties"])
+        with monkeypatch.context() as patch:  # building the skeletons searches no atom
+            patch.setattr(GammaProcessDraw, "_count_below", None)
+            for model in models.values():
+                model._skeleton
+        for model in models.values():
+            self._assert_levels_equal_the_search(model)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ATOMS, _ATOMS, _WEIGHTS)
+    def test_levels_equal_the_searched_counts_on_generated_atoms(self, th1, th2, weight):
+        for model in _one_draw_models(_draw(th1, weight), _draw(th2, 2.0 * weight)).values():
+            self._assert_levels_equal_the_search(model)
+
+    def test_models_on_one_draw_share_its_read_only_knots(self, demo):
+        draw = demo["ifr"].draw
+        knots, counts = draw._knots
+        assert not knots.flags.writeable and not counts.flags.writeable
+        for model in (demo["ifr"], demo["dfr"], demo["lcv"], demo["mbt"].components[0]):
+            assert model._skeleton.knots is knots
+        np.testing.assert_array_equal(counts, draw._count_below(knots))
+
+
 def _reference_kaplan_meier(dataset: Dataset):
     """The product-limit estimate with its event times and deaths from ``np.unique``."""
     obs, cens = dataset._ascending

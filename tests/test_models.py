@@ -411,6 +411,16 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError):
             model_from_dict({"model": "weibull"})
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tag", [["ifr"], {"a": 1}, None, 3, ("ifr",), b"ifr"])
+    def test_a_tag_that_is_not_a_string_is_a_value_error(self, tag):
+        """Hashable or not, a non-string tag is an unknown variant, before any field is read."""
+        g = GammaProcessDraw.from_atoms([1.0], [2.0])
+        with pytest.raises(ValueError, match="unknown model variant"):
+            model_from_dict({"model": tag, "lambda0": 0.1, "draw": g.to_dict()})
+        with pytest.raises(ValueError, match="unknown model variant"):
+            draw_model_params(tag, [g], HyperParams(), RandomStream(1))
+
     @pytest.mark.parametrize(
         "name, keys",
         [

@@ -9,7 +9,8 @@ from scipy.integrate import quad
 
 from gphazard.gamma_process import GammaProcessDraw
 from gphazard.models import LogConvexHazard
-from gphazard.validation import integrate_hazard
+from gphazard.rng import RandomStream
+from gphazard.validation import DEMO_SEED, DEMO_T_MAX, integrate_hazard
 
 NAMES = ["ifr", "dfr", "lwb", "sbt", "mbt", "lcv"]
 
@@ -34,17 +35,19 @@ def _endpoints(model) -> np.ndarray:
 
 
 class _Counting:
-    """A model's hazard and breakpoints, counting the hazard calls."""
+    """A model's hazard and breakpoints, counting the hazard calls and the points they take."""
 
     def __init__(self, model):
         self.model = model
         self.calls = 0
+        self.points = 0
 
     def breakpoints(self):
         return self.model.breakpoints()
 
     def hazard(self, t):
         self.calls += 1
+        self.points += np.size(t)
         return self.model.hazard(t)
 
 
@@ -101,6 +104,62 @@ def test_steep_lcv_bisects_and_matches_closed_form():
     numeric = integrate_hazard(counting, ends)
     assert counting.calls > 2  # the first rule, then more than one bisection round
     np.testing.assert_allclose(numeric, np.asarray(model.cum_hazard(ends)), rtol=1e-12, atol=0.0)
+
+
+def _validate_endpoints(demo) -> dict:
+    """The 20 endpoints per model that validate's quadrature-consistency group integrates to."""
+    stream = RandomStream(DEMO_SEED).split(99).split(4)
+    return {name: stream.uniforms(20) * DEMO_T_MAX for name in demo}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", NAMES)
+def test_each_segment_is_integrated_once(demo, name):
+    """At most 30 points (the rule, then its halves once) per knot segment and per endpoint."""
+    ends = _validate_endpoints(demo)[name]
+    counting = _Counting(demo[name])
+    numeric = integrate_hazard(counting, ends)
+    bps = demo[name].breakpoints()
+    segments = 1 + np.count_nonzero((bps > 0.0) & (bps < ends.max()))  # those starting below
+    assert counting.points <= 30 * (segments + ends.size), (counting.points, segments)
+    np.testing.assert_allclose(numeric, np.asarray(demo[name].cum_hazard(ends)), rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", NAMES)
+def test_array_and_scalar_calls_agree_to_the_rule_s_rounding(demo, name):
+    """An endpoint's integral does not depend on the other endpoints of its call.
+
+    Each segment is integrated alone and the totals are prefix sums, so only
+    the rule's matrix-vector product, whose per-row rounding depends on the
+    row's place in the batch, can tell the calls apart: by at most 2 ulp
+    over seeds 20250812, 7 and 1-5, so the bound is 4.
+    """
+    ends = np.concatenate((_validate_endpoints(demo)[name], _endpoints(demo[name])))
+    together = integrate_hazard(demo[name], ends)
+    alone = np.array([integrate_hazard(demo[name], float(t)) for t in ends])
+    np.testing.assert_array_max_ulp(together, alone, maxulp=4)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", NAMES)
+def test_edge_endpoints(demo, name):
+    """0, a knot itself, duplicates, unsorted, past the last knot, empty and 2-d endpoints."""
+    model = demo[name]
+    bps = model.breakpoints()
+    knot = float(bps[(bps > 0.0) & (bps < 3.0)][3])
+    ends = np.array([2.5, 0.0, knot, 0.7, knot, float(bps[-1]) + 1.5, 2.5, 0.0, 0.7])
+    numeric = integrate_hazard(model, ends)
+    np.testing.assert_allclose(numeric, np.asarray(model.cum_hazard(ends)), rtol=1e-12, atol=0.0)
+    assert numeric[1] == numeric[7] == 0.0
+    assert numeric[2] == numeric[4] and numeric[0] == numeric[6] and numeric[3] == numeric[8]
+    # the knot's integral is its whole segments, the same bits in a call that also goes past it
+    assert integrate_hazard(model, knot) == numeric[2]
+    empty = integrate_hazard(model, np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    grid = integrate_hazard(model, ends.reshape(3, 3))
+    assert grid.shape == (3, 3)
+    np.testing.assert_array_equal(grid.ravel(), numeric)
 
 
 def test_nan_hazard_raises():
