@@ -45,7 +45,7 @@ class ExponentialBase:
     rate: float = 1.0
 
     def __post_init__(self):
-        _check_range("base measure rate", self.rate, "positive")
+        object.__setattr__(self, "rate", _check_range("base measure rate", self.rate, "positive"))
 
     def sample(self, stream: RandomStream) -> float:
         return stream.exponential(self.rate)
@@ -66,8 +66,8 @@ class NormalBase:
     sd: float
 
     def __post_init__(self):
-        _check_range("base measure mean", self.mean)
-        _check_range("base measure sd", self.sd, "positive")
+        object.__setattr__(self, "mean", _check_range("base measure mean", self.mean))
+        object.__setattr__(self, "sd", _check_range("base measure sd", self.sd, "positive"))
 
     def sample(self, stream: RandomStream) -> float:
         return float(self.samples(1, stream)[0])
@@ -127,8 +127,8 @@ class GammaProcessParams:
     base: BaseMeasure = field(default_factory=ExponentialBase)
 
     def __post_init__(self):
-        _check_range("alpha", self.alpha, "positive")
-        _check_range("beta", self.beta, "positive")
+        object.__setattr__(self, "alpha", _check_range("alpha", self.alpha, "positive"))
+        object.__setattr__(self, "beta", _check_range("beta", self.beta, "positive"))
         object.__setattr__(self, "n_atoms", _check_count("K", self.n_atoms, 1))
 
     def to_dict(self) -> dict:

@@ -11,12 +11,16 @@ inverts in closed form: between knots the hazard is
 case, with linear segments between breakpoints, and the log-convex model
 uses its exponential segments.  The mixture model's cumulative hazard is
 concave between its pooled knots, so Newton's method started at the left
-knot inverts it without overshooting.  A time's segment also tells its
-hazard (the step models' level table, lcv's log hazard at the knot and
-log-slope), so one lookup serves both the hazard and the cumulative hazard,
-for the density and that Newton loop, which evaluates only the targets
-still moving.  The likelihood splits a dataset's sorted times by the knots
-once; one kernel scores that split for the skeleton models, one the mixture.
+knot inverts it without overshooting.  A time's segment comes from one
+search of the knots, and the skeleton then evaluates in the segments it is
+given.  The segment also tells the hazard (the step models' level table,
+lcv's log hazard at the knot and log-slope), so one lookup serves both the
+hazard and the cumulative hazard, for the density and that Newton loop.
+The loop finds each target's segments once per call, from the pooled
+knots; it evaluates only the targets still moving, and searches again only
+for an iterate that rounding carried to its segment's end.  The likelihood
+splits a dataset's sorted times by the knots once; one kernel scores that
+split for the skeleton models, one the mixture.
 The knots are the distinct atoms, by one comparison of neighbours in the
 sorted atoms, whose run ends count the atoms up to each: one draw keeps both
 for its models (two draws' are joined and sorted; lwb's are built sorted).
@@ -34,8 +38,8 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import Field, dataclass, field, fields
-from functools import cache, cached_property, partial
-from operator import itemgetter
+from functools import cache, cached_property
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -110,8 +114,15 @@ class _Skeleton:
     makes it flat: inverting past the value a flat tail holds yields ``inf``.
     ``values`` holds the cumulative hazard at the knots, accumulated from
     non-negative segment increments ``expm1(r dt) / r * c``, divided first so
-    that only an overflowing increment is inf.  So the function is weakly
+    that only an overflowing increment is inf.  Where that quotient overflows,
+    or where a coefficient underflowed to 0 while its log is finite, the
+    increment is taken in log space from ``log_coeffs``; a coefficient that
+    overflowed to inf keeps its inf increments.  So the function is weakly
     monotone even at rounding scale, and evaluation and inversion share it.
+    Evaluation is one search of the knots (``_locate``), then ``_cum_in`` in
+    the segments found, which callers that know the segments call directly.
+    Evaluated at a segment's end, a segment gives the next knot's value bit
+    for bit, as ``values`` accumulates the same increments.
     """
 
     knots: np.ndarray
@@ -128,27 +139,35 @@ class _Skeleton:
             self.rates = np.zeros(self.knots.size)
         # read once from the segments (given rates only): with finite coefficients, when every
         # rate is 0 no rate is looked at per element, and when none is (lcv) no mask is needed
-        finite = bool(np.all(np.isfinite(self.coeffs)))
+        finite = bool(np.isfinite(self.coeffs).all())
         steep = None if linear else np.abs(self.rates) >= _ZERO_RATE
         self._linear = finite and (linear or not steep.any())
         self._exponential = finite and not linear and bool(steep.all())
-        incs = self._increment(itemgetter(np.s_[:-1]), np.diff(self.knots))
-        self.values = np.concatenate(([0.0], np.cumsum(incs)))
+        self._zero_coeff = not linear and bool(self.coeffs.min() == 0.0)  # maybe underflowed
+        knots = self.knots
+        self.values = np.empty(knots.size)
+        self.values[0] = 0.0
+        ends = knots[1:]
+        incs = self._increment(itemgetter(np.s_[:-1]), ends,
+                               np.subtract(ends, knots[:-1], out=self.values[1:]))
+        np.add.accumulate(incs, out=self.values[1:])
 
-    def _increment(self, pick, dt: np.ndarray) -> np.ndarray:
-        """Integral of the hazard over dt from the knot of each segment ``pick`` takes.
+    def _increment(self, pick, t: np.ndarray, dt: np.ndarray) -> np.ndarray:
+        """Integral of the hazard to each time in ``t`` from the knot of the segment ``pick`` takes.
 
         ``pick`` takes each segment's entry from a per-segment array: by index
-        (an ``itemgetter``), or repeated over a run of sorted times (the
-        ``spread`` of ``_split``, which allocates no index array).  May
-        overwrite the 1-d dt.
+        or slice (an ``itemgetter``), or repeated over a run of sorted times
+        (the ``spread`` of ``_split``, which allocates no index array).  ``dt``
+        is ``t`` minus that knot, which the caller has at hand; the 1-d dt
+        may be overwritten, and ``t`` gives it again where the increment is
+        taken in log space.
         """
         coeff = pick(self.coeffs)
         if self._linear:
             dt *= coeff
             return dt
         rate = pick(self.rates)
-        with np.errstate(over="ignore", invalid=None if self._exponential else "ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # expm1(r * dt) / r * c in one buffer, dt's own when nothing else reads it
             out = np.multiply(rate, dt, out=dt if self._exponential else None)
             np.expm1(out, out=out)
@@ -158,22 +177,38 @@ class _Skeleton:
                 lin = np.abs(rate) < _ZERO_RATE
                 out[lin] = coeff[lin] * dt[lin]
                 out[dt == 0.0] = 0.0
+            if self._zero_coeff or not out.max(initial=0.0) < math.inf:
+                # in log space where the quotient overflowed (inf or nan) or c underflowed
+                # to 0: c exp(log|expm1(x)| - log|r|), log|expm1(x)| = max(x, 0) + log(-expm1(-|x|))
+                log_c = pick(self.log_coeffs)
+                redo = ~(out < math.inf)
+                if self._zero_coeff:
+                    redo |= (coeff == 0.0) & (log_c > -math.inf)
+                if not self._exponential:  # zero rates keep c dt, overflowed coefficients inf
+                    redo &= (coeff < math.inf) & (np.abs(rate) >= _ZERO_RATE)
+                r = rate[redo]
+                x = r * (t[redo] - pick(self.knots)[redo])
+                out[redo] = np.exp(log_c[redo] + np.maximum(x, 0.0)
+                                   + np.log(-np.expm1(-np.abs(x))) - np.log(np.abs(r)))
         return out
 
-    def _locate(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The segment of each time in a checked 1-d ``arr``, and the cumulative hazard there."""
-        seg = np.searchsorted(self.knots, arr, "right") - 1
-        pick = itemgetter(seg)
-        dt = pick(self.knots)
-        return seg, self._cum_past(pick, np.subtract(arr, dt, out=dt))
+    def _cum_in(self, seg: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The cumulative hazard at checked 1-d times ``t`` in their segments ``seg``."""
+        dt = self.knots[seg]
+        np.subtract(t, dt, out=dt)
+        if self._linear:
+            dt *= self.coeffs[seg]
+        else:
+            dt = self._increment(itemgetter(seg), t, dt)
+        dt += self.values[seg]
+        return dt
 
-    def _cum_past(self, pick, dt: np.ndarray) -> np.ndarray:
-        """The cumulative hazard dt past the knot of each segment ``pick`` takes; may overwrite dt."""
-        out = self._increment(pick, dt)
-        out += pick(self.values)
-        return out
+    def _locate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The segment of each time in a checked 1-d ``t``, and the cumulative hazard there."""
+        seg = self.knots.searchsorted(t, "right") - 1
+        return seg, self._cum_in(seg, t)
 
-    def _split(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, partial, np.ndarray]:
+    def _split(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, methodcaller, np.ndarray]:
         """The ascending ``times`` split by the knots, in O(K log n): one search of the knots.
 
         Segment l holds ``times[starts[l]:starts[l] + counts[l]]``, the times
@@ -181,9 +216,12 @@ class _Skeleton:
         array over its segment's times, the same as indexing it by segment,
         and ``offsets`` is how far each time lies past its knot.
         """
-        starts = np.searchsorted(times, self.knots, "left")
-        counts = np.concatenate((starts[1:], [times.size])) - starts
-        spread = partial(np.repeat, repeats=counts)
+        starts = times.searchsorted(self.knots, "left")
+        counts = starts.copy()
+        counts[:-1] = starts[1:]
+        counts[-1] = times.size
+        counts -= starts
+        spread = methodcaller("repeat", counts)
         offsets = spread(self.knots)
         return starts, counts, spread, np.subtract(times, offsets, out=offsets)
 
@@ -195,7 +233,7 @@ class _Skeleton:
 
     def invert(self, arr: np.ndarray) -> np.ndarray:
         """Where the cumulative hazard reaches each checked 1-d target in ``arr``."""
-        seg = np.maximum(np.searchsorted(self.values, arr, side="right") - 1, 0)
+        seg = np.maximum(self.values.searchsorted(arr, side="right") - 1, 0)
         knot, base, coeff = self.knots[seg], self.values[seg], self.coeffs[seg]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             excess = arr - base  # inf - inf where the knot values overflowed
@@ -205,7 +243,7 @@ class _Skeleton:
             g = np.abs(rate) >= _ZERO_RATE
             t[g] = self._invert_growing(knot[g], excess[g], rate[g], coeff[g])
         flat = coeff <= 0.0
-        if np.any(flat):
+        if flat.any():
             t = np.where(flat & (arr == base), knot, t)
             t = np.where(flat & (arr > base), np.inf, t)
         t[arr == np.inf] = np.inf
@@ -245,13 +283,13 @@ class HazardModel(ABC):
     __reduce__ = _rebuild
 
     def __post_init__(self):
-        for name, domain in self._fields()[1].items():
-            _check_range(name, getattr(self, name), domain)
+        vars(self).update({name: _check_range(name, getattr(self, name), domain)
+                           for name, domain in self._fields()[1].items()})
 
     def hazard(self, t):
         """Instantaneous failure rate at t (scalar or array)."""
         arr = _as_times(t)
-        seg = np.searchsorted(self._knots, arr, "right") - 1
+        seg = self._knots.searchsorted(arr, "right") - 1
         return _maybe_scalar(self._segment_hazard(seg, arr), t)
 
     def _segment_hazard(self, seg: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -272,9 +310,15 @@ class HazardModel(ABC):
         x = _as_times(target, "target")
         return _maybe_scalar(self._skeleton.invert(x.reshape(-1)).reshape(x.shape), target)
 
-    def _hazard_and_cum(self, t):
-        """(hazard(t), cum_hazard(t)) at checked 1-d times, from one lookup of their segments."""
-        seg, cum = self._skeleton._locate(t)
+    def _hazard_and_cum(self, t, seg=None):
+        """(hazard(t), cum_hazard(t)) at checked 1-d times in skeleton segments ``seg``.
+
+        Without ``seg``, one lookup finds the times' segments.
+        """
+        if seg is None:
+            seg, cum = self._skeleton._locate(t)
+        else:
+            cum = self._skeleton._cum_in(seg, t)
         return self._segment_hazard(seg, t), cum
 
     def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
@@ -288,19 +332,19 @@ class HazardModel(ABC):
         """
         skeleton = self._skeleton
         starts, counts, spread, offsets = skeleton._split(obs)
-        seg = np.flatnonzero(counts)
+        seg = counts.nonzero()[0]
         n, at = counts[seg], starts[seg]
         with np.errstate(over="ignore", invalid="ignore"):
             spent = np.add.reduceat(offsets, at)
-            if skeleton._linear:
+            lead = n * skeleton.log_coeffs[seg]
+            if skeleton._linear:  # rate 0: no log-slope term
                 past = skeleton.coeffs[seg] * spent
             else:  # the increments may overwrite the offsets, read by now
-                past = np.add.reduceat(skeleton._increment(spread, offsets), at)
-            terms = (n * skeleton.log_coeffs[seg] + skeleton.rates[seg] * spent
-                     - (n * skeleton.values[seg] + past))
-            observed = float(np.sum(terms))
+                lead += skeleton.rates[seg] * spent
+                past = np.add.reduceat(skeleton._increment(spread, obs, offsets), at)
+            observed = float((lead - (n * skeleton.values[seg] + past)).sum())
         observed = observed if observed < math.inf else -math.inf
-        return observed, float(np.sum(skeleton._locate(cens)[1]))
+        return observed, float(skeleton._locate(cens)[1].sum())
 
     def breakpoints(self) -> np.ndarray:
         """Sorted locations where the hazard jumps or kinks: the draws' distinct atoms.
@@ -521,8 +565,9 @@ class MixtureBathtub(HazardModel):
         arr = _as_times(t)
         return _maybe_scalar(self._hazard_and_cum(arr.reshape(-1))[0].reshape(arr.shape), t)
 
-    def _hazard_and_cum(self, t):
-        (h1, l1), (h2, l2) = (c._hazard_and_cum(t) for c in self.components)
+    def _hazard_and_cum(self, t, segs=(None, None)):
+        """The pair from both components' pairs, in their skeleton segments ``segs`` if given."""
+        (h1, l1), (h2, l2) = (c._hazard_and_cum(t, s) for c, s in zip(self.components, segs))
         a1, a2, log_s = self._log_weights(l1, l2)
         with np.errstate(invalid="ignore"):  # both survivals 0: nan hazard, inf cum_hazard
             lam = np.exp(a1 - log_s) * h1 + np.exp(a2 - log_s) * h2
@@ -557,15 +602,22 @@ class MixtureBathtub(HazardModel):
                 lead = log_pi + skeleton.log_coeffs
                 if not skeleton._linear:  # an infinite level
                     lead[~(lead < math.inf)] = -math.inf
-                cum = skeleton._cum_past(spread, offsets)
+                cum = skeleton._increment(spread, obs, offsets)
+                cum += spread(skeleton.values)
                 log_terms.append(np.subtract(spread(lead), cum, out=cum))
-            observed = float(np.sum(np.logaddexp(*log_terms))) - obs.size * self._log_one
+            observed = float(np.logaddexp(*log_terms).sum()) - obs.size * self._log_one
         cums = (c._skeleton._locate(cens)[1] for c in self.components)
-        return observed, float(np.sum(self._log_one - self._log_weights(*cums)[2]))
+        return observed, float((self._log_one - self._log_weights(*cums)[2]).sum())
+
+    @cached_property
+    def _knot_segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each component's skeleton segment of each pooled knot, and so of its pooled segment."""
+        return tuple(c._skeleton.knots.searchsorted(self._knots, "right") - 1
+                     for c in self.components)
 
     @cached_property
     def _knot_values(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._knots, self._hazard_and_cum(self._knots)[1]
+        return self._knots, self._hazard_and_cum(self._knots, self._knot_segments)[1]
 
     def invert_cum_hazard(self, target):
         x = _as_times(target, "target")
@@ -574,11 +626,20 @@ class MixtureBathtub(HazardModel):
         live = (x > 0.0) & (x < limit)
         xs = x[live]
         knots, kvals = self._knot_values
-        t = knots[np.maximum(np.searchsorted(kvals, xs, side="right") - 1, 0)]
+        ends = np.concatenate((knots[1:], [np.inf]))
+        j = np.maximum(kvals.searchsorted(xs, side="right") - 1, 0)
+        t = knots[j]
         gap = np.full(xs.size, np.inf)
         moving = np.arange(xs.size)
         for _ in range(_NEWTON_MAX_ITER):
-            lam, cum = self._hazard_and_cum(t[moving])
+            at, seg = t[moving], j[moving]
+            # the exact iterate stays in the pooled segment it starts in, and so in one
+            # segment of each component; rounding can carry it to the segment's end
+            past = at >= ends[seg]
+            if past.any():
+                seg[past] = knots.searchsorted(at[past], "right") - 1
+                j[moving] = seg
+            lam, cum = self._hazard_and_cum(at, [s[seg] for s in self._knot_segments])
             resid = xs[moving] - cum
             # exact steps shrink the gap x - cum_hazard(t) > 0 every time; once
             # it is closed or stops shrinking, only rounding is left.  A target

@@ -305,6 +305,62 @@ class TestNewtonOnLiveTargets:
                 np.testing.assert_array_equal(_bits(model.invert_cum_hazard(targets)),
                                               _bits(_full_array_newton(model, targets)))
 
+    @staticmethod
+    def _assert_bits_at_and_beside_the_knot_values(model, extra=()):
+        """Targets at each pooled knot value, one ulp above and below it, and ``extra``."""
+        kvals = model._knot_values[1]
+        x = np.concatenate((kvals, np.nextafter(kvals, np.inf), np.nextafter(kvals, -np.inf),
+                            extra))
+        x = x[x >= 0.0]
+        np.testing.assert_array_equal(_bits(model.invert_cum_hazard(x)),
+                                      _bits(_full_array_newton(model, x)))
+
+    @pytest.mark.parametrize("variant", ["demo", "defective-dfr", "pi-one"])
+    def test_bits_at_and_beside_the_knot_values(self, demo, variant):
+        mbt = demo["mbt"]
+        model = {
+            "demo": mbt,
+            "defective-dfr": MixtureBathtub(0.3, 0.0, mbt.draw1, 0.1, mbt.draw2),
+            "pi-one": MixtureBathtub(1.0, 0.1, mbt.draw1, 0.1, mbt.draw2),
+        }[variant]
+        self._assert_bits_at_and_beside_the_knot_values(model)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ATOMS, _ATOMS, _WEIGHTS, st.sampled_from([0.4, 0.9, 1.0]), st.sampled_from([0.0, 0.1]),
+           st.lists(st.floats(0.0, 1.0), max_size=8))
+    @example([0.5, 0.5, 1.0], [1.0, 1.0, 2.0], 0.7, 0.4, 0.1, [0.5])
+    @example([], [0.6, 0.6], 1.3, 0.4, 0.0, [0.9])
+    # one ulp below the knot value at 0.47, rounding carries the iterate past the knot
+    @example([], [0.47], 1.07, 0.9, 0.1, [])
+    def test_bits_on_generated_draws_with_ties(self, th1, th2, weight, pi, lambda01, fractions):
+        model = MixtureBathtub(pi, lambda01, _draw(th1, weight), 0.2, _draw(th2, 2.0 * weight))
+        scale = min(float(model.cum_hazard(5.0)), 1.2 * model.cum_hazard_limit())
+        self._assert_bits_at_and_beside_the_knot_values(model, np.array(fractions) * scale)
+
+    def test_each_component_is_searched_once_per_model(self, demo):
+        """The Newton loop evaluates in the segments found for the pooled knots, so the
+        inverse searches no component's knots while it iterates."""
+
+        class CountedKnots(np.ndarray):
+            searches = 0
+
+            def searchsorted(self, *args, **kwargs):
+                CountedKnots.searches += 1
+                return np.asarray(self).searchsorted(*args, **kwargs)
+
+        mbt = demo["mbt"]
+        model = MixtureBathtub(mbt.pi, mbt.lambda01, mbt.draw1, mbt.lambda02, mbt.draw2)
+        for component in model.components:
+            component._skeleton.knots = component._skeleton.knots.view(CountedKnots)
+        x = RandomStream(3).uniforms(1000) * float(model.cum_hazard(8.0))
+        expected = _full_array_newton(MixtureBathtub(mbt.pi, mbt.lambda01, mbt.draw1,
+                                                     mbt.lambda02, mbt.draw2), x)
+        CountedKnots.searches = 0
+        np.testing.assert_array_equal(_bits(model.invert_cum_hazard(x)), _bits(expected))
+        assert CountedKnots.searches == 2  # one per component, for the pooled knots
+        model.invert_cum_hazard(x[::-1])
+        assert CountedKnots.searches == 2
+
 
 class TestGaussLegendreConstants:
     def test_equal_leggauss_bit_for_bit(self):

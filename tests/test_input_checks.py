@@ -1,10 +1,14 @@
 """Out-of-domain parameters and integer fields raise ValueError naming the field."""
 
+import json
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from gphazard import (
+    DecreasingFailureRate,
     ExponentialBase,
     GammaProcessDraw,
     GammaProcessParams,
@@ -16,9 +20,12 @@ from gphazard import (
     NormalBase,
     RandomStream,
     StepFunction,
+    SuperpositionBathtub,
     histogram,
+    model_from_dict,
     simulate_dataset,
 )
+from gphazard.gamma_process import base_measure_from_dict
 
 NAN, INF = math.nan, math.inf
 G = GammaProcessDraw.from_atoms([1.0, 2.0], [0.5, 0.5])
@@ -53,3 +60,29 @@ G = GammaProcessDraw.from_atoms([1.0, 2.0], [0.5, 0.5])
 def test_out_of_domain_input_raises_naming_the_field(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# each type with every real field set from v; a pi above 1 is given as True
+_REAL_FIELDS = {
+    "ifr": (lambda v: IncreasingFailureRate(v, G), model_from_dict),
+    "dfr": (lambda v: DecreasingFailureRate(v, G), model_from_dict),
+    "lwb": (lambda v: LoWengBathtub(v, v, G), model_from_dict),
+    "sbt": (lambda v: SuperpositionBathtub(v, G, G), model_from_dict),
+    "mbt": (lambda v: MixtureBathtub(v if v <= 1 else True, v, G, v, G), model_from_dict),
+    "lcv": (lambda v: LogConvexHazard(v, v, G), model_from_dict),
+    "prior": (lambda v: GammaProcessParams(v, v), GammaProcessParams.from_dict),
+    "exponential-base": (lambda v: ExponentialBase(v), base_measure_from_dict),
+    "normal-base": (lambda v: NormalBase(v, v), base_measure_from_dict),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2, np.int64(2), np.float64(0.5)], ids=repr)
+@pytest.mark.parametrize("name", list(_REAL_FIELDS))
+def test_a_real_field_stores_a_float_and_its_document_round_trips(name, value):
+    build, from_dict = _REAL_FIELDS[name]
+    obj = build(value)
+    for f in fields(obj):
+        if f.type in ("float", "float | None"):
+            assert type(getattr(obj, f.name)) is float, f.name
+    doc = json.loads(json.dumps(obj.to_dict()))
+    assert from_dict(doc).to_dict() == doc

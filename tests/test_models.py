@@ -711,6 +711,24 @@ class TestLcvIncrementOverflow:
         assert math.isfinite(got)
         assert got == pytest.approx(math.log(1e306) + 10.0 - cum, rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lambda0, w0, atoms, t, expected, rel", [
+        # expm1(r dt) / r overflows where |r| < 1, though c expm1(r dt) / r does not
+        (1e-20, 0.5, [], 1419.5, 3.4796737465283211e288, 1e-12),
+        (1e-20, 1e-11, [], 7e13, 1.0142320547350045e295, 1e-12),
+        # the coefficient past t = 1 underflows to 0, and 0 * expm1(999) is nan
+        (1.0, -1000.0, [(1.0, 1001.0)], 1000.0,
+         math.exp(-1.0) - math.exp(-1000.0) + -math.expm1(-1000.0) / 1000.0, 1e-15),
+    ])
+    def test_increment_in_log_space(self, lambda0, w0, atoms, t, expected, rel):
+        model = LogConvexHazard(lambda0, w0, _atoms(atoms) if atoms else
+                                GammaProcessDraw.from_atoms([], []))
+        cum = model.cum_hazard(t)
+        assert cum == pytest.approx(expected, rel=rel)
+        np.testing.assert_array_equal(model.cum_hazard(np.array([0.0, t])), [0.0, cum])
+        got = log_likelihood(model, Dataset([t], [True]))
+        assert got == pytest.approx(math.log(model.hazard(t)) - cum, rel=1e-15)
+
 
 class TestNegLog:
     """The long-double ``_neg_log`` against ``math.log`` element by element."""
@@ -809,8 +827,34 @@ class TestSkeletonMatchesDrawIntegrals:
             assert model.cum_hazard(float(t[-1])) == got[-1]
 
 
+def _assert_given_segments_equal_the_lookup(model, t):
+    """Evaluation in segments given equals the lookup bit for bit: at ``t`` in the segments
+    ``_locate`` finds, and at each knot past 0 in the segment that ends there."""
+    skeleton = model._skeleton
+    seg, cum = skeleton._locate(t)
+    np.testing.assert_array_equal(_bits(skeleton._cum_in(seg, t)), _bits(cum))
+    for got, want in zip(model._hazard_and_cum(t, seg), model._hazard_and_cum(t)):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    knots = skeleton.knots
+    ends = skeleton._cum_in(np.arange(knots.size - 1), knots[1:])
+    np.testing.assert_array_equal(_bits(ends), _bits(skeleton._locate(knots[1:])[1]))
+    np.testing.assert_array_equal(_bits(ends), _bits(skeleton.values[1:]))
+
+
 class TestSkeletonBranches:
     """Flat segments and decaying tails of the shared skeleton, for scalar and array input."""
+
+    BRANCHES = {
+        "flat-first-segment": IncreasingFailureRate(0.0, _atoms([(1.0, 2.0), (3.0, 1.0)])),
+        "zero-slope-tail": DecreasingFailureRate(0.0, _atoms([(1.0, 2.0), (3.0, 1.0)])),
+        "negative-rate-lcv-tail": LogConvexHazard(1.0, -2.0, _atoms([(1.0, 0.5)])),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", list(BRANCHES))
+    def test_given_segments_equal_the_lookup(self, name):
+        t = np.array([0.0, 0.5, 1.0, 1.0 + 1e-15, 2.0, 3.0, 10.0, 1e6])
+        _assert_given_segments_equal_the_lookup(self.BRANCHES[name], t)
 
     def test_flat_first_segment(self):
         # hazard 0 on [0, 1), 2 on [1, 3), 3 after
@@ -1109,6 +1153,20 @@ class TestExponentialSkeletonFixUp:
         np.testing.assert_array_equal(_bits([model.cum_hazard(float(x)) for x in t[:40]]),
                                       _bits(expected[:40]))
         np.testing.assert_array_equal(_bits(model._hazard_and_cum(t)[1]), _bits(expected))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["linear", "exponential", "log-space", *CASES])
+    def test_given_segments_equal_the_lookup(self, name):
+        model = {
+            "linear": IncreasingFailureRate(0.1, _atoms([(0.5, 0.3), (1.5, 0.7)])),
+            "exponential": LogConvexHazard(1.0, 0.5, _atoms([(1.0, 0.5), (2.0, 1.0)])),
+            # the coefficient past t = 1 underflows to 0: its increments are taken in log space
+            "log-space": LogConvexHazard(1.0, -1000.0, _atoms([(1.0, 1001.0)])),
+        }.get(name) or self.CASES[name]
+        knots = model._skeleton.knots
+        grid = RandomStream(8).uniforms(1024 + 10) * (knots[-1] + 2.0)
+        t = np.concatenate(([0.0], knots, np.nextafter(knots, np.inf), knots + 0.25, grid))
+        _assert_given_segments_equal_the_lookup(model, t)
 
     def test_exact_knots_of_the_overflowed_model(self):
         model = self.CASES["overflow"]
