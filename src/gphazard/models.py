@@ -7,20 +7,17 @@ in closed form, and samples failure times exactly by solving
 at each knot), which counts the atoms below each cut through the draw's own
 lookup.  Five of the models share one cumulative-hazard skeleton that
 inverts in closed form: between knots the hazard is
-``c * exp(r * (t - knot))``.  The four step-hazard models are its rate-0
-case, with linear segments between breakpoints, and the log-convex model
-uses its exponential segments.  The mixture model's cumulative hazard is
+``c * exp(r * (t - knot))``, and one formula gives every segment, the
+step models' rate-0 ones included, from the log levels wherever a value
+leaves the double range.  The mixture model's cumulative hazard is
 concave between its pooled knots, so Newton's method started at the left
 knot inverts it without overshooting.  A time's segment comes from one
 search of the knots, and the skeleton then evaluates in the segments it is
 given.  The segment also tells the hazard (the step models' level table,
 lcv's log hazard at the knot and log-slope), so one lookup serves both the
 hazard and the cumulative hazard, for the density and that Newton loop.
-The loop finds each target's segments once per call, from the pooled
-knots; it evaluates only the targets still moving, and searches again only
-for an iterate that rounding carried to its segment's end.  The likelihood
-splits a dataset's sorted times by the knots once; one kernel scores that
-split for the skeleton models, one the mixture.
+The likelihood splits a dataset's sorted times by the knots once; one
+kernel scores that split for the skeleton models, one the mixture.
 The knots are the distinct atoms, by one comparison of neighbours in the
 sorted atoms, whose run ends count the atoms up to each: one draw keeps both
 for its models (two draws' are joined and sorted; lwb's are built sorted).
@@ -63,8 +60,6 @@ __all__ = [
     "model_to_dict",
     "model_from_dict",
 ]
-
-_ZERO_RATE = 1e-12  # below this, exponential segments are treated as linear
 
 _NEWTON_MAX_ITER = 100  # MixtureBathtub's inverse; converging takes at most ~40
 
@@ -109,20 +104,19 @@ class _Skeleton:
     On segment l, from ``knots[l]`` to the next knot (the last one extends
     to infinity), the hazard is ``coeffs[l] * exp(rates[l] * (t - knots[l]))``,
     with ``log_coeffs`` its log at the knots: ``log(coeffs)`` unless a model
-    gives it without the exp (lcv).  A rate below ``_ZERO_RATE`` in magnitude
-    makes the segment linear with slope ``coeffs[l]``, and a zero coefficient
-    makes it flat: inverting past the value a flat tail holds yields ``inf``.
-    ``values`` holds the cumulative hazard at the knots, accumulated from
-    non-negative segment increments ``expm1(r dt) / r * c``, divided first so
-    that only an overflowing increment is inf.  Where that quotient overflows,
-    or where a coefficient underflowed to 0 while its log is finite, the
-    increment is taken in log space from ``log_coeffs``; a coefficient that
-    overflowed to inf keeps its inf increments.  So the function is weakly
-    monotone even at rounding scale, and evaluation and inversion share it.
-    Evaluation is one search of the knots (``_locate``), then ``_cum_in`` in
-    the segments found, which callers that know the segments call directly.
-    Evaluated at a segment's end, a segment gives the next knot's value bit
-    for bit, as ``values`` accumulates the same increments.
+    gives it without the exp (lcv).  One formula serves every segment, with
+    no threshold on the rate: the increment over dt past a knot is
+    ``expm1(r dt) / r * c``, exactly ``c dt`` where r is 0, and the inverse
+    adds ``log1p(r e / c) / r`` to the knot, exactly ``e / c`` where r is 0.
+    Where that value is inf or nan, or where c left the double range while
+    its log is finite, the same formula is taken from ``log_coeffs``; a zero
+    coefficient with a log of -inf is flat, and inverting past the value a
+    flat tail holds yields ``inf``.  ``values`` accumulates the increments
+    over whole segments, so the function is weakly monotone even at rounding
+    scale, evaluation and inversion share it, and a segment evaluated at its
+    end gives the next knot's value bit for bit.  Evaluation is one search of
+    the knots (``_locate``), then ``_cum_in`` in the segments found, which
+    callers that know the segments call directly.
     """
 
     knots: np.ndarray
@@ -132,74 +126,76 @@ class _Skeleton:
     values: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        coeffs = self.coeffs
         if self.log_coeffs is None:
             with np.errstate(divide="ignore"):
-                self.log_coeffs = np.log(self.coeffs)
-        if linear := self.rates is None:
-            self.rates = np.zeros(self.knots.size)
-        # read once from the segments (given rates only): with finite coefficients, when every
-        # rate is 0 no rate is looked at per element, and when none is (lcv) no mask is needed
-        finite = bool(np.isfinite(self.coeffs).all())
-        steep = None if linear else np.abs(self.rates) >= _ZERO_RATE
-        self._linear = finite and (linear or not steep.any())
-        self._exponential = finite and not linear and bool(steep.all())
-        self._zero_coeff = not linear and bool(self.coeffs.min() == 0.0)  # maybe underflowed
+                self.log_coeffs = np.log(coeffs)
+        # known once: whether a rate is exactly 0, and the segments whose coefficient left the
+        # double range (inf, or 0 while its log is finite); only these take per-element masks
+        self._zero_rate = self.rates is not None and not self.rates.all()
+        self._outside = None
+        if not (coeffs.min() > 0.0 and coeffs.max() < math.inf):
+            self._outside = ~(coeffs < math.inf) | (coeffs == 0.0) & (self.log_coeffs > -math.inf)
         knots = self.knots
-        self.values = np.empty(knots.size)
-        self.values[0] = 0.0
+        self.values = np.zeros(knots.size)
         ends = knots[1:]
-        incs = self._increment(itemgetter(np.s_[:-1]), ends,
-                               np.subtract(ends, knots[:-1], out=self.values[1:]))
+        incs = self._increment(np.s_[:-1], ends, np.subtract(ends, knots[:-1], out=self.values[1:]))
         np.add.accumulate(incs, out=self.values[1:])
+        # an underflowed coefficient keeps its mask only where its segment moves the knot
+        # values or the limit, so a model whose vanishing tail adds nothing takes none
+        if self._outside is not None:
+            self._outside &= (coeffs != 0.0) | (np.r_[self.values[1:], self.limit()] > self.values)
+            self._outside = self._outside if self._outside.any() else None
 
-    def _increment(self, pick, t: np.ndarray, dt: np.ndarray) -> np.ndarray:
-        """Integral of the hazard to each time in ``t`` from the knot of the segment ``pick`` takes.
+    def _increment(self, seg, t: np.ndarray, dt: np.ndarray, counts=None) -> np.ndarray:
+        """Integral of the hazard to each time in ``t`` from the knot of its segment.
 
-        ``pick`` takes each segment's entry from a per-segment array: by index
-        or slice (an ``itemgetter``), or repeated over a run of sorted times
-        (the ``spread`` of ``_split``, which allocates no index array).  ``dt``
-        is ``t`` minus that knot, which the caller has at hand; the 1-d dt
-        may be overwritten, and ``t`` gives it again where the increment is
-        taken in log space.
+        ``seg`` indexes the per-segment arrays at each time (an index array, or
+        the build's slice of every segment but the last); with ``counts``, the
+        times are the ascending ones of ``_split``, ``counts[l]`` of them from
+        ``seg[l]`` on, and each entry is repeated over its run, which allocates
+        no index array.  ``dt`` is ``t`` minus that knot, which the caller has
+        at hand; the 1-d dt may be overwritten, and ``t`` gives it again where
+        the increment is taken from the logs.
         """
+        pick = itemgetter(seg) if counts is None else methodcaller("repeat", counts)
         coeff = pick(self.coeffs)
-        if self._linear:
-            dt *= coeff
-            return dt
-        rate = pick(self.rates)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # expm1(r * dt) / r * c in one buffer, dt's own when nothing else reads it
-            out = np.multiply(rate, dt, out=dt if self._exponential else None)
-            np.expm1(out, out=out)
-            out /= rate
-            out *= coeff  # inf where the increment overflows; dt = 0 adds +-0
-            if not self._exponential:  # nan where r = 0, or where c = inf and dt = 0
-                lin = np.abs(rate) < _ZERO_RATE
-                out[lin] = coeff[lin] * dt[lin]
-                out[dt == 0.0] = 0.0
-            if self._zero_coeff or not out.max(initial=0.0) < math.inf:
-                # in log space where the quotient overflowed (inf or nan) or c underflowed
-                # to 0: c exp(log|expm1(x)| - log|r|), log|expm1(x)| = max(x, 0) + log(-expm1(-|x|))
-                log_c = pick(self.log_coeffs)
-                redo = ~(out < math.inf)
-                if self._zero_coeff:
-                    redo |= (coeff == 0.0) & (log_c > -math.inf)
-                if not self._exponential:  # zero rates keep c dt, overflowed coefficients inf
-                    redo &= (coeff < math.inf) & (np.abs(rate) >= _ZERO_RATE)
-                r = rate[redo]
-                x = r * (t[redo] - pick(self.knots)[redo])
-                out[redo] = np.exp(log_c[redo] + np.maximum(x, 0.0)
-                                   + np.log(-np.expm1(-np.abs(x))) - np.log(np.abs(r)))
+            if self.rates is None:
+                out = np.multiply(dt, coeff, out=dt)
+            else:  # expm1(r dt) / r * c in dt's buffer, which keeps dt where r is 0
+                rate = pick(self.rates)
+                x = np.multiply(rate, dt, out=None if self._zero_rate else dt)
+                out = np.divide(np.expm1(x, out=x), rate, out=dt,
+                                where=rate != 0.0 if self._zero_rate else True)
+                out *= coeff  # inf where the increment overflows; nan where c is inf and dt is 0
+            if self._outside is None and (self.rates is None or out.max(initial=0.0) < math.inf):
+                return out
+            # from the logs: c exp(log|expm1(x)| - log|r|), log|expm1(x)| = max(x, 0) +
+            # log(-expm1(-|x|)), and c dt where r is 0; a zero width adds 0 even where c is inf
+            redo = ~(out < math.inf)
+            if self._outside is not None:  # an underflowed c gives 0, not inf or nan
+                redo |= pick(self._outside)
+            at = redo.nonzero()[0]
+            # the segments of the redone times: from the split's runs, or indexed (the slice from 0)
+            s = (seg.searchsorted(at, "right") - 1 if counts is not None
+                 else seg[at] if isinstance(seg, np.ndarray) else at)
+            r = 0.0 if self.rates is None else rate[at]
+            d = t[at] - self.knots[s]
+            x, log_c = r * d, self.log_coeffs[s]
+            y = np.where(r == 0.0, log_c + np.log(d), log_c + np.maximum(x, 0.0)
+                         + np.log(-np.expm1(-np.abs(x))) - np.log(np.abs(r)))
+            out[at] = np.exp(y, out=np.zeros(at.size), where=d > 0.0)
         return out
 
     def _cum_in(self, seg: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The cumulative hazard at checked 1-d times ``t`` in their segments ``seg``."""
         dt = self.knots[seg]
         np.subtract(t, dt, out=dt)
-        if self._linear:
+        if self.rates is None and self._outside is None:
             dt *= self.coeffs[seg]
         else:
-            dt = self._increment(itemgetter(seg), t, dt)
+            dt = self._increment(seg, t, dt)
         dt += self.values[seg]
         return dt
 
@@ -226,42 +222,43 @@ class _Skeleton:
         return starts, counts, spread, np.subtract(times, offsets, out=offsets)
 
     def limit(self) -> float:
-        rate, coeff = float(self.rates[-1]), float(self.coeffs[-1])
-        if rate <= -_ZERO_RATE:  # a decaying tail adds coeff / -rate
-            return float(self.values[-1] + coeff / -rate)
-        return math.inf if rate >= _ZERO_RATE or coeff > 0.0 else float(self.values[-1])
+        """The cumulative hazard as t grows without bound: a decaying tail adds c / -r."""
+        rate = 0.0 if self.rates is None else float(self.rates[-1])
+        coeff, log_c = self.coeffs[-1], self.log_coeffs[-1]
+        if rate >= 0.0:  # unbounded unless the tail is flat
+            return math.inf if log_c > -math.inf else float(self.values[-1])
+        with np.errstate(over="ignore"):  # from the log where c left the double range
+            tail = coeff / -rate if 0.0 < coeff < math.inf else np.exp(log_c - math.log(-rate))
+        return float(self.values[-1] + tail)
 
     def invert(self, arr: np.ndarray) -> np.ndarray:
-        """Where the cumulative hazard reaches each checked 1-d target in ``arr``."""
+        """Where the cumulative hazard reaches each checked 1-d target in ``arr``.
+
+        Past a decaying tail's limit (r e / c <= -1) the time is ``inf``.
+        """
         seg = np.maximum(self.values.searchsorted(arr, side="right") - 1, 0)
         knot, base, coeff = self.knots[seg], self.values[seg], self.coeffs[seg]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            excess = arr - base  # inf - inf where the knot values overflowed
-            t = knot + excess / coeff  # a vanishing slope puts t past the double range
-        if not self._linear:
-            rate = self.rates[seg]
-            g = np.abs(rate) >= _ZERO_RATE
-            t[g] = self._invert_growing(knot[g], excess[g], rate[g], coeff[g])
-        flat = coeff <= 0.0
-        if flat.any():
-            t = np.where(flat & (arr == base), knot, t)
-            t = np.where(flat & (arr > base), np.inf, t)
-        t[arr == np.inf] = np.inf
+            excess = arr - base  # nan (inf - inf) where the knot values overflowed
+            step = excess / coeff
+            finite = np.isfinite(step)
+            if self.rates is not None:
+                rate = self.rates[seg]
+                arg, curved = rate * excess / coeff, rate != 0.0
+                np.divide(np.log1p(np.maximum(arg, -1.0)), rate, out=step, where=curved)
+                np.isfinite(arg, out=finite, where=curved)
+            # from the logs where e / c (r = 0) or r e / c is not finite, or c left the double
+            # range (an overflowed c gives a finite value)
+            at = (~finite if self._outside is None else ~finite | self._outside[seg]).nonzero()[0]
+            if at.size:  # w = log|r e / c|: e / c = exp(w) where r is 0, else log1p(+-exp(w)) / r
+                r, c, e = 0.0 if self.rates is None else rate[at], coeff[at], excess[at]
+                log_c = np.where((c > 0.0) & (c < math.inf), np.log(c), self.log_coeffs[seg[at]])
+                w = np.log(np.abs(r)) + np.log(e) - log_c
+                past = np.where(r > 0.0, np.logaddexp(0.0, w), np.log1p(-np.exp(w))) / r
+                past = np.where(r == 0.0, np.exp(np.log(e) - log_c), past)
+                step[at] = np.where(e == 0.0, 0.0, past)  # a flat segment's value is at its knot
+            t = np.fmin(knot + step, math.inf)  # nan, past a decaying tail's limit, is inf
         return np.where(arr == 0.0, 0.0, t)
-
-    @staticmethod
-    def _invert_growing(knot, excess, rate, coeff) -> np.ndarray:
-        """knot + log1p(rate * excess / coeff) / rate, or inf past a decaying tail's limit."""
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            arg = rate * excess / coeff
-            t = knot + np.log1p(np.maximum(arg, -1.0)) / rate
-            # where the quotient overflowed, log1p(arg) = logaddexp(0, log(arg)) in log space
-            big = arg == np.inf
-            log_arg = np.log(rate[big]) + np.log(excess[big]) - np.log(coeff[big])
-            t[big] = knot[big] + np.logaddexp(0.0, log_arg) / rate[big]
-        # a negative-rate tail saturates: targets at or past the limit are unreachable
-        t[arg <= -1.0] = np.inf
-        return t
 
 
 class HazardModel(ABC):
@@ -337,11 +334,11 @@ class HazardModel(ABC):
         with np.errstate(over="ignore", invalid="ignore"):
             spent = np.add.reduceat(offsets, at)
             lead = n * skeleton.log_coeffs[seg]
-            if skeleton._linear:  # rate 0: no log-slope term
+            if skeleton.rates is None:  # rate 0: no log-slope term
                 past = skeleton.coeffs[seg] * spent
             else:  # the increments may overwrite the offsets, read by now
                 lead += skeleton.rates[seg] * spent
-                past = np.add.reduceat(skeleton._increment(spread, obs, offsets), at)
+                past = np.add.reduceat(skeleton._increment(starts, obs, offsets, counts), at)
             observed = float((lead - (n * skeleton.values[seg] + past)).sum())
         observed = observed if observed < math.inf else -math.inf
         return observed, float(skeleton._locate(cens)[1].sum())
@@ -598,11 +595,10 @@ class MixtureBathtub(HazardModel):
         with np.errstate(invalid="ignore", over="ignore"):
             for component, log_pi in zip(self.components, self._log_pi):
                 skeleton = component._skeleton
-                _, _, spread, offsets = skeleton._split(obs)
+                starts, counts, spread, offsets = skeleton._split(obs)
                 lead = log_pi + skeleton.log_coeffs
-                if not skeleton._linear:  # an infinite level
-                    lead[~(lead < math.inf)] = -math.inf
-                cum = skeleton._increment(spread, obs, offsets)
+                lead[~(lead < math.inf)] = -math.inf  # an infinite level
+                cum = skeleton._increment(starts, obs, offsets, counts)
                 cum += spread(skeleton.values)
                 log_terms.append(np.subtract(spread(lead), cum, out=cum))
             observed = float(np.logaddexp(*log_terms).sum()) - obs.size * self._log_one
@@ -695,12 +691,16 @@ class LogConvexHazard(_OnOneDraw, HazardModel):
         lead, rates = self._lead_and_rates
         with np.errstate(over="ignore"):  # a steep hazard's coefficients overflow to inf
             coeffs = self.lambda0 * np.exp(lead)
-        return _Skeleton(self._knots, rates, coeffs, math.log(self.lambda0) + lead)
+        # every rate 0 (w0 = 0 and no atom mass): the linear skeleton of a constant hazard
+        return _Skeleton(self._knots, rates if rates.any() else None, coeffs,
+                         math.log(self.lambda0) + lead)
 
     def _segment_hazard(self, seg, t):
         lead, rates = self._lead_and_rates
-        with np.errstate(over="ignore"):  # one exp, so no factor underflows alone; inf at large t
-            return self.lambda0 * np.exp(lead[seg] + rates[seg] * (t - self._knots[seg]))
+        x = lead[seg] + rates[seg] * (t - self._knots[seg])
+        with np.errstate(over="ignore"):  # exp(log(lambda0) + x) where lambda0 exp(x) is 0 or inf
+            out = self.lambda0 * np.exp(x)
+            return np.where((out > 0.0) & (out < math.inf), out, np.exp(math.log(self.lambda0) + x))
 
 
 def simulate_dataset(

@@ -1,4 +1,5 @@
-"""A 60-digit ``decimal`` evaluation of the ifr, dfr, sbt and lcv hazards from a draw's atoms alone.
+"""A 60-digit ``decimal`` evaluation of the ifr, dfr, sbt and lcv hazards, and of lcv's cumulative
+hazard, from a draw's atoms alone.
 
 A test-only reference: it reads each draw's (location, weight) pairs and the
 model's scalars, and nothing the package builds from them (no sorted view,
@@ -68,6 +69,26 @@ def hazard(model, t: float) -> decimal.Decimal:
         if model.variant == "lcv":
             return lambda0 * lcv_log_terms(model, [t])[0][0].exp()
         raise ValueError(f"no oracle for {model.variant}")
+
+
+def lcv_cum_hazard(model, t: float) -> decimal.Decimal:
+    """lcv's cumulative hazard at t, summed over the segments between the distinct atoms below t.
+
+    On a segment from ``a`` with log hazard ``log(lambda0) + lead`` there and
+    log-slope ``r``, the hazard integrates to ``lambda0 e^lead (e^(r dt) - 1) / r``,
+    or ``lambda0 e^lead dt`` where r is 0.  ``e^x - 1`` loses as many of the
+    60 digits as ``x`` has leading zeros, which leaves 40 for ``|x|`` down to
+    1e-20.
+    """
+    with decimal.localcontext(_CONTEXT):
+        x, lambda0 = D(t), D(model.lambda0)
+        cuts = sorted({th for th, _ in _atoms(model.draw) if th < x} | {D(0)})
+        total = D(0)
+        for (lead, rate), a, b in zip(lcv_log_terms(model, [float(c) for c in cuts]), cuts,
+                                      cuts[1:] + [x]):
+            scale = ((rate * (b - a)).exp() - 1) / rate if rate else b - a
+            total += lambda0 * lead.exp() * scale
+        return total
 
 
 def error_ulp(got: float, exact: decimal.Decimal) -> float:

@@ -730,6 +730,75 @@ class TestLcvIncrementOverflow:
         assert got == pytest.approx(math.log(model.hazard(t)) - cum, rel=1e-15)
 
 
+class TestOneFormulaPerSegment:
+    """lcv values past the double range, and at rates near 0, from the skeleton's one formula.
+
+    Each is checked against the 60-digit oracle with warnings as errors.  A
+    value taken from the logs has an exponent near 700 here, rounded to about
+    1e-13, so those bounds are relative, not in ulp.
+    """
+
+    @pytest.mark.filterwarnings("error")
+    def test_inverse_past_an_underflowed_coefficient(self):
+        # past t = 1 the coefficient exp(-1000) underflows to 0, while its log does not
+        model = LogConvexHazard(1.0, -1000.0, _atoms([(1.0, 1001.0)]))
+        t = model.invert_cum_hazard(5.0)
+        assert t == pytest.approx(1002.6092378924314, rel=1e-15)
+        # the slope there is about 5, so one ulp of t moves H by 1.1e-13 of it
+        assert float(_oracle.lcv_cum_hazard(model, t)) == pytest.approx(5.0, rel=1e-13)
+        np.testing.assert_array_equal(model.invert_cum_hazard(np.array([0.0, 5.0])), [0.0, t])
+
+    @pytest.mark.filterwarnings("error")
+    def test_cum_hazard_past_an_overflowed_coefficient(self):
+        # the coefficient at t = 0.5 is 1e200 exp(250), past the double range; its log is not
+        model = LogConvexHazard(1e200, 500.0, _atoms([(0.5, 1.0), (1.0, 2.0), (2.0, 3.0)]))
+        exact = _oracle.lcv_cum_hazard(model, 0.50536149)
+        assert float(exact) == 1.0974965481457372e307
+        assert model.cum_hazard(0.50536149) == pytest.approx(float(exact), rel=1e-13)
+        got = log_likelihood(model, Dataset([0.505], [True]))
+        log_hazard = math.log(1e200) + float(_oracle.lcv_log_terms(model, [0.505])[0][0])
+        expected = log_hazard - float(_oracle.lcv_cum_hazard(model, 0.505))
+        assert math.isfinite(got) and got == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lambda0, w0, expected", [(1e-300, 142.0, 2.2339947661618e8),
+                                                       (1e300, -160.0, 3.6678745841776e-48)])
+    def test_hazard_whose_product_leaves_the_double_range(self, lambda0, w0, expected):
+        # lambda0 exp(710) and lambda0 exp(-800): the exp alone over- or underflows at t = 5
+        model = LogConvexHazard(lambda0, w0, GammaProcessDraw.from_atoms([], []))
+        exact = float(_oracle.hazard(model, 5.0))
+        assert exact == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert model.hazard(5.0) == pytest.approx(exact, rel=1e-13, abs=0.0)
+        np.testing.assert_array_equal(model.hazard(np.array([[5.0]])), [[model.hazard(5.0)]])
+        assert model._hazard_and_cum(np.array([5.0]))[0][0] == model.hazard(5.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_masks_only_where_an_underflowed_coefficient_moves_the_cumulative_hazard(self):
+        # past t = 1 the coefficient exp(-1000) underflows to 0; at a rate of -800 the whole
+        # tail adds exp(-1000) / 800, which underflows too, so no time takes the logs there
+        flat = LogConvexHazard(1.0, -1000.0, _atoms([(1.0, 200.0)]))
+        assert flat._skeleton._outside is None
+        assert flat.cum_hazard(5.0) == flat.cum_hazard(1.0) == flat.cum_hazard_limit()
+        # at a rate of 1 the same coefficient reaches 1 near t = 1001
+        steep = LogConvexHazard(1.0, -1000.0, _atoms([(1.0, 1001.0)]))
+        np.testing.assert_array_equal(steep._skeleton._outside, [False, True])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w0", [1e-13, -1e-13])
+    def test_a_rate_near_zero_takes_the_exponential_formula(self, w0):
+        # r t = +-1e-7 at t = 1e6, where c dt is off by 5e-8 of the increment
+        model = LogConvexHazard(1.0, w0, GammaProcessDraw.from_atoms([], []))
+        cum = model.cum_hazard(1e6)
+        assert cum == pytest.approx(float(_oracle.lcv_cum_hazard(model, 1e6)), rel=1e-15)
+        assert abs(cum - 1e6) > 0.04
+        t = model.invert_cum_hazard(1e6)
+        assert float(_oracle.lcv_cum_hazard(model, t)) == pytest.approx(1e6, rel=1e-15)
+        assert abs(t - 1e6) > 0.04
+        # a decaying tail adds 1 / -w0; at t = 1e17 the oracle is within exp(-1e4) of it
+        expected = math.inf if w0 > 0.0 else float(_oracle.lcv_cum_hazard(model, 1e17))
+        assert model.cum_hazard_limit() == pytest.approx(expected, rel=1e-15)
+
+
 class TestNegLog:
     """The long-double ``_neg_log`` against ``math.log`` element by element."""
 
@@ -1094,7 +1163,8 @@ def _masked_cum_hazard(skeleton, t) -> np.ndarray:
     """The skeleton's cumulative hazard element by element, from the masked formula.
 
     An increment is 0 where dt = 0, c*dt where |r| < 1e-12 and expm1(r*dt)/r*c
-    otherwise; the knot values accumulate the increments over whole segments.
+    otherwise, taken from the log level where that is inf while the log is
+    finite; the knot values accumulate the increments over whole segments.
     """
     knots, rates, coeffs = skeleton.knots, skeleton.rates, skeleton.coeffs
 
@@ -1105,7 +1175,11 @@ def _masked_cum_hazard(skeleton, t) -> np.ndarray:
         if abs(r) < 1e-12:
             return c * dt
         with np.errstate(over="ignore"):
-            return np.expm1(r * dt) / r * c
+            out = np.expm1(r * dt) / r * c
+            log_c, x = skeleton.log_coeffs[seg], r * dt
+            if out == np.inf and np.isfinite(log_c):  # log|expm1(x)| = max(x, 0) + log(1 - e^-|x|)
+                out = np.exp(log_c + max(x, 0.0) + np.log(-np.expm1(-abs(x))) - np.log(abs(r)))
+            return out
 
     widths = np.diff(knots)
     values = np.concatenate(([0.0], np.cumsum([increment(s, w) for s, w in enumerate(widths)])))
@@ -1141,8 +1215,10 @@ class TestExponentialSkeletonFixUp:
         skeleton = model._skeleton
         if name == "tied-zero-width":
             np.testing.assert_array_equal(skeleton.knots, [0.0, 1.0, 2.0])
-        else:
-            assert not skeleton._linear and not skeleton._exponential
+        elif name == "overflow":  # a coefficient that overflowed to inf while its log is finite
+            assert np.any((skeleton.coeffs == np.inf) & np.isfinite(skeleton.log_coeffs))
+        else:  # an exact zero rate
+            assert np.any(skeleton.rates == 0.0)
         knots = skeleton.knots
         grid = RandomStream(8).uniforms(1024 + 10) * (knots[-1] + 2.0)
         t = np.concatenate(([0.0], knots, 0.5 * (knots[:-1] + knots[1:]), knots + 0.25, grid))
