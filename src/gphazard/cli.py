@@ -20,14 +20,8 @@ from ._checks import _check_count, _check_range, _require_keys, _require_reals
 from .datasets import _csv_text, read_dataset_csv, write_dataset_csv
 from .gamma_process import GammaProcessDraw, GammaProcessParams, _distinct, draw_gamma_process
 from .likelihood import HyperParams, log_likelihood
-from .models import (
-    HazardModel,
-    _build_model,
-    _draw_model_params,
-    _variant_fields,
-    model_from_dict,
-    simulate_dataset,
-)
+from .models import (HazardModel, _build_model, _draw_model_params, _model_class, model_from_dict,
+                     simulate_dataset)
 from .rng import RandomStream
 from .stats import kaplan_meier
 
@@ -99,22 +93,22 @@ def build_model(cfg: dict, stream: RandomStream) -> HazardModel:
     With nu set, every prior is drawn, in field order, and a scalar the
     config gives takes the place of its draw.
     """
-    variant = cfg.get("model")
-    scalars, draw_keys, drawable = _variant_fields(variant)
+    cls = _model_class(cfg.get("model"))
+    _, scalars, draw_keys, drawable = cls._fields()
     draw_pi = cfg.get("draw_pi", False)
     if not isinstance(draw_pi, bool):
         raise ValueError(f"config needs true or false for 'draw_pi', got {draw_pi!r}")
     draws = [_resolve_draw(cfg, key, stream) for key in ("prior", "prior2")[: len(draw_keys)]]
     missing = [k for k in scalars if k not in cfg]
     if not missing:
-        return _build_model(variant, cfg, draws)
+        return _build_model(cls, cfg, draws)
     if "nu" not in cfg:
         offer = [k for k in missing if k in drawable]
         hint = f" (or 'nu' to draw {offer} from their priors)" if offer else ""
-        raise ValueError(f"{variant} needs {missing} in the config{hint}")
+        raise ValueError(f"{cls.variant} needs {missing} in the config{hint}")
     given = [k for k in drawable if k in cfg]
     _require_reals(cfg, ["nu", *given], "config")
-    return _draw_model_params(variant, draws, HyperParams(nu=cfg["nu"]), stream, cfg, draw_pi)
+    return _draw_model_params(cls, draws, HyperParams(nu=cfg["nu"]), stream, cfg, draw_pi)
 
 
 def _write_text(path, text: str) -> None:
@@ -258,11 +252,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its return code, or 1 after one ``error:`` line for a failure it reports.
+
+    A RuntimeError (an inverse or a quadrature that did not converge) and a
+    MemoryError (a size too large to allocate) end the same way as bad input.
+    """
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 
 

@@ -79,8 +79,7 @@ def _csv_text(header: str, columns) -> str:
     """CSV text: the header line, then per row the equal-length columns' values, comma-joined.
 
     Each value is written as its ``repr``, for a float the shortest text that
-    reads back to the same bits.  Each column is formatted whole before the
-    rows are joined, which is faster than formatting row by row.
+    reads back to the same bits.
     """
     cells = [list(map(repr, np.asarray(col).tolist())) for col in columns]
     return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"

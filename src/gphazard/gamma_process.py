@@ -1,15 +1,9 @@
-"""Truncated stick-breaking draws from a gamma process prior.
+"""Truncated stick-breaking draws from a gamma process prior, and their integrals.
 
-A draw is a discrete random measure on the positive half line: atom
-locations come iid from a base measure, Dirichlet-process stick-breaking
-weights are built from Beta(1, alpha) sticks with the final weight closing
-the sum to one, and the whole measure is scaled by an independent
-Gamma(alpha, beta) total mass.  The measure-level integrals needed for
-hazard evaluation, an ordered view with prefix sums, and JSON
-serialization all live here.  So does the atom lookup: a draw's
-``_count_below`` is the one place that ranks cuts among its sorted atoms,
-for its own integrals and for every hazard model, and ``_distinct`` the one
-that takes the distinct values of an array already sorted.
+A draw is a discrete random measure on [0, inf): atom locations iid from a
+base measure, Dirichlet-process weights from Beta(1, alpha) sticks (the last
+closing the sum to one), all scaled by an independent Gamma(alpha, beta)
+total mass.
 """
 
 from __future__ import annotations
@@ -91,9 +85,8 @@ def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
 def _distinct(ascending: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of a non-decreasing 1-d array, and the index just past each one's run.
 
-    One comparison of neighbours marks where each run of equal values
-    starts, with no second sort.  Each value is its run's first element, so
-    of a -0.0 and a 0.0 side by side the first one is kept.
+    Each value is its run's first element, so of a -0.0 and a 0.0 side by
+    side the first one is kept.
     """
     new = np.empty(ascending.size, dtype=bool)
     new[:1] = True
@@ -156,10 +149,8 @@ class OrderedAtoms:
     """Atoms sorted by location with prefix sums of mass and first moment.
 
     ``cum_mass[l]`` is the total weight of the first l+1 sorted atoms and
-    ``cum_moment[l]`` the corresponding sum of weight*location products:
-    ``cum_mass`` gives the draw's prefix masses, ``cum_moment`` its
-    ``double_integral_above``.  The arrays are read-only copies of those
-    given.
+    ``cum_moment[l]`` their sum of weight*location.  The arrays are
+    read-only copies of those given.
     """
 
     thetas: np.ndarray

@@ -1,22 +1,4 @@
-"""Censored-data log-likelihood and hyperprior sampling/evaluation.
-
-The log-likelihood of a dataset under a hazard model is
-``sum(log hazard(t_i)) - sum(cum_hazard(t_i))`` over observed failures
-minus ``cum_hazard`` at each censoring horizon.  A hazard of zero at an
-observed time yields ``-inf`` (a first-class value, so samplers and
-optimizers can reject the state rather than crash).  So does a
-cumulative-hazard sum that overflows to ``+inf``: the exact log-likelihood
-is then below -1.8e308, so ``-inf`` is its correctly rounded value, where
-``log(inf) - inf`` would be nan.  So does a step model's hazard level
-that has overflowed to ``+inf`` under an observed time, whose log is not
-known; a mixture gives such a component a density of 0 there.
-
-Each model scores the observed times from one split of the ascending
-times by its knots, with no per-record hazard: the five skeleton models,
-whose log hazard is linear on each segment, from each segment's event
-count, log level and summed offsets (the piecewise exponential likelihood
-where the log-slope is 0), and the mixture from its log density.
-"""
+"""The censored log-likelihood of a dataset under a model, and the gamma hyperpriors."""
 
 from __future__ import annotations
 
@@ -48,16 +30,13 @@ class HyperParams:
 
 
 def log_likelihood(model, dataset: Dataset) -> float:
-    """Censored log-likelihood of the dataset under the model; -inf on zero hazard or overflow.
+    """Sum of log h - H over the observed times, minus H over the censored; ValueError if empty.
 
-    The model's family scores the dataset's ascending observed and censored
-    times, sorted on first use and kept: its ``_log_likelihood_terms``
-    returns the sum of ``log hazard - cum_hazard`` over the observed times,
-    -inf where their hazard or cumulative hazard overflows, and the sum of
-    ``cum_hazard`` over the censored.  Either -inf first or an overflowed
-    censored sum gives -inf before the two are combined.  The value does
-    not depend on the order of the records, and the times were checked
-    when the dataset was built.
+    A zero hazard at an observed time gives -inf, a first-class value that a
+    sampler or optimizer can reject.  So does a value below the double range
+    (an overflowed cumulative hazard or hazard level), of which -inf is the
+    correctly rounded value where log(inf) - inf would be nan.  The value
+    does not depend on the order of the records.
     """
     if dataset.n == 0:
         raise ValueError("dataset must be non-empty")

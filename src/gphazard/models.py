@@ -1,39 +1,14 @@
-"""Six hazard-rate models driven by gamma process draws.
+"""The six gamma-process hazard models, their failure sampler and their assembly.
 
-Each model evaluates its hazard, cumulative hazard, density and survival
-in closed form, and samples failure times exactly by solving
-``cum_hazard(T) = -log(U)``.  All six are dataclasses on the one base
-``HazardModel`` and write out only their hazard (the step models: its level
-at each knot), which counts the atoms below each cut through the draw's own
-lookup.  Five of the models share one cumulative-hazard skeleton that
-inverts in closed form: between knots the hazard is
-``c * exp(r * (t - knot))``, and one formula gives every segment, the
-step models' rate-0 ones included, from the log levels wherever a value
-leaves the double range.  The mixture model's cumulative hazard is
-concave between its pooled knots, so Newton's method started at the left
-knot inverts it without overshooting.  A time's segment comes from one
-search of the knots, and the skeleton then evaluates in the segments it is
-given.  The segment also tells the hazard (the step models' level table,
-lcv's log hazard at the knot and log-slope), so one lookup serves both the
-hazard and the cumulative hazard, for the density and that Newton loop.
-The likelihood splits a dataset's sorted times by the knots once; one
-kernel scores that split for the skeleton models, one the mixture.
-The knots are the distinct atoms, by one comparison of neighbours in the
-sorted atoms, whose run ends count the atoms up to each: one draw keeps both
-for its models (two draws' are joined and sorted; lwb's are built sorted).
-The public methods check their input once; the kernels behind them (the
-skeleton's methods, every ``_hazard_and_cum`` and ``_log_likelihood_terms``)
-take checked 1-d arrays.
-
-A failure draw can be infinite when the total cumulative hazard is
-finite (a defective failure distribution); ``math.inf`` is the sentinel
-for that outcome, never an exception.
+Each model evaluates its hazard, cumulative hazard, survival and density
+exactly, and samples failure times by inverting ``cum_hazard(T) = -log(U)``.
+A failure time is ``math.inf`` where the model is defective (its total
+cumulative hazard is finite): a value, never an exception.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import Field, dataclass, field, fields
 from functools import cache, cached_property
 from operator import itemgetter, methodcaller
@@ -63,23 +38,19 @@ __all__ = [
 
 _NEWTON_MAX_ITER = 100  # MixtureBathtub's inverse; converging takes at most ~40
 
-# _neg_log takes a long-double log where long double has a 64-bit mantissa or
-# more, and recomputes elements this close (in ulp) to a rounding midpoint
 _WIDE_LOG = np.finfo(np.longdouble).nmant >= 63
 _MIDPOINT_WINDOW = 0.05
 _MANTISSA = np.uint64((1 << 52) - 1)
 
 
 def _neg_log(u: np.ndarray) -> np.ndarray:
-    """-log(u) per element, equal to ``-math.log`` of each.
+    """-log(u) per element, bit for bit ``-math.log``, on which sampled times have always rested.
 
-    ``np.log`` differs from ``math.log`` in the last bit for a small share of
-    inputs, and sampled failure times have always been ``math.log`` based.
-    A long-double log rounded to double equals ``math.log`` except within
-    about 0.02 ulp of a rounding midpoint, where libm's log may round the
-    other way.  Elements within ``_MIDPOINT_WINDOW`` of a midpoint, and exact
-    powers of two (whose lower neighbour is nearer), are recomputed with
-    ``math.log``.
+    ``np.log`` differs from ``math.log`` in the last bit for some inputs.  A
+    long-double log (``_WIDE_LOG``: 64 mantissa bits or more) rounded to
+    double agrees with it except within about 0.02 ulp of a rounding midpoint,
+    so only elements within ``_MIDPOINT_WINDOW`` ulp of one, and exact powers
+    of two (whose lower neighbour is nearer), call ``math.log``.
     """
     if not _WIDE_LOG:
         return -_math_log(u)
@@ -99,24 +70,17 @@ def _math_log(u: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class _Skeleton:
-    """Cumulative hazard whose hazard is exponential in t on each segment.
+    """The cumulative hazard of ``coeffs[l] * exp(rates[l] * (t - knots[l]))`` on each segment l.
 
-    On segment l, from ``knots[l]`` to the next knot (the last one extends
-    to infinity), the hazard is ``coeffs[l] * exp(rates[l] * (t - knots[l]))``,
-    with ``log_coeffs`` its log at the knots: ``log(coeffs)`` unless a model
-    gives it without the exp (lcv).  One formula serves every segment, with
-    no threshold on the rate: the increment over dt past a knot is
-    ``expm1(r dt) / r * c``, exactly ``c dt`` where r is 0, and the inverse
-    adds ``log1p(r e / c) / r`` to the knot, exactly ``e / c`` where r is 0.
-    Where that value is inf or nan, or where c left the double range while
-    its log is finite, the same formula is taken from ``log_coeffs``; a zero
-    coefficient with a log of -inf is flat, and inverting past the value a
-    flat tail holds yields ``inf``.  ``values`` accumulates the increments
-    over whole segments, so the function is weakly monotone even at rounding
-    scale, evaluation and inversion share it, and a segment evaluated at its
-    end gives the next knot's value bit for bit.  Evaluation is one search of
-    the knots (``_locate``), then ``_cum_in`` in the segments found, which
-    callers that know the segments call directly.
+    Segment l runs from ``knots[l]`` to the next knot, the last to infinity.
+    ``log_coeffs`` is the log level at each knot, given where a model knows
+    it without the exp (lcv).  The increment past a knot is
+    ``expm1(r dt) / r * c``, exactly ``c dt`` at r = 0, and the inverse adds
+    ``log1p(r e / c) / r``, exactly ``e / c``; both come from ``log_coeffs``
+    where the value is inf or nan or c left the double range.  ``values``
+    sums whole-segment increments, so the function is weakly monotone at
+    rounding scale, and a segment at its end gives the next knot's value bit
+    for bit.  The methods take checked 1-d arrays.
     """
 
     knots: np.ndarray
@@ -234,7 +198,7 @@ class _Skeleton:
     def invert(self, arr: np.ndarray) -> np.ndarray:
         """Where the cumulative hazard reaches each checked 1-d target in ``arr``.
 
-        Past a decaying tail's limit (r e / c <= -1) the time is ``inf``.
+        Past the limit of a decaying tail (r e / c <= -1) or a flat one (c = 0) the time is ``inf``.
         """
         seg = np.maximum(self.values.searchsorted(arr, side="right") - 1, 0)
         knot, base, coeff = self.knots[seg], self.values[seg], self.coeffs[seg]
@@ -261,18 +225,16 @@ class _Skeleton:
         return np.where(arr == 0.0, 0.0, t)
 
 
-class HazardModel(ABC):
-    """The one base of all six models: their evaluation and sampling surface.
+class HazardModel:
+    """The one base of the six models.
 
-    Each model is a frozen dataclass whose fields, in order, are its
-    constructor arguments and document keys.  Its draws are immutable too,
-    so what a model caches from them never goes stale.  Each scalar field
-    must lie in the domain its metadata names, or be finite if it names
-    none; a scalar with a conditional prior names it there too
-    (``draw_model_params`` draws it).  By default the breakpoints are the
-    draws' pooled atoms, a time's segment of the cached ``_skeleton`` gives
-    its cumulative hazard and, by ``_segment_hazard``, its hazard, and the
-    skeleton's log levels give the one likelihood kernel its log hazard.
+    A model is a frozen dataclass whose fields, in order, are its
+    constructor arguments and document keys; a scalar field's metadata
+    names its domain (finite if none), outside which construction raises
+    ValueError, and any conditional prior.  Its draws are immutable too, so
+    what it caches never goes stale.  By default a time's segment of the
+    cached ``_skeleton`` gives its cumulative hazard and, by
+    ``_segment_hazard``, its hazard.
     """
 
     variant: str
@@ -308,10 +270,7 @@ class HazardModel(ABC):
         return _maybe_scalar(self._skeleton.invert(x.reshape(-1)).reshape(x.shape), target)
 
     def _hazard_and_cum(self, t, seg=None):
-        """(hazard(t), cum_hazard(t)) at checked 1-d times in skeleton segments ``seg``.
-
-        Without ``seg``, one lookup finds the times' segments.
-        """
+        """(hazard(t), cum_hazard(t)) at checked 1-d times, in their skeleton segments if given."""
         if seg is None:
             seg, cum = self._skeleton._locate(t)
         else:
@@ -344,11 +303,7 @@ class HazardModel(ABC):
         return observed, float(skeleton._locate(cens)[1].sum())
 
     def breakpoints(self) -> np.ndarray:
-        """Sorted locations where the hazard jumps or kinks: the draws' distinct atoms.
-
-        One draw's atoms are sorted already; two draws' sorted atoms are
-        joined and sorted once.
-        """
+        """Sorted locations where the hazard jumps or kinks: the draws' distinct atoms."""
         atoms = [getattr(self, name).ordered.thetas for name in self._fields()[2]]
         return _distinct(atoms[0] if len(atoms) == 1 else np.sort(np.concatenate(atoms)))[0]
 
@@ -403,8 +358,9 @@ class HazardModel(ABC):
 class _StepHazard(HazardModel):
     """Piecewise-constant hazard at least ``lambda0`` >= 0, with a linear skeleton.
 
-    The skeleton's ``coeffs`` are the one level table, the hazard from each
-    knot on, so the hazard steps exactly where the cumulative hazard bends.
+    A subclass gives ``_levels_at(knots)``, the hazard from each knot on: the
+    skeleton's ``coeffs``, so the hazard steps exactly where the cumulative
+    hazard bends.
     """
 
     lambda0: float = field(metadata={"domain": "non-negative", "prior": ("offset", -1)})
@@ -412,10 +368,6 @@ class _StepHazard(HazardModel):
     @cached_property
     def _skeleton(self) -> _Skeleton:
         return _Skeleton(self._knots, None, self._levels_at(self._knots))
-
-    @abstractmethod
-    def _levels_at(self, knots: np.ndarray) -> np.ndarray:
-        """The hazard on the segment that starts at each knot."""
 
 
 class _OnOneDraw:
@@ -579,16 +531,12 @@ class MixtureBathtub(HazardModel):
         return float(self._log_one - log_s)
 
     def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
-        """The sum of log h - H over the ascending observed times, and of H over the censored.
+        """The base's (observed, censored) sums, from log h - H = log f - _log_one at an event.
 
-        At an observed time log h - H = log f - _log_one: the log survival in
-        both cancels, leaving the log density
-        ``log f = logaddexp(log(pi) + log h1 - L1, log(1-pi) + log h2 - L2)``.
-        Each component's log h is its skeleton's ``log_coeffs``, and its L
-        the skeleton in the segments of the split of the times by its knots.
-        Where both L overflow, log f is -inf.  An infinite level gives its
-        component a log density of -inf in its segment, as it gives that
-        component scored alone, so no inf - inf appears.
+        ``log f = logaddexp(log(pi) + log h1 - L1, log(1-pi) + log h2 - L2)`` is
+        -inf where both L overflow.  A component whose level is inf has a log
+        density of -inf in that segment, as when it is scored alone, so no
+        inf - inf appears.
         """
         log_terms = []
         # nan for an inf level with log(1 - pi) = -inf; a sum below the double range is -inf
@@ -731,24 +679,23 @@ _MODELS = {cls.variant: cls for cls in (IncreasingFailureRate, DecreasingFailure
                                          SuperpositionBathtub, MixtureBathtub, LogConvexHazard)}
 
 
-def _variant_fields(variant) -> tuple[list[str], list[str], list[str]]:
-    """Scalar names, draw keys and the scalars with a prior, of a variant tag, in field order."""
-    cls = _MODELS.get(variant) if isinstance(variant, str) else None  # no unhashable lookup
+def _model_class(variant) -> type[HazardModel]:
+    """The model class of a variant tag; ValueError for any other value, unhashable ones too."""
+    cls = _MODELS.get(variant) if isinstance(variant, str) else None
     if cls is None:
         raise ValueError(f"unknown model variant: {variant!r}")
-    _, domains, draws, priors = cls._fields()
-    return list(domains), list(draws.values()), list(priors)
+    return cls
 
 
-def _build_model(variant: str, scalars: dict, draws) -> HazardModel:
-    """The variant's model from its scalars looked up by name and its draws in field order.
+def _build_model(cls: type[HazardModel], scalars: dict, draws) -> HazardModel:
+    """A ``cls`` model from its scalars looked up by name and its draws in field order.
 
     Raises ValueError naming the variant and the field when a scalar is
     missing or not a real number.
     """
-    _require_reals(scalars, _variant_fields(variant)[0], f"{variant} model")
-    cls, draws = _MODELS[variant], iter(draws)
-    names, _, draw_keys, _ = cls._fields()
+    names, domains, draw_keys, _ = cls._fields()
+    _require_reals(scalars, domains, f"{cls.variant} model")
+    draws = iter(draws)
     return cls(*(next(draws) if name in draw_keys else float(scalars[name]) for name in names))
 
 
@@ -773,13 +720,14 @@ def draw_model_params(
     ``draw_pi=True`` draws a missing pi uniformly after the priors, an
     extension with no standard prior.  A missing one raises before any draw.
     """
-    return _draw_model_params(variant, draws, hyper, stream, {"a": a, "pi": pi}, draw_pi)
+    return _draw_model_params(_model_class(variant), draws, hyper, stream, {"a": a, "pi": pi},
+                              draw_pi)
 
 
-def _draw_model_params(variant, draws, hyper, stream, given: dict, draw_pi) -> HazardModel:
+def _draw_model_params(cls, draws, hyper, stream, given: dict, draw_pi) -> HazardModel:
     """``draw_model_params`` keeping each scalar in ``given`` (not None); its prior is drawn."""
-    names, draw_keys, _ = _variant_fields(variant)
-    draws = list(draws)
+    _, names, draw_keys, priors = cls._fields()
+    variant, draws = cls.variant, list(draws)
     if len(draws) != len(draw_keys):
         raise ValueError(f"{variant} needs {len(draw_keys)} draw(s), got {len(draws)}")
     scalars = {name: value for name, value in given.items() if name in names and value is not None}
@@ -787,7 +735,7 @@ def _draw_model_params(variant, draws, hyper, stream, given: dict, draw_pi) -> H
         if name in names and name not in scalars and not (name == "pi" and draw_pi):
             hint = " (or draw_pi=True for a uniform draw)" if name == "pi" else ""
             raise ValueError(f"{variant} requires {name}: it has no prior{hint}")
-    for name, (kind, which) in _MODELS[variant]._fields()[3].items():
+    for name, (kind, which) in priors.items():
         gamma = _check_range("the total mass of a draw", draws[which].gamma, "positive")
         if kind == "offset":
             value = stream.exponential(hyper.nu / gamma)
@@ -802,7 +750,7 @@ def _draw_model_params(variant, draws, hyper, stream, given: dict, draw_pi) -> H
         scalars.setdefault(name, value)
     if "pi" in names and "pi" not in scalars:  # draw_pi is set
         scalars["pi"] = stream.uniform()
-    return _build_model(variant, scalars, draws)
+    return _build_model(cls, scalars, draws)
 
 
 def model_to_dict(model: HazardModel) -> dict:
@@ -811,7 +759,7 @@ def model_to_dict(model: HazardModel) -> dict:
 
 def model_from_dict(d: dict) -> HazardModel:
     _require_keys(d, ("model",), "model document")
-    variant = d["model"]
-    _, draw_keys, _ = _variant_fields(variant)
-    _require_keys(d, draw_keys, f"{variant} model")
-    return _build_model(variant, d, [GammaProcessDraw.from_dict(d[k]) for k in draw_keys])
+    cls = _model_class(d["model"])
+    draw_keys = cls._fields()[2].values()
+    _require_keys(d, draw_keys, f"{cls.variant} model")
+    return _build_model(cls, d, [GammaProcessDraw.from_dict(d[k]) for k in draw_keys])

@@ -1,19 +1,4 @@
-"""Deterministic, splittable random streams and the scalar samplers used everywhere else.
-
-A :class:`RandomStream` wraps numpy's PCG64 generator seeded through a
-``SeedSequence``, so the same seed always reproduces the same sequence and
-``split`` derives statistically independent child streams from ``(seed,
-spawn key)`` without any coordination between them.
-
-Uniform draws are guaranteed to lie strictly inside (0, 1): endpoint values
-are rejected and redrawn so that ``-log(u)`` is always finite and positive.
-Every sampler that redraws (uniform, beta, exponential, gamma and the
-truncated normal base) does so in one capped loop, ``_block``; a scalar
-draw is a block of one, whose first try is numpy's cheaper scalar draw.
-The block samplers (``uniforms``, ``exponentials``, ``betas``) return the
-same values, and advance the generator exactly as far, as the same number
-of scalar calls.
-"""
+"""Seeded, splittable random streams (numpy's PCG64) and the samplers the package draws from."""
 
 from __future__ import annotations
 
@@ -52,7 +37,7 @@ class RandomStream:
         return RandomStream(self.seed, self._spawn_key + (_check_count("child_id", child_id),))
 
     def uniform(self) -> float:
-        """Uniform draw strictly inside (0, 1)."""
+        """Uniform draw strictly inside (0, 1), so that -log(u) is finite and positive."""
         return float(self.uniforms(1)[0])
 
     def _block(self, n: int, draw, reject, describe) -> np.ndarray:

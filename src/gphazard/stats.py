@@ -1,9 +1,4 @@
-"""Model-free estimators and goodness-of-fit statistics.
-
-Kaplan-Meier product-limit survival curves (as right-continuous step
-functions), the one-sample Kolmogorov-Smirnov distance against an
-analytic CDF, and simple fixed-width histograms over [0, max].
-"""
+"""Model-free estimators: Kaplan-Meier step functions, the one-sample KS distance, histograms."""
 
 from __future__ import annotations
 
@@ -51,17 +46,14 @@ class StepFunction:
 
 
 def kaplan_meier(dataset: Dataset) -> StepFunction:
-    """Product-limit survival estimate (Kaplan & Meier, 1958) from the dataset's sorted times.
+    """Product-limit survival estimate (Kaplan & Meier, 1958); ValueError for an empty dataset.
 
-    At each distinct observed failure time the survival drops by the
-    factor (1 - deaths/at-risk); censored records only shrink the risk
-    sets.  Records censored exactly at a failure time still count as at
-    risk there (deaths are processed first).  Between two censorings the
-    product telescopes: a run of events starting with r at risk reaches
-    (at risk after event i)/r, taken as one exact division, so without
-    censoring before the last event the estimate is the correctly rounded
-    rational value.  A censoring between events starts a new run, and the
-    run factors multiply in float (a few ulps from the rational product).
+    At each distinct observed failure time the survival drops by the factor
+    (1 - deaths/at-risk); a record censored at a failure time is still at
+    risk there.  Between two censorings the product telescopes to one
+    division, so without censoring before the last event every level is the
+    correctly rounded rational value.  A censoring between events starts a
+    new run, and runs multiply in float, a few ulps from the rational value.
     """
     if dataset.n == 0:
         raise ValueError("dataset must be non-empty")
@@ -85,15 +77,20 @@ def kaplan_meier(dataset: Dataset) -> StepFunction:
 def ks_distance(samples, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a (vectorized) CDF.
 
-    sup over the sorted sample of max(|i/n - F(x_i)|, |(i-1)/n - F(x_i)|).
+    The sup over the m finite sorted samples of max(i/n - F(x_i), F(x_i) - (i-1)/n).
+    Infinite samples, as a defective model draws, are an atom at infinity:
+    where there are any, the sup takes in |m/n - cdf(inf)|, the gap just
+    below infinity.  Raises ValueError for no samples or a NaN one.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.sort(np.asarray(samples, dtype=float), axis=None)  # flat, whatever the shape
     n = x.size
-    if n == 0:
-        raise ValueError("samples must be non-empty")
+    if n == 0 or np.isnan(x[-1]):  # NaN sorts last
+        raise ValueError("samples must be non-empty, not NaN")
     f = np.asarray(cdf(x), dtype=float)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+    m = int(x.searchsorted(np.inf))  # the infinite samples sort last
+    i = np.arange(1, m + 1)
+    d = max(np.max(i / n - f[:m], initial=0.0), np.max(f[:m] - (i - 1) / n, initial=0.0))
+    return float(d if m == n else max(d, abs(m / n - f[m])))
 
 
 def histogram(samples, bin_count: int | None = None, bin_width: float | None = None):

@@ -1,15 +1,8 @@
-"""Built-in verification suite behind the ``validate`` CLI command.
+"""The suite behind ``gphazard validate``: one measured-value-versus-limit row per check.
 
-Runs distribution-level and identity checks on a documented demonstration
-configuration (alpha=3, beta=1, K=100, unit-rate exponential base, a
-Normal(2,1) base for the late component of the two-draw models) and
-reports one measured-value-versus-limit row per check.
-
-The checks come in groups, listed with their split ids in ``_GROUPS``.
-Each group draws from its own split of the suite stream, so a row's
-value depends only on the seed and its group, not on which other groups
-run.  ``run_validation`` applies the tolerance scale to every row in one
-place.
+The checks run on a documented demonstration configuration: alpha=3,
+beta=1, K=100, a unit-rate exponential base, and a Normal(2, 1) base for
+the late draw of the two-draw models.
 """
 
 from __future__ import annotations
@@ -115,14 +108,12 @@ def demo_models(seed: int = DEMO_SEED) -> dict[str, HazardModel]:
 def integrate_hazard(model: HazardModel, t_end):
     """Adaptive Gauss-Legendre quadrature of the hazard over [0, t_end], split at breakpoints.
 
-    ``t_end`` may be a scalar (a float is returned) or an array of
-    endpoints.  Each whole segment between breakpoints below the largest
-    endpoint, and each endpoint's cut last one, is integrated once, all in
-    one ``hazard`` call per round, and each endpoint adds up its own by a
-    prefix sum.  A segment is accepted when the rule on its two halves agrees
-    with the rule on the whole to a relative ``_QUAD_RTOL``, and is otherwise
-    split in two.  Raises RuntimeError when the hazard is not finite or a
-    segment has not converged after ``_QUAD_MAX_ROUNDS`` rounds.
+    ``t_end`` is a scalar (a float is returned) or an array of endpoints.
+    Each segment between breakpoints is integrated once for all endpoints, and
+    is accepted once the rule on its halves agrees with the rule on the whole
+    to a relative ``_QUAD_RTOL``.  Raises ValueError for a negative or
+    non-finite endpoint, and RuntimeError when the hazard is not finite or a
+    segment has not converged in ``_QUAD_MAX_ROUNDS`` rounds of bisection.
     """
     ends = np.asarray(t_end, dtype=float)
     flat = ends.ravel()
@@ -162,10 +153,7 @@ def integrate_hazard(model: HazardModel, t_end):
 
 
 def _gauss_legendre(model: HazardModel, lo, hi) -> np.ndarray:
-    """The 10-point Gauss-Legendre rule for the hazard on each [lo, hi].
-
-    All segments' nodes go to the model in one ``hazard`` call.
-    """
+    """The 10-point Gauss-Legendre rule for the hazard on each [lo, hi], in one ``hazard`` call."""
     half = 0.5 * (hi - lo)
     at = (lo + half)[:, None] + half[:, None] * _GL_NODES
     h = np.asarray(model.hazard(at.ravel()), dtype=float).reshape(at.shape)
@@ -314,8 +302,11 @@ def _defective_checks(models, stream):
         and math.isinf(dfr0.invert_cum_hazard(lim * 1.01))
         and math.isfinite(dfr0.invert_cum_hazard(lim * 0.99))
     )
-    data = simulate_dataset(dfr0, 200, lim / 4.0, stream)
-    ok = ok and data.n_observed < data.n and np.all(data.times[~data.observed] == lim / 4.0)
+    # censor at the time the cumulative hazard reaches min(ln 2, lim / 2): each record
+    # outlives it with probability at least 1/2
+    tau = dfr0.invert_cum_hazard(min(math.log(2.0), lim / 2.0))
+    data = simulate_dataset(dfr0, 200, tau, stream)
+    ok = ok and data.n_observed < data.n and np.all(data.times[~data.observed] == tau)
     yield "defective-dfr-tail", 0.0 if ok else 1.0, 0.0, "inf past limit"
 
     lcv_def = LogConvexHazard(1.0, -(g.gamma + 0.5), g)

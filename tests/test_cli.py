@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from gphazard import cli
 from gphazard.cli import build_model, main
 from gphazard.gamma_process import GammaProcessDraw
 from gphazard.models import IncreasingFailureRate, model_to_dict
@@ -587,3 +588,20 @@ def test_prior_drawing_infinite_atoms_is_one_error(tmp_path, command, base):
     errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
     assert errors == [errors[0]] and "atom locations must be finite, got inf" in errors[0]
     assert "Traceback" not in proc.stderr and not out.exists()
+
+
+@pytest.mark.parametrize("error", [
+    RuntimeError("mixture inverse did not converge in 100 steps"),
+    RuntimeError("hazard quadrature did not converge in 12 rounds"),
+    MemoryError("Unable to allocate 64. PiB for an array with shape (9223372036854775807,)"),
+    MemoryError(),
+])
+def test_runtime_and_memory_errors_end_in_one_error_line(monkeypatch, capsys, error):
+    # the command raises as it is entered, so nothing large is allocated
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_simulate", failing)
+    assert main(["simulate", "--n", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"error: {str(error) or type(error).__name__}"]

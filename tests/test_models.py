@@ -611,7 +611,7 @@ def _reference_draw_model_params(variant, draws, hyper, stream, *, a=None, pi=No
                 f"lcv prior drew log(lambda0) = {log_lambda0!r}, too large for a float lambda0"
             ) from None
         scalars = {"lambda0": lambda0, "w0": stream.normal(0.0, scale)}
-    return models._build_model(variant, scalars, draws)
+    return models._build_model(models._model_class(variant), scalars, draws)
 
 
 class TestPriorStream:
@@ -636,7 +636,7 @@ class TestPriorStream:
         late = gamma_process.NormalBase(2.0, 1.0)
         params = [gamma_process.GammaProcessParams(3.0, 1.0, 20),
                   gamma_process.GammaProcessParams(3.0, 1.0, 20, late)]
-        n_draws = len(models._variant_fields(variant)[1])
+        n_draws = len(models._model_class(variant)._fields()[2])
         for seed in range(50):
             draws = [gamma_process.draw_gamma_process(p, RandomStream(seed).split(k))
                      for k, p in enumerate(params[:n_draws])]
@@ -677,7 +677,7 @@ class TestPriorStream:
     ])
     def test_missing_scalar_raises_before_any_draw(self, variant, given, name):
         g = _atoms([(1.0, 2.0)])
-        draws = [g] * len(models._variant_fields(variant)[1])
+        draws = [g] * len(models._model_class(variant)._fields()[2])
         stream = RandomStream(40)
         with pytest.raises(ValueError, match=f"requires {name}:"):
             draw_model_params(variant, draws, HyperParams(nu=1.0), stream, **given)

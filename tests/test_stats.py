@@ -1,9 +1,15 @@
 """Kaplan-Meier curves, step functions, KS distance, histograms."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from gphazard.datasets import Dataset
+from gphazard.gamma_process import GammaProcessDraw
+from gphazard.models import LogConvexHazard
+from gphazard.rng import RandomStream
 from gphazard.stats import StepFunction, histogram, kaplan_meier, ks_distance
 
 
@@ -117,6 +123,12 @@ class TestKsDistance:
         with pytest.raises(ValueError):
             ks_distance([], lambda x: x)
 
+    def test_samples_of_any_shape_are_taken_flat(self):
+        x = np.array([0.1, 0.9, 0.5, 0.3])
+        flat = ks_distance(x, lambda v: v)
+        assert ks_distance(x[None, :], lambda v: v) == flat
+        assert ks_distance(x.reshape(2, 2), lambda v: v) == flat
+
 
 class TestHistogram:
     def test_width_one(self):
@@ -148,3 +160,47 @@ class TestHistogram:
             histogram([1.0], bin_width=0.0)
         with pytest.raises(ValueError):
             histogram([1.0], bin_count=0)
+
+
+class TestKsDistanceAtInfinity:
+    """Infinite samples are an atom at infinity, met by the CDF's limit there."""
+
+    @staticmethod
+    def _half_mass(x):
+        """A CDF that rises as x / 2 on [0, 1] and leaves mass 1/2 at infinity."""
+        return np.minimum(np.asarray(x, dtype=float), 1.0) / 2.0
+
+    @pytest.mark.parametrize("samples, expected", [
+        ([0.25, 0.75, np.inf, np.inf], 0.125),  # the ECDF's m/n = 1/2 meets F's limit 1/2
+        ([0.5, np.inf, np.inf, np.inf], 0.25),  # |1/4 - 1/2| just below infinity
+        ([np.inf, np.inf], 0.5),  # no finite sample: only the gap at infinity
+        ([0.25, np.inf], 0.375),  # 1/2 - F(0.25) at the finite sample
+    ])
+    def test_small_exact_cases(self, samples, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ks_distance(samples, self._half_mass) == expected
+            assert ks_distance(samples[::-1], self._half_mass) == expected
+
+    def test_defective_model_is_not_charged_its_defect_mass(self):
+        # hazard exp(-t): H(inf) = 1, so a share exp(-1) = 0.37 of the draws is inf
+        model = LogConvexHazard(1.0, -1.0, GammaProcessDraw.from_atoms([], []))
+        samples = model.sample_failures(10_000, RandomStream(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = ks_distance(samples, lambda x: 1.0 - np.asarray(model.survival(x)))
+        assert abs(np.mean(samples == np.inf) - math.exp(-1.0)) < 0.02
+        assert d < 0.02
+
+    def test_finite_samples_keep_the_textbook_bits(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 7, 500):
+            x = rng.random(n)
+            f = np.sort(x)
+            i = np.arange(1, n + 1)
+            textbook = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+            assert ks_distance(x, lambda v: v).hex() == textbook.hex()
+
+    def test_nan_sample_rejected(self):
+        with pytest.raises(ValueError, match="not NaN"):
+            ks_distance([0.5, np.nan, np.inf], self._half_mass)

@@ -78,3 +78,25 @@ def test_one_check_result_per_row_built_as_soon_as_it_is_measured(monkeypatch):
     assert len({r.name for r in seen}) == 43
     assert [r.name for r in seen] == yielded
     assert [id(r) for r in results] == [id(r) for r in seen]
+
+
+# The FAIL rows that remain at the seeds below, each with its cause (ROADMAP item 15).
+# Seeds 14, 15 and 19 failed defective-dfr-tail and seed 17 sampling-ks[lcv] before
+# ks_distance took infinite samples as an atom at infinity and the tail row censored
+# at a time.  A FAIL row not listed here fails the test, and so does a listed row
+# that passes, so that the table stays the list of what is left.
+KNOWN_FAILURES = {
+    (33, "truncation-tail-mass[k=40]"): "item 15: the 3-SE rule on a right-skewed mean "
+                                        "fails about 2 % of seeds",
+    (257, "identity-log-slope"): "item 15: no lcv segment is wide and steep enough to test",
+    (396, "sampling-ks[lwb]"): "item 15: D = 0.0256 against 0.025, a rare draw of the stream",
+}
+
+
+@pytest.mark.parametrize("seed", [*range(20), 33, 257, 396])
+def test_every_fail_row_is_a_known_one(seed):
+    failed = [r.name for r in run_validation(seed) if not r.passed]
+    unknown = [name for name in failed if (seed, name) not in KNOWN_FAILURES]
+    assert not unknown, f"seed {seed}: FAIL rows not in KNOWN_FAILURES: {unknown}"
+    mended = [name for s, name in KNOWN_FAILURES if s == seed and name not in failed]
+    assert not mended, f"seed {seed}: {mended} pass now; take them out of KNOWN_FAILURES"
