@@ -743,10 +743,13 @@ def _draw_model_params(cls, draws, hyper, stream, given: dict, draw_pi) -> Hazar
             value = stream.normal(0.0, gamma / hyper.nu)
         if kind == "log-normal" and name not in scalars:
             try:
-                value = math.exp(value)
+                exp_value = math.exp(value)
             except OverflowError:
+                exp_value = math.inf
+            if exp_value in (0.0, math.inf):
                 raise ValueError(f"{variant} prior drew log({name}) = {value!r}, "
-                                 f"too large for a float {name}") from None
+                                 f"too {'large' if exp_value else 'small'} for a float {name}")
+            value = exp_value
         scalars.setdefault(name, value)
     if "pi" in names and "pi" not in scalars:  # draw_pi is set
         scalars["pi"] = stream.uniform()

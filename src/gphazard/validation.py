@@ -262,6 +262,9 @@ def _identity_checks(models, stream):
     rates = lcv.w0 + np.concatenate(([0.0], o.cum_mass))
     widths = np.diff(np.append(knots, knots[-1] + 1.0))
     use = (widths >= 0.05) & (np.abs(rates) >= 0.25)
+    if not use.any():  # no wide, steep segment: the one whose log hazard rises or falls most
+        rise = widths * np.abs(rates)
+        use[np.argmax(rise)] = rise.max() > 0.0
     t1, t2 = knots[use] + 0.25 * widths[use], knots[use] + 0.75 * widths[use]
     # math.log per element: np.log may differ from it in the last bit
     logs = [list(map(math.log, lcv.hazard(t).tolist())) for t in (t1, t2)]

@@ -1,8 +1,15 @@
+import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+import _probe
+from gphazard import cli
+from gphazard.datasets import write_dataset_csv
+from gphazard.models import model_to_dict, simulate_dataset
+from gphazard.rng import RandomStream
 from gphazard.validation import DEMO_SEED, demo_models
 
 
@@ -12,9 +19,36 @@ def demo():
     return demo_models(DEMO_SEED)
 
 
+@pytest.fixture
+def run_cli(tmp_path, monkeypatch, capsys):
+    """Runs ``gphazard.cli.main(argv)`` in-process, in the test's temporary directory.
+
+    Returns ``(rc, stdout, stderr)``.  It catches nothing: an exception that
+    escapes ``main`` fails the test, as a traceback did in a child process.
+    """
+    monkeypatch.chdir(tmp_path)
+
+    def run(*argv):
+        capsys.readouterr()
+        rc = cli.main(list(argv))
+        return (rc, *capsys.readouterr())
+
+    return run
+
+
 @pytest.fixture(scope="session")
-def validate_proc():
-    """One full run of the validate command, shared by the tests that need it."""
-    return subprocess.run(
-        [sys.executable, "-m", "gphazard.cli", "validate"], capture_output=True, text=True
-    )
+def probe(tmp_path_factory, demo):
+    """The records of the one child process ``tests/_probe.py``, by step name.
+
+    Each has the step's ``returncode``, ``stdout`` and ``stderr``, and the
+    watched modules ``loaded`` after it.
+    """
+    path = tmp_path_factory.mktemp("probe")
+    for name, config in _probe.CONFIGS.items():
+        (path / f"{name}.json").write_text(json.dumps(config))
+    (path / "model.json").write_text(json.dumps(model_to_dict(demo["dfr"])))
+    write_dataset_csv(simulate_dataset(demo["dfr"], 300, 3.0, RandomStream(2)), path / "data.csv")
+    proc = subprocess.run([sys.executable, _probe.__file__, str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {name: SimpleNamespace(**record) for name, record in json.loads(proc.stdout).items()}

@@ -9,15 +9,12 @@ w0=-1), at seed 20250812.  Tolerances are pinned below.
 
 import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import gphazard as gp
-from gphazard.cli import main as cli_main
 
 SEED = 20250812
 T_MAX = 5.0
@@ -256,47 +253,27 @@ def test_criterion_09_defective_tails(models):
     print("ACCEPTANCE 9: PASS — defective tails return inf, censor under tau, closed form matches")
 
 
-def test_criterion_10_cli_determinism(tmp_path, capsys, validate_proc):
+def test_criterion_10_cli_determinism(tmp_path, run_cli, probe):
     """Every CLI command run twice with one config and seed is byte-identical."""
     prior = {"alpha": 3.0, "beta": 1.0, "K": 30, "base": {"kind": "exponential", "rate": 1.0}}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(
-        json.dumps(
-            {
-                "model": "lwb",
-                "lambda0": 0.1,
-                "a": 0.6,
-                "prior": prior,
-                "seed": SEED,
-                "n": 100,
-                "t_max": 3.0,
-                "points": 50,
-            }
-        )
-    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "lwb", "lambda0": 0.1, "a": 0.6, "prior": prior,
+                               "seed": SEED, "n": 100, "t_max": 3.0, "points": 50}))
+    model = gp.IncreasingFailureRate(1.0, gp.GammaProcessDraw.from_atoms([10.0], [2.0]))
     outputs = {}
     for tag in ("one", "two"):
         base = tmp_path / tag
         base.mkdir()
+        (base / "m.json").write_text(json.dumps(gp.model_to_dict(model)))
         stdout = []
-        assert cli_main(["draw", "--config", str(cfg_path), "--out", str(base / "d.json")]) == 0
-        stdout.append(capsys.readouterr().out)
-        assert cli_main(["curves", "--config", str(cfg_path), "--out", str(base / "c.csv")]) == 0
-        stdout.append(capsys.readouterr().out)
-        assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(base / "s.csv")]) == 0
-        stdout.append(capsys.readouterr().out)
-        model_path = base / "m.json"
-        model_path.write_text(
-            json.dumps(
-                gp.model_to_dict(
-                    gp.IncreasingFailureRate(1.0, gp.GammaProcessDraw.from_atoms([10.0], [2.0]))
-                )
-            )
-        )
-        assert cli_main(["loglik", "--model", str(model_path), "--data", str(base / "s.csv")]) == 0
-        stdout.append(capsys.readouterr().out)
-        assert cli_main(["km", "--data", str(base / "s.csv"), "--out", str(base / "k.csv")]) == 0
-        stdout.append(capsys.readouterr().out)
+        for args in (["draw", "--config", cfg, "--out", base / "d.json"],
+                     ["curves", "--config", cfg, "--out", base / "c.csv"],
+                     ["simulate", "--config", cfg, "--out", base / "s.csv"],
+                     ["loglik", "--model", base / "m.json", "--data", base / "s.csv"],
+                     ["km", "--data", base / "s.csv", "--out", base / "k.csv"]):
+            rc, out, _ = run_cli(*map(str, args))
+            assert rc == 0
+            stdout.append(out)
         files = {
             p.name: p.read_bytes().replace(str(base).encode(), b"<BASE>")
             for p in base.iterdir()
@@ -308,9 +285,7 @@ def test_criterion_10_cli_determinism(tmp_path, capsys, validate_proc):
     for name in outputs["one"][1]:
         assert outputs["one"][1][name] == outputs["two"][1][name], name
 
-    second = subprocess.run(
-        [sys.executable, "-m", "gphazard.cli", "validate"], capture_output=True, text=True
-    )
-    assert second.stdout == validate_proc.stdout
-    assert second.returncode == validate_proc.returncode == 0
+    rc, out, _ = run_cli("validate")
+    assert out == probe["validate"].stdout
+    assert rc == probe["validate"].returncode == 0
     print("ACCEPTANCE 10: PASS — all CLI commands byte-identical across reruns")

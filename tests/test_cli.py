@@ -1,8 +1,6 @@
 """End-to-end command-line behaviour on small configurations."""
 
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -14,6 +12,7 @@ from gphazard.models import IncreasingFailureRate, model_to_dict
 from gphazard.rng import RandomStream
 
 DEMO_PRIOR = {"alpha": 3.0, "beta": 1.0, "K": 20, "base": {"kind": "exponential", "rate": 1.0}}
+IFR = {"model": "ifr", "lambda0": 0.1, "prior": DEMO_PRIOR}
 
 
 def _write_config(tmp_path, name="cfg.json", **fields):
@@ -63,9 +62,7 @@ class TestDraw:
 
 class TestCurves:
     def test_survival_is_exp_of_cum_hazard(self, tmp_path):
-        cfg = _write_config(
-            tmp_path, model="ifr", lambda0=0.1, prior=DEMO_PRIOR, seed=6, t_max=4.0, points=80
-        )
+        cfg = _write_config(tmp_path, **IFR, seed=6, t_max=4.0, points=80)
         out = tmp_path / "curves.csv"
         assert main(["curves", "--config", cfg, "--out", str(out)]) == 0
         header, rows = _read_csv(out)
@@ -73,25 +70,15 @@ class TestCurves:
         np.testing.assert_allclose(rows[:, 4], np.exp(-rows[:, 2]), rtol=1e-12)
 
     def test_ifr_hazard_column_nondecreasing(self, tmp_path):
-        cfg = _write_config(
-            tmp_path, model="ifr", lambda0=0.1, prior=DEMO_PRIOR, seed=7, t_max=4.0, points=80
-        )
+        cfg = _write_config(tmp_path, **IFR, seed=7, t_max=4.0, points=80)
         out = tmp_path / "curves.csv"
         main(["curves", "--config", cfg, "--out", str(out)])
         _, rows = _read_csv(out)
         assert np.all(np.diff(rows[:, 1]) >= 0.0)
 
     def test_lwb_minimum_at_a(self, tmp_path):
-        cfg = _write_config(
-            tmp_path,
-            model="lwb",
-            lambda0=0.1,
-            a=0.6,
-            prior=DEMO_PRIOR,
-            seed=8,
-            t_max=4.0,
-            points=80,
-        )
+        cfg = _write_config(tmp_path, model="lwb", lambda0=0.1, a=0.6, prior=DEMO_PRIOR, seed=8,
+                            t_max=4.0, points=80)
         out = tmp_path / "curves.csv"
         main(["curves", "--config", cfg, "--out", str(out)])
         _, rows = _read_csv(out)
@@ -112,9 +99,7 @@ class TestCurves:
         assert np.all(rows[at, 1] != rows[at - 1, 1])
 
     def test_grid_includes_breakpoint_pairs(self, tmp_path):
-        cfg = _write_config(
-            tmp_path, model="ifr", lambda0=0.1, prior=DEMO_PRIOR, seed=9, t_max=4.0, points=10
-        )
+        cfg = _write_config(tmp_path, **IFR, seed=9, t_max=4.0, points=10)
         out = tmp_path / "curves.csv"
         main(["curves", "--config", cfg, "--out", str(out)])
         _, rows = _read_csv(out)
@@ -133,9 +118,7 @@ class TestCurves:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_invalid_grid_rejected(self, tmp_path, capsys):
-        cfg = _write_config(
-            tmp_path, model="ifr", lambda0=0.1, prior=DEMO_PRIOR, seed=6, t_max=-1.0
-        )
+        cfg = _write_config(tmp_path, **IFR, seed=6, t_max=-1.0)
         assert main(["curves", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
 
     def test_missing_scalars_reported(self, tmp_path, capsys):
@@ -210,9 +193,7 @@ class TestScalarsUnderNu:
 
 class TestSimulate:
     def test_row_count_and_status(self, tmp_path):
-        cfg = _write_config(
-            tmp_path, model="ifr", lambda0=0.1, prior=DEMO_PRIOR, seed=12, n=200
-        )
+        cfg = _write_config(tmp_path, **IFR, seed=12, n=200)
         out = tmp_path / "data.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
@@ -221,7 +202,7 @@ class TestSimulate:
         assert all(ln.endswith(",1") for ln in lines[1:])  # no tau, all observed
 
     def test_null_tau_means_no_horizon(self, tmp_path):
-        fields = dict(model="ifr", lambda0=0.1, prior=DEMO_PRIOR, seed=12, n=50)
+        fields = dict(**IFR, seed=12, n=50)
         runs = {}
         for name, extra in (("absent", {}), ("null", {"tau": None})):
             cfg = _write_config(tmp_path, name=f"{name}.json", **fields, **extra)
@@ -230,9 +211,7 @@ class TestSimulate:
         assert runs["null"].read_bytes() == runs["absent"].read_bytes()
 
     def test_tiny_tau_censors_everything(self, tmp_path):
-        cfg = _write_config(
-            tmp_path, model="ifr", lambda0=0.1, prior=DEMO_PRIOR, seed=13, n=100
-        )
+        cfg = _write_config(tmp_path, **IFR, seed=13, n=100)
         out = tmp_path / "cens.csv"
         main(["simulate", "--config", cfg, "--out", str(out), "--tau", "0.0001"])
         lines = out.read_text().strip().splitlines()[1:]
@@ -252,15 +231,8 @@ class TestSimulate:
         cfg = _write_config(tmp_path, prior=DEMO_PRIOR, seed=15)
         draw_path = tmp_path / "frozen.json"
         main(["draw", "--config", cfg, "--out", str(draw_path)])
-        cfg2 = _write_config(
-            tmp_path,
-            name="cfg2.json",
-            model="ifr",
-            lambda0=0.1,
-            prior={"file": str(draw_path)},
-            seed=16,
-            n=20,
-        )
+        cfg2 = _write_config(tmp_path, name="cfg2.json", model="ifr", lambda0=0.1,
+                             prior={"file": str(draw_path)}, seed=16, n=20)
         out = tmp_path / "reused.csv"
         assert main(["simulate", "--config", cfg2, "--out", str(out)]) == 0
 
@@ -321,20 +293,16 @@ class TestKm:
 
 
 class TestValidate:
-    def test_default_seed_passes(self, validate_proc):
-        assert validate_proc.returncode == 0
-        lines = validate_proc.stdout.strip().splitlines()
+    def test_default_seed_passes(self, probe):
+        assert probe["validate"].returncode == 0
+        lines = probe["validate"].stdout.strip().splitlines()
         assert len(lines) >= 14  # header + >=12 checks + summary
         assert "failed" in lines[-1]
 
-    def test_corrupted_tolerances_fail(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "gphazard.cli", "validate", "--tol-scale", "1e-9"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 1
-        assert "FAIL" in proc.stdout
+    def test_corrupted_tolerances_fail(self, run_cli):
+        rc, out, _ = run_cli("validate", "--tol-scale", "1e-9")
+        assert rc == 1
+        assert "FAIL" in out
 
 
 class TestMalformedInput:
@@ -347,15 +315,13 @@ class TestMalformedInput:
     }
 
     @staticmethod
-    def _run(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "gphazard.cli", *args], capture_output=True, text=True
-        )
-
-    def _assert_reported(self, proc, field):
-        assert proc.returncode == 1
-        assert field in proc.stderr
-        assert "Traceback" not in proc.stderr
+    def _assert_reported(result, field):
+        """``result`` is ``run_cli``'s; returns its stderr."""
+        rc, _, err = result
+        assert rc == 1
+        assert field in err
+        assert "Traceback" not in err
+        return err
 
     @pytest.mark.parametrize(
         "doc, field",
@@ -371,12 +337,11 @@ class TestMalformedInput:
             ({**MODEL, "lambda0": float("nan")}, "lambda0 must be finite"),
         ],
     )
-    def test_model_file(self, tmp_path, doc, field):
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(doc))
-        data = tmp_path / "data.csv"
-        data.write_text("time,status\n1.0,1\n")
-        self._assert_reported(self._run("loglik", "--model", str(model), "--data", str(data)), field)
+    def test_model_file(self, tmp_path, run_cli, doc, field):
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        (tmp_path / "data.csv").write_text("time,status\n1.0,1\n")
+        self._assert_reported(run_cli("loglik", "--model", "model.json", "--data", "data.csv"),
+                              field)
 
     @pytest.mark.parametrize(
         "command, fields, field",
@@ -413,20 +378,19 @@ class TestMalformedInput:
             ("curves", {"model": "lwb", "a": 0.5, "t_max": float("inf")}, "t_max must be"),
         ],
     )
-    def test_config(self, tmp_path, command, fields, field):
-        doc = {"model": "ifr", "lambda0": 0.1, "prior": DEMO_PRIOR, "seed": 1, **fields}
+    def test_config(self, tmp_path, run_cli, command, fields, field):
+        doc = {**IFR, "seed": 1, **fields}
         if doc["prior"] == "no-sticks":
             draw = tmp_path / "draw.json"
             draw.write_text(json.dumps({"gamma": 2.0, "thetas": [1.0], "weights": [2.0]}))
             doc["prior"] = {"file": str(draw)}
         cfg = _write_config(tmp_path, **doc)
-        proc = self._run(command, "--config", cfg, "--out", str(tmp_path / "out.csv"))
-        self._assert_reported(proc, field)
+        self._assert_reported(run_cli(command, "--config", cfg, "--out", "out.csv"), field)
 
     @pytest.mark.parametrize("where", ["lambda0", "prior alpha", "draw file thetas"])
-    def test_int_too_large_for_a_float(self, tmp_path, where):
+    def test_int_too_large_for_a_float(self, tmp_path, run_cli, where):
         huge = 10**400
-        doc = {"model": "ifr", "lambda0": 0.1, "prior": DEMO_PRIOR, "seed": 1}
+        doc = {**IFR, "seed": 1}
         if where == "lambda0":
             doc["lambda0"] = huge
         elif where == "prior alpha":
@@ -437,9 +401,9 @@ class TestMalformedInput:
                                         "weights": [1.0, 1.0]}))
             doc["prior"] = {"file": str(draw)}
         cfg = _write_config(tmp_path, **doc)
-        proc = self._run("curves", "--config", cfg, "--out", str(tmp_path / "out.csv"))
-        self._assert_reported(proc, repr(where.split()[-1]))
-        assert len([ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]) == 1
+        err = self._assert_reported(run_cli("curves", "--config", cfg, "--out", "out.csv"),
+                                    repr(where.split()[-1]))
+        assert len([ln for ln in err.splitlines() if ln.startswith("error:")]) == 1
 
     @pytest.mark.parametrize("prior, message", [
         (None, "config is missing the 'prior' section"),
@@ -457,35 +421,29 @@ class TestMalformedInput:
         assert not (tmp_path / "draw.json").exists()
 
     @pytest.mark.parametrize("command", ["draw", "curves", "simulate"])
-    def test_out_that_is_not_a_path_string(self, tmp_path, command):
-        cfg = _write_config(tmp_path, model="ifr", lambda0=0.1, prior=DEMO_PRIOR, seed=1, out=5)
-        # rejected before anything is written, so no file lands in the working directory
-        self._assert_reported(self._run(command, "--config", cfg),
+    def test_out_that_is_not_a_path_string(self, tmp_path, run_cli, command):
+        cfg = _write_config(tmp_path, **IFR, seed=1, out=5)
+        self._assert_reported(run_cli(command, "--config", cfg),
                               "needs a path string for 'out', got 5")
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]  # rejected before any write
 
     @pytest.mark.parametrize("command", ["draw", "curves", "simulate"])
-    def test_config_that_is_not_an_object(self, tmp_path, command):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1]")
-        proc = self._run(command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"))
-        self._assert_reported(proc, "must be a JSON object, got list")
+    def test_config_that_is_not_an_object(self, tmp_path, run_cli, command):
+        (tmp_path / "cfg.json").write_text("[1]")
+        self._assert_reported(run_cli(command, "--config", "cfg.json", "--out", "out.csv"),
+                              "must be a JSON object, got list")
 
 
-def test_import_loads_no_scipy():
-    code = (
-        "import sys, gphazard, gphazard.cli; "
-        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+def test_import_loads_no_scipy(probe):
+    record = probe["import"]  # import gphazard, gphazard.cli in a fresh process
+    assert record.returncode == 0, record.stderr
+    assert [m for m in record.loaded if m.split(".")[0] == "scipy"] == []
 
 
-def test_import_loads_no_validation_suite():
-    code = "import sys, gphazard.cli; print('gphazard.validation' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+def test_import_loads_no_validation_suite(probe):
+    record = probe["import"]
+    assert record.returncode == 0, record.stderr
+    assert ("gphazard.validation" in record.loaded) is False
 
 
 def test_validate_help_names_the_documented_seed(capsys):
@@ -509,46 +467,39 @@ def test_loglik_model_tag_that_is_not_a_string(tmp_path, capsys, tag):
     assert err.count("error:") == 1 and err.startswith("error: unknown model variant"), err
 
 
+def _run_on_rows(tmp_path, run_cli, command, rows):
+    """km, or loglik of TestMalformedInput.MODEL, on a dataset of ``rows``."""
+    (tmp_path / "data.csv").write_text("time,status\n" + rows)
+    (tmp_path / "model.json").write_text(json.dumps(TestMalformedInput.MODEL))
+    return run_cli(*{"km": ["km", "--data", "data.csv", "--out", "km.csv"],
+                     "loglik": ["loglik", "--model", "model.json", "--data", "data.csv"]}[command])
+
+
 @pytest.mark.parametrize("command", ["km", "loglik"])
-def test_nan_time_is_reported_with_row(tmp_path, command):
-    data = tmp_path / "nan.csv"
-    data.write_text("time,status\nnan,1\n1.0,0\n")
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps(TestMalformedInput.MODEL))
-    args = {"km": ["km", "--data", str(data), "--out", str(tmp_path / "km.csv")],
-            "loglik": ["loglik", "--model", str(model), "--data", str(data)]}[command]
-    proc = subprocess.run([sys.executable, "-m", "gphazard.cli", *args],
-                          capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert "row 2: time must be positive, got nan" in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_nan_time_is_reported_with_row(tmp_path, run_cli, command):
+    rc, _, err = _run_on_rows(tmp_path, run_cli, command, "nan,1\n1.0,0\n")
+    assert rc == 1
+    assert "row 2: time must be positive, got nan" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf"])
-def test_non_finite_tau_is_reported(tmp_path, tau):
+def test_non_finite_tau_is_reported(tmp_path, run_cli, tau):
     cfg = _write_config(tmp_path, model="dfr", lambda0=0.0, prior=DEMO_PRIOR, seed=1, n=10)
     out = tmp_path / "data.csv"
-    proc = subprocess.run([sys.executable, "-m", "gphazard.cli", "simulate", "--config", cfg,
-                           "--tau", tau, "--out", str(out)], capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert f"tau must be finite and positive, got {tau}" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    rc, _, err = run_cli("simulate", "--config", cfg, "--tau", tau, "--out", str(out))
+    assert rc == 1
+    assert f"tau must be finite and positive, got {tau}" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["km", "loglik"])
-def test_infinite_time_is_reported_with_row(tmp_path, command):
-    data = tmp_path / "inf.csv"
-    data.write_text("time,status\n1.0,0\ninf,1\n")
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps(TestMalformedInput.MODEL))
-    args = {"km": ["km", "--data", str(data), "--out", str(tmp_path / "km.csv")],
-            "loglik": ["loglik", "--model", str(model), "--data", str(data)]}[command]
-    proc = subprocess.run([sys.executable, "-m", "gphazard.cli", *args],
-                          capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert "row 3: time must be finite, got inf" in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_infinite_time_is_reported_with_row(tmp_path, run_cli, command):
+    rc, _, err = _run_on_rows(tmp_path, run_cli, command, "1.0,0\ninf,1\n")
+    assert rc == 1
+    assert "row 3: time must be finite, got inf" in err
+    assert "Traceback" not in err
 
 
 class TestDrawKFlag:
@@ -578,16 +529,15 @@ class TestDrawKFlag:
 @pytest.mark.parametrize("command", ["draw", "curves", "simulate"])
 @pytest.mark.parametrize("base", [{"kind": "exponential", "rate": 1e-320},
                                   {"kind": "normal", "mean": 1e308, "sd": 1e308}])
-def test_prior_drawing_infinite_atoms_is_one_error(tmp_path, command, base):
+def test_prior_drawing_infinite_atoms_is_one_error(tmp_path, run_cli, command, base):
     cfg = _write_config(tmp_path, model="ifr", lambda0=0.1, seed=1,
                         prior={**DEMO_PRIOR, "base": base})
     out = tmp_path / "out.csv"
-    proc = subprocess.run([sys.executable, "-m", "gphazard.cli", command, "--config", cfg,
-                           "--out", str(out)], capture_output=True, text=True)
-    assert proc.returncode == 1
-    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    rc, _, err = run_cli(command, "--config", cfg, "--out", str(out))
+    assert rc == 1
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
     assert errors == [errors[0]] and "atom locations must be finite, got inf" in errors[0]
-    assert "Traceback" not in proc.stderr and not out.exists()
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("error", [

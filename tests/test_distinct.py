@@ -9,16 +9,13 @@ pin the sign where it is fixed and show that no level, hazard, cumulative
 hazard or inverse depends on it.
 """
 
-import json
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gphazard.datasets import Dataset, write_dataset_csv
+from _probe import COMMANDS
+from gphazard.datasets import Dataset
 from gphazard.gamma_process import GammaProcessDraw, _distinct
 from gphazard.models import (
     DecreasingFailureRate,
@@ -371,48 +368,9 @@ class TestGaussLegendreConstants:
         np.testing.assert_array_equal(_bits(_GL_WEIGHTS), _bits(weights))
 
 
-# Runs one CLI command, then reports which of the two modules the process loaded.
-_PROBE = ("import sys\n"
-          "from gphazard.cli import main\n"
-          "rc = main(sys.argv[1:])\n"
-          "print([m for m in ('numpy.ma', 'numpy.polynomial') if m in sys.modules], "
-          "file=sys.stderr)\n"
-          "sys.exit(rc)\n")
-
-_PRIOR = {"alpha": 3.0, "beta": 1.0, "K": 20}
-_CONFIGS = {
-    "ifr": {"model": "ifr", "lambda0": 0.1, "prior": _PRIOR},
-    "lwb": {"model": "lwb", "lambda0": 0.1, "a": 0.6, "prior": _PRIOR},
-    "mbt": {"model": "mbt", "pi": 0.5, "lambda01": 0.1, "lambda02": 0.1, "prior": _PRIOR,
-            "prior2": {**_PRIOR, "base": {"kind": "normal", "mean": 2.0, "sd": 1.0}}},
-    "lcv": {"model": "lcv", "lambda0": 1.0, "w0": -1.0, "prior": _PRIOR},
-}
-# each command's arguments, with {d} the directory of its input and output files
-_COMMANDS = {
-    "draw": "draw --config {d}/ifr.json --seed 1 --out {d}/draw.json",
-    **{f"curves-{m}": f"curves --config {{d}}/{m}.json --seed 1 --out {{d}}/{m}.csv"
-       for m in ("lwb", "mbt", "lcv")},
-    "simulate": "simulate --config {d}/ifr.json --seed 1 --tau 3 --n 200 --out {d}/simulated.csv",
-    "loglik": "loglik --model {d}/model.json --data {d}/data.csv --tau 3",
-    "km": "km --data {d}/data.csv --out {d}/km.csv",
-    "validate": "validate",
-}
-
-
-@pytest.fixture(scope="module")
-def command_dir(tmp_path_factory):
-    path = tmp_path_factory.mktemp("commands")
-    for name, config in _CONFIGS.items():
-        (path / f"{name}.json").write_text(json.dumps(config))
-    demo = demo_models()
-    (path / "model.json").write_text(json.dumps(model_to_dict(demo["dfr"])))
-    write_dataset_csv(simulate_dataset(demo["dfr"], 300, 3.0, RandomStream(2)), path / "data.csv")
-    return path
-
-
-@pytest.mark.parametrize("command", list(_COMMANDS))
-def test_no_command_loads_numpy_ma_or_polynomial(command_dir, command):
-    args = _COMMANDS[command].format(d=command_dir).split()
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *args], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "[]"
+# The probe process records which modules it has loaded after each CLI command.
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_no_command_loads_numpy_ma_or_polynomial(probe, command):
+    record = probe[command]
+    assert record.returncode == 0, record.stderr
+    assert [m for m in ("numpy.ma", "numpy.polynomial") if m in record.loaded] == []

@@ -558,6 +558,15 @@ class TestLcvPriorOverflow:
             draw_model_params("lcv", [g], HyperParams(), stream)
         assert stream.calls == 1  # log(lambda0) is drawn first, as before
 
+    def test_underflowing_lambda0_names_the_drawn_log(self):
+        g = _atoms([(1.0, 2.0)])
+        with pytest.raises(ValueError, match=r"drew log\(lambda0\) = -\d.*too small for a float"):
+            draw_model_params("lcv", [g], HyperParams(nu=2e-3), RandomStream(5))
+        stream = _NormalStream([-800.0, 0.5])
+        with pytest.raises(ValueError, match=r"log\(lambda0\) = -800\.0, too small"):
+            draw_model_params("lcv", [g], HyperParams(), stream)
+        assert stream.calls == 1
+
     def test_prior_order_is_log_lambda0_then_w0(self):
         g = _atoms([(1.0, 2.0)])
         model = draw_model_params("lcv", [g], HyperParams(), _NormalStream([0.5, -0.25]))
@@ -607,9 +616,12 @@ def _reference_draw_model_params(variant, draws, hyper, stream, *, a=None, pi=No
         try:
             lambda0 = math.exp(log_lambda0)
         except OverflowError:
+            lambda0 = math.inf
+        if lambda0 in (0.0, math.inf):
+            side = "large" if lambda0 else "small"
             raise ValueError(
-                f"lcv prior drew log(lambda0) = {log_lambda0!r}, too large for a float lambda0"
-            ) from None
+                f"lcv prior drew log(lambda0) = {log_lambda0!r}, too {side} for a float lambda0"
+            )
         scalars = {"lambda0": lambda0, "w0": stream.normal(0.0, scale)}
     return models._build_model(models._model_class(variant), scalars, draws)
 

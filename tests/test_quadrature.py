@@ -1,8 +1,5 @@
 """The vectorised Gauss-Legendre quadrature behind validate's quadrature-consistency checks."""
 
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -179,18 +176,9 @@ def test_bad_endpoint_raises(demo, t_end):
         integrate_hazard(demo["ifr"], t_end)
 
 
-def test_validate_runs_without_scipy():
-    code = (
-        "import runpy, sys\n"
-        "sys.argv = ['gphazard', 'validate']\n"
-        "try:\n"
-        "    runpy.run_module('gphazard.cli', run_name='__main__')\n"
-        "except SystemExit as e:\n"
-        "    rc = e.code\n"
-        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'], file=sys.stderr)\n"
-        "sys.exit(rc)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "43 checks, 43 passed, 0 failed" in proc.stdout
-    assert proc.stderr.strip() == "[]"
+def test_validate_runs_without_scipy(probe):
+    validate = probe["validate"]
+    assert validate.returncode == 0, validate.stdout + validate.stderr
+    assert "43 checks, 43 passed, 0 failed" in validate.stdout
+    assert validate.stderr == ""
+    assert [m for m in validate.loaded if m.split(".")[0] == "scipy"] == []

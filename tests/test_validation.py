@@ -83,12 +83,12 @@ def test_one_check_result_per_row_built_as_soon_as_it_is_measured(monkeypatch):
 # The FAIL rows that remain at the seeds below, each with its cause (ROADMAP item 15).
 # Seeds 14, 15 and 19 failed defective-dfr-tail and seed 17 sampling-ks[lcv] before
 # ks_distance took infinite samples as an atom at infinity and the tail row censored
-# at a time.  A FAIL row not listed here fails the test, and so does a listed row
-# that passes, so that the table stays the list of what is left.
+# at a time, and seed 257 identity-log-slope before that row fell back to the segment
+# whose log hazard moves most.  A FAIL row not listed here fails the test, and so does
+# a listed row that passes, so that the table stays the list of what is left.
 KNOWN_FAILURES = {
     (33, "truncation-tail-mass[k=40]"): "item 15: the 3-SE rule on a right-skewed mean "
                                         "fails about 2 % of seeds",
-    (257, "identity-log-slope"): "item 15: no lcv segment is wide and steep enough to test",
     (396, "sampling-ks[lwb]"): "item 15: D = 0.0256 against 0.025, a rare draw of the stream",
 }
 

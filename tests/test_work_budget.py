@@ -1,14 +1,15 @@
-"""Work budgets: the calls one op of the fit loop makes, counted with ``sys.setprofile``.
+"""Work budgets: the calls of a fit op and of a validate pass, counted with ``sys.setprofile``.
 
 A count of calls does not drift with the machine or its load, as a timing
 does.  One fit op per variant (hyperparameters, gamma-process draws at K,
 the model's priors and its log-likelihood on 2e4 records, as in the fit
-workload at seed 1) is traced at K = 10 and at K = 1000.  Two counts are
-taken: calls of gphazard functions, and calls of a few numpy entry points
-(``searchsorted``, ``sort``, ``argsort``, ``concatenate`` and ``cumsum``)
-made from gphazard frames, which leaves numpy's own internals out.  Each
-count is bounded by its value when the test was written.  A change that
-raises one raises its bound, and says why.
+workload at seed 1) is traced at K = 10 and at K = 1000, and so is one
+``run_validation`` at the documented seed.  Two counts are taken: calls of
+gphazard functions, and calls of a few numpy entry points (``searchsorted``,
+``sort``, ``argsort``, ``concatenate`` and ``cumsum``) made from gphazard
+frames, which leaves numpy's own internals out.  Each count is bounded by
+its value when the test was written.  A change that raises one raises its
+bound, and says why.
 """
 
 import os
@@ -20,7 +21,7 @@ from gphazard.gamma_process import (ExponentialBase, GammaProcessParams, NormalB
 from gphazard.likelihood import HyperParams, log_likelihood, sample_hyperparams
 from gphazard.models import draw_model_params, simulate_dataset
 from gphazard.rng import RandomStream
-from gphazard.validation import DEMO_SEED, demo_models
+from gphazard.validation import DEMO_SEED, demo_models, run_validation
 
 _PACKAGE = os.path.dirname(gphazard.__file__)
 _NUMPY_NAMES = frozenset({"searchsorted", "sort", "argsort", "concatenate", "cumsum"})
@@ -36,6 +37,7 @@ BUDGET = {
     ("mbt", 10): (245, 22), ("mbt", 1000): (247, 23),
     ("lcv", 10): (146, 15), ("lcv", 1000): (146, 15),
 }
+VALIDATION_BUDGET = (12_075, 1_564)  # (gphazard calls, named numpy calls) at the documented seed
 
 
 def _in_package(frame) -> bool:
@@ -100,3 +102,9 @@ def test_fit_ops_within_budget():
         if counts[0] > budget[0] or counts[1] > budget[1]:
             over.append(f"{variant} at K = {K}: {counts} (gphazard, numpy) calls, budget {budget}")
     assert not over, over
+
+
+def test_run_validation_within_budget():
+    run_validation(DEMO_SEED)  # the first run caches what every run reuses
+    counts = _count(lambda: run_validation(DEMO_SEED))
+    assert counts[0] <= VALIDATION_BUDGET[0] and counts[1] <= VALIDATION_BUDGET[1], counts
