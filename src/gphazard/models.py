@@ -41,6 +41,7 @@ _NEWTON_MAX_ITER = 100  # MixtureBathtub's inverse; converging takes at most ~40
 _WIDE_LOG = np.finfo(np.longdouble).nmant >= 63
 _MIDPOINT_WINDOW = 0.05
 _MANTISSA = np.uint64((1 << 52) - 1)
+_DOUBLE_MAX = np.finfo(float).max
 
 
 def _neg_log(u: np.ndarray) -> np.ndarray:
@@ -136,7 +137,8 @@ class _Skeleton:
             if self._outside is None and (self.rates is None or out.max(initial=0.0) < math.inf):
                 return out
             # from the logs: c exp(log|expm1(x)| - log|r|), log|expm1(x)| = max(x, 0) +
-            # log(-expm1(-|x|)), and c dt where r is 0; a zero width adds 0 even where c is inf
+            # log(-expm1(-|x|)), and c dt where r is 0; a zero width adds 0 even where c is inf,
+            # and a zero level (log c = -inf) adds 0 even over an infinite width
             redo = ~(out < math.inf)
             if self._outside is not None:  # an underflowed c gives 0, not inf or nan
                 redo |= pick(self._outside)
@@ -149,18 +151,22 @@ class _Skeleton:
             x, log_c = r * d, self.log_coeffs[s]
             y = np.where(r == 0.0, log_c + np.log(d), log_c + np.maximum(x, 0.0)
                          + np.log(-np.expm1(-np.abs(x))) - np.log(np.abs(r)))
-            out[at] = np.exp(y, out=np.zeros(at.size), where=d > 0.0)
+            out[at] = np.exp(y, out=np.zeros(at.size), where=(d > 0.0) & (log_c > -math.inf))
         return out
 
     def _cum_in(self, seg: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The cumulative hazard at checked 1-d times ``t`` in their segments ``seg``."""
         dt = self.knots[seg]
         np.subtract(t, dt, out=dt)
-        if self.rates is None and self._outside is None:
-            dt *= self.coeffs[seg]
-        else:
+        if self.rates is not None or self._outside is not None:
             dt = self._increment(seg, t, dt)
-        dt += self.values[seg]
+            dt += self.values[seg]
+            return dt
+        with np.errstate(over="ignore"):  # inf where the value passes the double range
+            if self.coeffs[-1] == 0.0:  # a flat tail adds 0, also at t = inf
+                np.minimum(dt, _DOUBLE_MAX, out=dt)
+            dt *= self.coeffs[seg]
+            dt += self.values[seg]
         return dt
 
     def _locate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,13 +192,15 @@ class _Skeleton:
         return starts, counts, spread, np.subtract(times, offsets, out=offsets)
 
     def limit(self) -> float:
-        """The cumulative hazard as t grows without bound: a decaying tail adds c / -r."""
+        """The cumulative hazard as t grows without bound, bit for bit its value at t = inf: a
+        decaying tail adds c / -r, rounded as the increment ``expm1(-inf) / r * c`` is."""
         rate = 0.0 if self.rates is None else float(self.rates[-1])
         coeff, log_c = self.coeffs[-1], self.log_coeffs[-1]
         if rate >= 0.0:  # unbounded unless the tail is flat
             return math.inf if log_c > -math.inf else float(self.values[-1])
         with np.errstate(over="ignore"):  # from the log where c left the double range
-            tail = coeff / -rate if 0.0 < coeff < math.inf else np.exp(log_c - math.log(-rate))
+            tail = (-1.0 / rate * coeff if 0.0 < coeff < math.inf
+                    else np.exp(log_c - math.log(-rate)))
         return float(self.values[-1] + tail)
 
     def invert(self, arr: np.ndarray) -> np.ndarray:
@@ -518,8 +526,12 @@ class MixtureBathtub(HazardModel):
         """The pair from both components' pairs, in their skeleton segments ``segs`` if given."""
         (h1, l1), (h2, l2) = (c._hazard_and_cum(t, s) for c, s in zip(self.components, segs))
         a1, a2, log_s = self._log_weights(l1, l2)
-        with np.errstate(invalid="ignore"):  # both survivals 0: nan hazard, inf cum_hazard
+        with np.errstate(invalid="ignore"):  # nan where both L are inf
             lam = np.exp(a1 - log_s) * h1 + np.exp(a2 - log_s) * h2
+        if log_s.min(initial=0.0) == -math.inf:
+            # the weights' limit as both L grow: all of it on the component of the lower hazard
+            both = log_s == -math.inf
+            lam[both] = np.minimum(h1[both], h2[both] if self.pi < 1.0 else math.inf)
         return lam, self._log_one - log_s
 
     def cum_hazard(self, t):
@@ -645,8 +657,11 @@ class LogConvexHazard(_OnOneDraw, HazardModel):
 
     def _segment_hazard(self, seg, t):
         lead, rates = self._lead_and_rates
-        x = lead[seg] + rates[seg] * (t - self._knots[seg])
+        dt = t - self._knots[seg]
+        if rates[-1] == 0.0:  # a flat log tail adds 0, also at t = inf
+            dt = np.minimum(dt, _DOUBLE_MAX)
         with np.errstate(over="ignore"):  # exp(log(lambda0) + x) where lambda0 exp(x) is 0 or inf
+            x = lead[seg] + rates[seg] * dt  # +-inf past the double range
             out = self.lambda0 * np.exp(x)
             return np.where((out > 0.0) & (out < math.inf), out, np.exp(math.log(self.lambda0) + x))
 

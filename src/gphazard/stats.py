@@ -80,7 +80,8 @@ def ks_distance(samples, cdf) -> float:
     The sup over the m finite sorted samples of max(i/n - F(x_i), F(x_i) - (i-1)/n).
     Infinite samples, as a defective model draws, are an atom at infinity:
     where there are any, the sup takes in |m/n - cdf(inf)|, the gap just
-    below infinity.  Raises ValueError for no samples or a NaN one.
+    below infinity.  Raises ValueError for no samples or a NaN one, and where
+    ``cdf`` gives NaN at a point the sup reads.
     """
     x = np.sort(np.asarray(samples, dtype=float), axis=None)  # flat, whatever the shape
     n = x.size
@@ -88,6 +89,8 @@ def ks_distance(samples, cdf) -> float:
         raise ValueError("samples must be non-empty, not NaN")
     f = np.asarray(cdf(x), dtype=float)
     m = int(x.searchsorted(np.inf))  # the infinite samples sort last
+    if np.isnan(f[:m + 1]).any():  # the finite samples and, if any, the first infinite one
+        raise ValueError("cdf gave NaN at a sample")
     i = np.arange(1, m + 1)
     d = max(np.max(i / n - f[:m], initial=0.0), np.max(f[:m] - (i - 1) / n, initial=0.0))
     return float(d if m == n else max(d, abs(m / n - f[m])))

@@ -1,5 +1,5 @@
 """A 60-digit ``decimal`` evaluation of the ifr, dfr, sbt and lcv hazards, and of lcv's cumulative
-hazard, from a draw's atoms alone.
+hazard, from a draw's atoms alone; and the tests' other references, QUADPACK and bits.
 
 A test-only reference: it reads each draw's (location, weight) pairs and the
 model's scalars, and nothing the package builds from them (no sorted view,
@@ -13,6 +13,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 D = decimal.Decimal
 
@@ -101,3 +102,20 @@ def error_ulp(got: float, exact: decimal.Decimal) -> float:
         return 0.0 if got == nearest else math.inf
     with decimal.localcontext(_CONTEXT):
         return float(abs(D(got) - exact) / D(float(np.spacing(abs(nearest)))))
+
+
+def quad_hazard(model, t_end: float) -> float:
+    """QUADPACK on each segment between breakpoints, one scalar hazard call per node."""
+    pts = model.breakpoints()
+    pts = pts[(pts > 0.0) & (pts < t_end)]
+    edges = np.concatenate(([0.0], pts, [t_end]))
+    return sum(
+        quad(lambda s: float(model.hazard(s)), lo, hi, limit=200)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+        if hi > lo
+    )
+
+
+def bits(x) -> np.ndarray:
+    """The doubles of ``x`` as their bit patterns, which compare equal only bit for bit."""
+    return np.asarray(x, dtype=float).view(np.uint64)

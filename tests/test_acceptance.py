@@ -16,6 +16,8 @@ from scipy.integrate import quad
 
 import gphazard as gp
 
+import _oracle
+
 SEED = 20250812
 T_MAX = 5.0
 
@@ -41,18 +43,6 @@ def models():
     }
 
 
-def _quad_hazard(model, t_end):
-    """Independent oracle: adaptive quadrature of the hazard, split at the kinks."""
-    pts = model.breakpoints()
-    pts = pts[(pts > 0.0) & (pts < t_end)]
-    edges = np.concatenate(([0.0], pts, [t_end]))
-    return sum(
-        quad(lambda s: float(model.hazard(s)), lo, hi, limit=200)[0]
-        for lo, hi in zip(edges[:-1], edges[1:])
-        if hi > lo
-    )
-
-
 def test_criterion_01_inversion_round_trip(models):
     """|cum_hazard(invert(x)) - x| <= 1e-9 * max(1, x) on 10^4 targets per model."""
     rng = np.random.default_rng(1)
@@ -74,7 +64,7 @@ def test_criterion_02_quadrature_consistency(models):
             if t_end == 0.0:
                 continue
             exact = float(model.cum_hazard(t_end))
-            numeric = _quad_hazard(model, float(t_end))
+            numeric = _oracle.quad_hazard(model, float(t_end))
             assert abs(numeric - exact) <= 1e-6 * abs(exact), (name, t_end)
     print("ACCEPTANCE 2: PASS — quadrature consistency within 1e-6 at 20 points per model")
 

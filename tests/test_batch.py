@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gphazard.datasets import Dataset
 from gphazard.gamma_process import (
@@ -20,6 +19,8 @@ from gphazard.gamma_process import (
 from gphazard.models import DecreasingFailureRate, MixtureBathtub, simulate_dataset
 from gphazard.rng import RandomStream
 from gphazard.stats import kaplan_meier
+
+from _strategies import horizon_records, records
 
 
 def _same_state(a: RandomStream, b: RandomStream) -> bool:
@@ -224,14 +225,9 @@ def _fraction_km(times, observed):
     return events, out
 
 
-_records = st.lists(
-    st.tuples(st.integers(1, 12).map(lambda i: i * 0.25), st.booleans()), min_size=1, max_size=120
-)
-
-
 class TestKaplanMeierExactness:
     @settings(max_examples=300, deadline=None)
-    @given(_records)
+    @given(records)
     def test_matches_rational_product(self, records):
         times = [t for t, _ in records]
         observed = [o for _, o in records]
@@ -249,11 +245,9 @@ class TestKaplanMeierExactness:
             assert rel.max() <= 1e-14
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(1, 30), min_size=1, max_size=200), st.integers(1, 30))
-    def test_horizon_censoring_is_exact(self, event_steps, tau_step):
-        tau = tau_step * 0.5
-        times = [min(t * 0.5, tau) for t in event_steps]
-        observed = [t * 0.5 <= tau for t in event_steps]
+    @given(horizon_records())
+    def test_horizon_censoring_is_exact(self, case):
+        times, observed, tau = case
         km = kaplan_meier(Dataset(times=times, observed=observed, tau=tau))
         _, levels = _fraction_km(times, observed)
         np.testing.assert_array_equal(km.values, np.array([float(s) for s in levels]))

@@ -9,12 +9,17 @@ pin the sign where it is fixed and show that no level, hazard, cumulative
 hazard or inverse depends on it.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
+from _oracle import bits as _bits
 from _probe import COMMANDS
+from _strategies import (draw_of, draws, fractions, generated_models, levels, model_of,
+                         models_and_times, records, slopes, time_grid)
 from gphazard.datasets import Dataset
 from gphazard.gamma_process import GammaProcessDraw, _distinct
 from gphazard.models import (
@@ -31,10 +36,6 @@ from gphazard.models import (
 from gphazard.rng import RandomStream
 from gphazard.stats import kaplan_meier
 from gphazard.validation import _GL_NODES, _GL_WEIGHTS, demo_models
-
-
-def _bits(x) -> np.ndarray:
-    return np.asarray(x, dtype=float).view(np.uint64)
 
 
 class TestDistinct:
@@ -55,16 +56,6 @@ class TestDistinct:
         np.testing.assert_array_equal(run_ends, [len(zeros), len(zeros) + 1])
 
 
-# atoms from a small pool, so that ties and atoms at -0.0 and 0.0 come up often
-_POOL = [-0.0, 0.0, 0.25, 0.6, 1.0, 1.5]
-_ATOMS = st.lists(st.sampled_from(_POOL) | st.floats(0.0, 4.0), max_size=12)
-_WEIGHTS = st.floats(0.01, 2.0)
-
-
-def _draw(thetas, weight) -> GammaProcessDraw:
-    return GammaProcessDraw.from_atoms(thetas, [weight] * len(thetas))
-
-
 def _assert_distinct_equal(new, reference, zero):
     """``new`` is ``reference`` bit for bit, but for a zero, which carries the sign of ``zero``.
 
@@ -75,24 +66,6 @@ def _assert_distinct_equal(new, reference, zero):
     np.testing.assert_array_equal(_bits(new[nonzero]), _bits(reference[nonzero]))
     if zero is not None:
         assert np.signbit(new[~nonzero]).tolist() == [np.signbit(zero)]
-
-
-@st.composite
-def _models(draw):
-    """One of the six models on generated atoms; lwb's ``a`` sits below, at or among them."""
-    name = draw(st.sampled_from(["ifr", "dfr", "lwb", "sbt", "mbt", "lcv"]))
-    th1, th2 = draw(_ATOMS), draw(_ATOMS)
-    g1, g2 = _draw(th1, draw(_WEIGHTS)), _draw(th2, draw(_WEIGHTS))
-    if name == "lwb":
-        a = draw(st.sampled_from([0.0, -0.0, *th1]) | st.floats(0.0, 4.0))
-        return LoWengBathtub(0.1, a, g1)
-    return {
-        "ifr": lambda: IncreasingFailureRate(0.1, g1),
-        "dfr": lambda: DecreasingFailureRate(0.1, g1),
-        "sbt": lambda: SuperpositionBathtub(0.1, g1, g2),
-        "mbt": lambda: MixtureBathtub(0.4, 0.1, g1, 0.2, g2),
-        "lcv": lambda: LogConvexHazard(1.0, -1.0, g1),
-    }[name]()
 
 
 def _reference_breakpoints(model) -> np.ndarray:
@@ -114,37 +87,36 @@ def _zero_of(model):
     return next((x for x in model.draw.thetas if x == 0.0), None)  # ties keep the atoms' order
 
 
-_PROBES = np.array([-0.0, 0.0, 1e-300, 0.25, 0.6, 1.0, 1.3, 1.5, 2.0, 4.5, 9.0])
-
-
 class TestBreakpointsProperty:
     @settings(max_examples=300, deadline=None)
-    @given(_models())
-    @example(IncreasingFailureRate(0.1, _draw([0.0, -0.0, 1.0], 0.5)))
-    @example(IncreasingFailureRate(0.1, _draw([-0.0, 0.0, 0.0], 0.5)))
-    @example(SuperpositionBathtub(0.1, _draw([1.0, 0.0], 0.5), _draw([-0.0], 0.5)))
-    @example(LoWengBathtub(0.1, -0.0, _draw([0.0, 0.6, 0.6], 0.5)))
-    @example(LoWengBathtub(0.1, 0.6, _draw([0.25, 0.6, 1.0], 0.5)))
-    @example(DecreasingFailureRate(0.1, _draw([], 1.0)))
-    @example(LogConvexHazard(1.0, -1.0, _draw([2.0], 1.0)))
+    @given(generated_models())
+    @example(IncreasingFailureRate(0.1, draw_of([(0.0, 0.5), (-0.0, 0.5), (1.0, 0.5)])))
+    @example(IncreasingFailureRate(0.1, draw_of([(-0.0, 0.5), (0.0, 0.5), (0.0, 0.5)])))
+    @example(SuperpositionBathtub(0.1, draw_of([(1.0, 0.5), (0.0, 0.5)]), draw_of([(-0.0, 0.5)])))
+    @example(LoWengBathtub(0.1, -0.0, draw_of([(0.0, 0.5), (0.6, 0.5), (0.6, 0.5)])))
+    @example(LoWengBathtub(0.1, 0.6, draw_of([(0.25, 0.5), (0.6, 0.5), (1.0, 0.5)])))
+    @example(DecreasingFailureRate(0.1, draw_of([])))
+    @example(LogConvexHazard(1.0, -1.0, draw_of([(2.0, 1.0)])))
     def test_equal_np_unique(self, model):
         _assert_distinct_equal(model.breakpoints(), _reference_breakpoints(model), _zero_of(model))
 
     @settings(max_examples=300, deadline=None)
-    @given(_models().filter(lambda m: not isinstance(m, (MixtureBathtub, LogConvexHazard))))
-    @example(IncreasingFailureRate(0.1, _draw([0.0, -0.0, 1.0], 0.5)))
-    @example(DecreasingFailureRate(0.1, _draw([-0.0, 0.0, 2.0], 0.5)))
-    @example(LoWengBathtub(0.1, -0.0, _draw([0.0, -0.0, 0.6], 0.5)))
-    @example(SuperpositionBathtub(0.1, _draw([0.0, 1.0], 0.5), _draw([-0.0], 0.5)))
-    def test_step_skeleton_equals_the_reference(self, model):
+    @given(models_and_times(("ifr", "dfr", "lwb", "sbt")))
+    @example((IncreasingFailureRate(0.1, draw_of([(0.0, 0.5), (-0.0, 0.5), (1.0, 0.5)])), []))
+    @example((DecreasingFailureRate(0.1, draw_of([(-0.0, 0.5), (0.0, 0.5), (2.0, 0.5)])), []))
+    @example((LoWengBathtub(0.1, -0.0, draw_of([(0.0, 0.5), (-0.0, 0.5), (0.6, 0.5)])), []))
+    @example((SuperpositionBathtub(0.1, draw_of([(0.0, 0.5), (1.0, 0.5)]), draw_of([(-0.0, 0.5)])),
+              []))
+    def test_step_skeleton_equals_the_reference(self, case):
         """Knots, levels and knot values bit for bit; no lookup or inverse sees a zero's sign."""
+        model, ts = case
         knots = np.unique(np.concatenate(([0.0], _reference_breakpoints(model))))
         reference = _Skeleton(knots, np.zeros(knots.size), model._levels_at(knots))
         skeleton = model._skeleton
         _assert_distinct_equal(skeleton.knots, knots, _zero_of(model))
         np.testing.assert_array_equal(_bits(skeleton.coeffs), _bits(reference.coeffs))
         np.testing.assert_array_equal(_bits(skeleton.values), _bits(reference.values))
-        probes = np.concatenate((_PROBES, knots, np.nextafter(knots, np.inf)))
+        probes = np.concatenate((time_grid(knots), ts))
         for got, want in zip(skeleton._locate(probes), reference._locate(probes)):
             np.testing.assert_array_equal(_bits(got), _bits(want))
         targets = np.concatenate(([0.0, 0.5, 3.0], reference.values))
@@ -152,12 +124,9 @@ class TestBreakpointsProperty:
                                       _bits(reference.invert(targets)))
 
 
-def _one_draw_models(g1, g2) -> dict:
-    """ifr, dfr and lcv on ``g1``, and the two components of an mbt on ``g1`` and ``g2``."""
-    mbt = MixtureBathtub(0.4, 0.1, g1, 0.0, g2)
-    return {"ifr": IncreasingFailureRate(0.1, g1), "dfr": DecreasingFailureRate(0.0, g1),
-            "lcv": LogConvexHazard(2.0, -1.5, g1), "mbt-dfr": mbt.components[0],
-            "mbt-ifr": mbt.components[1]}
+def _on_one_draw(*models) -> list:
+    """The models, an mbt as its two components: each reads its levels from one draw."""
+    return [c for m in models for c in (m.components if isinstance(m, MixtureBathtub) else [m])]
 
 
 def _searched_levels(model, knots):
@@ -199,18 +168,23 @@ class TestKnotCountsFromTheDraw:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("first", list(_KNOT_DRAWS))
     def test_levels_equal_the_searched_counts(self, first, monkeypatch):
-        models = _one_draw_models(_KNOT_DRAWS[first], _KNOT_DRAWS["ties"])
+        g1 = _KNOT_DRAWS[first]
+        models = _on_one_draw(IncreasingFailureRate(0.1, g1), DecreasingFailureRate(0.0, g1),
+                              LogConvexHazard(2.0, -1.5, g1),
+                              MixtureBathtub(0.4, 0.1, g1, 0.0, _KNOT_DRAWS["ties"]))
         with monkeypatch.context() as patch:  # building the skeletons searches no atom
             patch.setattr(GammaProcessDraw, "_count_below", None)
-            for model in models.values():
+            for model in models:
                 model._skeleton
-        for model in models.values():
+        for model in models:
             self._assert_levels_equal_the_search(model)
 
     @settings(max_examples=200, deadline=None)
-    @given(_ATOMS, _ATOMS, _WEIGHTS)
-    def test_levels_equal_the_searched_counts_on_generated_atoms(self, th1, th2, weight):
-        for model in _one_draw_models(_draw(th1, weight), _draw(th2, 2.0 * weight)).values():
+    @given(draws, draws, levels, levels, slopes)
+    def test_levels_equal_the_searched_counts_on_generated_atoms(self, g1, g2, lambda0, lambda02,
+                                                                 w0):
+        for model in _on_one_draw(*(model_of(v, g1, g2, lambda0, lambda02=lambda02, w0=w0)
+                                    for v in ("ifr", "dfr", "lcv", "mbt"))):
             self._assert_levels_equal_the_search(model)
 
     def test_models_on_one_draw_share_its_read_only_knots(self, demo):
@@ -241,8 +215,7 @@ def _reference_kaplan_meier(dataset: Dataset):
 
 class TestKaplanMeierProperty:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from([0.5, 1.0, 2.0, 3.0]) | st.floats(1e-3, 5.0),
-                              st.booleans()), min_size=1, max_size=40))
+    @given(records)
     @example([(1.0, True), (1.0, True), (1.0, False), (2.0, True)])
     @example([(1.0, False), (2.0, False)])
     @example([(0.5, True)])
@@ -263,6 +236,13 @@ class TestKaplanMeierProperty:
         assert km.breakpoints.size < tied.n_observed  # the rounding tied the times
         np.testing.assert_array_equal(_bits(km.breakpoints), _bits(expected[0]))
         np.testing.assert_array_equal(_bits(km.values), _bits(expected[1]))
+
+
+def _tiny_hazard(model: MixtureBathtub) -> bool:
+    """Whether a component's weight (pi or 1 - pi) times a positive level is below 1e-300."""
+    return any(weight > 0.0 and np.any((levels > 0.0) & (weight * levels < 1e-300))
+               for weight, levels in zip((model.pi, 1.0 - model.pi),
+                                         (c._skeleton.coeffs for c in model.components)))
 
 
 def _full_array_newton(model: MixtureBathtub, x: np.ndarray) -> np.ndarray:
@@ -323,16 +303,26 @@ class TestNewtonOnLiveTargets:
         self._assert_bits_at_and_beside_the_knot_values(model)
 
     @settings(max_examples=300, deadline=None)
-    @given(_ATOMS, _ATOMS, _WEIGHTS, st.sampled_from([0.4, 0.9, 1.0]), st.sampled_from([0.0, 0.1]),
-           st.lists(st.floats(0.0, 1.0), max_size=8))
-    @example([0.5, 0.5, 1.0], [1.0, 1.0, 2.0], 0.7, 0.4, 0.1, [0.5])
-    @example([], [0.6, 0.6], 1.3, 0.4, 0.0, [0.9])
+    # the Newton step divides by the mixture hazard, which underflows to 0 (item 6, strict xfail)
+    @given(generated_models(("mbt",)).filter(lambda model: not _tiny_hazard(model)), fractions)
+    @example(MixtureBathtub(0.4, 0.1, draw_of([(0.5, 0.7), (0.5, 0.7), (1.0, 0.7)]), 0.2,
+                            draw_of([(1.0, 1.4), (1.0, 1.4), (2.0, 1.4)])), [0.5])
+    @example(MixtureBathtub(0.4, 0.0, draw_of([]), 0.2, draw_of([(0.6, 2.6), (0.6, 2.6)])), [0.9])
     # one ulp below the knot value at 0.47, rounding carries the iterate past the knot
-    @example([], [0.47], 1.07, 0.9, 0.1, [])
-    def test_bits_on_generated_draws_with_ties(self, th1, th2, weight, pi, lambda01, fractions):
-        model = MixtureBathtub(pi, lambda01, _draw(th1, weight), 0.2, _draw(th2, 2.0 * weight))
+    @example(MixtureBathtub(0.9, 0.1, draw_of([]), 0.2, draw_of([(0.47, 2.14)])), [])
+    def test_bits_on_generated_draws_with_ties(self, model, fractions):
+        """Targets at fractions of a scale, and the cumulative hazard on the time grid."""
         scale = min(float(model.cum_hazard(5.0)), 1.2 * model.cum_hazard_limit())
-        self._assert_bits_at_and_beside_the_knot_values(model, np.array(fractions) * scale)
+        extra = np.concatenate((np.array(fractions) * scale,
+                                model.cum_hazard(time_grid(model.breakpoints()))))
+        self._assert_bits_at_and_beside_the_knot_values(model, extra)
+
+    @pytest.mark.xfail(strict=True, reason="item 6: mbt's Newton step at a hazard that underflows")
+    def test_an_underflowing_hazard(self):
+        model = MixtureBathtub(0.5, 0.0, draw_of([]), 5e-324, draw_of([]))  # hazard 0.5 * 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(model.invert_cum_hazard(5e-324))
 
     def test_each_component_is_searched_once_per_model(self, demo):
         """The Newton loop evaluates in the segments found for the pooled knots, so the

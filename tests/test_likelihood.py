@@ -24,10 +24,8 @@ from gphazard.likelihood import (
 from gphazard.models import (
     DecreasingFailureRate,
     IncreasingFailureRate,
-    LoWengBathtub,
     LogConvexHazard,
     MixtureBathtub,
-    SuperpositionBathtub,
     draw_model_params,
     simulate_dataset,
 )
@@ -35,6 +33,7 @@ from gphazard.rng import RandomStream
 from gphazard.stats import ks_distance
 
 import _oracle
+from _strategies import hazard_models, model_of
 
 
 def _constant_hazard_model(lambda0=1.0):
@@ -354,27 +353,15 @@ class TestRecordOrder:
     """The log-likelihood is a sum over records, so it does not depend on their order."""
 
     @settings(max_examples=60, deadline=None)
-    @given(name=st.sampled_from(["ifr", "dfr", "lwb", "sbt", "mbt", "lcv"]),
-           n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
-    def test_any_permutation_gives_the_same_bits(self, demo, name, n, seed):
-        data = simulate_dataset(demo[name], n, 3.0, RandomStream(seed))
+    @given(model=hazard_models(), n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_any_permutation_gives_the_same_bits(self, model, n, seed):
+        data = simulate_dataset(model, n, 3.0, RandomStream(seed))
         order = np.random.default_rng(seed).permutation(n)
         shuffled = Dataset(data.times[order], data.observed[order], data.tau)
         reversed_ = Dataset(data.times[::-1], data.observed[::-1], data.tau)
-        expected = log_likelihood(demo[name], data).hex()
-        assert log_likelihood(demo[name], shuffled).hex() == expected
-        assert log_likelihood(demo[name], reversed_).hex() == expected
-
-
-def _six_models(draw, draw2, lambda0=0.3, a=1.0):
-    return {
-        "ifr": IncreasingFailureRate(lambda0, draw),
-        "dfr": DecreasingFailureRate(lambda0, draw),
-        "lwb": LoWengBathtub(lambda0, a, draw),
-        "sbt": SuperpositionBathtub(lambda0, draw, draw2),
-        "mbt": MixtureBathtub(0.4, lambda0, draw, lambda0, draw2),
-        "lcv": LogConvexHazard(lambda0 or 1.0, -0.5, draw),
-    }
+        expected = log_likelihood(model, data).hex()
+        assert log_likelihood(model, shuffled).hex() == expected
+        assert log_likelihood(model, reversed_).hex() == expected
 
 
 def _per_record(model, data) -> tuple[float, float]:
@@ -414,7 +401,7 @@ class TestAgainstThePerRecordSum:
     @pytest.mark.parametrize("name", ["ifr", "dfr", "lwb", "sbt", "mbt", "lcv"])
     def test_edge_cases(self, case, name):
         draw, draw2, data = _EDGES[case]
-        model = _six_models(draw, draw2)[name]
+        model = model_of(name, draw, draw2, 0.3)
         expected, scale = _per_record(model, data)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -426,7 +413,7 @@ class TestAgainstThePerRecordSum:
     def test_a_zero_level_under_an_event_is_minus_inf(self, name, t):
         # lambda0 = 0: ifr below its atoms, dfr above them, lwb between a and a + 0.5,
         # sbt and mbt above the decreasing atoms and below the increasing one
-        model = _six_models(_ATOMS, GammaProcessDraw.from_atoms([2.5], [1.0]), lambda0=0.0)[name]
+        model = model_of(name, _ATOMS, GammaProcessDraw.from_atoms([2.5], [1.0]), 0.0)
         assert model.hazard(t) == 0.0
         data = Dataset([0.4, t, 2.9, 3.0], [True, True, False, True])
         assert _per_record(model, data)[0] == -math.inf
@@ -441,7 +428,7 @@ class TestAgainstThePerRecordSum:
         # lambda0 = 1e308 plus an atom weight of 1e308 at 1: the level is inf from the atom
         # on for ifr, up to it for dfr, from a + 1 = 2 on for lwb, and everywhere for sbt;
         # an event at t = 1 or 2 lies at its segment's knot, where it adds no offset
-        model = _six_models(_HUGE, _HUGE, lambda0=1e308)[name]
+        model = model_of(name, _HUGE, _HUGE, 1e308)
         with np.errstate(over="ignore"):  # the level overflows as the skeleton is built
             assert model.hazard(t) == math.inf
         data = Dataset([0.25, t], [censored, True])

@@ -7,13 +7,13 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, target
-from hypothesis import strategies as st
+from hypothesis import assume, example, given, settings, target
 
 from gphazard import gamma_process, models
 from gphazard._checks import _check_range
 from gphazard.datasets import Dataset
-from gphazard.gamma_process import GammaProcessDraw
+from gphazard.gamma_process import (ExponentialBase, GammaProcessDraw, GammaProcessParams,
+                                    NormalBase, draw_gamma_process)
 from gphazard.likelihood import HyperParams, log_likelihood
 from gphazard.models import (
     DecreasingFailureRate,
@@ -32,33 +32,30 @@ from gphazard.stats import ks_distance
 from gphazard.validation import DEMO_SEED, demo_models
 
 import _oracle
-
-
-def _atoms(pairs):
-    thetas, weights = zip(*pairs)
-    return GammaProcessDraw.from_atoms(thetas, weights)
+from _oracle import bits as _bits
+from _strategies import draw_of, draws, hazard_models, levels, models_and_times, time_grid, times
 
 
 class TestHazardValues:
     def test_ifr(self):
-        m = IncreasingFailureRate(0.5, _atoms([(1.0, 0.6), (2.0, 0.4)]))
+        m = IncreasingFailureRate(0.5, draw_of([(1.0, 0.6), (2.0, 0.4)]))
         assert m.hazard(0.5) == 0.5
         assert m.hazard(1.5) == pytest.approx(1.1, rel=1e-15)
         assert m.hazard(3.0) == pytest.approx(1.5, rel=1e-15)
 
     def test_lwb(self):
-        m = LoWengBathtub(0.1, 2.0, _atoms([(0.5, 1.0), (1.5, 0.5)]))
+        m = LoWengBathtub(0.1, 2.0, draw_of([(0.5, 1.0), (1.5, 0.5)]))
         assert m.hazard(1.8) == pytest.approx(0.1, rel=1e-15)
         assert m.hazard(0.0) == pytest.approx(1.6, rel=1e-15)
         assert m.hazard(3.0) == pytest.approx(1.1, rel=1e-15)
 
     def test_lcv(self):
-        m = LogConvexHazard(1.0, -1.0, _atoms([(1.0, 2.0)]))
+        m = LogConvexHazard(1.0, -1.0, draw_of([(1.0, 2.0)]))
         assert m.hazard(0.5) == pytest.approx(math.exp(-0.5), rel=1e-15)
         assert m.hazard(2.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_negative_t_rejected(self):
-        m = IncreasingFailureRate(0.5, _atoms([(1.0, 1.0)]))
+        m = IncreasingFailureRate(0.5, draw_of([(1.0, 1.0)]))
         with pytest.raises(ValueError):
             m.hazard(-1.0)
         with pytest.raises(ValueError):
@@ -67,22 +64,22 @@ class TestHazardValues:
 
 class TestCumHazardValues:
     def test_ifr(self):
-        m = IncreasingFailureRate(0.5, _atoms([(1.0, 0.6), (2.0, 0.4)]))
+        m = IncreasingFailureRate(0.5, draw_of([(1.0, 0.6), (2.0, 0.4)]))
         assert m.cum_hazard(3.0) == pytest.approx(3.1, rel=1e-15)
         assert m.cum_hazard(0.0) == 0.0
 
     def test_lwb_piecewise_integration(self):
-        m = LoWengBathtub(0.1, 2.0, _atoms([(0.5, 1.0), (1.5, 0.5)]))
+        m = LoWengBathtub(0.1, 2.0, draw_of([(0.5, 1.0), (1.5, 0.5)]))
         assert m.cum_hazard(3.0) == pytest.approx(2.55, rel=1e-14)
 
     def test_lcv_segment_formula(self):
-        m = LogConvexHazard(1.0, -1.0, _atoms([(1.0, 2.0)]))
+        m = LogConvexHazard(1.0, -1.0, draw_of([(1.0, 2.0)]))
         assert m.cum_hazard(1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
         expected = (1.0 - math.exp(-1.0)) + math.exp(-2.0) * (math.e**2 - math.e)
         assert m.cum_hazard(2.0) == pytest.approx(expected, rel=1e-14)
 
     def test_survival_and_density(self, demo):
-        m = IncreasingFailureRate(0.5, _atoms([(1.0, 0.6), (2.0, 0.4)]))
+        m = IncreasingFailureRate(0.5, draw_of([(1.0, 0.6), (2.0, 0.4)]))
         assert m.survival(3.0) == pytest.approx(math.exp(-3.1), rel=1e-14)
         for model in demo.values():
             assert model.survival(0.0) == 1.0
@@ -94,12 +91,12 @@ class TestCumHazardValues:
 
 class TestInversion:
     def test_ifr_example(self):
-        m = IncreasingFailureRate(1.0, _atoms([(1.0, 2.0)]))
+        m = IncreasingFailureRate(1.0, draw_of([(1.0, 2.0)]))
         assert m.invert_cum_hazard(4.0) == pytest.approx(2.0, rel=1e-14)
         assert m.cum_hazard(2.0) == 4.0
 
     def test_dfr_examples(self):
-        m = DecreasingFailureRate(1.0, _atoms([(1.0, 2.0)]))
+        m = DecreasingFailureRate(1.0, draw_of([(1.0, 2.0)]))
         assert m.invert_cum_hazard(1.5) == pytest.approx(0.5, rel=1e-14)
         assert m.invert_cum_hazard(3.5) == pytest.approx(1.5, rel=1e-14)
 
@@ -163,7 +160,7 @@ class TestModelIdentities:
         )
 
     def test_mbt_identical_components_degenerate(self):
-        g = _atoms([(0.5, 1.0), (2.0, 0.5)])
+        g = draw_of([(0.5, 1.0), (2.0, 0.5)])
         mbt = MixtureBathtub(0.5, 0.2, g, 0.2, g)
         # with identical component *draws* the survival is still the mixture of
         # a decreasing and an increasing model, so just check the mixture law
@@ -234,19 +231,10 @@ class TestShapeInvariants:
             assert np.all(np.diff(np.asarray(model.cum_hazard(grid))) >= 0.0)
 
     def test_quadrature_consistency_light(self, demo):
-        from scipy.integrate import quad
-
         rng = np.random.default_rng(3)
         for name, model in demo.items():
             for t_end in rng.uniform(0.5, 5.0, size=3):
-                pts = model.breakpoints()
-                pts = pts[(pts > 0.0) & (pts < t_end)]
-                edges = np.concatenate(([0.0], pts, [t_end]))
-                total = sum(
-                    quad(lambda s: float(model.hazard(s)), lo, hi, limit=200)[0]
-                    for lo, hi in zip(edges[:-1], edges[1:])
-                    if hi > lo
-                )
+                total = _oracle.quad_hazard(model, t_end)
                 exact = model.cum_hazard(float(t_end))
                 assert abs(total - exact) <= 1e-6 * abs(exact), name
 
@@ -552,14 +540,14 @@ class _NormalStream:
 
 class TestLcvPriorOverflow:
     def test_overflowing_lambda0_is_a_value_error(self):
-        g = _atoms([(1.0, 2.0)])
+        g = draw_of([(1.0, 2.0)])
         stream = _NormalStream([800.0, 0.5])
         with pytest.raises(ValueError, match=r"lambda0.*800\.0"):
             draw_model_params("lcv", [g], HyperParams(), stream)
         assert stream.calls == 1  # log(lambda0) is drawn first, as before
 
     def test_underflowing_lambda0_names_the_drawn_log(self):
-        g = _atoms([(1.0, 2.0)])
+        g = draw_of([(1.0, 2.0)])
         with pytest.raises(ValueError, match=r"drew log\(lambda0\) = -\d.*too small for a float"):
             draw_model_params("lcv", [g], HyperParams(nu=2e-3), RandomStream(5))
         stream = _NormalStream([-800.0, 0.5])
@@ -568,13 +556,13 @@ class TestLcvPriorOverflow:
         assert stream.calls == 1
 
     def test_prior_order_is_log_lambda0_then_w0(self):
-        g = _atoms([(1.0, 2.0)])
+        g = draw_of([(1.0, 2.0)])
         model = draw_model_params("lcv", [g], HyperParams(), _NormalStream([0.5, -0.25]))
         assert model.lambda0 == math.exp(0.5)
         assert model.w0 == -0.25
 
     def test_tiny_nu_raises_value_error_not_overflow(self):
-        g = _atoms([(1.0, 2.0)])
+        g = draw_of([(1.0, 2.0)])
         hyper = HyperParams(nu=1e-6)  # sd 2e6: about half of the draws overflow exp
         overflowed = 0
         for seed in range(20):
@@ -672,7 +660,7 @@ class TestPriorStream:
 
     @pytest.mark.parametrize("normals", [[0.5, -0.25], [800.0, 0.5], [-3.0, 1e-300]])
     def test_same_lcv_draws_from_a_normal_only_stream(self, normals):
-        g = _atoms([(1.0, 2.0)])
+        g = draw_of([(1.0, 2.0)])
         outcomes = []
         for fn in (_reference_draw_model_params, draw_model_params):
             stream = _NormalStream(normals)
@@ -688,7 +676,7 @@ class TestPriorStream:
         ("mbt", {}, "pi"), ("mbt", {"a": 0.6}, "pi"),
     ])
     def test_missing_scalar_raises_before_any_draw(self, variant, given, name):
-        g = _atoms([(1.0, 2.0)])
+        g = draw_of([(1.0, 2.0)])
         draws = [g] * len(models._model_class(variant)._fields()[2])
         stream = RandomStream(40)
         with pytest.raises(ValueError, match=f"requires {name}:"):
@@ -733,8 +721,7 @@ class TestLcvIncrementOverflow:
          math.exp(-1.0) - math.exp(-1000.0) + -math.expm1(-1000.0) / 1000.0, 1e-15),
     ])
     def test_increment_in_log_space(self, lambda0, w0, atoms, t, expected, rel):
-        model = LogConvexHazard(lambda0, w0, _atoms(atoms) if atoms else
-                                GammaProcessDraw.from_atoms([], []))
+        model = LogConvexHazard(lambda0, w0, draw_of(atoms))
         cum = model.cum_hazard(t)
         assert cum == pytest.approx(expected, rel=rel)
         np.testing.assert_array_equal(model.cum_hazard(np.array([0.0, t])), [0.0, cum])
@@ -753,7 +740,7 @@ class TestOneFormulaPerSegment:
     @pytest.mark.filterwarnings("error")
     def test_inverse_past_an_underflowed_coefficient(self):
         # past t = 1 the coefficient exp(-1000) underflows to 0, while its log does not
-        model = LogConvexHazard(1.0, -1000.0, _atoms([(1.0, 1001.0)]))
+        model = LogConvexHazard(1.0, -1000.0, draw_of([(1.0, 1001.0)]))
         t = model.invert_cum_hazard(5.0)
         assert t == pytest.approx(1002.6092378924314, rel=1e-15)
         # the slope there is about 5, so one ulp of t moves H by 1.1e-13 of it
@@ -763,7 +750,7 @@ class TestOneFormulaPerSegment:
     @pytest.mark.filterwarnings("error")
     def test_cum_hazard_past_an_overflowed_coefficient(self):
         # the coefficient at t = 0.5 is 1e200 exp(250), past the double range; its log is not
-        model = LogConvexHazard(1e200, 500.0, _atoms([(0.5, 1.0), (1.0, 2.0), (2.0, 3.0)]))
+        model = LogConvexHazard(1e200, 500.0, draw_of([(0.5, 1.0), (1.0, 2.0), (2.0, 3.0)]))
         exact = _oracle.lcv_cum_hazard(model, 0.50536149)
         assert float(exact) == 1.0974965481457372e307
         assert model.cum_hazard(0.50536149) == pytest.approx(float(exact), rel=1e-13)
@@ -788,11 +775,11 @@ class TestOneFormulaPerSegment:
     def test_masks_only_where_an_underflowed_coefficient_moves_the_cumulative_hazard(self):
         # past t = 1 the coefficient exp(-1000) underflows to 0; at a rate of -800 the whole
         # tail adds exp(-1000) / 800, which underflows too, so no time takes the logs there
-        flat = LogConvexHazard(1.0, -1000.0, _atoms([(1.0, 200.0)]))
+        flat = LogConvexHazard(1.0, -1000.0, draw_of([(1.0, 200.0)]))
         assert flat._skeleton._outside is None
         assert flat.cum_hazard(5.0) == flat.cum_hazard(1.0) == flat.cum_hazard_limit()
         # at a rate of 1 the same coefficient reaches 1 near t = 1001
-        steep = LogConvexHazard(1.0, -1000.0, _atoms([(1.0, 1001.0)]))
+        steep = LogConvexHazard(1.0, -1000.0, draw_of([(1.0, 1001.0)]))
         np.testing.assert_array_equal(steep._skeleton._outside, [False, True])
 
     @pytest.mark.filterwarnings("error")
@@ -864,37 +851,25 @@ class TestNonFiniteHorizon:
             simulate_dataset(dfr0, 10, tau, RandomStream(26))
 
 
-def _draw(atoms):
-    return GammaProcessDraw.from_atoms([a for a, _ in atoms], [w for _, w in atoms])
-
-
-_ATOMS = st.lists(
-    st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 10.0),
-              st.just(0.0) | st.floats(0.0, 5.0)),
-    max_size=8,
-)
-
-
 class TestSkeletonMatchesDrawIntegrals:
     """The step models' skeletons against the draws' closed-form double integrals."""
 
     @settings(max_examples=200, deadline=None)
-    @given(atoms=_ATOMS, atoms2=_ATOMS, lambda0=st.just(0.0) | st.floats(0.0, 5.0),
-           probes=st.lists(st.floats(0.0, 20.0), max_size=10))
-    @example(atoms=[], atoms2=[], lambda0=0.0, probes=[1.0])
-    @example(atoms=[(1.0, 2.0)], atoms2=[(0.5, 1.0)], lambda0=0.0, probes=[0.5, 3.0])
-    @example(atoms=[(1.0, 2.0), (1.0, 0.0), (1.0, 3.0)], atoms2=[(2.0, 0.0)], lambda0=0.25,
-             probes=[1.0, 2.0])
+    @given(dec=draws, inc=draws, lambda0=levels, probes=times((), min_size=0))
+    @example(dec=draw_of([]), inc=draw_of([]), lambda0=0.0, probes=[1.0])
+    @example(dec=draw_of([(1.0, 2.0)]), inc=draw_of([(0.5, 1.0)]), lambda0=0.0, probes=[0.5, 3.0])
+    @example(dec=draw_of([(1.0, 2.0), (1.0, 0.0), (1.0, 3.0)]), inc=draw_of([(2.0, 0.0)]),
+             lambda0=0.25, probes=[1.0, 2.0])
     # subnormal results, where the reference's own rounding is the larger error
-    @example(atoms=[(1.0, 5e-324)], atoms2=[(0.5, 0.0)], lambda0=0.0, probes=[])
-    @example(atoms=[], atoms2=[(0.5, 0.0)], lambda0=5e-324, probes=[])
-    @example(atoms=[], atoms2=[(0.5, 5e-324)], lambda0=0.0, probes=[])
-    def test_cum_hazard_is_lambda0_t_plus_the_integrals(self, atoms, atoms2, lambda0, probes):
-        dec, inc = _draw(atoms), _draw(atoms2)
-        t = np.concatenate(([0.0], dec.thetas, inc.thetas, probes, [25.0]))
-        # 1e-12 relative to the mass, plus one smallest subnormal per rounded term (the
-        # knots of both draws, lambda0*t and the sum), which a relative bound cannot cover
-        floor = (1e-12 * (lambda0 + dec.gamma + inc.gamma) * t.max()
+    @example(dec=draw_of([(1.0, 5e-324)]), inc=draw_of([(0.5, 0.0)]), lambda0=0.0, probes=[])
+    @example(dec=draw_of([]), inc=draw_of([(0.5, 0.0)]), lambda0=5e-324, probes=[])
+    @example(dec=draw_of([]), inc=draw_of([(0.5, 5e-324)]), lambda0=0.0, probes=[])
+    def test_cum_hazard_is_lambda0_t_plus_the_integrals(self, dec, inc, lambda0, probes):
+        t = np.concatenate((time_grid(np.concatenate((dec.thetas, inc.thetas))), probes, [25.0]))
+        t = t[t <= 1e300]  # past it the closed forms fail (item 19, strict xfail below)
+        # 1e-12 relative to the mass times max(t, 25), plus one smallest subnormal per rounded
+        # term (the knots of both draws, lambda0*t and the sum), which a relative bound cannot cover
+        floor = (1e-12 * (lambda0 + dec.gamma + inc.gamma) * np.maximum(t, 25.0)
                  + np.finfo(float).smallest_subnormal * (dec.n_atoms + inc.n_atoms + 2))
         cases = [
             (IncreasingFailureRate(lambda0, inc), lambda0 * t + inc.double_integral_below(t)),
@@ -906,6 +881,15 @@ class TestSkeletonMatchesDrawIntegrals:
             got = model.cum_hazard(t)
             assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected) + floor), model
             assert model.cum_hazard(float(t[-1])) == got[-1]
+
+
+@pytest.mark.xfail(strict=True, reason="item 19: the closed forms at t = 1e308 and inf")
+@pytest.mark.parametrize("t", [1e308, math.inf])
+def test_closed_form_integrals_on_the_whole_axis(t):
+    draw = draw_of([(1.0, 2.0), (2.0, 3.0)])  # mass * t overflows at 1e308; 0 * inf is nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (draw.double_integral_below(t), draw.double_integral_above(t)) == (math.inf, 8.0)
 
 
 def _assert_given_segments_equal_the_lookup(model, t):
@@ -926,9 +910,9 @@ class TestSkeletonBranches:
     """Flat segments and decaying tails of the shared skeleton, for scalar and array input."""
 
     BRANCHES = {
-        "flat-first-segment": IncreasingFailureRate(0.0, _atoms([(1.0, 2.0), (3.0, 1.0)])),
-        "zero-slope-tail": DecreasingFailureRate(0.0, _atoms([(1.0, 2.0), (3.0, 1.0)])),
-        "negative-rate-lcv-tail": LogConvexHazard(1.0, -2.0, _atoms([(1.0, 0.5)])),
+        "flat-first-segment": IncreasingFailureRate(0.0, draw_of([(1.0, 2.0), (3.0, 1.0)])),
+        "zero-slope-tail": DecreasingFailureRate(0.0, draw_of([(1.0, 2.0), (3.0, 1.0)])),
+        "negative-rate-lcv-tail": LogConvexHazard(1.0, -2.0, draw_of([(1.0, 0.5)])),
     }
 
     @pytest.mark.filterwarnings("error")
@@ -939,7 +923,7 @@ class TestSkeletonBranches:
 
     def test_flat_first_segment(self):
         # hazard 0 on [0, 1), 2 on [1, 3), 3 after
-        model = IncreasingFailureRate(0.0, _atoms([(1.0, 2.0), (3.0, 1.0)]))
+        model = IncreasingFailureRate(0.0, draw_of([(1.0, 2.0), (3.0, 1.0)]))
         assert model.cum_hazard(0.5) == 0.0
         assert isinstance(model.cum_hazard(0.5), float)
         np.testing.assert_array_equal(
@@ -955,7 +939,7 @@ class TestSkeletonBranches:
 
     def test_zero_slope_tail(self):
         # hazard 3 on [0, 1), 1 on [1, 3), 0 after: the limit is 5, reached at t = 3
-        model = DecreasingFailureRate(0.0, _atoms([(1.0, 2.0), (3.0, 1.0)]))
+        model = DecreasingFailureRate(0.0, draw_of([(1.0, 2.0), (3.0, 1.0)]))
         assert model.cum_hazard_limit() == 5.0
         assert model.cum_hazard(10.0) == 5.0
         assert model.invert_cum_hazard(5.0) == 3.0
@@ -968,7 +952,7 @@ class TestSkeletonBranches:
 
     def test_negative_rate_lcv_tail(self):
         # log-slopes -2 on [0, 1) and -1.5 after: the hazard decays, so the limit is finite
-        model = LogConvexHazard(1.0, -2.0, _atoms([(1.0, 0.5)]))
+        model = LogConvexHazard(1.0, -2.0, draw_of([(1.0, 0.5)]))
         knot_value = -math.expm1(-2.0) / 2.0
         limit = knot_value + math.exp(-2.0) / 1.5
         assert model.cum_hazard_limit() == pytest.approx(limit, rel=1e-15)
@@ -1008,10 +992,6 @@ class TestLcvGrowingInverseOverflow:
             warnings.simplefilter("error")
             t = model.invert_cum_hazard(1e200)
         assert t == pytest.approx(500.0 * math.log(10.0) / 1e200, rel=1e-14)
-
-
-def _bits(x) -> np.ndarray:
-    return np.asarray(x, dtype=float).view(np.uint64)
 
 
 class TestFusedHazardAndCumHazard:
@@ -1099,8 +1079,8 @@ def _step_models() -> dict:
     for seed in (DEMO_SEED, 7, 1):
         demo = demo_models(seed)
         out.update({f"{name}-{seed}": demo[name] for name in ("ifr", "dfr", "lwb", "sbt")})
-    for label, draw in (("tied", _atoms([(0.3, 0.5), (1.0, 0.125), (0.3, 0.25), (2.5, 1.0)])),
-                        ("atom-at-0", _atoms([(0.7, 0.25), (0.0, 0.5), (1.2, 1.0)]))):
+    for label, draw in (("tied", draw_of([(0.3, 0.5), (1.0, 0.125), (0.3, 0.25), (2.5, 1.0)])),
+                        ("atom-at-0", draw_of([(0.7, 0.25), (0.0, 0.5), (1.2, 1.0)]))):
         out.update({f"ifr-{label}": IncreasingFailureRate(0.1, draw),
                     f"dfr-{label}": DecreasingFailureRate(0.1, draw),
                     f"lwb-{label}": LoWengBathtub(0.1, 0.6, draw),
@@ -1161,7 +1141,7 @@ class TestInfiniteTarget:
         if name == "dfr-defective":
             model = DecreasingFailureRate(0.0, demo["dfr"].draw)
         elif name == "lcv-overflow":
-            model = LogConvexHazard(1e200, 500.0, _atoms([(0.5, 1.0), (1.0, 2.0), (2.0, 3.0)]))
+            model = LogConvexHazard(1e200, 500.0, draw_of([(0.5, 1.0), (1.0, 2.0), (2.0, 3.0)]))
         else:
             model = demo[name]
         with warnings.catch_warnings():
@@ -1169,6 +1149,59 @@ class TestInfiniteTarget:
             assert model.invert_cum_hazard(math.inf) == math.inf
             np.testing.assert_array_equal(model.invert_cum_hazard(np.full(3, math.inf)),
                                           np.full(3, math.inf))
+
+
+# prior draws with exponential and normal bases: lambda0 = 0 on the first makes a defective
+# dfr, and with the second a defective mbt
+_D1 = draw_gamma_process(GammaProcessParams(3.0, 1.0, 50, ExponentialBase(1.0)), RandomStream(2))
+_D2 = draw_gamma_process(GammaProcessParams(3.0, 1.0, 50, NormalBase(2.0, 1.0)), RandomStream(3))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestWholeTimeAxis:
+    """Every curve is defined, with no warning, at every t >= 0, and at inf takes its limit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hazard_models())
+    @example(DecreasingFailureRate(0.0, _D1))
+    @example(MixtureBathtub(0.5, 0.0, _D1, 0.0, _D2))
+    @example(MixtureBathtub(1.0, 0.1, _D1, 0.1, _D2))
+    @example(LogConvexHazard(2.0, -1.0, draw_of([])))
+    def test_curves_on_the_time_grid(self, model):
+        t = np.sort(time_grid(model.breakpoints()))  # inf last
+        h, cum, surv, dens = (np.asarray(getattr(model, name)(t))
+                              for name in ("hazard", "cum_hazard", "survival", "density"))
+        for name, values in zip(("hazard", "cum_hazard", "survival", "density"),
+                                (h, cum, surv, dens)):
+            assert not np.isnan(values).any(), (name, t[np.isnan(values)])
+        assert np.all(cum[1:] >= cum[:-1])
+        if isinstance(model, MixtureBathtub):
+            s1, s2 = (np.asarray(c.survival(t)) for c in model.components)
+            expected = model.pi * s1 + (1.0 - model.pi) * s2
+        else:
+            expected = np.exp(-cum)
+        np.testing.assert_array_equal(_bits(surv), _bits(expected))
+        limit = model.cum_hazard_limit()
+        assert cum[-1] == model.cum_hazard(math.inf) == limit
+        assert dens[-1] == model.density(math.inf) == 0.0
+
+    def test_defective_values_at_inf(self):
+        dfr, mbt = DecreasingFailureRate(0.0, _D1), MixtureBathtub(0.5, 0.0, _D1, 0.0, _D2)
+        assert dfr.cum_hazard(math.inf) == pytest.approx(0.66676, abs=5e-6)
+        assert dfr.survival(math.inf) == pytest.approx(0.51337, abs=5e-6)
+        assert dfr.density(math.inf) == 0.0
+        assert mbt.cum_hazard(math.inf) == pytest.approx(1.35991, abs=5e-6)
+        assert mbt.hazard(math.inf) == mbt.density(math.inf) == 0.0
+        # the atom at infinity of the KS distance: 1 - exp(-0.66676)
+        d = ks_distance(np.full(100, np.inf), lambda x: 1.0 - np.asarray(dfr.survival(x)))
+        assert d == pytest.approx(0.48663, abs=5e-6)
+
+    @pytest.mark.parametrize("pi", [0.5, 1.0])
+    def test_mixture_hazard_at_inf_is_its_limit(self, demo, pi):
+        mbt = demo["mbt"]
+        model = MixtureBathtub(pi, mbt.lambda01, mbt.draw1, mbt.lambda02, mbt.draw2)
+        # the decreasing component's hazard past its atoms, lambda01 = 0.1, is the lower
+        assert model.hazard(math.inf) == model.hazard(1e308) == 0.1
 
 
 def _masked_cum_hazard(skeleton, t) -> np.ndarray:
@@ -1209,15 +1242,15 @@ class TestExponentialSkeletonFixUp:
 
     CASES = {
         # w0 = 0 makes the first segment linear
-        "w0-zero": LogConvexHazard(1.0, 0.0, _atoms([(0.5, 0.3), (1.5, 0.7)])),
+        "w0-zero": LogConvexHazard(1.0, 0.0, draw_of([(0.5, 0.3), (1.5, 0.7)])),
         # tied atoms, then a zero-rate segment of positive width
-        "tied-zero-rate": LogConvexHazard(0.8, -0.75, _atoms([(1.0, 0.25), (1.0, 0.5),
+        "tied-zero-rate": LogConvexHazard(0.8, -0.75, draw_of([(1.0, 0.25), (1.0, 0.5),
                                                               (2.0, 0.75)])),
         # tied atoms with a zero rate between them: one knot, so no zero-width segment
-        "tied-zero-width": LogConvexHazard(0.8, -0.25, _atoms([(1.0, 0.25), (1.0, 0.5),
+        "tied-zero-width": LogConvexHazard(0.8, -0.25, draw_of([(1.0, 0.25), (1.0, 0.5),
                                                                (2.0, 0.75)])),
         # the coefficients overflow to inf past the first knot
-        "overflow": LogConvexHazard(1e200, 500.0, _atoms([(0.5, 1.0), (1.0, 2.0), (2.0, 3.0)])),
+        "overflow": LogConvexHazard(1e200, 500.0, draw_of([(0.5, 1.0), (1.0, 2.0), (2.0, 3.0)])),
     }
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -1246,10 +1279,10 @@ class TestExponentialSkeletonFixUp:
     @pytest.mark.parametrize("name", ["linear", "exponential", "log-space", *CASES])
     def test_given_segments_equal_the_lookup(self, name):
         model = {
-            "linear": IncreasingFailureRate(0.1, _atoms([(0.5, 0.3), (1.5, 0.7)])),
-            "exponential": LogConvexHazard(1.0, 0.5, _atoms([(1.0, 0.5), (2.0, 1.0)])),
+            "linear": IncreasingFailureRate(0.1, draw_of([(0.5, 0.3), (1.5, 0.7)])),
+            "exponential": LogConvexHazard(1.0, 0.5, draw_of([(1.0, 0.5), (2.0, 1.0)])),
             # the coefficient past t = 1 underflows to 0: its increments are taken in log space
-            "log-space": LogConvexHazard(1.0, -1000.0, _atoms([(1.0, 1001.0)])),
+            "log-space": LogConvexHazard(1.0, -1000.0, draw_of([(1.0, 1001.0)])),
         }.get(name) or self.CASES[name]
         knots = model._skeleton.knots
         grid = RandomStream(8).uniforms(1024 + 10) * (knots[-1] + 2.0)
@@ -1323,7 +1356,7 @@ class TestSumsOfNonNegativeTerms:
 
     def test_lcv_log_hazard_beside_a_large_weight(self):
         # log hazard(3) = log 0.3 - 3000 + (0.5 * 2 + 3 + 3): 0.3 e^-2993 rounds to 0
-        model = LogConvexHazard(0.3, -1000.0, _atoms([(3.0, 1e200), (1.0, 0.5), (2.0, 3.0),
+        model = LogConvexHazard(0.3, -1000.0, draw_of([(3.0, 1e200), (1.0, 0.5), (2.0, 3.0),
                                                       (2.0, 3.0)]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1332,58 +1365,58 @@ class TestSumsOfNonNegativeTerms:
             np.testing.assert_array_equal(model._skeleton.knots, [0.0, 1.0, 2.0, 3.0])
 
 
-_ORACLE_THETAS = st.sampled_from([0.0, 0.5, 1.0, 2.5]) | st.floats(0.0, 10.0)
-# zero weights, and weights whose ratios reach 1e20
-_ORACLE_WEIGHTS = st.just(0.0) | st.builds(lambda m, k: m * 10.0 ** k, st.floats(0.5, 2.0),
-                                           st.integers(-20, 0))
-
-
-@st.composite
-def _oracle_cases(draw, variant):
-    """A model of the variant on 1-8 generated atoms, and times at, beside and between them."""
-
-    def atoms():
-        k = draw(st.integers(1, 8))
-        return GammaProcessDraw.from_atoms(draw(st.lists(_ORACLE_THETAS, min_size=k, max_size=k)),
-                                           draw(st.lists(_ORACLE_WEIGHTS, min_size=k, max_size=k)))
-
-    d = atoms()
-    lambda0 = draw(st.just(0.0) | st.floats(1e-3, 10.0))
-    model = {"ifr": lambda: IncreasingFailureRate(lambda0, d),
-             "dfr": lambda: DecreasingFailureRate(lambda0, d),
-             "sbt": lambda: SuperpositionBathtub(lambda0, d, atoms()),
-             "lcv": lambda: LogConvexHazard(draw(st.floats(1e-3, 10.0)),
-                                            draw(st.floats(-3.0, 3.0)), d)}[variant]()
-    knots = [float(x) for x in model.breakpoints()]
-    near = st.sampled_from(knots).flatmap(
-        lambda x: st.sampled_from([x, float(np.nextafter(x, -1.0)), float(np.nextafter(x, 20.0))]))
-    ts = draw(st.lists(near.filter(lambda x: x >= 0.0) | st.floats(0.0, 12.0), min_size=1,
-                       max_size=10))
-    return model, ts
+def _lcv_in_reach(model, hazard: float, t: float) -> bool:
+    """Whether lcv's budget holds at t: everywhere on the domain it was set on (1-8 atoms of
+    weight at most 2, lambda0 >= 1e-3, t <= 12), and past it where the hazard is 0 or inf or
+    its log terms, |w0| t and sum_k w_k max(t - theta_k, 0), sum to at most 71, the most the
+    runs behind the budget reached; its error grows with them (item 6).  At t = inf the
+    oracle's terms are inf - inf."""
+    weights = model.draw.weights
+    if 0 < weights.size <= 8 and weights.max() <= 2.0 and model.lambda0 >= 1e-3 and t <= 12.0:
+        return True
+    if t == math.inf:
+        return False
+    w0t = _oracle.D(model.w0) * _oracle.D(t)
+    terms = abs(w0t) + _oracle.lcv_log_terms(model, [t])[0][0] - w0t
+    return not 0.0 < hazard < math.inf or terms <= 71
 
 
 class TestHazardAgainstTheAtoms:
     """The hazard within a per-model ulp budget of a 60-digit evaluation from the atoms alone.
 
-    Each budget is twice the worst error over four 1,000-example runs of this
-    strategy per model, with ``target`` steering each run toward large errors:
-    ifr 1.97, dfr 1.21, sbt 2.04 and lcv 117.2 ulp.  lcv's error grows with
-    the size of the terms of its log hazard, as exp turns their rounding into
-    a relative error.  The run here is derandomized, so it is the same every time.
+    Each budget is twice the worst error over four 1,000-example runs of the
+    strategy it was set on (1-8 atoms of weight at most 2, times to 12), with
+    ``target`` steering each run toward large errors: ifr 1.97, dfr 1.21,
+    sbt 2.04 and lcv 117.2 ulp.  On the shared generator, 1,000-example runs
+    reached ifr 1.60, dfr 1.95 and sbt 1.91 ulp, and six for lcv 112-147 ulp
+    where ``_lcv_in_reach`` (93 on the old domain).  lcv's error grows with the
+    size of the terms of its log hazard, as exp turns their rounding into a
+    relative error.  The run here is derandomized, so it is the same every time.
     """
 
     BUDGET_ULP = {"ifr": 4.0, "dfr": 2.5, "sbt": 4.1, "lcv": 235.0}
 
+    @pytest.mark.xfail(strict=True, reason="item 6: lcv's log terms carry their rounding")
+    def test_lcv_past_the_reach_of_the_budget(self):
+        model = LogConvexHazard(1.0, 1.2445386308905517, draw_of([  # log terms of 221 at t
+            (5.239056296069081, 0.07972914593345795), (6.977927309314874, 4.859503849853999),
+            (2.952102720844341, 4.859503849853999), (1.0, 1.7914522166211946),
+            (1.0, 2.438783351353589), (-0.0, 2.7914522166211944), (2.5, 1.9739065285171717)]))
+        t = 13.91846434179434
+        assert _oracle.error_ulp(model.hazard(t), _oracle.hazard(model, t)) <= 235.0
+
     @pytest.mark.parametrize("variant", list(BUDGET_ULP))
     def test_within_budget(self, variant):
         @settings(max_examples=75, deadline=None, database=None, derandomize=True)
-        @given(_oracle_cases(variant))
+        @given(models_and_times((variant,)))
         def check(case):
             model, ts = case
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = np.asarray(model.hazard(np.array(ts))).tolist()
-            errors = [_oracle.error_ulp(g, _oracle.hazard(model, t)) for g, t in zip(got, ts)]
+            errors = [_oracle.error_ulp(g, _oracle.hazard(model, t)) for g, t in zip(got, ts)
+                      if variant != "lcv" or _lcv_in_reach(model, g, t)]
+            assume(errors)  # an example checks at least one time
             target(max(errors))
             assert max(errors) <= self.BUDGET_ULP[variant], (ts, errors)
 

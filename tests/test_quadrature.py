@@ -2,26 +2,15 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from gphazard.gamma_process import GammaProcessDraw
 from gphazard.models import LogConvexHazard
 from gphazard.rng import RandomStream
 from gphazard.validation import DEMO_SEED, DEMO_T_MAX, integrate_hazard
 
+import _oracle
+
 NAMES = ["ifr", "dfr", "lwb", "sbt", "mbt", "lcv"]
-
-
-def _quad_oracle(model, t_end: float) -> float:
-    """QUADPACK on each segment between breakpoints, one scalar hazard call per node."""
-    pts = model.breakpoints()
-    pts = pts[(pts > 0.0) & (pts < t_end)]
-    edges = np.concatenate(([0.0], pts, [t_end]))
-    return sum(
-        quad(lambda s: float(model.hazard(s)), lo, hi, limit=200)[0]
-        for lo, hi in zip(edges[:-1], edges[1:])
-        if hi > lo
-    )
 
 
 def _endpoints(model) -> np.ndarray:
@@ -66,7 +55,7 @@ def test_matches_quad_oracle(demo, name):
     model = demo[name]
     ends = _endpoints(model)
     numeric = integrate_hazard(model, ends)
-    oracle = np.array([_quad_oracle(model, float(t)) for t in ends])
+    oracle = np.array([_oracle.quad_hazard(model, float(t)) for t in ends])
     exact = np.asarray(model.cum_hazard(ends))
     assert numeric[0] == 0.0
     np.testing.assert_allclose(numeric, oracle, rtol=1e-10, atol=0.0)

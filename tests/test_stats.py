@@ -204,3 +204,12 @@ class TestKsDistanceAtInfinity:
     def test_nan_sample_rejected(self):
         with pytest.raises(ValueError, match="not NaN"):
             ks_distance([0.5, np.nan, np.inf], self._half_mass)
+
+    @pytest.mark.parametrize("samples", [[0.25, 0.5], [0.25, np.inf], [np.inf] * 100])
+    def test_nan_cdf_rejected(self, samples):
+        """A CDF that is NaN from 0.5 on: at a finite sample, or at infinity only."""
+        def cdf(x):
+            return np.where(np.asarray(x) >= 0.5, np.nan, self._half_mass(x))
+
+        with pytest.raises(ValueError, match="cdf gave NaN"):
+            ks_distance(samples, cdf)
