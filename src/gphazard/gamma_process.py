@@ -292,14 +292,14 @@ class GammaProcessDraw:
         arr = _as_times(t)
         j = self._count_below(arr, strict=True)
         last = np.concatenate(([0.0], self.ordered.thetas))[j]
-        return _maybe_scalar(self._integrated0[j] + self._mass0[j] * (arr - last), t)
+        return _maybe_scalar(_add_mass_times(self._integrated0[j], self._mass0[j], arr - last), t)
 
     def double_integral_above(self, t):
         """sum_k w_k * min(t, theta_k)."""
         arr = _as_times(t)
         j = self._count_below(arr)
         moment0 = np.concatenate(([0.0], self.ordered.cum_moment))
-        return _maybe_scalar(moment0[j] + arr * self._above0[j], t)
+        return _maybe_scalar(_add_mass_times(moment0[j], self._above0[j], arr), t)
 
     def to_dict(self) -> dict:
         return {
@@ -327,6 +327,13 @@ class GammaProcessDraw:
     @classmethod
     def from_json(cls, text: str) -> "GammaProcessDraw":
         return cls.from_dict(json.loads(text))
+
+
+def _add_mass_times(base: np.ndarray, mass: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """base + mass * width, where a zero mass adds 0 even over an infinite width; inf past the
+    double range, with no warning."""
+    with np.errstate(over="ignore"):
+        return base + np.multiply(mass, width, out=np.zeros(width.shape), where=mass > 0.0)
 
 
 def stick_weights(sticks, n_atoms: int) -> np.ndarray:

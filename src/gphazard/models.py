@@ -81,7 +81,9 @@ class _Skeleton:
     where the value is inf or nan or c left the double range.  ``values``
     sums whole-segment increments, so the function is weakly monotone at
     rounding scale, and a segment at its end gives the next knot's value bit
-    for bit.  The methods take checked 1-d arrays.
+    for bit; the last segment's increment to t = inf gives ``limit``, so the
+    limit is the value at t = inf by construction.  The methods take checked
+    1-d arrays.
     """
 
     knots: np.ndarray
@@ -89,6 +91,7 @@ class _Skeleton:
     coeffs: np.ndarray
     log_coeffs: np.ndarray | None = None
     values: np.ndarray = field(init=False)
+    limit: float = field(init=False)
 
     def __post_init__(self):
         coeffs = self.coeffs
@@ -102,21 +105,23 @@ class _Skeleton:
         if not (coeffs.min() > 0.0 and coeffs.max() < math.inf):
             self._outside = ~(coeffs < math.inf) | (coeffs == 0.0) & (self.log_coeffs > -math.inf)
         knots = self.knots
-        self.values = np.zeros(knots.size)
-        ends = knots[1:]
-        incs = self._increment(np.s_[:-1], ends, np.subtract(ends, knots[:-1], out=self.values[1:]))
-        np.add.accumulate(incs, out=self.values[1:])
+        ends = np.append(knots[1:], math.inf)
+        cum = np.zeros(knots.size + 1)
+        incs = self._increment(np.s_[:], ends, np.subtract(ends, knots, out=cum[1:]))
+        with np.errstate(over="ignore"):  # inf where the values pass the double range
+            np.add.accumulate(incs, out=cum[1:])
+        self.values, self.limit = cum[:-1], float(cum[-1])
         # an underflowed coefficient keeps its mask only where its segment moves the knot
         # values or the limit, so a model whose vanishing tail adds nothing takes none
         if self._outside is not None:
-            self._outside &= (coeffs != 0.0) | (np.r_[self.values[1:], self.limit()] > self.values)
+            self._outside &= (coeffs != 0.0) | (cum[1:] > self.values)
             self._outside = self._outside if self._outside.any() else None
 
     def _increment(self, seg, t: np.ndarray, dt: np.ndarray, counts=None) -> np.ndarray:
         """Integral of the hazard to each time in ``t`` from the knot of its segment.
 
         ``seg`` indexes the per-segment arrays at each time (an index array, or
-        the build's slice of every segment but the last); with ``counts``, the
+        the build's slice of every segment); with ``counts``, the
         times are the ascending ones of ``_split``, ``counts[l]`` of them from
         ``seg[l]`` on, and each entry is repeated over its run, which allocates
         no index array.  ``dt`` is ``t`` minus that knot, which the caller has
@@ -127,6 +132,8 @@ class _Skeleton:
         coeff = pick(self.coeffs)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if self.rates is None:
+                if self.coeffs[-1] == 0.0:  # a zero level adds 0, even over an infinite width
+                    np.minimum(dt, _DOUBLE_MAX, out=dt)
                 out = np.multiply(dt, coeff, out=dt)
             else:  # expm1(r dt) / r * c in dt's buffer, which keeps dt where r is 0
                 rate = pick(self.rates)
@@ -138,7 +145,7 @@ class _Skeleton:
                 return out
             # from the logs: c exp(log|expm1(x)| - log|r|), log|expm1(x)| = max(x, 0) +
             # log(-expm1(-|x|)), and c dt where r is 0; a zero width adds 0 even where c is inf,
-            # and a zero level (log c = -inf) adds 0 even over an infinite width
+            # and a zero level (log c = -inf) adds 0 as above
             redo = ~(out < math.inf)
             if self._outside is not None:  # an underflowed c gives 0, not inf or nan
                 redo |= pick(self._outside)
@@ -154,25 +161,16 @@ class _Skeleton:
             out[at] = np.exp(y, out=np.zeros(at.size), where=(d > 0.0) & (log_c > -math.inf))
         return out
 
-    def _cum_in(self, seg: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The cumulative hazard at checked 1-d times ``t`` in their segments ``seg``."""
+    def _locate(self, t: np.ndarray, seg=None) -> tuple[np.ndarray, np.ndarray]:
+        """The segment of each time in a checked 1-d ``t``, looked up unless ``seg`` gives it,
+        and the cumulative hazard there."""
+        if seg is None:
+            seg = self.knots.searchsorted(t, "right") - 1
         dt = self.knots[seg]
-        np.subtract(t, dt, out=dt)
-        if self.rates is not None or self._outside is not None:
-            dt = self._increment(seg, t, dt)
-            dt += self.values[seg]
-            return dt
+        cum = self._increment(seg, t, np.subtract(t, dt, out=dt))
         with np.errstate(over="ignore"):  # inf where the value passes the double range
-            if self.coeffs[-1] == 0.0:  # a flat tail adds 0, also at t = inf
-                np.minimum(dt, _DOUBLE_MAX, out=dt)
-            dt *= self.coeffs[seg]
-            dt += self.values[seg]
-        return dt
-
-    def _locate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The segment of each time in a checked 1-d ``t``, and the cumulative hazard there."""
-        seg = self.knots.searchsorted(t, "right") - 1
-        return seg, self._cum_in(seg, t)
+            cum += self.values[seg]
+        return seg, cum
 
     def _split(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, methodcaller, np.ndarray]:
         """The ascending ``times`` split by the knots, in O(K log n): one search of the knots.
@@ -191,22 +189,12 @@ class _Skeleton:
         offsets = spread(self.knots)
         return starts, counts, spread, np.subtract(times, offsets, out=offsets)
 
-    def limit(self) -> float:
-        """The cumulative hazard as t grows without bound, bit for bit its value at t = inf: a
-        decaying tail adds c / -r, rounded as the increment ``expm1(-inf) / r * c`` is."""
-        rate = 0.0 if self.rates is None else float(self.rates[-1])
-        coeff, log_c = self.coeffs[-1], self.log_coeffs[-1]
-        if rate >= 0.0:  # unbounded unless the tail is flat
-            return math.inf if log_c > -math.inf else float(self.values[-1])
-        with np.errstate(over="ignore"):  # from the log where c left the double range
-            tail = (-1.0 / rate * coeff if 0.0 < coeff < math.inf
-                    else np.exp(log_c - math.log(-rate)))
-        return float(self.values[-1] + tail)
-
     def invert(self, arr: np.ndarray) -> np.ndarray:
         """Where the cumulative hazard reaches each checked 1-d target in ``arr``.
 
         Past the limit of a decaying tail (r e / c <= -1) or a flat one (c = 0) the time is ``inf``.
+        A target at a knot value gives the first knot that has it: 0 for 0, and on a plateau the
+        knot where it starts.
         """
         seg = np.maximum(self.values.searchsorted(arr, side="right") - 1, 0)
         knot, base, coeff = self.knots[seg], self.values[seg], self.coeffs[seg]
@@ -228,9 +216,12 @@ class _Skeleton:
                 w = np.log(np.abs(r)) + np.log(e) - log_c
                 past = np.where(r > 0.0, np.logaddexp(0.0, w), np.log1p(-np.exp(w))) / r
                 past = np.where(r == 0.0, np.exp(np.log(e) - log_c), past)
-                step[at] = np.where(e == 0.0, 0.0, past)  # a flat segment's value is at its knot
+                step[at] = past
             t = np.fmin(knot + step, math.inf)  # nan, past a decaying tail's limit, is inf
-        return np.where(arr == 0.0, 0.0, t)
+        hit = (excess == 0.0).nonzero()[0]
+        if hit.size:  # +0.0 where that knot is -0.0
+            t[hit] = self.knots[self.values.searchsorted(arr[hit], "left")] + 0.0
+        return t
 
 
 class HazardModel:
@@ -270,19 +261,17 @@ class HazardModel:
 
     def cum_hazard_limit(self) -> float:
         """Total cumulative hazard as t grows without bound; finite means defective."""
-        return self._skeleton.limit()
+        return self._skeleton.limit
 
     def invert_cum_hazard(self, target):
-        """Smallest-segment solution T of cum_hazard(T) = target, or inf past the limit."""
+        """The smallest T with cum_hazard(T) = target (on a plateau, the knot where it starts), or
+        inf where the target is not reached."""
         x = _as_times(target, "target")
         return _maybe_scalar(self._skeleton.invert(x.reshape(-1)).reshape(x.shape), target)
 
     def _hazard_and_cum(self, t, seg=None):
         """(hazard(t), cum_hazard(t)) at checked 1-d times, in their skeleton segments if given."""
-        if seg is None:
-            seg, cum = self._skeleton._locate(t)
-        else:
-            cum = self._skeleton._cum_in(seg, t)
+        seg, cum = self._skeleton._locate(t, seg)
         return self._segment_hazard(seg, t), cum
 
     def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
@@ -375,7 +364,9 @@ class _StepHazard(HazardModel):
 
     @cached_property
     def _skeleton(self) -> _Skeleton:
-        return _Skeleton(self._knots, None, self._levels_at(self._knots))
+        with np.errstate(over="ignore"):  # a level past the double range is inf
+            levels = self._levels_at(self._knots)
+        return _Skeleton(self._knots, None, levels)
 
 
 class _OnOneDraw:
@@ -578,12 +569,17 @@ class MixtureBathtub(HazardModel):
     def invert_cum_hazard(self, target):
         x = _as_times(target, "target")
         limit = self.cum_hazard_limit()
-        out = np.where(x >= limit, np.inf, 0.0)
-        live = (x > 0.0) & (x < limit)
-        xs = x[live]
         knots, kvals = self._knot_values
+        # where H is flat from its last knot on, it takes its limit there: that target is live
+        top = math.nextafter(limit, math.inf) if kvals[-1] == limit < math.inf else limit
+        out = np.where(x >= top, np.inf, 0.0)
+        live = (x > 0.0) & (x < top)
+        xs = x[live]
         ends = np.concatenate((knots[1:], [np.inf]))
         j = np.maximum(kvals.searchsorted(xs, side="right") - 1, 0)
+        hit = (xs == kvals[j]).nonzero()[0]
+        if hit.size:  # a target at a knot value: Newton stays at the first knot that has it
+            j[hit] = kvals.searchsorted(xs[hit], "left")
         t = knots[j]
         gap = np.full(xs.size, np.inf)
         moving = np.arange(xs.size)

@@ -246,13 +246,17 @@ def _tiny_hazard(model: MixtureBathtub) -> bool:
 
 
 def _full_array_newton(model: MixtureBathtub, x: np.ndarray) -> np.ndarray:
-    """The mixture's Newton inverse with every target evaluated in every round."""
+    """The mixture's Newton inverse with every target evaluated in every round; a target at a
+    knot value, the limit included where H takes it at its last knot, starts at the first knot
+    that has it."""
     limit = model.cum_hazard_limit()
-    out = np.where(x >= limit, np.inf, 0.0)
-    live = (x > 0.0) & (x < limit)
-    xs = x[live]
     knots, kvals = model._knot_values
-    t = knots[np.maximum(np.searchsorted(kvals, xs, side="right") - 1, 0)]
+    top = math.nextafter(limit, math.inf) if kvals[-1] == limit < math.inf else limit
+    out = np.where(x >= top, np.inf, 0.0)
+    live = (x > 0.0) & (x < top)
+    xs = x[live]
+    j = np.maximum(np.searchsorted(kvals, xs, side="right") - 1, 0)
+    t = knots[np.where(xs == kvals[j], np.searchsorted(kvals, xs, side="left"), j)]
     gap = np.full(xs.size, np.inf)
     for _ in range(100):
         lam, cum = model._hazard_and_cum(t)

@@ -33,7 +33,8 @@ from gphazard.validation import DEMO_SEED, demo_models
 
 import _oracle
 from _oracle import bits as _bits
-from _strategies import draw_of, draws, hazard_models, levels, models_and_times, time_grid, times
+from _strategies import (draw_of, draws, hazard_models, levels, model_of, models_and_times,
+                         time_grid, times)
 
 
 class TestHazardValues:
@@ -866,30 +867,38 @@ class TestSkeletonMatchesDrawIntegrals:
     @example(dec=draw_of([]), inc=draw_of([(0.5, 5e-324)]), lambda0=0.0, probes=[])
     def test_cum_hazard_is_lambda0_t_plus_the_integrals(self, dec, inc, lambda0, probes):
         t = np.concatenate((time_grid(np.concatenate((dec.thetas, inc.thetas))), probes, [25.0]))
-        t = t[t <= 1e300]  # past it the closed forms fail (item 19, strict xfail below)
         # 1e-12 relative to the mass times max(t, 25), plus one smallest subnormal per rounded
-        # term (the knots of both draws, lambda0*t and the sum), which a relative bound cannot cover
-        floor = (1e-12 * (lambda0 + dec.gamma + inc.gamma) * np.maximum(t, 25.0)
+        # term (the knots of both draws, lambda0*t and the sum), which a relative bound cannot
+        # cover; at t = inf a finite value is a sum over atoms below 10, so its scale is 25
+        scale = np.where(t < math.inf, np.maximum(t, 25.0), 25.0)
+        floor = (1e-12 * (lambda0 + dec.gamma + inc.gamma) * scale
                  + np.finfo(float).smallest_subnormal * (dec.n_atoms + inc.n_atoms + 2))
-        cases = [
-            (IncreasingFailureRate(lambda0, inc), lambda0 * t + inc.double_integral_below(t)),
-            (DecreasingFailureRate(lambda0, dec), lambda0 * t + dec.double_integral_above(t)),
-            (SuperpositionBathtub(lambda0, dec, inc),
-             lambda0 * t + dec.double_integral_above(t) + inc.double_integral_below(t)),
-        ]
+        # inf past the double range; a zero lambda0 adds 0 at t = inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            lead = np.where(lambda0 > 0.0, lambda0 * t, 0.0)
+            cases = [
+                (IncreasingFailureRate(lambda0, inc), lead + inc.double_integral_below(t)),
+                (DecreasingFailureRate(lambda0, dec), lead + dec.double_integral_above(t)),
+                (SuperpositionBathtub(lambda0, dec, inc),
+                 lead + dec.double_integral_above(t) + inc.double_integral_below(t)),
+            ]
         for model, expected in cases:
             got = model.cum_hazard(t)
-            assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected) + floor), model
+            big = expected == math.inf
+            np.testing.assert_array_equal(got[big], expected[big])
+            g, e = got[~big], expected[~big]
+            assert np.all(np.abs(g - e) <= 1e-12 * np.abs(e) + floor[~big]), model
             assert model.cum_hazard(float(t[-1])) == got[-1]
 
 
-@pytest.mark.xfail(strict=True, reason="item 19: the closed forms at t = 1e308 and inf")
 @pytest.mark.parametrize("t", [1e308, math.inf])
 def test_closed_form_integrals_on_the_whole_axis(t):
-    draw = draw_of([(1.0, 2.0), (2.0, 3.0)])  # mass * t overflows at 1e308; 0 * inf is nan
+    """Past the double range mass * t is inf with no warning, and a zero mass adds 0 at inf."""
+    draw, empty = draw_of([(1.0, 2.0), (2.0, 3.0)]), draw_of([])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert (draw.double_integral_below(t), draw.double_integral_above(t)) == (math.inf, 8.0)
+        assert (empty.double_integral_below(t), empty.double_integral_above(t)) == (0.0, 0.0)
 
 
 def _assert_given_segments_equal_the_lookup(model, t):
@@ -897,11 +906,11 @@ def _assert_given_segments_equal_the_lookup(model, t):
     ``_locate`` finds, and at each knot past 0 in the segment that ends there."""
     skeleton = model._skeleton
     seg, cum = skeleton._locate(t)
-    np.testing.assert_array_equal(_bits(skeleton._cum_in(seg, t)), _bits(cum))
+    np.testing.assert_array_equal(_bits(skeleton._locate(t, seg)[1]), _bits(cum))
     for got, want in zip(model._hazard_and_cum(t, seg), model._hazard_and_cum(t)):
         np.testing.assert_array_equal(_bits(got), _bits(want))
     knots = skeleton.knots
-    ends = skeleton._cum_in(np.arange(knots.size - 1), knots[1:])
+    ends = skeleton._locate(knots[1:], np.arange(knots.size - 1))[1]
     np.testing.assert_array_equal(_bits(ends), _bits(skeleton._locate(knots[1:])[1]))
     np.testing.assert_array_equal(_bits(ends), _bits(skeleton.values[1:]))
 
@@ -1151,6 +1160,39 @@ class TestInfiniteTarget:
                                           np.full(3, math.inf))
 
 
+_PLATEAUS = [  # (model, a value it keeps over several knots or from its last knot on, that knot)
+    (SuperpositionBathtub(0.0, draw_of([(1.0, 1.0)]), draw_of([(3.0, 1.0)])), 1.0, 1.0),
+    (LoWengBathtub(0.0, 2.0, draw_of([(0.5, 1.0)])), 1.5, 1.5),
+    (MixtureBathtub(0.5, 0.0, draw_of([(1.0, 1.0), (2.0, 0.5)]), 0.0, draw_of([])),
+     0.5662191695169728, 2.0),
+    (MixtureBathtub(1.0, 0.0, draw_of([]), 0.0, draw_of([])), 0.0, 0.0),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestInverseOnPlateaus:
+    """The inverse is the left-continuous generalised inverse inf{t : H(t) >= x}: at a value
+    that H keeps over several knots, or from its last knot on, it is the first of those knots."""
+
+    @pytest.mark.parametrize("model, target, expected", _PLATEAUS,
+                             ids=["sbt", "lwb", "mbt-at-its-limit", "mbt-of-zero"])
+    def test_first_knot_of_a_plateau(self, model, target, expected):
+        assert model.cum_hazard(expected) == target
+        assert model.invert_cum_hazard(target) == expected
+        np.testing.assert_array_equal(model.invert_cum_hazard(np.full(2, target)),
+                                      np.full(2, expected))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hazard_models())
+    def test_repeated_knot_value_gives_its_first_knot(self, model):
+        t = np.append(model._knots, math.inf)  # the value at inf is the limit
+        values = np.asarray(model.cum_hazard(t))
+        first = np.searchsorted(values, values, "left")
+        repeated = (np.bincount(first, minlength=t.size)[first] > 1) & (values < math.inf)
+        np.testing.assert_array_equal(model.invert_cum_hazard(values[repeated]),
+                                      t[first[repeated]])
+
+
 # prior draws with exponential and normal bases: lambda0 = 0 on the first makes a defective
 # dfr, and with the second a defective mbt
 _D1 = draw_gamma_process(GammaProcessParams(3.0, 1.0, 50, ExponentialBase(1.0)), RandomStream(2))
@@ -1195,6 +1237,37 @@ class TestWholeTimeAxis:
         # the atom at infinity of the KS distance: 1 - exp(-0.66676)
         d = ks_distance(np.full(100, np.inf), lambda x: 1.0 - np.asarray(dfr.survival(x)))
         assert d == pytest.approx(0.48663, abs=5e-6)
+
+    @pytest.mark.parametrize("variant", ["ifr", "dfr", "lwb", "sbt", "mbt"])
+    def test_step_levels_past_the_double_range(self, variant):
+        """lambda0 = 1e308 and a 1e308 atom: a level past the double range is inf, quietly."""
+        huge = draw_of([(1.0, 1e308)])
+        model = model_of(variant, huge, huge, 1e308, a=0.5)
+        t = np.array([0.5, 2.0, math.inf])
+        np.testing.assert_array_equal(model.cum_hazard(t)[1:], [math.inf, math.inf])
+        np.testing.assert_array_equal(model.survival(t)[1:], [0.0, 0.0])
+        np.testing.assert_array_equal(model.density(t)[1:], [0.0, 0.0])
+        assert model.cum_hazard_limit() == model.invert_cum_hazard(math.inf) == math.inf
+        event = Dataset(times=np.array([2.0]), observed=np.array([True]), tau=None)
+        assert log_likelihood(model, event) == -math.inf
+        if variant != "mbt":  # the mixture's hazard at 0.5 is nan (strict xfail below)
+            assert not np.isnan(model.hazard(t)).any()
+        if variant == "ifr":
+            assert (model.cum_hazard(0.5), model.invert_cum_hazard(5e307)) == (5e307, 0.5)
+
+    @pytest.mark.parametrize("variant", ["ifr", "lcv"])
+    def test_knot_values_past_the_double_range(self, variant):
+        """Levels of 1e308 over two unit segments: the second knot's value is inf, quietly."""
+        model = model_of(variant, draw_of([(1.0, 0.0), (2.0, 0.0)]), None, 1e308, w0=0.0)
+        np.testing.assert_array_equal(model.cum_hazard([1.5, 2.0]), [1.5e308, math.inf])
+        np.testing.assert_array_equal(model.invert_cum_hazard([1.5e308, math.inf]),
+                                      [1.5, math.inf])
+
+    @pytest.mark.xfail(strict=True, reason="the weight 0 of a component times its inf level")
+    def test_mixture_hazard_beside_an_infinite_level(self):
+        huge = draw_of([(1.0, 1e308)])
+        # at 0.5 the decreasing component's level is inf and its weight 0: the hazard is 1e308
+        assert MixtureBathtub(0.5, 1e308, huge, 1e308, huge).hazard(0.5) == 1e308
 
     @pytest.mark.parametrize("pi", [0.5, 1.0])
     def test_mixture_hazard_at_inf_is_its_limit(self, demo, pi):

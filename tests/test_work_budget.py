@@ -35,7 +35,7 @@ BUDGET = {
     ("lwb", 10): (141, 14), ("lwb", 1000): (141, 14),
     ("sbt", 10): (200, 22), ("sbt", 1000): (200, 22),
     ("mbt", 10): (245, 22), ("mbt", 1000): (247, 23),
-    ("lcv", 10): (146, 15), ("lcv", 1000): (146, 15),
+    ("lcv", 10): (145, 15), ("lcv", 1000): (145, 15),
 }
 VALIDATION_BUDGET = (12_075, 1_564)  # (gphazard calls, named numpy calls) at the documented seed
 
