@@ -26,16 +26,21 @@ from .rng import RandomStream
 from .stats import kaplan_meier
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in the file at ``path``; ValueError naming the ``what`` and the path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise ValueError(f"cannot read {what} {path}: {e}") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{what} {path} is not valid JSON: {e}") from None
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as e:
-        raise ValueError(f"cannot read config {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ValueError(f"config {path} is not valid JSON: {e}") from None
+    cfg = _read_json(path, "config")
     _require_keys(cfg, (), f"config {path}")
     return cfg
 
@@ -78,11 +83,7 @@ def _resolve_draw(cfg: dict, key: str, stream: RandomStream) -> GammaProcessDraw
     if spec is None:
         raise ValueError(f"config is missing the {key!r} section")
     if "file" in spec:
-        try:
-            with open(spec["file"]) as fh:
-                return GammaProcessDraw.from_json(fh.read())
-        except OSError as e:
-            raise ValueError(f"cannot read draw file {spec['file']}: {e}") from None
+        return GammaProcessDraw.from_dict(_read_json(spec["file"], "draw file"))
     params = GammaProcessParams.from_dict({"K": cfg.get("K", 100), **spec})
     return draw_gamma_process(params, stream)
 
@@ -176,11 +177,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_loglik(args) -> int:
-    try:
-        with open(args.model) as fh:
-            model = model_from_dict(json.load(fh))
-    except OSError as e:
-        raise ValueError(f"cannot read model file {args.model}: {e}") from None
+    model = model_from_dict(_read_json(args.model, "model file"))
     data = read_dataset_csv(args.data, tau=args.tau)
     print(f"{log_likelihood(model, data):.12g}")
     return 0

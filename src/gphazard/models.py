@@ -101,13 +101,14 @@ class _Skeleton:
         # known once: whether a rate is exactly 0, and the segments whose coefficient left the
         # double range (inf, or 0 while its log is finite); only these take per-element masks
         self._zero_rate = self.rates is not None and not self.rates.all()
+        self._finite = bool(coeffs.max() < math.inf)  # whether every level is finite
         self._outside = None
-        if not (coeffs.min() > 0.0 and coeffs.max() < math.inf):
+        if not (coeffs.min() > 0.0 and self._finite):
             self._outside = ~(coeffs < math.inf) | (coeffs == 0.0) & (self.log_coeffs > -math.inf)
         knots = self.knots
         ends = np.append(knots[1:], math.inf)
         cum = np.zeros(knots.size + 1)
-        incs = self._increment(np.s_[:], ends, np.subtract(ends, knots, out=cum[1:]))
+        incs = self._increment(itemgetter(np.s_[:]), ends, np.subtract(ends, knots, out=cum[1:]))
         with np.errstate(over="ignore"):  # inf where the values pass the double range
             np.add.accumulate(incs, out=cum[1:])
         self.values, self.limit = cum[:-1], float(cum[-1])
@@ -117,18 +118,15 @@ class _Skeleton:
             self._outside &= (coeffs != 0.0) | (cum[1:] > self.values)
             self._outside = self._outside if self._outside.any() else None
 
-    def _increment(self, seg, t: np.ndarray, dt: np.ndarray, counts=None) -> np.ndarray:
+    def _increment(self, pick, t: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Integral of the hazard to each time in ``t`` from the knot of its segment.
 
-        ``seg`` indexes the per-segment arrays at each time (an index array, or
-        the build's slice of every segment); with ``counts``, the
-        times are the ascending ones of ``_split``, ``counts[l]`` of them from
-        ``seg[l]`` on, and each entry is repeated over its run, which allocates
-        no index array.  ``dt`` is ``t`` minus that knot, which the caller has
-        at hand; the 1-d dt may be overwritten, and ``t`` gives it again where
-        the increment is taken from the logs.
+        ``pick`` gives a per-segment array's entry at each time: ``itemgetter``
+        of the times' segments, or ``_split``'s ``spread``.  ``dt`` is ``t``
+        minus that knot, which the caller has at hand; the 1-d dt may be
+        overwritten, and ``t`` gives it again where the increment is taken
+        from the logs.
         """
-        pick = itemgetter(seg) if counts is None else methodcaller("repeat", counts)
         coeff = pick(self.coeffs)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if self.rates is None:
@@ -150,9 +148,7 @@ class _Skeleton:
             if self._outside is not None:  # an underflowed c gives 0, not inf or nan
                 redo |= pick(self._outside)
             at = redo.nonzero()[0]
-            # the segments of the redone times: from the split's runs, or indexed (the slice from 0)
-            s = (seg.searchsorted(at, "right") - 1 if counts is not None
-                 else seg[at] if isinstance(seg, np.ndarray) else at)
+            s = pick(np.arange(self.knots.size))[at]
             r = 0.0 if self.rates is None else rate[at]
             d = t[at] - self.knots[s]
             x, log_c = r * d, self.log_coeffs[s]
@@ -167,7 +163,7 @@ class _Skeleton:
         if seg is None:
             seg = self.knots.searchsorted(t, "right") - 1
         dt = self.knots[seg]
-        cum = self._increment(seg, t, np.subtract(t, dt, out=dt))
+        cum = self._increment(itemgetter(seg), t, np.subtract(t, dt, out=dt))
         with np.errstate(over="ignore"):  # inf where the value passes the double range
             cum += self.values[seg]
         return seg, cum
@@ -294,7 +290,7 @@ class HazardModel:
                 past = skeleton.coeffs[seg] * spent
             else:  # the increments may overwrite the offsets, read by now
                 lead += skeleton.rates[seg] * spent
-                past = np.add.reduceat(skeleton._increment(starts, obs, offsets, counts), at)
+                past = np.add.reduceat(skeleton._increment(spread, obs, offsets), at)
             observed = float((lead - (n * skeleton.values[seg] + past)).sum())
         observed = observed if observed < math.inf else -math.inf
         return observed, float(skeleton._locate(cens)[1].sum())
@@ -355,9 +351,9 @@ class HazardModel:
 class _StepHazard(HazardModel):
     """Piecewise-constant hazard at least ``lambda0`` >= 0, with a linear skeleton.
 
-    A subclass gives ``_levels_at(knots)``, the hazard from each knot on: the
-    skeleton's ``coeffs``, so the hazard steps exactly where the cumulative
-    hazard bends.
+    A subclass gives ``_levels()``, the hazard from each of its own knots on:
+    the skeleton's ``coeffs``, so the hazard steps exactly where the
+    cumulative hazard bends.
     """
 
     lambda0: float = field(metadata={"domain": "non-negative", "prior": ("offset", -1)})
@@ -365,19 +361,14 @@ class _StepHazard(HazardModel):
     @cached_property
     def _skeleton(self) -> _Skeleton:
         with np.errstate(over="ignore"):  # a level past the double range is inf
-            levels = self._levels_at(self._knots)
+            levels = self._levels()
         return _Skeleton(self._knots, None, levels)
 
 
 class _OnOneDraw:
     """A model whose knots are 0 and its one draw's distinct atoms, which the draw holds."""
 
-    _knots = property(lambda self: self.draw._knots[0])
-
-    def _count_at(self, knots: np.ndarray) -> np.ndarray:
-        """The atoms at or below each knot: at the model's own knots, the draw's run ends."""
-        own, counts = self.draw._knots
-        return counts if knots is own else self.draw._count_below(knots)
+    _knots = cached_property(lambda self: self.draw._knots[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,8 +381,8 @@ class IncreasingFailureRate(_OnOneDraw, _StepHazard):
     draw: GammaProcessDraw
     variant = "ifr"
 
-    def _levels_at(self, knots):
-        return self.lambda0 + self.draw._mass0[self._count_at(knots)]
+    def _levels(self):
+        return self.lambda0 + self.draw._mass0[self.draw._knots[1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,8 +395,8 @@ class DecreasingFailureRate(_OnOneDraw, _StepHazard):
     draw: GammaProcessDraw
     variant = "dfr"
 
-    def _levels_at(self, knots):
-        return self.lambda0 + self.draw._above0[self._count_at(knots)]
+    def _levels(self):
+        return self.lambda0 + self.draw._above0[self.draw._knots[1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,22 +413,24 @@ class LoWengBathtub(_StepHazard):
     draw: GammaProcessDraw
     variant = "lwb"
 
+    @cached_property
     def _mirrored(self) -> tuple[np.ndarray, np.ndarray]:
         """The knots a - theta of the atoms below a, and a + theta of all, in atom order."""
         th = self.draw.ordered.thetas
         return self.a - th[th < self.a], self.a + th
 
-    def _levels_at(self, knots):
+    def _levels(self):
         # a knot's level counts a prefix of the sorted atoms: before a, those whose
         # knot a - theta lies above it; from a on, those whose knot a + theta does not
-        down, up = self._mirrored()
+        knots = self._knots
+        down, up = self._mirrored
         above = down.size - np.searchsorted(down[::-1], knots, "right")
         j = np.where(knots < self.a, above, np.searchsorted(up, knots, "right"))
         return self.draw._mass0[j] + self.lambda0
 
     def breakpoints(self) -> np.ndarray:
         # non-decreasing as it stands: a - theta <= a <= a + theta, and rounding keeps the order
-        down, up = self._mirrored()
+        down, up = self._mirrored
         return _distinct(np.concatenate((down[::-1], [self.a], up)))[0]
 
 
@@ -453,9 +446,9 @@ class SuperpositionBathtub(_StepHazard):
     draw_increasing: GammaProcessDraw = field(metadata={"key": "draw2"})
     variant = "sbt"
 
-    def _levels_at(self, knots):
+    def _levels(self):
         d1, d2 = self.draw_decreasing, self.draw_increasing
-        j1, j2 = d1._count_below(knots), d2._count_below(knots)
+        j1, j2 = d1._count_below(self._knots), d2._count_below(self._knots)
         return self.lambda0 + d1._above0[j1] + d2._mass0[j2]
 
 
@@ -518,7 +511,12 @@ class MixtureBathtub(HazardModel):
         (h1, l1), (h2, l2) = (c._hazard_and_cum(t, s) for c, s in zip(self.components, segs))
         a1, a2, log_s = self._log_weights(l1, l2)
         with np.errstate(invalid="ignore"):  # nan where both L are inf
-            lam = np.exp(a1 - log_s) * h1 + np.exp(a2 - log_s) * h2
+            w1, w2 = np.exp(a1 - log_s), np.exp(a2 - log_s)
+            if not (self._decreasing._skeleton._finite and self._increasing._skeleton._finite):
+                # a term of weight 0 adds 0, even where its level is inf
+                h1, h2 = np.where(w1 == 0.0, 0.0, h1), np.where(w2 == 0.0, 0.0, h2)
+            lam = np.multiply(w1, h1, out=w1)
+            lam += np.multiply(w2, h2, out=w2)
         if log_s.min(initial=0.0) == -math.inf:
             # the weights' limit as both L grow: all of it on the component of the lower hazard
             both = log_s == -math.inf
@@ -546,10 +544,10 @@ class MixtureBathtub(HazardModel):
         with np.errstate(invalid="ignore", over="ignore"):
             for component, log_pi in zip(self.components, self._log_pi):
                 skeleton = component._skeleton
-                starts, counts, spread, offsets = skeleton._split(obs)
+                spread, offsets = skeleton._split(obs)[2:]
                 lead = log_pi + skeleton.log_coeffs
                 lead[~(lead < math.inf)] = -math.inf  # an infinite level
-                cum = skeleton._increment(starts, obs, offsets, counts)
+                cum = skeleton._increment(spread, obs, offsets)
                 cum += spread(skeleton.values)
                 log_terms.append(np.subtract(spread(lead), cum, out=cum))
             observed = float(np.logaddexp(*log_terms).sum()) - obs.size * self._log_one

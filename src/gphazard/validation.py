@@ -20,7 +20,6 @@ from .gamma_process import (
     NormalBase,
     _maybe_scalar,
     draw_gamma_process,
-    expected_tail_mass,
 )
 from .likelihood import log_likelihood
 from .models import (
@@ -187,13 +186,20 @@ def _complement_check(models, stream):
 
 
 def _truncation_checks(models, stream):
-    reps = 1000
-    remaining = np.cumprod(1.0 - stream.betas(1.0, 3.0, 40 * reps).reshape(reps, 40), axis=1)
-    for k, tails in ((4, remaining[:, 3]), (40, remaining[:, 39])):
-        target = expected_tail_mass(3.0, k)
-        se = tails.std(ddof=1) / math.sqrt(reps)
-        yield (f"truncation-tail-mass[k={k}]", abs(tails.mean() - target), 3.0 * se,
-               f"|mean-{target:.3g}| vs 3 SE")
+    """The tail mass T_k left after k sticks V ~ Beta(1, alpha), by its exact law.
+
+    -log(1 - V) is Exp(alpha), so -log T_k is Gamma(k, rate alpha), with mean
+    k/alpha and sd sqrt(k)/alpha: the mean of -log T_k over the replicates is
+    held to 3.89 of its sd, a two-sided false-alarm rate of 1e-4.
+    """
+    reps, alpha = 1000, 3.0
+    sticks = stream.betas(1.0, alpha, 40 * reps).reshape(reps, 40)
+    logs = np.log1p(np.negative(sticks, out=sticks), out=sticks)  # log(1 - V), in place
+    for k in (4, 40):
+        neg_log_tails = -logs[:, :k].sum(axis=1)
+        yield (f"truncation-tail-mass[k={k}]", abs(neg_log_tails.mean() - k / alpha),
+               3.89 * math.sqrt(k) / (alpha * math.sqrt(reps)),
+               f"|mean -log T_k - {k}/{alpha:g}| vs 3.89 sd, rate 1e-4")
 
 
 def _roundtrip_checks(models, stream):

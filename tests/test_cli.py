@@ -117,6 +117,35 @@ class TestCurves:
         main(["curves", "--config", str(out1) + ".config.json", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    # the six variants, flat tails (a zero level adds 0 up to t = inf), a decaying lcv tail,
+    # a step level past the double range (1e308 plus a 1e308 atom is inf), and an mbt whose
+    # component of weight 0 has an inf level
+    TOP = {
+        "ifr": {"model": "ifr", "lambda0": 0.1},
+        "dfr": {"model": "dfr", "lambda0": 0.1},
+        "lwb": {"model": "lwb", "lambda0": 0.1, "a": 0.6},
+        "sbt": {"model": "sbt", "lambda0": 0.1},
+        "mbt": {"model": "mbt", "pi": 0.5, "lambda01": 0.1, "lambda02": 0.1},
+        "lcv": {"model": "lcv", "lambda0": 1.0, "w0": -1.0},
+        "dfr-flat": {"model": "dfr", "lambda0": 0.0},
+        "lcv-decaying": {"model": "lcv", "lambda0": 1.0, "w0": -100.0},
+        "mbt-flat": {"model": "mbt", "pi": 0.5, "lambda01": 0.0, "lambda02": 0.0},
+        "ifr-huge": {"model": "ifr", "lambda0": 1e308, "prior": {"file": "huge.json"}},
+        "mbt-huge": {"model": "mbt", "pi": 0.5, "lambda01": 1e308, "lambda02": 1e308,
+                     "prior": {"file": "huge.json"}, "prior2": {"file": "huge.json"}},
+    }
+
+    @pytest.mark.parametrize("name", list(TOP))
+    def test_tmax_at_the_top_of_the_double_range(self, tmp_path, run_cli, name):
+        (tmp_path / "huge.json").write_text(GammaProcessDraw.from_atoms([1.0], [1e308]).to_json())
+        late = {**DEMO_PRIOR, "base": {"kind": "normal", "mean": 2.0, "sd": 1.0}}
+        cfg = _write_config(tmp_path, **{"seed": 1, "prior": DEMO_PRIOR, "prior2": late,
+                                         **self.TOP[name]})
+        rc, _, err = run_cli("curves", "--config", cfg, "--tmax", "1e308", "--out", "top.csv")
+        assert rc == 0, err
+        _, rows = _read_csv(tmp_path / "top.csv")
+        assert not np.isnan(rows).any()
+
     def test_invalid_grid_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, **IFR, seed=6, t_max=-1.0)
         assert main(["curves", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
@@ -426,6 +455,18 @@ class TestMalformedInput:
         self._assert_reported(run_cli(command, "--config", cfg),
                               "needs a path string for 'out', got 5")
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]  # rejected before any write
+
+    @pytest.mark.parametrize("what, text", [("draw file", "{not json"), ("model file", "oops")])
+    def test_malformed_json_file_is_named(self, tmp_path, run_cli, what, text):
+        (tmp_path / "bad.json").write_text(text)
+        if what == "draw file":
+            cfg = _write_config(tmp_path, **{**IFR, "prior": {"file": "bad.json"}})
+            argv = ("curves", "--config", cfg, "--out", "out.csv")
+        else:
+            (tmp_path / "data.csv").write_text("time,status\n1.0,1\n")
+            argv = ("loglik", "--model", "bad.json", "--data", "data.csv")
+        err = self._assert_reported(run_cli(*argv), f"error: {what} bad.json is not valid JSON: ")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["draw", "curves", "simulate"])
     def test_config_that_is_not_an_object(self, tmp_path, run_cli, command):

@@ -111,7 +111,7 @@ class TestBreakpointsProperty:
         """Knots, levels and knot values bit for bit; no lookup or inverse sees a zero's sign."""
         model, ts = case
         knots = np.unique(np.concatenate(([0.0], _reference_breakpoints(model))))
-        reference = _Skeleton(knots, np.zeros(knots.size), model._levels_at(knots))
+        reference = _Skeleton(knots, np.zeros(knots.size), _searched_step_levels(model, knots))
         skeleton = model._skeleton
         _assert_distinct_equal(skeleton.knots, knots, _zero_of(model))
         np.testing.assert_array_equal(_bits(skeleton.coeffs), _bits(reference.coeffs))
@@ -140,6 +140,23 @@ def _searched_levels(model, knots):
                               else draw._above0)[j]
     with np.errstate(divide="ignore"):  # a zero level has log -inf
         return coeffs, np.log(coeffs)
+
+
+def _searched_step_levels(model, knots):
+    """A step model's levels at ``knots``, from the atoms each knot's level counts, searched."""
+    if isinstance(model, (IncreasingFailureRate, DecreasingFailureRate)):
+        return _searched_levels(model, knots)[0]
+    if isinstance(model, SuperpositionBathtub):
+        d1, d2 = model.draw_decreasing, model.draw_increasing
+        j1, j2 = d1._count_below(knots), d2._count_below(knots)
+        return model.lambda0 + d1._above0[j1] + d2._mass0[j2]
+    # lwb: before a, the atoms whose knot a - theta lies above it; from a on, those whose
+    # knot a + theta does not
+    th = model.draw.ordered.thetas
+    down, up = model.a - th[th < model.a], model.a + th
+    above = down.size - np.searchsorted(down[::-1], knots, "right")
+    j = np.where(knots < model.a, above, np.searchsorted(up, knots, "right"))
+    return model.draw._mass0[j] + model.lambda0
 
 
 # ties, an atom at exactly 0 (and at -0.0), K = 1 and no atoms

@@ -1263,11 +1263,12 @@ class TestWholeTimeAxis:
         np.testing.assert_array_equal(model.invert_cum_hazard([1.5e308, math.inf]),
                                       [1.5, math.inf])
 
-    @pytest.mark.xfail(strict=True, reason="the weight 0 of a component times its inf level")
     def test_mixture_hazard_beside_an_infinite_level(self):
         huge = draw_of([(1.0, 1e308)])
-        # at 0.5 the decreasing component's level is inf and its weight 0: the hazard is 1e308
-        assert MixtureBathtub(0.5, 1e308, huge, 1e308, huge).hazard(0.5) == 1e308
+        model = MixtureBathtub(0.5, 1e308, huge, 1e308, huge)
+        # below 1 the decreasing component's level is inf and its weight 0: the hazard is 1e308
+        assert model.hazard(0.5) == 1e308
+        np.testing.assert_array_equal(model.hazard([0.25, 0.5, 0.999]), [1e308] * 3)
 
     @pytest.mark.parametrize("pi", [0.5, 1.0])
     def test_mixture_hazard_at_inf_is_its_limit(self, demo, pi):

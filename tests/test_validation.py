@@ -83,17 +83,18 @@ def test_one_check_result_per_row_built_as_soon_as_it_is_measured(monkeypatch):
 # The FAIL rows that remain at the seeds below, each with its cause (ROADMAP item 15).
 # Seeds 14, 15 and 19 failed defective-dfr-tail and seed 17 sampling-ks[lcv] before
 # ks_distance took infinite samples as an atom at infinity and the tail row censored
-# at a time, and seed 257 identity-log-slope before that row fell back to the segment
-# whose log hazard moves most.  A FAIL row not listed here fails the test, and so does
-# a listed row that passes, so that the table stays the list of what is left.
+# at a time, seed 257 identity-log-slope before that row fell back to the segment whose
+# log hazard moves most, and seed 33 truncation-tail-mass[k=40] before that row held
+# the mean of -log T_k to its exact Gamma law; seed 248 comes closest to that row's
+# limit over seeds 0-399 (3.61 sd against 3.89).  A FAIL row not listed here fails the
+# test, and so does a listed row that passes, so that the table stays the list of what
+# is left.
 KNOWN_FAILURES = {
-    (33, "truncation-tail-mass[k=40]"): "item 15: the 3-SE rule on a right-skewed mean "
-                                        "fails about 2 % of seeds",
     (396, "sampling-ks[lwb]"): "item 15: D = 0.0256 against 0.025, a rare draw of the stream",
 }
 
 
-@pytest.mark.parametrize("seed", [*range(20), 33, 257, 396])
+@pytest.mark.parametrize("seed", [*range(20), 33, 248, 257, 396])
 def test_every_fail_row_is_a_known_one(seed):
     failed = [r.name for r in run_validation(seed) if not r.passed]
     unknown = [name for name in failed if (seed, name) not in KNOWN_FAILURES]
