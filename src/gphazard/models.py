@@ -101,9 +101,8 @@ class _Skeleton:
         # known once: whether a rate is exactly 0, and the segments whose coefficient left the
         # double range (inf, or 0 while its log is finite); only these take per-element masks
         self._zero_rate = self.rates is not None and not self.rates.all()
-        self._finite = bool(coeffs.max() < math.inf)  # whether every level is finite
         self._outside = None
-        if not (coeffs.min() > 0.0 and self._finite):
+        if not (coeffs.min() > 0.0 and coeffs.max() < math.inf):
             self._outside = ~(coeffs < math.inf) | (coeffs == 0.0) & (self.log_coeffs > -math.inf)
         knots = self.knots
         ends = np.append(knots[1:], math.inf)
@@ -512,11 +511,9 @@ class MixtureBathtub(HazardModel):
         a1, a2, log_s = self._log_weights(l1, l2)
         with np.errstate(invalid="ignore"):  # nan where both L are inf
             w1, w2 = np.exp(a1 - log_s), np.exp(a2 - log_s)
-            if not (self._decreasing._skeleton._finite and self._increasing._skeleton._finite):
-                # a term of weight 0 adds 0, even where its level is inf
-                h1, h2 = np.where(w1 == 0.0, 0.0, h1), np.where(w2 == 0.0, 0.0, h2)
-            lam = np.multiply(w1, h1, out=w1)
-            lam += np.multiply(w2, h2, out=w2)
+            # a term of weight 0 adds 0, even where its level is inf; a nan weight stays nan
+            lam = np.multiply(w1, h1, out=w1, where=w1 > 0.0)
+            lam += np.multiply(w2, h2, out=w2, where=w2 > 0.0)
         if log_s.min(initial=0.0) == -math.inf:
             # the weights' limit as both L grow: all of it on the component of the lower hazard
             both = log_s == -math.inf
