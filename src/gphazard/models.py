@@ -191,7 +191,8 @@ class _Skeleton:
         A target at a knot value gives the first knot that has it: 0 for 0, and on a plateau the
         knot where it starts.
         """
-        seg = np.maximum(self.values.searchsorted(arr, side="right") - 1, 0)
+        seg = self.values.searchsorted(arr, "left")
+        seg -= self.values.take(seg, mode="clip") != arr  # back one unless at the knot's value
         knot, base, coeff = self.knots[seg], self.values[seg], self.coeffs[seg]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             excess = arr - base  # nan (inf - inf) where the knot values overflowed
@@ -213,9 +214,7 @@ class _Skeleton:
                 past = np.where(r == 0.0, np.exp(np.log(e) - log_c), past)
                 step[at] = past
             t = np.fmin(knot + step, math.inf)  # nan, past a decaying tail's limit, is inf
-        hit = (excess == 0.0).nonzero()[0]
-        if hit.size:  # +0.0 where that knot is -0.0
-            t[hit] = self.knots[self.values.searchsorted(arr[hit], "left")] + 0.0
+        np.copyto(t, knot + 0.0, where=excess == 0.0)  # +0.0 where that knot is -0.0
         return t
 
 
@@ -461,7 +460,10 @@ class MixtureBathtub(HazardModel):
     underflows where both survivals do.  Sampling picks a component and
     inverts it.  Between pooled knots L1 and L2 are linear, so the mixture
     cumulative hazard is concave there: Newton's method from the left knot of
-    a target's segment rises to the root without overshooting or a bracket.
+    a target's segment rises to the root without overshooting, and the
+    segment's end bounds a step that rounding carries past it.  Where the
+    hazard at the knot is inf, H jumps just past it: Newton starts one double
+    on, and a target inside the jump gives the knot.
     """
 
     pi: float = field(metadata={"domain": "(0, 1]"})
@@ -558,35 +560,29 @@ class MixtureBathtub(HazardModel):
                      for c in self.components)
 
     @cached_property
-    def _knot_values(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._knots, self._hazard_and_cum(self._knots, self._knot_segments)[1]
+    def _knot_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pooled knots, the cumulative hazard there and the hazard from there on."""
+        return self._knots, *self._hazard_and_cum(self._knots, self._knot_segments)[::-1]
 
     def invert_cum_hazard(self, target):
         x = _as_times(target, "target")
         limit = self.cum_hazard_limit()
-        knots, kvals = self._knot_values
+        knots, kvals, khaz = self._knot_values
         # where H is flat from its last knot on, it takes its limit there: that target is live
         top = math.nextafter(limit, math.inf) if kvals[-1] == limit < math.inf else limit
         out = np.where(x >= top, np.inf, 0.0)
         live = (x > 0.0) & (x < top)
         xs = x[live]
-        ends = np.concatenate((knots[1:], [np.inf]))
-        j = np.maximum(kvals.searchsorted(xs, side="right") - 1, 0)
-        hit = (xs == kvals[j]).nonzero()[0]
-        if hit.size:  # a target at a knot value: Newton stays at the first knot that has it
-            j[hit] = kvals.searchsorted(xs[hit], "left")
-        t = knots[j]
+        j = kvals.searchsorted(xs, "left")
+        j -= kvals.take(j, mode="clip") != xs  # back one unless at the knot's value
+        seg1, seg2 = self._knot_segments
+        seg1, seg2, start, end = seg1[j], seg2[j], knots[j], np.append(knots[1:], math.inf)[j]
+        t = np.where(khaz[j] < math.inf, start, np.nextafter(start, math.inf))
         gap = np.full(xs.size, np.inf)
         moving = np.arange(xs.size)
         for _ in range(_NEWTON_MAX_ITER):
-            at, seg = t[moving], j[moving]
-            # the exact iterate stays in the pooled segment it starts in, and so in one
-            # segment of each component; rounding can carry it to the segment's end
-            past = at >= ends[seg]
-            if past.any():
-                seg[past] = knots.searchsorted(at[past], "right") - 1
-                j[moving] = seg
-            lam, cum = self._hazard_and_cum(at, [s[seg] for s in self._knot_segments])
+            at = t[moving]
+            lam, cum = self._hazard_and_cum(at, (seg1[moving], seg2[moving]))
             resid = xs[moving] - cum
             # exact steps shrink the gap x - cum_hazard(t) > 0 every time; once
             # it is closed or stops shrinking, only rounding is left.  A target
@@ -596,10 +592,10 @@ class MixtureBathtub(HazardModel):
                 break
             moving = moving[going]
             gap[moving] = resid[going]
-            t[moving] += resid[going] / lam[going]
+            t[moving] = np.minimum(at[going] + resid[going] / lam[going], end[moving])
         else:
             raise RuntimeError(f"mixture inverse did not converge in {_NEWTON_MAX_ITER} steps")
-        out[live] = t
+        out[live] = np.where(gap < math.inf, t, start)  # a target the start reaches: the knot
         return _maybe_scalar(out, target)
 
     def sample_failures(self, n: int, stream: RandomStream) -> np.ndarray:

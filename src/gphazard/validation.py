@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _check_range
 from .datasets import Dataset
 from .gamma_process import (
     ExponentialBase,
@@ -400,7 +401,8 @@ _GROUPS = (
 
 
 def run_validation(seed: int = DEMO_SEED, tol_scale: float = 1.0) -> list[CheckResult]:
-    """Run every check at the given seed; tolerances are multiplied by tol_scale."""
+    """Run every check at the given seed; tolerances are multiplied by tol_scale (finite, > 0)."""
+    tol_scale = _check_range("tol_scale", tol_scale, "positive")
     models = demo_models(seed)
     stream = RandomStream(seed).split(99)
     return [_check(*row, tol_scale)

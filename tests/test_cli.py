@@ -333,6 +333,13 @@ class TestValidate:
         assert rc == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
+    def test_a_tolerance_scale_that_is_not_finite_and_positive_is_one_error(self, run_cli, scale):
+        rc, out, err = run_cli("validate", "--tol-scale", scale)
+        assert rc == 1 and out == ""
+        assert err.splitlines() == [f"error: tol_scale must be finite and positive, "
+                                    f"got {float(scale)!r}"]
+
 
 class TestMalformedInput:
     """Bad scalars and missing keys end in one 'error:' line naming the field, exit 1."""

@@ -262,30 +262,44 @@ def _tiny_hazard(model: MixtureBathtub) -> bool:
                                          (c._skeleton.coeffs for c in model.components)))
 
 
+def _target_segments(kvals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each target's pooled segment: the last knot whose value is below it, or the first knot
+    whose value equals it."""
+    j = np.maximum(np.searchsorted(kvals, x, side="right") - 1, 0)
+    return np.where(x == kvals[j], np.searchsorted(kvals, x, side="left"), j)
+
+
 def _full_array_newton(model: MixtureBathtub, x: np.ndarray) -> np.ndarray:
-    """The mixture's Newton inverse with every target evaluated in every round; a target at a
-    knot value, the limit included where H takes it at its last knot, starts at the first knot
-    that has it."""
+    """The mixture's Newton inverse with every target evaluated in every round.
+
+    Each target is evaluated in its pooled segment, and no step passes the
+    segment's end.  Newton starts at the segment's knot, one double past it
+    where the hazard there is inf, and a target that start already reaches
+    gives the knot.  A target at a knot value, the limit included where H
+    takes it at its last knot, starts at the first knot that has it.
+    """
     limit = model.cum_hazard_limit()
-    knots, kvals = model._knot_values
+    knots, kvals, khaz = model._knot_values
     top = math.nextafter(limit, math.inf) if kvals[-1] == limit < math.inf else limit
     out = np.where(x >= top, np.inf, 0.0)
     live = (x > 0.0) & (x < top)
     xs = x[live]
-    j = np.maximum(np.searchsorted(kvals, xs, side="right") - 1, 0)
-    t = knots[np.where(xs == kvals[j], np.searchsorted(kvals, xs, side="left"), j)]
+    j = _target_segments(kvals, xs)
+    start, end = knots[j], np.append(knots[1:], np.inf)[j]
+    segs = [c._skeleton.knots.searchsorted(start, "right") - 1 for c in model.components]
+    t = np.where(khaz[j] < np.inf, start, np.nextafter(start, np.inf))
     gap = np.full(xs.size, np.inf)
     for _ in range(100):
-        lam, cum = model._hazard_and_cum(t)
+        lam, cum = model._hazard_and_cum(t, segs)
         resid = xs - cum
         going = (resid > 0.0) & (resid < gap)
         if not going.any():
             break
         gap[going] = resid[going]
-        t[going] += resid[going] / lam[going]
+        t[going] = np.minimum(t[going] + resid[going] / lam[going], end[going])
     else:
         raise RuntimeError("no convergence")
-    out[live] = t
+    out[live] = np.where(gap < np.inf, t, start)
     return out
 
 
@@ -310,8 +324,15 @@ class TestNewtonOnLiveTargets:
         x = np.concatenate((kvals, np.nextafter(kvals, np.inf), np.nextafter(kvals, -np.inf),
                             extra))
         x = x[x >= 0.0]
-        np.testing.assert_array_equal(_bits(model.invert_cum_hazard(x)),
-                                      _bits(_full_array_newton(model, x)))
+        t = model.invert_cum_hazard(x)
+        np.testing.assert_array_equal(_bits(t), _bits(_full_array_newton(model, x)))
+        # each live inverse lies in its target's pooled segment [knot, next knot]
+        knots = model._knot_values[0]
+        j = _target_segments(kvals, x)
+        live = (x > 0.0) & (t < np.inf)
+        assert np.all(knots[j][live] <= t[live]), x[live][knots[j][live] > t[live]]
+        past = t[live] > np.append(knots[1:], np.inf)[j][live]
+        assert not past.any(), (x[live][past], t[live][past])
 
     @pytest.mark.parametrize("variant", ["demo", "defective-dfr", "pi-one"])
     def test_bits_at_and_beside_the_knot_values(self, demo, variant):
@@ -324,13 +345,16 @@ class TestNewtonOnLiveTargets:
         self._assert_bits_at_and_beside_the_knot_values(model)
 
     @settings(max_examples=300, deadline=None)
-    # the Newton step divides by the mixture hazard, which underflows to 0 (item 6, strict xfail)
+    # the Newton step divides by the mixture hazard, which underflows to 0 (item 20, strict xfail)
     @given(generated_models(("mbt",)).filter(lambda model: not _tiny_hazard(model)), fractions)
     @example(MixtureBathtub(0.4, 0.1, draw_of([(0.5, 0.7), (0.5, 0.7), (1.0, 0.7)]), 0.2,
                             draw_of([(1.0, 1.4), (1.0, 1.4), (2.0, 1.4)])), [0.5])
     @example(MixtureBathtub(0.4, 0.0, draw_of([]), 0.2, draw_of([(0.6, 2.6), (0.6, 2.6)])), [0.9])
     # one ulp below the knot value at 0.47, rounding carries the iterate past the knot
     @example(MixtureBathtub(0.9, 0.1, draw_of([]), 0.2, draw_of([(0.47, 2.14)])), [])
+    # the decreasing component's level is inf below t = 1, so H jumps by log 2 just past 0
+    @example(MixtureBathtub(0.5, 1e308, draw_of([(1.0, 1e308)]), 1e308, draw_of([(1.0, 1e308)])),
+             [0.5])
     def test_bits_on_generated_draws_with_ties(self, model, fractions):
         """Targets at fractions of a scale, and the cumulative hazard on the time grid."""
         scale = min(float(model.cum_hazard(5.0)), 1.2 * model.cum_hazard_limit())
@@ -338,12 +362,25 @@ class TestNewtonOnLiveTargets:
                                 model.cum_hazard(time_grid(model.breakpoints()))))
         self._assert_bits_at_and_beside_the_knot_values(model, extra)
 
-    @pytest.mark.xfail(strict=True, reason="item 6: mbt's Newton step at a hazard that underflows")
+    @pytest.mark.xfail(strict=True, reason="item 20: mbt's Newton step at a hazard that underflows")
     def test_an_underflowing_hazard(self):
         model = MixtureBathtub(0.5, 0.0, draw_of([]), 5e-324, draw_of([]))  # hazard 0.5 * 5e-324
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isfinite(model.invert_cum_hazard(5e-324))
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_target_above_a_jump_at_an_infinite_hazard(self):
+        """The decreasing component's level is inf below t = 1, so H jumps by log 2 just past
+        t = 0 and then rises as 1e308 t: 0.5 lies inside the jump, 1e307 above it."""
+        d = GammaProcessDraw.from_atoms([1.0], [1e308])
+        model = MixtureBathtub(0.5, 1e308, d, 1e308, d)
+        t = model.invert_cum_hazard(1e307)
+        assert t == pytest.approx(0.1, rel=1e-15) and model.cum_hazard(t) == 1e307
+        assert model.invert_cum_hazard(0.5) == 0.0
+        x = np.array([1e307, 0.5])
+        np.testing.assert_array_equal(_bits(model.invert_cum_hazard(x)),
+                                      _bits([model.invert_cum_hazard(v) for v in x]))
 
     def test_each_component_is_searched_once_per_model(self, demo):
         """The Newton loop evaluates in the segments found for the pooled knots, so the

@@ -26,6 +26,7 @@ from gphazard import (
     simulate_dataset,
 )
 from gphazard.gamma_process import base_measure_from_dict
+from gphazard.validation import DEMO_SEED, run_validation
 
 NAN, INF = math.nan, math.inf
 G = GammaProcessDraw.from_atoms([1.0, 2.0], [0.5, 0.5])
@@ -55,6 +56,11 @@ G = GammaProcessDraw.from_atoms([1.0, 2.0], [0.5, 0.5])
         # rejected as not integral, before any draw of that size is attempted
         (lambda: simulate_dataset(IncreasingFailureRate(0.1, G), 1e300, None, RandomStream(1)),
          "n must be positive, integral"),
+        # rejected before any check runs, not reported as FAIL rows
+        (lambda: run_validation(DEMO_SEED, NAN), "tol_scale must be finite and positive, got nan"),
+        (lambda: run_validation(DEMO_SEED, INF), "tol_scale must be finite and positive, got inf"),
+        (lambda: run_validation(DEMO_SEED, -1), "tol_scale must be finite and positive, got -1"),
+        (lambda: run_validation(DEMO_SEED, 0), "tol_scale must be finite and positive, got 0"),
     ],
 )
 def test_out_of_domain_input_raises_naming_the_field(build, message):

@@ -37,7 +37,7 @@ BUDGET = {
     ("mbt", 10): (241, 22), ("mbt", 1000): (243, 23),
     ("lcv", 10): (144, 15), ("lcv", 1000): (144, 15),
 }
-VALIDATION_BUDGET = (10_810, 1_564)  # (gphazard calls, named numpy calls) at the documented seed
+VALIDATION_BUDGET = (10_805, 1_563)  # (gphazard calls, named numpy calls) at the documented seed
 
 
 def _in_package(frame) -> bool:
