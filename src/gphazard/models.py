@@ -577,7 +577,7 @@ class MixtureBathtub(HazardModel):
         j -= kvals.take(j, mode="clip") != xs  # back one unless at the knot's value
         seg1, seg2 = self._knot_segments
         seg1, seg2, start, end = seg1[j], seg2[j], knots[j], np.append(knots[1:], math.inf)[j]
-        t = np.where(khaz[j] < math.inf, start, np.nextafter(start, math.inf))
+        t = np.nextafter(start, math.inf, out=start.copy(), where=khaz[j] == math.inf)
         gap = np.full(xs.size, np.inf)
         moving = np.arange(xs.size)
         for _ in range(_NEWTON_MAX_ITER):

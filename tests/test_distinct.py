@@ -287,7 +287,7 @@ def _full_array_newton(model: MixtureBathtub, x: np.ndarray) -> np.ndarray:
     j = _target_segments(kvals, xs)
     start, end = knots[j], np.append(knots[1:], np.inf)[j]
     segs = [c._skeleton.knots.searchsorted(start, "right") - 1 for c in model.components]
-    t = np.where(khaz[j] < np.inf, start, np.nextafter(start, np.inf))
+    t = np.where(khaz[j] == np.inf, np.nextafter(start, np.inf), start)
     gap = np.full(xs.size, np.inf)
     for _ in range(100):
         lam, cum = model._hazard_and_cum(t, segs)
