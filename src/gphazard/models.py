@@ -18,7 +18,7 @@ import numpy as np
 from ._checks import (_as_times, _check_count, _check_range, _horizon, _rebuild, _require_keys,
                       _require_reals)
 from .datasets import Dataset
-from .gamma_process import GammaProcessDraw, _distinct, _maybe_scalar
+from .gamma_process import GammaProcessDraw, _add_mass_times, _distinct, _maybe_scalar
 from .likelihood import HyperParams
 from .rng import RandomStream, _categorical_pick
 
@@ -225,9 +225,10 @@ class HazardModel:
     constructor arguments and document keys; a scalar field's metadata
     names its domain (finite if none), outside which construction raises
     ValueError, and any conditional prior.  Its draws are immutable too, so
-    what it caches never goes stale.  By default a time's segment of the
-    cached ``_skeleton`` gives its cumulative hazard and, by
-    ``_segment_hazard``, its hazard.
+    what it caches never goes stale.  ``hazard`` and ``cum_hazard`` read one
+    pointwise kernel, ``_hazard_and_cum``: a subclass gives a cached ``_skeleton``,
+    whose segment of a time gives its cumulative hazard and, by ``_segment_hazard``,
+    its hazard, or (the mixture) a kernel of its own.
     """
 
     variant: str
@@ -241,8 +242,7 @@ class HazardModel:
     def hazard(self, t):
         """Instantaneous failure rate at t (scalar or array)."""
         arr = _as_times(t)
-        seg = self._knots.searchsorted(arr, "right") - 1
-        return _maybe_scalar(self._segment_hazard(seg, arr), t)
+        return _maybe_scalar(self._hazard_and_cum(arr.reshape(-1))[0].reshape(arr.shape), t)
 
     def _segment_hazard(self, seg: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The hazard at checked times ``t`` in skeleton segments ``seg``: the segment's level."""
@@ -251,7 +251,7 @@ class HazardModel:
     def cum_hazard(self, t):
         """Integral of the hazard over [0, t]."""
         arr = _as_times(t)
-        return _maybe_scalar(self._skeleton._locate(arr.reshape(-1))[1].reshape(arr.shape), t)
+        return _maybe_scalar(self._hazard_and_cum(arr.reshape(-1))[1].reshape(arr.shape), t)
 
     def cum_hazard_limit(self) -> float:
         """Total cumulative hazard as t grows without bound; finite means defective."""
@@ -264,7 +264,7 @@ class HazardModel:
         return _maybe_scalar(self._skeleton.invert(x.reshape(-1)).reshape(x.shape), target)
 
     def _hazard_and_cum(self, t, seg=None):
-        """(hazard(t), cum_hazard(t)) at checked 1-d times, in their skeleton segments if given."""
+        """The kernel: hazard and cumulative hazard at checked 1-d times, in ``seg`` if given."""
         seg, cum = self._skeleton._locate(t, seg)
         return self._segment_hazard(seg, t), cum
 
@@ -493,19 +493,14 @@ class MixtureBathtub(HazardModel):
         return _maybe_scalar(out, t)
 
     def density(self, t):
-        out = self.pi * np.asarray(self._decreasing.density(t)) + (1.0 - self.pi) * np.asarray(
-            self._increasing.density(t)
-        )
-        return _maybe_scalar(out, t)
+        # a weight of 0 (pi = 1) adds 0, even where the increasing density is inf
+        f1, f2 = np.asarray(self._decreasing.density(t)), np.asarray(self._increasing.density(t))
+        return _maybe_scalar(_add_mass_times(self.pi * f1, 1.0 - self.pi, f2), t)
 
     def _log_weights(self, l1, l2):
         """a1 = log(pi) - l1, a2 = log(1-pi) - l2 and logaddexp(a1, a2)."""
         a1, a2 = self._log_pi[0] - np.asarray(l1), self._log_pi[1] - np.asarray(l2)
         return a1, a2, np.logaddexp(a1, a2)
-
-    def hazard(self, t):
-        arr = _as_times(t)
-        return _maybe_scalar(self._hazard_and_cum(arr.reshape(-1))[0].reshape(arr.shape), t)
 
     def _hazard_and_cum(self, t, segs=(None, None)):
         """The pair from both components' pairs, in their skeleton segments ``segs`` if given."""
@@ -521,10 +516,6 @@ class MixtureBathtub(HazardModel):
             both = log_s == -math.inf
             lam[both] = np.minimum(h1[both], h2[both] if self.pi < 1.0 else math.inf)
         return lam, self._log_one - log_s
-
-    def cum_hazard(self, t):
-        arr = _as_times(t)
-        return _maybe_scalar(self._hazard_and_cum(arr.reshape(-1))[1].reshape(arr.shape), t)
 
     def cum_hazard_limit(self) -> float:
         log_s = self._log_weights(*(c.cum_hazard_limit() for c in self.components))[2]
@@ -575,14 +566,14 @@ class MixtureBathtub(HazardModel):
         xs = x[live]
         j = kvals.searchsorted(xs, "left")
         j -= kvals.take(j, mode="clip") != xs  # back one unless at the knot's value
-        seg1, seg2 = self._knot_segments
-        seg1, seg2, start, end = seg1[j], seg2[j], knots[j], np.append(knots[1:], math.inf)[j]
-        t = np.nextafter(start, math.inf, out=start.copy(), where=khaz[j] == math.inf)
+        (seg1, seg2), ends = self._knot_segments, np.append(knots[1:], math.inf)
+        t = knots[j]
+        np.nextafter(t, math.inf, out=t, where=khaz[j] == math.inf)
         gap = np.full(xs.size, np.inf)
         moving = np.arange(xs.size)
         for _ in range(_NEWTON_MAX_ITER):
-            at = t[moving]
-            lam, cum = self._hazard_and_cum(at, (seg1[moving], seg2[moving]))
+            at, jm = t[moving], j[moving]
+            lam, cum = self._hazard_and_cum(at, (seg1[jm], seg2[jm]))
             resid = xs[moving] - cum
             # exact steps shrink the gap x - cum_hazard(t) > 0 every time; once
             # it is closed or stops shrinking, only rounding is left.  A target
@@ -592,10 +583,10 @@ class MixtureBathtub(HazardModel):
                 break
             moving = moving[going]
             gap[moving] = resid[going]
-            t[moving] = np.minimum(at[going] + resid[going] / lam[going], end[moving])
+            t[moving] = np.minimum(at[going] + resid[going] / lam[going], ends[jm[going]])
         else:
             raise RuntimeError(f"mixture inverse did not converge in {_NEWTON_MAX_ITER} steps")
-        out[live] = np.where(gap < math.inf, t, start)  # a target the start reaches: the knot
+        out[live] = np.where(gap < math.inf, t, knots[j])  # a target the start reaches: the knot
         return _maybe_scalar(out, target)
 
     def sample_failures(self, n: int, stream: RandomStream) -> np.ndarray:

@@ -243,8 +243,7 @@ def _identity_checks(models, stream):
            "hazard decomposes")
 
     mbt: MixtureBathtub = models["mbt"]
-    dfr = DecreasingFailureRate(mbt.lambda01, mbt.draw1)
-    ifr = IncreasingFailureRate(mbt.lambda02, mbt.draw2)
+    dfr, ifr = mbt.components
     mix_surv = mbt.pi * np.asarray(dfr.survival(ts)) + (1 - mbt.pi) * np.asarray(ifr.survival(ts))
     mix_dens = mbt.pi * np.asarray(dfr.density(ts)) + (1 - mbt.pi) * np.asarray(ifr.density(ts))
     surv = np.asarray(mbt.survival(ts))

@@ -484,6 +484,16 @@ class TestMixtureLogSpace:
             mix.invert_cum_hazard(targets), dfr.invert_cum_hazard(targets), rtol=1e-14, atol=0.0
         )
 
+    def test_pi_one_density_where_the_increasing_density_is_inf(self):
+        # from 1e-306 on the increasing level is 1e308 + 1e308 = inf, where its weight is 0
+        draw = GammaProcessDraw.from_atoms([1.0], [1.0])
+        mix = MixtureBathtub(1.0, 0.1, draw, 1e308, GammaProcessDraw.from_atoms([1e-306], [1e308]))
+        dfr = DecreasingFailureRate(0.1, draw)
+        assert mix.components[1].density(1e-306) == math.inf
+        assert mix.density(1e-306) == dfr.density(1e-306) == 1.1
+        ts = np.array([0.0, 5e-307, 1e-306, 0.5, 1.0, 2.0, 1e308, math.inf])
+        np.testing.assert_array_equal(_bits(mix.density(ts)), _bits(dfr.density(ts)))
+
     @pytest.mark.parametrize("target, expected", [(1.0, None), (0.0, 0.0)])
     def test_scalar_target_gives_float(self, demo, target, expected):
         out = demo["mbt"].invert_cum_hazard(target)
@@ -1034,14 +1044,19 @@ class TestFusedHazardAndCumHazard:
         np.testing.assert_array_equal(_bits(lam), _bits(model.hazard(t)))
         np.testing.assert_array_equal(_bits(cum), _bits(model.cum_hazard(t)))
 
-    @pytest.mark.parametrize("name", ["ifr", "lwb", "mbt", "lcv"])
+    @pytest.mark.parametrize("name", ["ifr", "dfr", "lwb", "sbt", "mbt", "lcv",
+                                      "dfr-defective", "lcv-no-atoms"])
     def test_callers_keep_scalars_and_shapes(self, models, name):
         model = models[name]
         grid = np.linspace(0.0, 4.0, 12)
-        for method in (model.hazard, model.density):
+        for method in (model.hazard, model.cum_hazard, model.survival, model.density,
+                       model.invert_cum_hazard):
             flat = np.asarray(method(grid))
             assert isinstance(method(0.75), float) and method(grid[5]) == flat[5]
             np.testing.assert_array_equal(method(grid.reshape(3, 4)), flat.reshape(3, 4))
+            for shape in ((0,), (2, 0)):
+                empty = method(np.empty(shape))
+                assert isinstance(empty, np.ndarray) and empty.shape == shape
 
     def test_step_levels_past_a_knot_one_ulp_wide(self):
         # the midpoint of two adjacent doubles rounds (to even) onto the upper one
