@@ -478,34 +478,24 @@ class MixtureBathtub(HazardModel):
         with np.errstate(divide="ignore"):  # pi = 1 gives log(1 - pi) = -inf
             log_pi = (math.log(self.pi), float(np.log1p(-self.pi)))
         # _log_one is 0 up to rounding; subtracting it keeps cum_hazard(0) exactly 0
-        vars(self).update(_decreasing=DecreasingFailureRate(self.lambda01, self.draw1),
-                          _increasing=IncreasingFailureRate(self.lambda02, self.draw2),
+        vars(self).update(components=(DecreasingFailureRate(self.lambda01, self.draw1),
+                                      IncreasingFailureRate(self.lambda02, self.draw2)),
                           _log_pi=log_pi, _log_one=float(np.logaddexp(*log_pi)))
 
-    @property
-    def components(self) -> tuple[DecreasingFailureRate, IncreasingFailureRate]:
-        return self._decreasing, self._increasing
-
     def survival(self, t):
-        out = self.pi * np.asarray(self._decreasing.survival(t)) + (1.0 - self.pi) * np.asarray(
-            self._increasing.survival(t)
-        )
-        return _maybe_scalar(out, t)
+        s1, s2 = (np.asarray(c.survival(t)) for c in self.components)
+        return _maybe_scalar(self.pi * s1 + (1.0 - self.pi) * s2, t)
 
     def density(self, t):
         # a weight of 0 (pi = 1) adds 0, even where the increasing density is inf
-        f1, f2 = np.asarray(self._decreasing.density(t)), np.asarray(self._increasing.density(t))
+        f1, f2 = (np.asarray(c.density(t)) for c in self.components)
         return _maybe_scalar(_add_mass_times(self.pi * f1, 1.0 - self.pi, f2), t)
-
-    def _log_weights(self, l1, l2):
-        """a1 = log(pi) - l1, a2 = log(1-pi) - l2 and logaddexp(a1, a2)."""
-        a1, a2 = self._log_pi[0] - np.asarray(l1), self._log_pi[1] - np.asarray(l2)
-        return a1, a2, np.logaddexp(a1, a2)
 
     def _hazard_and_cum(self, t, segs=(None, None)):
         """The pair from both components' pairs, in their skeleton segments ``segs`` if given."""
         (h1, l1), (h2, l2) = (c._hazard_and_cum(t, s) for c, s in zip(self.components, segs))
-        a1, a2, log_s = self._log_weights(l1, l2)
+        a1, a2 = self._log_pi[0] - np.asarray(l1), self._log_pi[1] - np.asarray(l2)
+        log_s = np.logaddexp(a1, a2)
         with np.errstate(invalid="ignore"):  # nan where both L are inf
             w1, w2 = np.exp(a1 - log_s), np.exp(a2 - log_s)
             # a term of weight 0 adds 0, even where its level is inf; a nan weight stays nan
@@ -518,8 +508,9 @@ class MixtureBathtub(HazardModel):
         return lam, self._log_one - log_s
 
     def cum_hazard_limit(self) -> float:
-        log_s = self._log_weights(*(c.cum_hazard_limit() for c in self.components))[2]
-        return float(self._log_one - log_s)
+        """The kernel at t = inf, in each component's last segment."""
+        last = tuple(seg[-1:] for seg in self._knot_segments)
+        return float(self._hazard_and_cum(np.array([math.inf]), last)[1][0])
 
     def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
         """The base's (observed, censored) sums, from log h - H = log f - _log_one at an event.
@@ -541,8 +532,7 @@ class MixtureBathtub(HazardModel):
                 cum += spread(skeleton.values)
                 log_terms.append(np.subtract(spread(lead), cum, out=cum))
             observed = float(np.logaddexp(*log_terms).sum()) - obs.size * self._log_one
-        cums = (c._skeleton._locate(cens)[1] for c in self.components)
-        return observed, float((self._log_one - self._log_weights(*cums)[2]).sum())
+        return observed, float(self._hazard_and_cum(cens)[1].sum())
 
     @cached_property
     def _knot_segments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -592,7 +582,7 @@ class MixtureBathtub(HazardModel):
     def sample_failures(self, n: int, stream: RandomStream) -> np.ndarray:
         """Per record one uniform picks the component (as ``categorical``), the next inverts it."""
         if self.pi == 1.0:  # degenerate mixture, no component pick needed
-            return self._decreasing.sample_failures(n, stream)
+            return self.components[0].sample_failures(n, stream)
         u = stream.uniforms(2 * _check_count("n", n)).reshape(-1, 2)
         pick = _categorical_pick(np.array([self.pi, 1.0 - self.pi]), u[:, 0])
         x = _neg_log(u[:, 1])

@@ -34,10 +34,10 @@ BUDGET = {
     ("dfr", 10): (135, 13), ("dfr", 1000): (135, 13),
     ("lwb", 10): (140, 14), ("lwb", 1000): (140, 14),
     ("sbt", 10): (200, 22), ("sbt", 1000): (200, 22),
-    ("mbt", 10): (241, 22), ("mbt", 1000): (243, 23),
+    ("mbt", 10): (243, 22), ("mbt", 1000): (245, 23),
     ("lcv", 10): (144, 15), ("lcv", 1000): (144, 15),
 }
-VALIDATION_BUDGET = (10_926, 1_563)  # (gphazard calls, named numpy calls) at the documented seed
+VALIDATION_BUDGET = (10_908, 1_563)  # (gphazard calls, named numpy calls) at the documented seed
 
 
 def _in_package(frame) -> bool:
