@@ -456,14 +456,14 @@ class MixtureBathtub(HazardModel):
 
     With log-weights a1 = log(pi) - L1 and a2 = log(1-pi) - L2 the survival
     is exp(logaddexp(a1, a2)), and the hazard (not a bathtub in general)
-    weights the component hazards by exp(a_i - logaddexp(a1, a2)), so nothing
-    underflows where both survivals do.  Sampling picks a component and
-    inverts it.  Between pooled knots L1 and L2 are linear, so the mixture
-    cumulative hazard is concave there: Newton's method from the left knot of
-    a target's segment rises to the root without overshooting, and the
-    segment's end bounds a step that rounding carries past it.  Where the
-    hazard at the knot is inf, H jumps just past it: Newton starts one double
-    on, and a target inside the jump gives the knot.
+    weights the component hazards by 1 / (1 + exp(a2 - a1)) and its mirror,
+    which sum to 1 even where both survivals underflow.  Sampling picks a
+    component and inverts it.  Between pooled knots L1 and L2 are linear, so
+    the mixture cumulative hazard is concave there: Newton's method from the
+    left knot of a target's segment rises to the root without overshooting,
+    and the segment's end bounds a step that rounding carries past it.  Where
+    the hazard at the knot is inf, H jumps just past it: Newton starts one
+    double on, and a target inside the jump gives the knot.
     """
 
     pi: float = field(metadata={"domain": "(0, 1]"})
@@ -496,8 +496,8 @@ class MixtureBathtub(HazardModel):
         (h1, l1), (h2, l2) = (c._hazard_and_cum(t, s) for c, s in zip(self.components, segs))
         a1, a2 = self._log_pi[0] - np.asarray(l1), self._log_pi[1] - np.asarray(l2)
         log_s = np.logaddexp(a1, a2)
-        with np.errstate(invalid="ignore"):  # nan where both L are inf
-            w1, w2 = np.exp(a1 - log_s), np.exp(a2 - log_s)
+        with np.errstate(over="ignore", invalid="ignore"):  # nan where both L are inf
+            w1, w2 = 1.0 / (1.0 + np.exp(a2 - a1)), 1.0 / (1.0 + np.exp(a1 - a2))
             # a term of weight 0 adds 0, even where its level is inf; a nan weight stays nan
             lam = np.multiply(w1, h1, out=w1, where=w1 > 0.0)
             lam += np.multiply(w2, h2, out=w2, where=w2 > 0.0)
@@ -508,9 +508,12 @@ class MixtureBathtub(HazardModel):
         return lam, self._log_one - log_s
 
     def cum_hazard_limit(self) -> float:
-        """The kernel at t = inf, in each component's last segment."""
-        last = tuple(seg[-1:] for seg in self._knot_segments)
-        return float(self._hazard_and_cum(np.array([math.inf]), last)[1][0])
+        return float(self._top()[1])
+
+    def _top(self) -> np.ndarray:
+        """H at the largest double and at t = inf: the kernel in each component's last segment."""
+        last = tuple(seg[[-1, -1]] for seg in self._knot_segments)
+        return self._hazard_and_cum(np.array([_DOUBLE_MAX, math.inf]), last)[1]
 
     def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
         """The base's (observed, censored) sums, from log h - H = log f - _log_one at an event.
@@ -547,10 +550,10 @@ class MixtureBathtub(HazardModel):
 
     def invert_cum_hazard(self, target):
         x = _as_times(target, "target")
-        limit = self.cum_hazard_limit()
+        top_value, limit = self._top()
         knots, kvals, khaz = self._knot_values
-        # where H is flat from its last knot on, it takes its limit there: that target is live
-        top = math.nextafter(limit, math.inf) if kvals[-1] == limit < math.inf else limit
+        # inf for a target above H at the largest double, or at a limit not taken at the last knot
+        top = min(math.nextafter(top_value, math.inf), limit if kvals[-1] < limit else math.inf)
         out = np.where(x >= top, np.inf, 0.0)
         live = (x > 0.0) & (x < top)
         xs = x[live]

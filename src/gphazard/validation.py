@@ -242,17 +242,16 @@ def _identity_checks(models, stream):
     yield ("identity-superposition", np.max(np.abs(whole - parts) / np.abs(whole)), 1e-12,
            "hazard decomposes")
 
+    # the mixture's survival and density mix its components'; its hazard and H come from the weights
     mbt: MixtureBathtub = models["mbt"]
-    dfr, ifr = mbt.components
-    mix_surv = mbt.pi * np.asarray(dfr.survival(ts)) + (1 - mbt.pi) * np.asarray(ifr.survival(ts))
-    mix_dens = mbt.pi * np.asarray(dfr.density(ts)) + (1 - mbt.pi) * np.asarray(ifr.density(ts))
-    surv = np.asarray(mbt.survival(ts))
-    dens = np.asarray(mbt.density(ts))
-    yield "identity-mixture-survival", np.max(np.abs(surv - mix_surv) / surv), 1e-12, ""
-    yield ("identity-mixture-density", np.max(np.abs(dens - mix_dens) / np.maximum(dens, 1e-300)),
-           1e-12, "")
-    yield ("identity-mixture-hazard",
-           np.max(np.abs(np.asarray(mbt.hazard(ts)) * surv - dens) / np.maximum(dens, 1e-300)),
+    surv, dens, lam = (np.asarray(f(ts)) for f in (mbt.survival, mbt.density, mbt.hazard))
+    from_cum = np.exp(-np.asarray(mbt.cum_hazard(ts)))
+    yield ("identity-mixture-survival", np.max(np.abs(surv - from_cum) / surv), 1e-12,
+           "survival=exp(-cum_hazard)")
+    yield ("identity-mixture-density",
+           np.max(np.abs(dens - lam * from_cum) / np.maximum(dens, 1e-300)), 1e-12,
+           "density=hazard*exp(-cum_hazard)")
+    yield ("identity-mixture-hazard", np.max(np.abs(lam * surv - dens) / np.maximum(dens, 1e-300)),
            1e-12, "hazard*survival=density")
 
     lwb: LoWengBathtub = models["lwb"]

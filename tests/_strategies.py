@@ -57,6 +57,13 @@ def generated_models(draw, variants=VARIANTS):
     return model_of(variant, d1, d2, lambda0, a=a, pi=pi, lambda02=draw(levels), w0=draw(slopes))
 
 
+def tiny_hazard(model: MixtureBathtub) -> bool:
+    """Whether a component's weight (pi or 1 - pi) times a positive level is below 1e-300."""
+    return any(weight > 0.0 and np.any((levels > 0.0) & (weight * levels < 1e-300))
+               for weight, levels in zip((model.pi, 1.0 - model.pi),
+                                         (c._skeleton.coeffs for c in model.components)))
+
+
 def hazard_models(variants=VARIANTS):
     """A model of ``variants``: a demonstration model one time in five, else a generated one."""
     demo = st.sampled_from([demo_models(DEMO_SEED)[v] for v in variants])

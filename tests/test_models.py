@@ -8,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, target
+from hypothesis import strategies as st
 
 from gphazard import gamma_process, models
 from gphazard._checks import _check_range
@@ -33,8 +34,8 @@ from gphazard.validation import DEMO_SEED, demo_models
 
 import _oracle
 from _oracle import bits as _bits
-from _strategies import (draw_of, draws, hazard_models, levels, model_of, models_and_times,
-                         time_grid, times)
+from _strategies import (draw_of, draws, generated_models, hazard_models, levels, model_of,
+                         models_and_times, time_grid, times, tiny_hazard)
 
 
 class TestHazardValues:
@@ -493,6 +494,37 @@ class TestMixtureLogSpace:
         assert mix.density(1e-306) == dfr.density(1e-306) == 1.1
         ts = np.array([0.0, 5e-307, 1e-306, 0.5, 1.0, 2.0, 1e308, math.inf])
         np.testing.assert_array_equal(_bits(mix.density(ts)), _bits(dfr.density(ts)))
+
+    @settings(max_examples=300, deadline=None)
+    # a weight times a positive level below 1e-300 underflows: the hazard can fall below both
+    @given(generated_models(("mbt",)).filter(lambda model: not tiny_hazard(model)),
+           st.lists(st.floats(0.0, 20.0) | st.floats(1e15, 1e308), max_size=10))
+    # both components' hazards are 1 (0.9447 at 1e15 and 2.0 at 1e16 from weights exp(a_i - log S))
+    @example(MixtureBathtub(0.5, 1.0, draw_of([]), 1.0, draw_of([])), [1.0, 1e15, 1e16])
+    @example(MixtureBathtub(0.5, 1e308, draw_of([]), 1e308, draw_of([])), [0.1])  # not inf
+    def test_hazard_between_the_components_hazards(self, model, extra):
+        """The weights sum to 1 on the whole time axis, also where both L are large."""
+        t = np.concatenate((time_grid(model.breakpoints()), extra))
+        h, (h1, h2) = model.hazard(t), (c.hazard(t) for c in model.components)
+        low = np.nextafter(np.nextafter(np.minimum(h1, h2), -math.inf), -math.inf)
+        high = np.nextafter(np.nextafter(np.maximum(h1, h2), math.inf), math.inf)  # 2 ulp
+        outside = ~((low <= h) & (h <= high))
+        assert not outside.any(), (t[outside], h[outside], h1[outside], h2[outside])
+
+    def test_a_target_above_h_at_the_largest_double(self, demo):
+        """No finite time reaches it: inf, without Newton's step overflowing."""
+        mbt = demo["mbt"]
+        top = mbt.cum_hazard(np.finfo(float).max)
+        assert top == 1.7976931348623158e307
+        assert mbt.invert_cum_hazard(1e308) == mbt.invert_cum_hazard(np.nextafter(top, 1e308))
+        assert mbt.invert_cum_hazard(1e308) == math.inf
+        assert mbt.invert_cum_hazard(top) == np.finfo(float).max
+        edge = MixtureBathtub(0.5, 5e-324, draw_of([(0.27034639947035694, 1e300)]), 5e-324,
+                              draw_of([]))
+        assert edge.cum_hazard(np.finfo(float).max) == pytest.approx(math.log(2.0))
+        assert edge.invert_cum_hazard(0.7) == math.inf
+        np.testing.assert_array_equal(mbt.invert_cum_hazard([1e308, top, 1e307]),
+                                      [math.inf, np.finfo(float).max, mbt.invert_cum_hazard(1e307)])
 
     @pytest.mark.parametrize("target, expected", [(1.0, None), (0.0, 0.0)])
     def test_scalar_target_gives_float(self, demo, target, expected):

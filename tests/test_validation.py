@@ -5,6 +5,7 @@ import inspect
 import pytest
 
 from gphazard import validation
+from gphazard.models import HazardModel, MixtureBathtub
 from gphazard.validation import DEMO_SEED, run_validation
 
 
@@ -78,6 +79,17 @@ def test_one_check_result_per_row_built_as_soon_as_it_is_measured(monkeypatch):
     assert len({r.name for r in seen}) == 43
     assert [r.name for r in seen] == yielded
     assert [id(r) for r in results] == [id(r) for r in seen]
+
+
+def test_the_mixture_identity_rows_read_its_cumulative_hazard(monkeypatch):
+    """The mixture's survival and density mix its components', so an H 1e-9 off fails both."""
+    def scaled(self, t):
+        return HazardModel.cum_hazard(self, t) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(MixtureBathtub, "cum_hazard", scaled)
+    rows = {r.name: r for r in run_validation(DEMO_SEED)}
+    for name in ("identity-mixture-survival", "identity-mixture-density"):
+        assert not rows[name].passed, (name, rows[name].value)
 
 
 # The FAIL rows that remain at the seeds below, each with its cause (ROADMAP item 15).

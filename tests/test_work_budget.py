@@ -37,7 +37,7 @@ BUDGET = {
     ("mbt", 10): (243, 22), ("mbt", 1000): (245, 23),
     ("lcv", 10): (144, 15), ("lcv", 1000): (144, 15),
 }
-VALIDATION_BUDGET = (10_908, 1_563)  # (gphazard calls, named numpy calls) at the documented seed
+VALIDATION_BUDGET = (10_895, 1_561)  # (gphazard calls, named numpy calls) at the documented seed
 
 
 def _in_package(frame) -> bool:
