@@ -550,10 +550,10 @@ class MixtureBathtub(HazardModel):
 
     def invert_cum_hazard(self, target):
         x = _as_times(target, "target")
-        top_value, limit = self._top()
+        cum_max, limit = self._top()
         knots, kvals, khaz = self._knot_values
         # inf for a target above H at the largest double, or at a limit not taken at the last knot
-        top = min(math.nextafter(top_value, math.inf), limit if kvals[-1] < limit else math.inf)
+        top = min(math.nextafter(cum_max, math.inf), limit if kvals[-1] < limit else math.inf)
         out = np.where(x >= top, np.inf, 0.0)
         live = (x > 0.0) & (x < top)
         xs = x[live]

@@ -1297,8 +1297,7 @@ class TestWholeTimeAxis:
         assert model.cum_hazard_limit() == model.invert_cum_hazard(math.inf) == math.inf
         event = Dataset(times=np.array([2.0]), observed=np.array([True]), tau=None)
         assert log_likelihood(model, event) == -math.inf
-        if variant != "mbt":  # the mixture's hazard at 0.5 is nan (strict xfail below)
-            assert not np.isnan(model.hazard(t)).any()
+        assert not np.isnan(model.hazard(t)).any()
         if variant == "ifr":
             assert (model.cum_hazard(0.5), model.invert_cum_hazard(5e307)) == (5e307, 0.5)
 
