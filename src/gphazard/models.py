@@ -561,12 +561,16 @@ class MixtureBathtub(HazardModel):
         j -= kvals.take(j, mode="clip") != xs  # back one unless at the knot's value
         (seg1, seg2), ends = self._knot_segments, np.append(knots[1:], math.inf)
         t = knots[j]
-        np.nextafter(t, math.inf, out=t, where=khaz[j] == math.inf)
+        # the first round reads the knot table, which holds the kernel's bits at each knot;
+        # only a start moved one double past a knot of inf hazard calls the kernel
+        lam, cum = khaz[j], kvals[j]
+        jump = lam == math.inf
+        if jump.any():
+            np.nextafter(t, math.inf, out=t, where=jump)
+            lam[jump], cum[jump] = self._hazard_and_cum(t[jump], (seg1[j[jump]], seg2[j[jump]]))
         gap = np.full(xs.size, np.inf)
         moving = np.arange(xs.size)
         for _ in range(_NEWTON_MAX_ITER):
-            at, jm = t[moving], j[moving]
-            lam, cum = self._hazard_and_cum(at, (seg1[jm], seg2[jm]))
             resid = xs[moving] - cum
             # exact steps shrink the gap x - cum_hazard(t) > 0 every time; once
             # it is closed or stops shrinking, only rounding is left.  A target
@@ -576,7 +580,9 @@ class MixtureBathtub(HazardModel):
                 break
             moving = moving[going]
             gap[moving] = resid[going]
-            t[moving] = np.minimum(at[going] + resid[going] / lam[going], ends[jm[going]])
+            jm = j[moving]
+            t[moving] = np.minimum(t[moving] + resid[going] / lam[going], ends[jm])
+            lam, cum = self._hazard_and_cum(t[moving], (seg1[jm], seg2[jm]))
         else:
             raise RuntimeError(f"mixture inverse did not converge in {_NEWTON_MAX_ITER} steps")
         out[live] = np.where(gap < math.inf, t, knots[j])  # a target the start reaches: the knot

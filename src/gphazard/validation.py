@@ -346,15 +346,27 @@ def _likelihood_checks(models, stream):
     atoms = GammaProcessDraw.from_atoms([50.0], [1.0])
     denom = times[observed].sum() + 2 * 3.0
     analytic = observed.sum() / denom
+
+    def score(rate):
+        return log_likelihood(IncreasingFailureRate(rate, atoms), data)
+
+    # golden-section search of the concave likelihood: each round drops the side of the
+    # worse interior point (the right one on a tie) and scores one new point, 49 in all
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = 1e-4, 5.0
-    best = lo
-    for _ in range(6):
-        grid = np.linspace(lo, hi, 101)
-        vals = [log_likelihood(IncreasingFailureRate(l, atoms), data) for l in grid]
-        best = grid[int(np.argmax(vals))]
-        span = (hi - lo) / 50.0
-        lo, hi = max(1e-9, best - span), best + span
-    yield "likelihood-mle", abs(best - analytic), 1e-6, "grid search vs closed form"
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = score(c), score(d)
+    while hi - lo > 1e-9:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = score(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = score(d)
+    best = c if fc >= fd else d
+    yield "likelihood-mle", abs(best - analytic), 1e-6, "golden-section search vs closed form"
 
 
 def _km_checks(models, stream):

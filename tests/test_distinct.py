@@ -401,6 +401,28 @@ class TestNewtonOnLiveTargets:
         model.invert_cum_hazard(x[::-1])
         assert CountedKnots.searches == 2
 
+    def test_newton_starts_from_the_knot_table(self, demo, monkeypatch):
+        """The first Newton step reads H and the hazard at each start knot from the knot
+        table, so the kernel evaluates no start knot whose hazard is finite."""
+        mbt = demo["mbt"]
+        x = RandomStream(3).uniforms(10_000) * float(mbt.cum_hazard(8.0))
+        knots, kvals, khaz = mbt._knot_values
+        j = _target_segments(kvals, x)
+        starts = np.unique(knots[j][khaz[j] < np.inf])
+        expected = _full_array_newton(mbt, x)
+        points = []
+        kernel = MixtureBathtub._hazard_and_cum
+
+        def counted(self, t, segs=(None, None)):
+            points.append(np.array(t, dtype=float).ravel())
+            return kernel(self, t, segs)
+
+        monkeypatch.setattr(MixtureBathtub, "_hazard_and_cum", counted)
+        np.testing.assert_array_equal(_bits(mbt.invert_cum_hazard(x)), _bits(expected))
+        points = np.concatenate(points)
+        assert starts.size > 1 and points.size > 0
+        assert not np.isin(points, starts).any(), np.count_nonzero(np.isin(points, starts))
+
 
 class TestGaussLegendreConstants:
     def test_equal_leggauss_bit_for_bit(self):

@@ -246,6 +246,9 @@ class TestOrderedView:
         d = draw_gamma_process(_demo_params(), RandomStream(10))
         assert abs(d.ordered.cum_mass[-1] - d.gamma) <= 1e-12 * d.gamma
 
+    def test_total_mass_sums_every_atom(self):
+        assert GammaProcessDraw.from_atoms([1.0, 2.0], [0.25, 0.75]).total_mass() == 1.0
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_tied_atoms_keep_their_given_order(self, seed):
         # the same arrays as a stable sort, so the prefix sums keep their bits under ties
@@ -258,6 +261,15 @@ class TestOrderedView:
                               (o.cum_mass, np.cumsum(weights[idx])),
                               (o.cum_moment, np.cumsum(weights[idx] * thetas[idx]))]:
             np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_ties_behind_a_unique_smallest_atom_keep_their_given_order(self):
+        # a tie anywhere takes the stable sort, not only a tie with the smallest atom
+        rng = np.random.default_rng(4)
+        weights = np.arange(1.0, 13.0)
+        for _ in range(200):
+            thetas = np.concatenate(([0.5], rng.choice([1.0, 2.0, 3.0], 11)))
+            o = GammaProcessDraw.from_atoms(thetas, weights).ordered
+            np.testing.assert_array_equal(o.weights, weights[np.argsort(thetas, kind="stable")])
 
 
 class TestExpectedTailMass:
@@ -302,6 +314,11 @@ class TestSerialization:
             GammaProcessDraw(gamma=5.0, thetas=[1.0], sticks=[], weights=[1.0])
         with pytest.raises(ValueError):
             GammaProcessDraw(gamma=1.0, thetas=[-1.0], sticks=[], weights=[1.0])
+
+    def test_mass_below_one_closes_to_an_absolute_tolerance(self):
+        # the closure tolerance is 1e-9 times max(1, gamma): 7e-10 off a total mass of 0.5 passes
+        d = GammaProcessDraw(gamma=0.5, thetas=[1.0, 2.0], sticks=[], weights=[0.25, 0.25 + 7e-10])
+        assert d.gamma == 0.5
 
     @pytest.mark.parametrize(
         "build, field",

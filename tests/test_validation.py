@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 from gphazard import validation
-from gphazard.models import HazardModel, MixtureBathtub
+from gphazard.models import HazardModel, IncreasingFailureRate, MixtureBathtub
 from gphazard.validation import DEMO_SEED, run_validation
 
 
@@ -90,6 +90,32 @@ def test_the_mixture_identity_rows_read_its_cumulative_hazard(monkeypatch):
     rows = {r.name: r for r in run_validation(DEMO_SEED)}
     for name in ("identity-mixture-survival", "identity-mixture-density"):
         assert not rows[name].passed, (name, rows[name].value)
+
+
+def _likelihood_mle(monkeypatch):
+    monkeypatch.setattr(validation, "_GROUPS", ((11, validation._likelihood_checks),))
+    return {r.name: r for r in run_validation(DEMO_SEED)}["likelihood-mle"]
+
+
+def test_the_likelihood_mle_row_finds_the_closed_form(monkeypatch):
+    row = _likelihood_mle(monkeypatch)
+    assert row.passed and row.value <= 1e-8, row.value
+
+
+@pytest.mark.parametrize("wrong", ["maximum 1% off", "flat"])
+def test_the_likelihood_mle_row_fails_a_wrong_likelihood(monkeypatch, wrong):
+    real = validation.log_likelihood
+
+    def shifted(model, data):  # the score at lambda0 / 1.01, so its maximum is 1% above
+        return real(IncreasingFailureRate(model.lambda0 / 1.01, model.draw), data)
+
+    def flat(model, data):
+        return -1.0
+
+    monkeypatch.setattr(validation, "log_likelihood",
+                        {"maximum 1% off": shifted, "flat": flat}[wrong])
+    row = _likelihood_mle(monkeypatch)
+    assert not row.passed, row.value
 
 
 # The FAIL rows that remain at the seeds below, each with its cause (ROADMAP item 15).

@@ -16,6 +16,7 @@ import os
 import sys
 
 import gphazard
+from gphazard import validation
 from gphazard.gamma_process import (ExponentialBase, GammaProcessParams, NormalBase,
                                     draw_gamma_process)
 from gphazard.likelihood import HyperParams, log_likelihood, sample_hyperparams
@@ -37,7 +38,7 @@ BUDGET = {
     ("mbt", 10): (243, 22), ("mbt", 1000): (245, 23),
     ("lcv", 10): (144, 15), ("lcv", 1000): (144, 15),
 }
-VALIDATION_BUDGET = (10_895, 1_561)  # (gphazard calls, named numpy calls) at the documented seed
+VALIDATION_BUDGET = (2_571, 447)  # (gphazard calls, named numpy calls) at the documented seed
 
 
 def _in_package(frame) -> bool:
@@ -108,3 +109,19 @@ def test_run_validation_within_budget():
     run_validation(DEMO_SEED)  # the first run caches what every run reuses
     counts = _count(lambda: run_validation(DEMO_SEED))
     assert counts[0] <= VALIDATION_BUDGET[0] and counts[1] <= VALIDATION_BUDGET[1], counts
+
+
+def test_run_validation_scores_few_likelihoods(monkeypatch):
+    """One score for the constant-hazard row and 49 for the golden-section search of the
+    likelihood-mle row; its 101-point grid refined six times took 606."""
+    calls = 0
+    real = validation.log_likelihood
+
+    def counted(model, data):
+        nonlocal calls
+        calls += 1
+        return real(model, data)
+
+    monkeypatch.setattr(validation, "log_likelihood", counted)
+    run_validation(DEMO_SEED)
+    assert calls <= 52, calls
