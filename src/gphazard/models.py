@@ -559,7 +559,7 @@ class MixtureBathtub(HazardModel):
         xs = x[live]
         j = kvals.searchsorted(xs, "left")
         j -= kvals.take(j, mode="clip") != xs  # back one unless at the knot's value
-        (seg1, seg2), ends = self._knot_segments, np.append(knots[1:], math.inf)
+        (seg1, seg2), ends = self._knot_segments, np.append(knots[1:], _DOUBLE_MAX)
         t = knots[j]
         # the first round reads the knot table, which holds the kernel's bits at each knot;
         # only a start moved one double past a knot of inf hazard calls the kernel
@@ -581,7 +581,20 @@ class MixtureBathtub(HazardModel):
             moving = moving[going]
             gap[moving] = resid[going]
             jm = j[moving]
-            t[moving] = np.minimum(t[moving] + resid[going] / lam[going], ends[jm])
+            # a step past the largest double stops there: every live target is at most H(max)
+            with np.errstate(divide="ignore", over="ignore"):
+                step = resid[going] / lam[going]
+                tiny = lam[going] < np.finfo(float).tiny
+                if tiny.any():  # a hazard below the normal range, or 0: the step from the logs
+                    (h1, l1), (h2, l2) = (c._hazard_and_cum(t[moving][tiny], s[jm[tiny]])
+                                          for c, s in zip(self.components, (seg1, seg2)))
+                    a1, a2 = self._log_pi[0] - l1, self._log_pi[1] - l2
+                    log_s = np.logaddexp(a1, a2)
+                    # a term of weight 0 adds nothing, even where its level is inf
+                    log_lam = np.logaddexp(a1 - log_s + np.log(np.minimum(h1, _DOUBLE_MAX)),
+                                           a2 - log_s + np.log(np.minimum(h2, _DOUBLE_MAX)))
+                    step[tiny] = np.exp(np.log(resid[going][tiny]) - log_lam)
+                t[moving] = np.minimum(t[moving] + step, ends[jm])
             lam, cum = self._hazard_and_cum(t[moving], (seg1[jm], seg2[jm]))
         else:
             raise RuntimeError(f"mixture inverse did not converge in {_NEWTON_MAX_ITER} steps")

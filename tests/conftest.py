@@ -7,9 +7,6 @@ import pytest
 
 import _probe
 from gphazard import cli
-from gphazard.datasets import write_dataset_csv
-from gphazard.models import model_to_dict, simulate_dataset
-from gphazard.rng import RandomStream
 from gphazard.validation import DEMO_SEED, demo_models
 
 
@@ -37,18 +34,14 @@ def run_cli(tmp_path, monkeypatch, capsys):
 
 
 @pytest.fixture(scope="session")
-def probe(tmp_path_factory, demo):
+def probe(tmp_path_factory):
     """The records of the one child process ``tests/_probe.py``, by step name.
 
     Each has the step's ``returncode``, ``stdout`` and ``stderr``, and the
-    watched modules ``loaded`` after it.
+    watched modules ``loaded`` after it.  The child runs with a RuntimeWarning
+    as an error, as the numpy-only CI job runs it.
     """
-    path = tmp_path_factory.mktemp("probe")
-    for name, config in _probe.CONFIGS.items():
-        (path / f"{name}.json").write_text(json.dumps(config))
-    (path / "model.json").write_text(json.dumps(model_to_dict(demo["dfr"])))
-    write_dataset_csv(simulate_dataset(demo["dfr"], 300, 3.0, RandomStream(2)), path / "data.csv")
-    proc = subprocess.run([sys.executable, _probe.__file__, str(path)],
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", _probe.__file__,
+                           str(tmp_path_factory.mktemp("probe"))], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return {name: SimpleNamespace(**record) for name, record in json.loads(proc.stdout).items()}

@@ -12,6 +12,7 @@ from gphazard.models import IncreasingFailureRate, model_to_dict
 from gphazard.rng import RandomStream
 
 DEMO_PRIOR = {"alpha": 3.0, "beta": 1.0, "K": 20, "base": {"kind": "exponential", "rate": 1.0}}
+LATE_PRIOR = {**DEMO_PRIOR, "base": {"kind": "normal", "mean": 2.0, "sd": 1.0}}
 IFR = {"model": "ifr", "lambda0": 0.1, "prior": DEMO_PRIOR}
 
 
@@ -118,8 +119,9 @@ class TestCurves:
         assert out1.read_bytes() == out2.read_bytes()
 
     # the six variants, flat tails (a zero level adds 0 up to t = inf), a decaying lcv tail,
-    # a step level past the double range (1e308 plus a 1e308 atom is inf), and an mbt whose
-    # component of weight 0 has an inf level
+    # a step level past the double range (1e308 plus a 1e308 atom is inf), an mbt whose
+    # component of weight 0 has an inf level, and a pi = 1 mbt whose increasing component,
+    # of weight 0, has an inf density
     TOP = {
         "ifr": {"model": "ifr", "lambda0": 0.1},
         "dfr": {"model": "dfr", "lambda0": 0.1},
@@ -133,13 +135,16 @@ class TestCurves:
         "ifr-huge": {"model": "ifr", "lambda0": 1e308, "prior": {"file": "huge.json"}},
         "mbt-huge": {"model": "mbt", "pi": 0.5, "lambda01": 1e308, "lambda02": 1e308,
                      "prior": {"file": "huge.json"}, "prior2": {"file": "huge.json"}},
+        "mbt-pi1": {"model": "mbt", "pi": 1.0, "lambda01": 0.1, "lambda02": 1e308,
+                    "prior": {"file": "small.json"}, "prior2": {"file": "big.json"}},
     }
 
     @pytest.mark.parametrize("name", list(TOP))
     def test_tmax_at_the_top_of_the_double_range(self, tmp_path, run_cli, name):
-        (tmp_path / "huge.json").write_text(GammaProcessDraw.from_atoms([1.0], [1e308]).to_json())
-        late = {**DEMO_PRIOR, "base": {"kind": "normal", "mean": 2.0, "sd": 1.0}}
-        cfg = _write_config(tmp_path, **{"seed": 1, "prior": DEMO_PRIOR, "prior2": late,
+        for file, atom in {"huge": (1.0, 1e308), "small": (1.0, 1.0), "big": (1e-306, 1e308)}.items():
+            draw = GammaProcessDraw.from_atoms([atom[0]], [atom[1]])
+            (tmp_path / f"{file}.json").write_text(draw.to_json())
+        cfg = _write_config(tmp_path, **{"seed": 1, "prior": DEMO_PRIOR, "prior2": LATE_PRIOR,
                                          **self.TOP[name]})
         rc, _, err = run_cli("curves", "--config", cfg, "--tmax", "1e308", "--out", "top.csv")
         assert rc == 0, err
@@ -188,15 +193,29 @@ class TestScalarsUnderNu:
         assert main(["simulate", "--config", str(out1) + ".config.json", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    # the scalars each variant draws under nu, and its sidecar's replay of them
+    NU = {"ifr": {}, "dfr": {}, "lwb": {"a": 0.6}, "sbt": {"prior2": LATE_PRIOR},
+          "mbt": {"pi": 0.5, "prior2": LATE_PRIOR}, "lcv": {}}
+
+    @pytest.mark.parametrize("variant", list(NU))
+    def test_simulate_replays_from_its_sidecar(self, tmp_path, variant):
+        cfg = _write_config(tmp_path, model=variant, nu=1.0, prior=DEMO_PRIOR, **self.NU[variant],
+                            seed=1, n=200, tau=3.0)
+        out1, out2 = tmp_path / "d1.csv", tmp_path / "d2.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["simulate", "--config", str(out1) + ".config.json", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_a_given_lambda0_skips_its_discarded_draw(self, tmp_path, seed):
         # sd 2e6 for log(lambda0): the draw overflows or underflows exp, yet lambda0 is given
         prior = {"alpha": 2.0, "beta": 1.0, "K": 20}
         cfg = _write_config(tmp_path, model="lcv", lambda0=1.0, nu=1e-6, prior=prior, seed=seed)
-        out1, out2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
-        assert main(["curves", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["curves", "--config", str(out1) + ".config.json", "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        for command, flags in (("curves", []), ("simulate", ["--n", "200", "--tau", "3"])):
+            out1, out2 = tmp_path / f"{command}1.csv", tmp_path / f"{command}2.csv"
+            assert main([command, "--config", cfg, *flags, "--out", str(out1)]) == 0
+            assert main([command, "--config", str(out1) + ".config.json", "--out", str(out2)]) == 0
+            assert out1.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("doc, message", [
         ({"model": "lwb", "lambda0": 0.1}, "lwb needs ['a'] in the config"),
@@ -245,6 +264,18 @@ class TestSimulate:
         main(["simulate", "--config", cfg, "--out", str(out), "--tau", "0.0001"])
         lines = out.read_text().strip().splitlines()[1:]
         assert all(ln == "0.0001,0" for ln in lines)
+
+    def test_draws_past_an_underflowed_lcv_coefficient_are_not_censored(self, tmp_path):
+        # past t = 1 the coefficient exp(-1000) underflows to 0, yet the log-slope of 1 there
+        # brings every draw to fail by t = 1010 or so, well before tau
+        draw = tmp_path / "steep.json"
+        draw.write_text(GammaProcessDraw.from_atoms([1.0], [1001.0]).to_json())
+        cfg = _write_config(tmp_path, model="lcv", lambda0=1.0, w0=-1000.0,
+                            prior={"file": str(draw)}, seed=1, n=200, tau=2000.0)
+        out = tmp_path / "steep.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert rows.shape == (200, 2) and np.all(rows[:, 1] == 1.0)
 
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = _write_config(
@@ -356,7 +387,7 @@ class TestMalformedInput:
         rc, _, err = result
         assert rc == 1
         assert field in err
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         return err
 
     @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -31,6 +31,7 @@ from gphazard.models import (
 )
 from gphazard.rng import RandomStream
 from gphazard.stats import ks_distance
+from gphazard.validation import DEMO_SEED, demo_models
 
 import _oracle
 from _strategies import hazard_models, model_of
@@ -354,6 +355,13 @@ class TestRecordOrder:
 
     @settings(max_examples=60, deadline=None)
     @given(model=hazard_models(), n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    # every variant at least once
+    @example(model=demo_models(DEMO_SEED)["ifr"], n=200, seed=1)
+    @example(model=demo_models(DEMO_SEED)["dfr"], n=200, seed=1)
+    @example(model=demo_models(DEMO_SEED)["lwb"], n=200, seed=1)
+    @example(model=demo_models(DEMO_SEED)["sbt"], n=200, seed=1)
+    @example(model=demo_models(DEMO_SEED)["mbt"], n=200, seed=1)
+    @example(model=demo_models(DEMO_SEED)["lcv"], n=200, seed=1)
     def test_any_permutation_gives_the_same_bits(self, model, n, seed):
         data = simulate_dataset(model, n, 3.0, RandomStream(seed))
         order = np.random.default_rng(seed).permutation(n)

@@ -511,6 +511,11 @@ class TestMixtureLogSpace:
         outside = ~((low <= h) & (h <= high))
         assert not outside.any(), (t[outside], h[outside], h1[outside], h2[outside])
 
+    def test_equal_component_hazards_where_both_cumulative_hazards_are_large(self):
+        e = draw_of([])
+        hazard = MixtureBathtub(0.5, 1.0, e, 1.0, e).hazard(np.array([1.0, 1e15, 1e16]))
+        np.testing.assert_array_equal(hazard, 1.0)  # both weights are 1/2 at every t
+
     def test_a_target_above_h_at_the_largest_double(self, demo):
         """No finite time reaches it: inf, without Newton's step overflowing."""
         mbt = demo["mbt"]
