@@ -141,8 +141,9 @@ class TestCurves:
 
     @pytest.mark.parametrize("name", list(TOP))
     def test_tmax_at_the_top_of_the_double_range(self, tmp_path, run_cli, name):
-        for file, atom in {"huge": (1.0, 1e308), "small": (1.0, 1.0), "big": (1e-306, 1e308)}.items():
-            draw = GammaProcessDraw.from_atoms([atom[0]], [atom[1]])
+        for file, (theta, weight) in {"huge": (1.0, 1e308), "small": (1.0, 1.0),
+                                      "big": (1e-306, 1e308)}.items():
+            draw = GammaProcessDraw.from_atoms([theta], [weight])
             (tmp_path / f"{file}.json").write_text(draw.to_json())
         cfg = _write_config(tmp_path, **{"seed": 1, "prior": DEMO_PRIOR, "prior2": LATE_PRIOR,
                                          **self.TOP[name]})
