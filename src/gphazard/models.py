@@ -36,7 +36,7 @@ __all__ = [
     "model_from_dict",
 ]
 
-_NEWTON_MAX_ITER = 100  # MixtureBathtub's inverse; converging takes at most ~40
+_NEWTON_MAX_ITER = 100  # mixture inverse: at most 8 rounds on the demo models, 42 on generated
 
 _WIDE_LOG = np.finfo(np.longdouble).nmant >= 63
 _MIDPOINT_WINDOW = 0.05
@@ -69,7 +69,7 @@ def _math_log(u: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, u.tolist()), dtype=float, count=u.size)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class _Skeleton:
     """The cumulative hazard of ``coeffs[l] * exp(rates[l] * (t - knots[l]))`` on each segment l.
 
@@ -83,7 +83,8 @@ class _Skeleton:
     rounding scale, and a segment at its end gives the next knot's value bit
     for bit; the last segment's increment to t = inf gives ``limit``, so the
     limit is the value at t = inf by construction.  The methods take checked
-    1-d arrays.
+    1-d arrays.  A subclass with another law per segment (``_MixtureTable``)
+    gives its own ``_increment`` and ``_advance``, and shares the rest.
     """
 
     knots: np.ndarray
@@ -104,6 +105,15 @@ class _Skeleton:
         self._outside = None
         if not (coeffs.min() > 0.0 and coeffs.max() < math.inf):
             self._outside = ~(coeffs < math.inf) | (coeffs == 0.0) & (self.log_coeffs > -math.inf)
+        cum = self._accumulate()
+        # an underflowed coefficient keeps its mask only where its segment moves the knot
+        # values or the limit, so a model whose vanishing tail adds nothing takes none
+        if self._outside is not None:
+            self._outside &= (coeffs != 0.0) | (cum[1:] > self.values)
+            self._outside = self._outside if self._outside.any() else None
+
+    def _accumulate(self) -> np.ndarray:
+        """Sets ``values`` and ``limit`` from the whole-segment increments; returns their sums."""
         knots = self.knots
         ends = np.append(knots[1:], math.inf)
         cum = np.zeros(knots.size + 1)
@@ -111,11 +121,7 @@ class _Skeleton:
         with np.errstate(over="ignore"):  # inf where the values pass the double range
             np.add.accumulate(incs, out=cum[1:])
         self.values, self.limit = cum[:-1], float(cum[-1])
-        # an underflowed coefficient keeps its mask only where its segment moves the knot
-        # values or the limit, so a model whose vanishing tail adds nothing takes none
-        if self._outside is not None:
-            self._outside &= (coeffs != 0.0) | (cum[1:] > self.values)
-            self._outside = self._outside if self._outside.any() else None
+        return cum
 
     def _increment(self, pick, t: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Integral of the hazard to each time in ``t`` from the knot of its segment.
@@ -193,9 +199,17 @@ class _Skeleton:
         """
         seg = self.values.searchsorted(arr, "left")
         seg -= self.values.take(seg, mode="clip") != arr  # back one unless at the knot's value
-        knot, base, coeff = self.knots[seg], self.values[seg], self.coeffs[seg]
+        knot = self.knots[seg]
+        with np.errstate(invalid="ignore"):
+            excess = arr - self.values[seg]  # nan (inf - inf) where the knot values overflowed
+        t = self._advance(seg, knot, excess)
+        np.copyto(t, knot + 0.0, where=excess == 0.0)  # +0.0 where that knot is -0.0
+        return t
+
+    def _advance(self, seg, knot, excess) -> np.ndarray:
+        """The time past each ``knot`` where its segment ``seg`` has added ``excess``."""
+        coeff = self.coeffs[seg]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            excess = arr - base  # nan (inf - inf) where the knot values overflowed
             step = excess / coeff
             finite = np.isfinite(step)
             if self.rates is not None:
@@ -213,9 +227,141 @@ class _Skeleton:
                 past = np.where(r > 0.0, np.logaddexp(0.0, w), np.log1p(-np.exp(w))) / r
                 past = np.where(r == 0.0, np.exp(np.log(e) - log_c), past)
                 step[at] = past
-            t = np.fmin(knot + step, math.inf)  # nan, past a decaying tail's limit, is inf
-        np.copyto(t, knot + 0.0, where=excess == 0.0)  # +0.0 where that knot is -0.0
+            return np.fmin(knot + step, math.inf)  # nan, past a decaying tail's limit, is inf
+
+
+def _weights(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1 / (1 + e^-g) and 1 / (1 + e^g), the smaller as e / (1 + e) with e = e^-|g|, which keeps
+    it into the subnormal range; nan where g is."""
+    e = np.exp(-np.abs(g))
+    big, small = 1.0 / (1.0 + e), e / (1.0 + e)
+    return np.where(g >= 0.0, big, small), np.where(g >= 0.0, small, big)
+
+
+class _MixtureTable(_Skeleton):
+    """The cumulative hazard of the survival mixture pi S1 + (1 - pi) S2, segment by segment.
+
+    ``levels`` and ``cums`` are each component's hazard from, and cumulative
+    hazard at, each knot.  On a segment both levels are constant, so the
+    log-odds of the first component, g = log(pi) - log(1 - pi) - L1 + L2,
+    moves from its knot value g_p by (h2 - h1) dt.  With W1 = 1 / (1 + e^-g_p)
+    and W2 = 1 / (1 + e^g_p), the increment is ``-log1p(W1 expm1(-h1 dt) + W2
+    expm1(-h2 dt))`` below 0.5, and else, or where g_p is inf (a weight is 0,
+    and the other's h dt exact), ``-logaddexp(log W1 - h1 dt, log W2 - h2 dt)``:
+    Maechler (2012), "Accurately computing log(1 - exp(-|a|))".  The hazard is
+    w1 h1 + w2 h2 with the weights of g at t; where both survivals are 0 (g is
+    nan), the weights' limit, the lower level of a component weighted at the knot.
+    """
+
+    def __init__(self, knots, levels, cums, log_pi):
+        self.knots, self.levels, self.cums = knots, levels, cums
+        (h1, h2), (l1, l2) = levels, cums
+        with np.errstate(invalid="ignore"):  # nan where both log-weights are -inf
+            g = (log_pi[0] - l1) - (log_pi[1] - l2)
+        lower = (h1 <= h2) | (log_pi[1] == -math.inf)
+        np.copyto(g, np.where(lower, math.inf, -math.inf), where=np.isnan(g))
+        self.logodds, self.weights = g, _weights(g)
+        self._accumulate()
+
+    _gone = cached_property(lambda self: np.minimum(  # the hazard where g at t is nan
+        np.where(self.logodds > -math.inf, self.levels[0], math.inf),
+        np.where(self.logodds < math.inf, self.levels[1], math.inf)))
+    _knot_hazards = cached_property(lambda self: self.hazard(np.arange(self.knots.size),
+                                                             self.knots))
+    # the inverse is inf above H at the largest double, and at a limit not taken at a knot
+    _top = cached_property(lambda self: min(
+        math.nextafter(float(self._locate(np.array([_DOUBLE_MAX]))[1][0]), math.inf),
+        self.limit if self.values[-1] < self.limit else math.inf))
+
+    def invert(self, arr):
+        t, live = np.full(arr.size, math.inf), arr < self._top
+        t[live] = super().invert(arr[live])
         return t
+
+    def _exponents(self, pick, dt) -> tuple[np.ndarray, np.ndarray]:
+        """h1 dt and h2 dt: 0 where a level of 0 meets dt = inf, or a level of inf dt = 0."""
+        h1, h2 = self.levels
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.fmax(pick(h1) * dt, 0.0), np.fmax(pick(h2) * dt, 0.0)
+
+    def _increment(self, pick, t, dt):
+        (x1, x2), (w1, w2) = self._exponents(pick, dt), map(pick, self.weights)
+        g = pick(self.logodds)
+        # 0.0 - y keeps an increment of 0 at +0.0; log1p of -1 or below lies past 0.5
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = 0.0 - np.log1p(w1 * np.expm1(-x1) + w2 * np.expm1(-x2))
+            big = ~(out < 0.5) | np.isinf(g)  # log W1 = -logaddexp(0, -g), log W2 likewise
+            g, x1, x2 = g[big], x1[big], x2[big]
+            out[big] = 0.0 - np.logaddexp(-np.logaddexp(0.0, -g) - x1, -np.logaddexp(0.0, g) - x2)
+        return out
+
+    def _log_odds(self, seg, t) -> np.ndarray:
+        x1, x2 = self._exponents(itemgetter(seg), t - self.knots[seg])
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self.logodds[seg] + (x2 - x1)
+
+    def hazard(self, seg, t) -> np.ndarray:
+        g, (h1, h2) = self._log_odds(seg, t), self.levels
+        (w1, w2), h1, h2 = _weights(g), h1[seg], h2[seg]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a term of weight 0 adds 0, even where its level is inf; a nan weight stays nan
+            lam = np.multiply(w1, h1, out=w1, where=w1 > 0.0)
+            lam += np.multiply(w2, h2, out=w2, where=w2 > 0.0)
+        return np.where(np.isnan(g), self._gone[seg], lam)
+
+    def _log_hazard(self, seg, t) -> np.ndarray:
+        g = self._log_odds(seg, t)
+        with np.errstate(divide="ignore"):  # a level of 0
+            h1, h2 = (np.log(np.minimum(h[seg], _DOUBLE_MAX)) for h in self.levels)
+        return np.logaddexp(h1 - np.logaddexp(0.0, -g), h2 - np.logaddexp(0.0, g))
+
+    def _pair(self, seg, t):
+        return self.hazard(seg, t), self._increment(itemgetter(seg), t, t - self.knots[seg])
+
+    def _advance(self, seg, knot, excess):
+        """Newton's method on each segment's increment, in t from its knot.
+
+        The increment is concave, so Newton rises to the root without
+        overshooting; the segment's end, or the largest double, caps a step,
+        and a step lost to rounding moves one double, so a target ends at or
+        one double past its root.  Where the first step is lost to rounding (the hazard at the knot is
+        inf, or near it), H jumps just past the knot: Newton starts one double
+        on, and a target inside the jump gives the knot.  A target stops once
+        its gap is closed, or a round neither narrows it nor doubles the step
+        (where a heavy component dies, the hazard may fall by orders of
+        magnitude while the increment rises below the last place of the gap).
+        """
+        ends = np.append(self.knots[1:], _DOUBLE_MAX)[seg]
+        t, lam, cum = knot.copy(), self._knot_hazards[seg], np.zeros(seg.size)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            jump = (knot + excess / lam == knot) & (excess > 0.0)
+        if jump.any():
+            np.nextafter(t, math.inf, out=t, where=jump)
+            lam[jump], cum[jump] = self._pair(seg[jump], t[jump])
+        gap, last, moving = np.full(seg.size, np.inf), np.zeros(seg.size), np.arange(seg.size)
+        for _ in range(_NEWTON_MAX_ITER):
+            resid = excess[moving] - cum
+            live = resid > 0.0
+            moving, resid, lam = moving[live], resid[live], lam[live]
+            s, now = seg[moving], t[moving]
+            with np.errstate(divide="ignore", over="ignore"):  # past the largest double: inf
+                step = resid / lam
+                tiny = lam < np.finfo(float).tiny  # below the normal range, or 0: from the logs
+                if tiny.any():
+                    step[tiny] = np.exp(np.log(resid[tiny]) - self._log_hazard(s[tiny], now[tiny]))
+                going = (resid < gap[moving]) | (0.5 * step > last[moving])
+                if not going.any():
+                    break
+                moving, s, now, step = moving[going], s[going], now[going], step[going]
+                gap[moving], last[moving] = resid[going], step
+                # a step lost to rounding moves one double: past a knot where a heavy component
+                # dies, the increment can take a few doubles to reach a target below its top
+                t[moving] = np.minimum(np.maximum(now + step, np.nextafter(now, math.inf)),
+                                       ends[moving])
+            lam, cum = self._pair(s, t[moving])
+        else:
+            raise RuntimeError(f"mixture inverse did not converge in {_NEWTON_MAX_ITER} steps")
+        return np.where(gap < math.inf, t, knot)
 
 
 class HazardModel:
@@ -228,7 +374,7 @@ class HazardModel:
     what it caches never goes stale.  ``hazard`` and ``cum_hazard`` read one
     pointwise kernel, ``_hazard_and_cum``: a subclass gives a cached ``_skeleton``,
     whose segment of a time gives its cumulative hazard and, by ``_segment_hazard``,
-    its hazard, or (the mixture) a kernel of its own.
+    its hazard.
     """
 
     variant: str
@@ -454,16 +600,11 @@ class SuperpositionBathtub(_StepHazard):
 class MixtureBathtub(HazardModel):
     """Two-component survival mixture of a decreasing and an increasing model.
 
-    With log-weights a1 = log(pi) - L1 and a2 = log(1-pi) - L2 the survival
-    is exp(logaddexp(a1, a2)), and the hazard (not a bathtub in general)
-    weights the component hazards by 1 / (1 + exp(a2 - a1)) and its mirror,
-    which sum to 1 even where both survivals underflow.  Sampling picks a
-    component and inverts it.  Between pooled knots L1 and L2 are linear, so
-    the mixture cumulative hazard is concave there: Newton's method from the
-    left knot of a target's segment rises to the root without overshooting,
-    and the segment's end bounds a step that rounding carries past it.  Where
-    the hazard at the knot is inf, H jumps just past it: Newton starts one
-    double on, and a target inside the jump gives the knot.
+    The survival is pi S1 + (1 - pi) S2, so is the density, and sampling picks
+    a component and inverts it.  The hazard (not a bathtub in general) and the
+    cumulative hazard come from a ``_MixtureTable`` at the pooled knots; at
+    pi = 1, at the decreasing component's knots, where it is that component
+    bit for bit.
     """
 
     pi: float = field(metadata={"domain": "(0, 1]"})
@@ -477,10 +618,9 @@ class MixtureBathtub(HazardModel):
         super().__post_init__()
         with np.errstate(divide="ignore"):  # pi = 1 gives log(1 - pi) = -inf
             log_pi = (math.log(self.pi), float(np.log1p(-self.pi)))
-        # _log_one is 0 up to rounding; subtracting it keeps cum_hazard(0) exactly 0
         vars(self).update(components=(DecreasingFailureRate(self.lambda01, self.draw1),
                                       IncreasingFailureRate(self.lambda02, self.draw2)),
-                          _log_pi=log_pi, _log_one=float(np.logaddexp(*log_pi)))
+                          _log_pi=log_pi)
 
     def survival(self, t):
         s1, s2 = (np.asarray(c.survival(t)) for c in self.components)
@@ -491,115 +631,33 @@ class MixtureBathtub(HazardModel):
         f1, f2 = (np.asarray(c.density(t)) for c in self.components)
         return _maybe_scalar(_add_mass_times(self.pi * f1, 1.0 - self.pi, f2), t)
 
-    def _hazard_and_cum(self, t, segs=(None, None)):
-        """The pair from both components' pairs, in their skeleton segments ``segs`` if given."""
-        (h1, l1), (h2, l2) = (c._hazard_and_cum(t, s) for c, s in zip(self.components, segs))
-        a1, a2 = self._log_pi[0] - np.asarray(l1), self._log_pi[1] - np.asarray(l2)
-        log_s = np.logaddexp(a1, a2)
-        with np.errstate(over="ignore", invalid="ignore"):  # nan where both L are inf
-            w1, w2 = 1.0 / (1.0 + np.exp(a2 - a1)), 1.0 / (1.0 + np.exp(a1 - a2))
-            # a term of weight 0 adds 0, even where its level is inf; a nan weight stays nan
-            lam = np.multiply(w1, h1, out=w1, where=w1 > 0.0)
-            lam += np.multiply(w2, h2, out=w2, where=w2 > 0.0)
-        if log_s.min(initial=0.0) == -math.inf:
-            # the weights' limit as both L grow: all of it on the component of the lower hazard
-            both = log_s == -math.inf
-            lam[both] = np.minimum(h1[both], h2[both] if self.pi < 1.0 else math.inf)
-        return lam, self._log_one - log_s
+    @cached_property
+    def _skeleton(self) -> _MixtureTable:
+        """The table, from one search of each component's knots."""
+        knots = self._knots if self.pi < 1.0 else self.components[0]._knots
+        located = [(c._skeleton, *c._skeleton._locate(knots)) for c in self.components]
+        return _MixtureTable(knots, tuple(sk.coeffs[seg] for sk, seg, _ in located),
+                             tuple(cum for *_, cum in located), self._log_pi)
 
-    def cum_hazard_limit(self) -> float:
-        return float(self._top()[1])
-
-    def _top(self) -> np.ndarray:
-        """H at the largest double and at t = inf: the kernel in each component's last segment."""
-        last = tuple(seg[[-1, -1]] for seg in self._knot_segments)
-        return self._hazard_and_cum(np.array([_DOUBLE_MAX, math.inf]), last)[1]
+    def _segment_hazard(self, seg, t):
+        return self._skeleton.hazard(seg, t)
 
     def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
-        """The base's (observed, censored) sums, from log h - H = log f - _log_one at an event.
-
-        ``log f = logaddexp(log(pi) + log h1 - L1, log(1-pi) + log h2 - L2)`` is
-        -inf where both L overflow.  A component whose level is inf has a log
-        density of -inf in that segment, as when it is scored alone, so no
-        inf - inf appears.
-        """
+        """The base's sums: at an event log h - H is ``log f = logaddexp(log(pi) + log h1 - L1,
+        log(1-pi) + log h2 - L2)``, from the table's segments, -inf where both L overflow; a
+        component's infinite level gives it a log density of -inf, as when it is scored alone."""
+        table = self._skeleton
+        spread, offsets = table._split(obs)[2:]
         log_terms = []
         # nan for an inf level with log(1 - pi) = -inf; a sum below the double range is -inf
-        with np.errstate(invalid="ignore", over="ignore"):
-            for component, log_pi in zip(self.components, self._log_pi):
-                skeleton = component._skeleton
-                spread, offsets = skeleton._split(obs)[2:]
-                lead = log_pi + skeleton.log_coeffs
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for log_pi, level, cum, x in zip(self._log_pi, table.levels, table.cums,
+                                             table._exponents(spread, offsets)):
+                lead = log_pi + np.log(level)
                 lead[~(lead < math.inf)] = -math.inf  # an infinite level
-                cum = skeleton._increment(spread, obs, offsets)
-                cum += spread(skeleton.values)
-                log_terms.append(np.subtract(spread(lead), cum, out=cum))
-            observed = float(np.logaddexp(*log_terms).sum()) - obs.size * self._log_one
-        return observed, float(self._hazard_and_cum(cens)[1].sum())
-
-    @cached_property
-    def _knot_segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each component's skeleton segment of each pooled knot, and so of its pooled segment."""
-        return tuple(c._skeleton.knots.searchsorted(self._knots, "right") - 1
-                     for c in self.components)
-
-    @cached_property
-    def _knot_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pooled knots, the cumulative hazard there and the hazard from there on."""
-        return self._knots, *self._hazard_and_cum(self._knots, self._knot_segments)[::-1]
-
-    def invert_cum_hazard(self, target):
-        x = _as_times(target, "target")
-        cum_max, limit = self._top()
-        knots, kvals, khaz = self._knot_values
-        # inf for a target above H at the largest double, or at a limit not taken at the last knot
-        top = min(math.nextafter(cum_max, math.inf), limit if kvals[-1] < limit else math.inf)
-        out = np.where(x >= top, np.inf, 0.0)
-        live = (x > 0.0) & (x < top)
-        xs = x[live]
-        j = kvals.searchsorted(xs, "left")
-        j -= kvals.take(j, mode="clip") != xs  # back one unless at the knot's value
-        (seg1, seg2), ends = self._knot_segments, np.append(knots[1:], _DOUBLE_MAX)
-        t = knots[j]
-        # the first round reads the knot table, which holds the kernel's bits at each knot;
-        # only a start moved one double past a knot of inf hazard calls the kernel
-        lam, cum = khaz[j], kvals[j]
-        jump = lam == math.inf
-        if jump.any():
-            np.nextafter(t, math.inf, out=t, where=jump)
-            lam[jump], cum[jump] = self._hazard_and_cum(t[jump], (seg1[j[jump]], seg2[j[jump]]))
-        gap = np.full(xs.size, np.inf)
-        moving = np.arange(xs.size)
-        for _ in range(_NEWTON_MAX_ITER):
-            resid = xs[moving] - cum
-            # exact steps shrink the gap x - cum_hazard(t) > 0 every time; once
-            # it is closed or stops shrinking, only rounding is left.  A target
-            # that stops keeps its t and gap, so it would stop again: it is dropped
-            going = (resid > 0.0) & (resid < gap[moving])
-            if not going.any():
-                break
-            moving = moving[going]
-            gap[moving] = resid[going]
-            jm = j[moving]
-            # a step past the largest double stops there: every live target is at most H(max)
-            with np.errstate(divide="ignore", over="ignore"):
-                step = resid[going] / lam[going]
-                tiny = lam[going] < np.finfo(float).tiny
-                if tiny.any():  # a hazard below the normal range, or 0: the step from the logs
-                    (h1, l1), (h2, l2) = (c._hazard_and_cum(t[moving][tiny], s[jm[tiny]])
-                                          for c, s in zip(self.components, (seg1, seg2)))
-                    a1, a2 = self._log_pi[0] - l1, self._log_pi[1] - l2
-                    log_s = np.logaddexp(a1, a2)
-                    # a term of weight 0 adds nothing, even where its level is inf
-                    log_lam = np.logaddexp(a1 - log_s + np.log(np.minimum(h1, _DOUBLE_MAX)),
-                                           a2 - log_s + np.log(np.minimum(h2, _DOUBLE_MAX)))
-                    step[tiny] = np.exp(np.log(resid[going][tiny]) - log_lam)
-                t[moving] = np.minimum(t[moving] + step, ends[jm])
-            lam, cum = self._hazard_and_cum(t[moving], (seg1[jm], seg2[jm]))
-        else:
-            raise RuntimeError(f"mixture inverse did not converge in {_NEWTON_MAX_ITER} steps")
-        out[live] = np.where(gap < math.inf, t, knots[j])  # a target the start reaches: the knot
-        return _maybe_scalar(out, target)
+                log_terms.append(np.subtract(spread(lead - cum), x, out=x))
+            observed = float(np.logaddexp(*log_terms).sum())
+        return observed, float(table._locate(cens)[1].sum())
 
     def sample_failures(self, n: int, stream: RandomStream) -> np.ndarray:
         """Per record one uniform picks the component (as ``categorical``), the next inverts it."""

@@ -1,5 +1,6 @@
-"""A 60-digit ``decimal`` evaluation of the ifr, dfr, sbt and lcv hazards, and of lcv's cumulative
-hazard, from a draw's atoms alone; and the tests' other references, QUADPACK and bits.
+"""A 60-digit ``decimal`` evaluation of the ifr, dfr, sbt, mbt and lcv hazards, and of lcv's and
+mbt's cumulative hazards, from a draw's atoms alone; and the tests' other references, QUADPACK and
+bits.
 
 A test-only reference: it reads each draw's (location, weight) pairs and the
 model's scalars, and nothing the package builds from them (no sorted view,
@@ -56,8 +57,97 @@ def lcv_log_terms(model, ts) -> list[tuple[decimal.Decimal, decimal.Decimal]]:
         return out
 
 
+def mbt_terms(model, ts) -> list:
+    """The mixture's components at each time of ``ts``: their hazards (h1, h2), cumulative
+    hazards (L1, L2) with L_i = h_i t + b_i, and d = L1 - L2; None for d where both L_i are inf
+    (at t = inf, an L_i of positive level is inf).
+
+    Each draw's atoms are sorted here and summed into prefix masses and
+    moments.  The sums and products run at 700 digits, past the span of the
+    doubles, so they are exact, and d keeps what a difference of rounded L_i
+    would lose (d is 1 where both are 1e300).
+    """
+    with decimal.localcontext(_CONTEXT) as ctx:
+        ctx.prec = 700
+        prefix = []
+        for draw in (model.draw1, model.draw2):
+            atoms = sorted(_atoms(draw))
+            prefix.append(([th for th, _ in atoms],
+                           list(itertools.accumulate((w for _, w in atoms), initial=D(0))),
+                           list(itertools.accumulate((w * th for th, w in atoms), initial=D(0)))))
+        (th1, mass1, moment1), (th2, mass2, moment2) = prefix
+        out = []
+        for x in map(D, ts):
+            k1, k2 = bisect.bisect_right(th1, x), bisect.bisect_right(th2, x)
+            h1 = D(model.lambda01) + mass1[-1] - mass1[k1]  # the atoms above t
+            h2 = D(model.lambda02) + mass2[k2]  # the atoms at or below t
+            b1, b2 = moment1[k1], -moment2[k2]
+            if x.is_infinite():
+                l1, l2 = (D("Infinity") if h else b for h, b in ((h1, b1), (h2, b2)))
+                both = l1.is_infinite() and l2.is_infinite()
+                out.append(((h1, h2), (l1, l2), None if both else l1 - l2))
+            else:
+                out.append(((h1, h2), (h1 * x + b1, h2 * x + b2), (h1 - h2) * x + (b1 - b2)))
+        return out
+
+
+def _expm1(x: decimal.Decimal) -> decimal.Decimal:
+    """e^x - 1, by its series where |x| <= 0.5, which keeps its digits as x nears 0."""
+    if abs(x) > D("0.5"):
+        return x.exp() - 1
+    term, total, k = x, x, 1
+    while abs(term) > abs(total) * D("1e-70"):
+        k += 1
+        term = term * x / k
+        total += term
+    return total
+
+
+def mbt_cum_hazard(model, ts) -> list:
+    """The mixture's cumulative hazard -log(pi e^-L1 + (1 - pi) e^-L2) at each time of ``ts``.
+
+    It is the lower L_i minus ``log1p(z)``, with z the other component's
+    weight times ``expm1(-|d|)``.  For |z| <= 1/2 that is ``sum_k (-z)^k / k``,
+    a sum of positive terms, with ``expm1`` from its series near 0, so H
+    keeps 60 digits however small it is; else the log of the sum of the
+    weighted survivals over the larger one, all positive.
+    """
+    out = []
+    for _, (l1, l2), d in mbt_terms(model, ts):
+        with decimal.localcontext(_CONTEXT):
+            pi = D(model.pi)
+            if d is None:  # both L_i are inf
+                out.append(D("Infinity"))
+                continue
+            if pi == 1:
+                out.append(l1)
+                continue
+            low, w, other, e = (l1, pi, 1 - pi, d) if d <= 0 else (l2, 1 - pi, pi, -d)
+            z = other * _expm1(e)
+            if z < D("-0.5"):
+                out.append(low - (w + other * e.exp()).ln())
+                continue
+            term, total, k = -z, -z, 1
+            while term > total * D("1e-70"):
+                term *= -z
+                k += 1
+                total += term / k
+            out.append(low + total)
+    return out
+
+
 def hazard(model, t: float) -> decimal.Decimal:
-    """The model's hazard at t: ifr, dfr and sbt from the atom masses, lcv from its log hazard."""
+    """The model's hazard at t: ifr, dfr and sbt from the atom masses, mbt from its components'
+    weights, lcv from its log hazard."""
+    if model.variant == "mbt":
+        (h1, h2), _, d = mbt_terms(model, [t])[0]
+        with decimal.localcontext(_CONTEXT):
+            pi = D(model.pi)
+            if d is None or pi == 1:  # the weights' limit: the lower hazard of a weighted one
+                return h1 if pi == 1 else min(h1, h2)
+            # the weights over the larger survival, from e^-|d| <= 1
+            s1, s2 = (pi, (1 - pi) * d.exp()) if d <= 0 else (pi * (-d).exp(), 1 - pi)
+            return (s1 * h1 + s2 * h2) / (s1 + s2)
     with decimal.localcontext(_CONTEXT):
         x, lambda0 = D(t), D(model.lambda0)
         if model.variant == "ifr":

@@ -57,11 +57,20 @@ def generated_models(draw, variants=VARIANTS):
     return model_of(variant, d1, d2, lambda0, a=a, pi=pi, lambda02=draw(levels), w0=draw(slopes))
 
 
-def tiny_hazard(model: MixtureBathtub) -> bool:
-    """Whether a component's weight (pi or 1 - pi) times a positive level is below 1e-300."""
-    return any(weight > 0.0 and np.any((levels > 0.0) & (weight * levels < 1e-300))
-               for weight, levels in zip((model.pi, 1.0 - model.pi),
-                                         (c._skeleton.coeffs for c in model.components)))
+# the ends of the mixture's range: offsets of 0, the smallest double and 1e308, and an atom of
+# weight 1e308 (the most a finite total mass allows) among the generator's own
+end_levels = st.sampled_from([0.0, 5e-324, 1e308])
+end_draws = st.builds(lambda pairs, big: draw_of(pairs + big),
+                      st.lists(st.tuples(thetas, weights), max_size=3),
+                      st.lists(st.tuples(thetas, st.just(1e308)), max_size=1))
+
+
+@st.composite
+def mixtures_at_the_ends(draw):
+    """An mbt whose offsets are each 0, the smallest double or 1e308, on draws with atoms of
+    weight 1e308; pi is 1 or 1/2 at times."""
+    pi = draw(st.sampled_from([1.0, 0.5]) | st.floats(0.0, 1.0, exclude_min=True))
+    return MixtureBathtub(pi, draw(end_levels), draw(end_draws), draw(end_levels), draw(end_draws))
 
 
 def hazard_models(variants=VARIANTS):

@@ -29,16 +29,23 @@ _NUMPY_NAMES = frozenset({"searchsorted", "sort", "argsort", "concatenate", "cum
 _VARIANTS = ("ifr", "dfr", "lwb", "sbt", "mbt", "lcv")
 
 # (gphazard calls, named numpy calls) per variant and K: the same at K = 10 and 1000,
-# except where mbt's NormalBase draw takes one more rejection block at K = 1000
+# except where mbt's NormalBase draw takes one more rejection block at K = 1000.  Every
+# skeleton build calls ``_accumulate``, which the mixture's table shares (one call more per
+# model); mbt's op also builds its table at the pooled knots (the breakpoints' sort and
+# concatenation, one search of each component's knots), and its log-likelihood makes one
+# split of the pooled knots where it made one per component
 BUDGET = {
-    ("ifr", 10): (135, 12), ("ifr", 1000): (135, 12),
-    ("dfr", 10): (135, 13), ("dfr", 1000): (135, 13),
-    ("lwb", 10): (140, 14), ("lwb", 1000): (140, 14),
-    ("sbt", 10): (200, 22), ("sbt", 1000): (200, 22),
-    ("mbt", 10): (243, 22), ("mbt", 1000): (245, 23),
-    ("lcv", 10): (144, 15), ("lcv", 1000): (144, 15),
+    ("ifr", 10): (136, 12), ("ifr", 1000): (136, 12),
+    ("dfr", 10): (136, 13), ("dfr", 1000): (136, 13),
+    ("lwb", 10): (141, 14), ("lwb", 1000): (141, 14),
+    ("sbt", 10): (201, 22), ("sbt", 1000): (201, 22),
+    ("mbt", 10): (255, 25), ("mbt", 1000): (257, 26),
+    ("lcv", 10): (145, 15), ("lcv", 1000): (145, 15),
 }
-VALIDATION_BUDGET = (2_571, 447)  # (gphazard calls, named numpy calls) at the documented seed
+# (gphazard calls, named numpy calls) at the documented seed: 63 skeleton builds each call
+# ``_accumulate``, and the mixture's evaluations call the table's helpers where they called
+# both components' kernels
+VALIDATION_BUDGET = (2_593, 439)
 
 
 def _in_package(frame) -> bool:
