@@ -40,7 +40,7 @@ def log_likelihood(model, dataset: Dataset) -> float:
     """
     if dataset.n == 0:
         raise ValueError("dataset must be non-empty")
-    observed, censored = model._log_likelihood_terms(*dataset._ascending)
+    observed, censored = model._skeleton._log_likelihood_terms(*dataset._ascending)
     return -math.inf if observed == -math.inf or censored == math.inf else observed - censored
 
 

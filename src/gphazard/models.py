@@ -71,20 +71,23 @@ def _math_log(u: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False, repr=False)
 class _Skeleton:
-    """The cumulative hazard of ``coeffs[l] * exp(rates[l] * (t - knots[l]))`` on each segment l.
+    """The hazard ``coeffs[l] * exp(rates[l] * (t - knots[l]))`` on each segment l, its
+    cumulative hazard and its likelihood terms.
 
     Segment l runs from ``knots[l]`` to the next knot, the last to infinity.
     ``log_coeffs`` is the log level at each knot, given where a model knows
-    it without the exp (lcv).  The increment past a knot is
-    ``expm1(r dt) / r * c``, exactly ``c dt`` at r = 0, and the inverse adds
-    ``log1p(r e / c) / r``, exactly ``e / c``; both come from ``log_coeffs``
-    where the value is inf or nan or c left the double range.  ``values``
+    it without the exp (lcv).  The hazard is ``c exp(r dt)``, taken as
+    ``exp(log c + r dt)`` where that is 0, inf or nan.  The increment past a
+    knot is ``expm1(r dt) / r * c``, exactly ``c dt`` at r = 0, and the
+    inverse adds ``log1p(r e / c) / r``, exactly ``e / c``; both come from
+    ``log_coeffs`` where the value is inf or nan or c left the double range.  ``values``
     sums whole-segment increments, so the function is weakly monotone at
     rounding scale, and a segment at its end gives the next knot's value bit
     for bit; the last segment's increment to t = inf gives ``limit``, so the
     limit is the value at t = inf by construction.  The methods take checked
     1-d arrays.  A subclass with another law per segment (``_MixtureTable``)
-    gives its own ``_increment`` and ``_advance``, and shares the rest.
+    gives its own ``_increment``, ``hazard``, ``_advance`` and likelihood terms,
+    and shares the rest.
     """
 
     knots: np.ndarray
@@ -162,16 +165,51 @@ class _Skeleton:
             out[at] = np.exp(y, out=np.zeros(at.size), where=(d > 0.0) & (log_c > -math.inf))
         return out
 
-    def _locate(self, t: np.ndarray, seg=None) -> tuple[np.ndarray, np.ndarray]:
-        """The segment of each time in a checked 1-d ``t``, looked up unless ``seg`` gives it,
-        and the cumulative hazard there."""
-        if seg is None:
-            seg = self.knots.searchsorted(t, "right") - 1
+    def _locate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The segment of each time in a checked 1-d ``t``, and the cumulative hazard there."""
+        seg = self.knots.searchsorted(t, "right") - 1
         dt = self.knots[seg]
         cum = self._increment(itemgetter(seg), t, np.subtract(t, dt, out=dt))
         with np.errstate(over="ignore"):  # inf where the value passes the double range
             cum += self.values[seg]
         return seg, cum
+
+    def hazard(self, seg: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The hazard at checked 1-d times ``t`` in segments ``seg``."""
+        coeff = self.coeffs[seg]
+        if self.rates is None:
+            return coeff
+        dt = t - self.knots[seg]
+        if self.rates[-1] == 0.0:  # a flat log tail adds 0, also at t = inf
+            np.minimum(dt, _DOUBLE_MAX, out=dt)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where c overflowed
+            x = np.multiply(self.rates[seg], dt, out=dt)  # +-inf past the double range
+            out = coeff * np.exp(x)
+            return np.where((out > 0.0) & (out < math.inf), out, np.exp(self.log_coeffs[seg] + x))
+
+    def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
+        """The sum of log h - H over the ascending observed times, and of H over the censored.
+
+        The log hazard is linear on each segment, so the n_l observed times in
+        segment l, their offsets t - knot_l summing to s_l, add ``n_l log_coeffs_l
+        + rates_l s_l - (n_l values_l + past_l)``, where ``past_l`` is ``coeffs_l
+        s_l`` on a linear skeleton (the piecewise exponential likelihood), else
+        the increments summed.  A zero level, a nan or a +inf sum gives -inf.
+        """
+        starts, counts, spread, offsets = self._split(obs)
+        seg = counts.nonzero()[0]
+        n, at = counts[seg], starts[seg]
+        with np.errstate(over="ignore", invalid="ignore"):
+            spent = np.add.reduceat(offsets, at)
+            lead = n * self.log_coeffs[seg]
+            if self.rates is None:  # rate 0: no log-slope term
+                past = self.coeffs[seg] * spent
+            else:  # the increments may overwrite the offsets, read by now
+                lead += self.rates[seg] * spent
+                past = np.add.reduceat(self._increment(spread, obs, offsets), at)
+            observed = float((lead - (n * self.values[seg] + past)).sum())
+        observed = observed if observed < math.inf else -math.inf
+        return observed, float(self._locate(cens)[1].sum())
 
     def _split(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, methodcaller, np.ndarray]:
         """The ascending ``times`` split by the knots, in O(K log n): one search of the knots.
@@ -254,7 +292,7 @@ class _MixtureTable(_Skeleton):
     """
 
     def __init__(self, knots, levels, cums, log_pi):
-        self.knots, self.levels, self.cums = knots, levels, cums
+        self.knots, self.levels, self.cums, self.log_pi = knots, levels, cums, log_pi
         (h1, h2), (l1, l2) = levels, cums
         with np.errstate(invalid="ignore"):  # nan where both log-weights are -inf
             g = (log_pi[0] - l1) - (log_pi[1] - l2)
@@ -315,6 +353,22 @@ class _MixtureTable(_Skeleton):
             h1, h2 = (np.log(np.minimum(h[seg], _DOUBLE_MAX)) for h in self.levels)
         return np.logaddexp(h1 - np.logaddexp(0.0, -g), h2 - np.logaddexp(0.0, g))
 
+    def _log_likelihood_terms(self, obs, cens):
+        """The skeleton's sums: at an event log h - H is ``log f = logaddexp(log(pi) + log h1 - L1,
+        log(1-pi) + log h2 - L2)``, from the segments, -inf where both L overflow; a component's
+        infinite level gives it a log density of -inf, as when it is scored alone."""
+        spread, offsets = self._split(obs)[2:]
+        log_terms = []
+        # nan for an inf level with log(1 - pi) = -inf; a sum below the double range is -inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for log_pi, level, cum, x in zip(self.log_pi, self.levels, self.cums,
+                                             self._exponents(spread, offsets)):
+                lead = log_pi + np.log(level)
+                lead[~(lead < math.inf)] = -math.inf  # an infinite level
+                log_terms.append(np.subtract(spread(lead - cum), x, out=x))
+            observed = float(np.logaddexp(*log_terms).sum())
+        return observed, float(self._locate(cens)[1].sum())
+
     def _pair(self, seg, t):
         return self.hazard(seg, t), self._increment(itemgetter(seg), t, t - self.knots[seg])
 
@@ -371,10 +425,10 @@ class HazardModel:
     constructor arguments and document keys; a scalar field's metadata
     names its domain (finite if none), outside which construction raises
     ValueError, and any conditional prior.  Its draws are immutable too, so
-    what it caches never goes stale.  ``hazard`` and ``cum_hazard`` read one
-    pointwise kernel, ``_hazard_and_cum``: a subclass gives a cached ``_skeleton``,
-    whose segment of a time gives its cumulative hazard and, by ``_segment_hazard``,
-    its hazard.
+    what it caches never goes stale.  A subclass gives a cached ``_skeleton``,
+    whose segment of a time gives its hazard and cumulative hazard (``hazard``
+    and ``cum_hazard`` read both from one kernel, ``_hazard_and_cum``), and
+    which gives the likelihood terms.
     """
 
     variant: str
@@ -389,10 +443,6 @@ class HazardModel:
         """Instantaneous failure rate at t (scalar or array)."""
         arr = _as_times(t)
         return _maybe_scalar(self._hazard_and_cum(arr.reshape(-1))[0].reshape(arr.shape), t)
-
-    def _segment_hazard(self, seg: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The hazard at checked times ``t`` in skeleton segments ``seg``: the segment's level."""
-        return self._skeleton.coeffs[seg]
 
     def cum_hazard(self, t):
         """Integral of the hazard over [0, t]."""
@@ -409,35 +459,11 @@ class HazardModel:
         x = _as_times(target, "target")
         return _maybe_scalar(self._skeleton.invert(x.reshape(-1)).reshape(x.shape), target)
 
-    def _hazard_and_cum(self, t, seg=None):
-        """The kernel: hazard and cumulative hazard at checked 1-d times, in ``seg`` if given."""
-        seg, cum = self._skeleton._locate(t, seg)
-        return self._segment_hazard(seg, t), cum
-
-    def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
-        """The sum of log h - H over the ascending observed times, and of H over the censored.
-
-        The log hazard is linear on each segment, so the n_l observed times in
-        segment l, their offsets t - knot_l summing to s_l, add ``n_l log_coeffs_l
-        + rates_l s_l - (n_l values_l + past_l)``, where ``past_l`` is ``coeffs_l
-        s_l`` on a linear skeleton (the piecewise exponential likelihood), else
-        the increments summed.  A zero level, a nan or a +inf sum gives -inf.
-        """
+    def _hazard_and_cum(self, t):
+        """The kernel: hazard and cumulative hazard at checked 1-d times."""
         skeleton = self._skeleton
-        starts, counts, spread, offsets = skeleton._split(obs)
-        seg = counts.nonzero()[0]
-        n, at = counts[seg], starts[seg]
-        with np.errstate(over="ignore", invalid="ignore"):
-            spent = np.add.reduceat(offsets, at)
-            lead = n * skeleton.log_coeffs[seg]
-            if skeleton.rates is None:  # rate 0: no log-slope term
-                past = skeleton.coeffs[seg] * spent
-            else:  # the increments may overwrite the offsets, read by now
-                lead += skeleton.rates[seg] * spent
-                past = np.add.reduceat(skeleton._increment(spread, obs, offsets), at)
-            observed = float((lead - (n * skeleton.values[seg] + past)).sum())
-        observed = observed if observed < math.inf else -math.inf
-        return observed, float(skeleton._locate(cens)[1].sum())
+        seg, cum = skeleton._locate(t)
+        return skeleton.hazard(seg, t), cum
 
     def breakpoints(self) -> np.ndarray:
         """Sorted locations where the hazard jumps or kinks: the draws' distinct atoms."""
@@ -616,11 +642,8 @@ class MixtureBathtub(HazardModel):
 
     def __post_init__(self):
         super().__post_init__()
-        with np.errstate(divide="ignore"):  # pi = 1 gives log(1 - pi) = -inf
-            log_pi = (math.log(self.pi), float(np.log1p(-self.pi)))
         vars(self).update(components=(DecreasingFailureRate(self.lambda01, self.draw1),
-                                      IncreasingFailureRate(self.lambda02, self.draw2)),
-                          _log_pi=log_pi)
+                                      IncreasingFailureRate(self.lambda02, self.draw2)))
 
     def survival(self, t):
         s1, s2 = (np.asarray(c.survival(t)) for c in self.components)
@@ -636,28 +659,10 @@ class MixtureBathtub(HazardModel):
         """The table, from one search of each component's knots."""
         knots = self._knots if self.pi < 1.0 else self.components[0]._knots
         located = [(c._skeleton, *c._skeleton._locate(knots)) for c in self.components]
+        with np.errstate(divide="ignore"):  # pi = 1 gives log(1 - pi) = -inf
+            log_pi = (math.log(self.pi), float(np.log1p(-self.pi)))
         return _MixtureTable(knots, tuple(sk.coeffs[seg] for sk, seg, _ in located),
-                             tuple(cum for *_, cum in located), self._log_pi)
-
-    def _segment_hazard(self, seg, t):
-        return self._skeleton.hazard(seg, t)
-
-    def _log_likelihood_terms(self, obs: np.ndarray, cens: np.ndarray) -> tuple[float, float]:
-        """The base's sums: at an event log h - H is ``log f = logaddexp(log(pi) + log h1 - L1,
-        log(1-pi) + log h2 - L2)``, from the table's segments, -inf where both L overflow; a
-        component's infinite level gives it a log density of -inf, as when it is scored alone."""
-        table = self._skeleton
-        spread, offsets = table._split(obs)[2:]
-        log_terms = []
-        # nan for an inf level with log(1 - pi) = -inf; a sum below the double range is -inf
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for log_pi, level, cum, x in zip(self._log_pi, table.levels, table.cums,
-                                             table._exponents(spread, offsets)):
-                lead = log_pi + np.log(level)
-                lead[~(lead < math.inf)] = -math.inf  # an infinite level
-                log_terms.append(np.subtract(spread(lead - cum), x, out=x))
-            observed = float(np.logaddexp(*log_terms).sum())
-        return observed, float(table._locate(cens)[1].sum())
+                             tuple(cum for *_, cum in located), log_pi)
 
     def sample_failures(self, n: int, stream: RandomStream) -> np.ndarray:
         """Per record one uniform picks the component (as ``categorical``), the next inverts it."""
@@ -688,30 +693,17 @@ class LogConvexHazard(_OnOneDraw, HazardModel):
     variant = "lcv"
 
     @cached_property
-    def _lead_and_rates(self) -> tuple[np.ndarray, np.ndarray]:
-        """At each knot, log(hazard / lambda0) = w0 knot + integrated mass, and w0 + mass."""
-        j = self.draw._knots[1]
-        with np.errstate(over="ignore"):  # inf for a steep hazard
-            return self.w0 * self._knots + self.draw._integrated0[j], self.w0 + self.draw._mass0[j]
-
-    @cached_property
     def _skeleton(self) -> _Skeleton:
-        lead, rates = self._lead_and_rates
-        with np.errstate(over="ignore"):  # a steep hazard's coefficients overflow to inf
+        """At each knot, log(hazard / lambda0) = w0 knot + integrated mass, and the log-slope
+        w0 + mass."""
+        j = self.draw._knots[1]
+        with np.errstate(over="ignore"):  # inf for a steep hazard, whose coefficients overflow
+            lead = self.w0 * self._knots + self.draw._integrated0[j]
+            rates = self.w0 + self.draw._mass0[j]
             coeffs = self.lambda0 * np.exp(lead)
         # every rate 0 (w0 = 0 and no atom mass): the linear skeleton of a constant hazard
         return _Skeleton(self._knots, rates if rates.any() else None, coeffs,
                          math.log(self.lambda0) + lead)
-
-    def _segment_hazard(self, seg, t):
-        lead, rates = self._lead_and_rates
-        dt = t - self._knots[seg]
-        if rates[-1] == 0.0:  # a flat log tail adds 0, also at t = inf
-            dt = np.minimum(dt, _DOUBLE_MAX)
-        with np.errstate(over="ignore"):  # exp(log(lambda0) + x) where lambda0 exp(x) is 0 or inf
-            x = lead[seg] + rates[seg] * dt  # +-inf past the double range
-            out = self.lambda0 * np.exp(x)
-            return np.where((out > 0.0) & (out < math.inf), out, np.exp(math.log(self.lambda0) + x))
 
 
 def simulate_dataset(

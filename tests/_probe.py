@@ -1,4 +1,4 @@
-"""The numpy-only probe: ``python -W error::RuntimeWarning tests/_probe.py DIR``.
+"""The numpy-only probe: ``python -W error tests/_probe.py DIR``.
 
 It writes its inputs to DIR, imports gphazard and gphazard.cli, then runs
 COMMANDS there, validate last through the ``python -m gphazard.cli`` entry
@@ -8,6 +8,7 @@ its first record, and needs neither pytest nor scipy, so it runs on an install
 without the ``test`` extra.  It exits with one line saying why if a step
 returns nonzero or raises, if scipy, numpy.ma or numpy.polynomial is loaded
 after a step, or if gphazard.validation is loaded before the validate step.
+Under ``-W error`` every warning raises, so a step that warns fails the probe.
 """
 
 import contextlib

@@ -38,10 +38,10 @@ def probe(tmp_path_factory):
     """The records of the one child process ``tests/_probe.py``, by step name.
 
     Each has the step's ``returncode``, ``stdout`` and ``stderr``, and the
-    watched modules ``loaded`` after it.  The child runs with a RuntimeWarning
-    as an error, as the numpy-only CI job runs it.
+    watched modules ``loaded`` after it.  The child runs with every warning an
+    error, as tier-1 does and as the numpy-only CI job runs it.
     """
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", _probe.__file__,
+    proc = subprocess.run([sys.executable, "-W", "error", _probe.__file__,
                            str(tmp_path_factory.mktemp("probe"))], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return {name: SimpleNamespace(**record) for name, record in json.loads(proc.stdout).items()}

@@ -291,9 +291,11 @@ class TestRepeatedEvaluation:
         model, seen = demo["lwb"], []
 
         class Recording:
+            _skeleton = property(lambda self: self)
+
             def _log_likelihood_terms(self, obs, cens):
                 seen.append((np.array(obs), np.array(cens)))
-                return model._log_likelihood_terms(obs, cens)
+                return model._skeleton._log_likelihood_terms(obs, cens)
 
         data = simulate_dataset(model, 500, 3.0, RandomStream(4))
         for _ in range(2):

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from dataclasses import fields
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -1000,17 +1001,16 @@ def test_closed_form_integrals_on_the_whole_axis(t):
 
 
 def _assert_given_segments_equal_the_lookup(model, t):
-    """Evaluation in segments given equals the lookup bit for bit: at ``t`` in the segments
-    ``_locate`` finds, and at each knot past 0 in the segment that ends there."""
+    """The lookup at each knot gives its value bit for bit, and so does each segment's increment
+    to its end plus its knot's value; the kernel at ``t`` is ``hazard`` and ``cum_hazard``."""
     skeleton = model._skeleton
-    seg, cum = skeleton._locate(t)
-    np.testing.assert_array_equal(_bits(skeleton._locate(t, seg)[1]), _bits(cum))
-    for got, want in zip(model._hazard_and_cum(t, seg), model._hazard_and_cum(t)):
+    knots, values = skeleton.knots, skeleton.values
+    np.testing.assert_array_equal(_bits(skeleton._locate(knots)[1]), _bits(values))
+    widths = knots[1:] - knots[:-1]
+    ends = skeleton._increment(itemgetter(np.arange(knots.size - 1)), knots[1:], widths)
+    np.testing.assert_array_equal(_bits(ends + values[:-1]), _bits(values[1:]))
+    for got, want in zip(model._hazard_and_cum(t), (model.hazard(t), model.cum_hazard(t))):
         np.testing.assert_array_equal(_bits(got), _bits(want))
-    knots = skeleton.knots
-    ends = skeleton._locate(knots[1:], np.arange(knots.size - 1))[1]
-    np.testing.assert_array_equal(_bits(ends), _bits(skeleton._locate(knots[1:])[1]))
-    np.testing.assert_array_equal(_bits(ends), _bits(skeleton.values[1:]))
 
 
 class TestSkeletonBranches:

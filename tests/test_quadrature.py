@@ -114,17 +114,15 @@ def test_each_segment_is_integrated_once(demo, name):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", NAMES)
 def test_array_and_scalar_calls_agree_to_the_rule_s_rounding(demo, name):
-    """An endpoint's integral does not depend on the other endpoints of its call.
+    """An endpoint's integral does not depend on the other endpoints of its call, bit for bit.
 
-    Each segment is integrated alone and the totals are prefix sums, so only
-    the rule's matrix-vector product, whose per-row rounding depends on the
-    row's place in the batch, can tell the calls apart: by at most 2 ulp
-    over seeds 20250812, 7 and 1-5, so the bound is 4.
+    Each segment is integrated alone, the rule is summed node by node and the
+    totals are prefix sums, so nothing rounds by the batch.
     """
     ends = np.concatenate((_validate_endpoints(demo)[name], _endpoints(demo[name])))
     together = integrate_hazard(demo[name], ends)
     alone = np.array([integrate_hazard(demo[name], float(t)) for t in ends])
-    np.testing.assert_array_max_ulp(together, alone, maxulp=4)
+    np.testing.assert_array_equal(_oracle.bits(together), _oracle.bits(alone))
 
 
 @pytest.mark.filterwarnings("error")
