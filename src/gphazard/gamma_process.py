@@ -340,14 +340,14 @@ def stick_weights(sticks, n_atoms: int) -> np.ndarray:
     """Unscaled stick-breaking weights; the last entry closes the sum to 1.
 
     w[k] = sticks[k] * prod(1 - sticks[:k]) for k < n_atoms - 1 and
-    w[-1] = prod(1 - sticks).
+    w[-1] = prod(1 - sticks).  A stick of 1 ends the breaking: every later weight is 0.
     """
     sticks = np.asarray(sticks, dtype=float)
     n_atoms = _check_count("n_atoms", n_atoms, 1)
     if sticks.shape != (n_atoms - 1,):
         raise ValueError(f"expected {n_atoms - 1} stick values, got {sticks.shape}")
-    if not np.all((sticks > 0.0) & (sticks < 1.0)):  # false for NaN as well
-        raise ValueError("stick values must lie strictly inside (0, 1)")
+    if not np.all((sticks >= 0.0) & (sticks <= 1.0)):  # false for NaN as well
+        raise ValueError("stick values must lie in [0, 1]")
     remaining = np.concatenate(([1.0], np.cumprod(1.0 - sticks)))
     w = np.empty(n_atoms)
     w[:-1] = sticks * remaining[:-1]

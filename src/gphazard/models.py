@@ -629,8 +629,8 @@ class MixtureBathtub(HazardModel):
     The survival is pi S1 + (1 - pi) S2, so is the density, and sampling picks
     a component and inverts it.  The hazard (not a bathtub in general) and the
     cumulative hazard come from a ``_MixtureTable`` at the pooled knots; at
-    pi = 1, at the decreasing component's knots, where it is that component
-    bit for bit.
+    pi = 1, at the decreasing component's knots (its breakpoints are the
+    mixture's), where it is that component bit for bit.
     """
 
     pi: float = field(metadata={"domain": "(0, 1]"})
@@ -654,14 +654,17 @@ class MixtureBathtub(HazardModel):
         f1, f2 = (np.asarray(c.density(t)) for c in self.components)
         return _maybe_scalar(_add_mass_times(self.pi * f1, 1.0 - self.pi, f2), t)
 
+    def breakpoints(self) -> np.ndarray:
+        # at pi = 1 the increasing component has no weight, so its atoms move nothing
+        return super().breakpoints() if self.pi < 1.0 else self.components[0].breakpoints()
+
     @cached_property
     def _skeleton(self) -> _MixtureTable:
         """The table, from one search of each component's knots."""
-        knots = self._knots if self.pi < 1.0 else self.components[0]._knots
-        located = [(c._skeleton, *c._skeleton._locate(knots)) for c in self.components]
+        located = [(c._skeleton, *c._skeleton._locate(self._knots)) for c in self.components]
         with np.errstate(divide="ignore"):  # pi = 1 gives log(1 - pi) = -inf
             log_pi = (math.log(self.pi), float(np.log1p(-self.pi)))
-        return _MixtureTable(knots, tuple(sk.coeffs[seg] for sk, seg, _ in located),
+        return _MixtureTable(self._knots, tuple(sk.coeffs[seg] for sk, seg, _ in located),
                              tuple(cum for *_, cum in located), log_pi)
 
     def sample_failures(self, n: int, stream: RandomStream) -> np.ndarray:

@@ -81,33 +81,29 @@ class RandomStream:
                            lambda: "uniform()")
 
     def gamma(self, shape: float, rate: float) -> float:
-        """Gamma draw with mean shape/rate and variance shape/rate**2."""
+        """Gamma draw with mean shape/rate and variance shape/rate**2; numpy's value, 0 included."""
         _check_range("gamma shape", shape, "positive")
         _check_range("gamma rate", rate, "positive")
-        # tiny shapes can underflow to exactly 0
-        return float(self._block(1, lambda g, k: g.gamma(shape, 1.0 / rate, k), lambda x: x <= 0.0,
-                                 lambda: f"gamma(shape={shape!r}, rate={rate!r})")[0])
+        return float(self._gen.gamma(shape, 1.0 / rate))
 
     def beta(self, a: float, b: float) -> float:
-        """Beta(a, b) draw strictly inside (0, 1)."""
+        """Beta(a, b) draw in [0, 1]; numpy's value, 0 and 1 included."""
         return float(self.betas(a, b, 1)[0])
 
     def betas(self, a: float, b: float, n: int) -> np.ndarray:
         """n successive Beta(a, b) draws, identical to n calls of :meth:`beta`."""
         _check_range("beta a", a, "positive")
         _check_range("beta b", b, "positive")
-        return self._block(n, lambda g, k: g.beta(a, b, k), lambda x: (x <= 0.0) | (x >= 1.0),
-                           lambda: f"beta(a={a!r}, b={b!r})")
+        return self._gen.beta(a, b, _check_count("n", n))
 
     def exponential(self, rate: float) -> float:
-        """Exponential draw with the given rate (mean 1/rate)."""
+        """Exponential draw with the given rate (mean 1/rate); numpy's value, 0 included."""
         return float(self.exponentials(rate, 1)[0])
 
     def exponentials(self, rate: float, n: int) -> np.ndarray:
         """n successive exponential draws, identical to n calls of :meth:`exponential`."""
         _check_range("exponential rate", rate, "positive")
-        return self._block(n, lambda g, k: g.exponential(1.0 / rate, k), lambda x: x <= 0.0,
-                           lambda: f"exponential(rate={rate!r})")
+        return self._gen.exponential(1.0 / rate, _check_count("n", n))
 
     def normal(self, mean: float, sd: float) -> float:
         """Normal(mean, sd**2) draw; sd=0 returns mean exactly."""

@@ -27,6 +27,8 @@ CONFIGS = {
     "mbt": {"model": "mbt", "pi": 0.5, "lambda01": 0.1, "lambda02": 0.1, "prior": _PRIOR,
             "prior2": _LATE},
     "lcv": {"model": "lcv", "lambda0": 1.0, "w0": -1.0, "prior": _PRIOR},
+    # a total mass of 0, and sticks that round to 1: the drawn values are kept
+    "ifr-tiny-alpha": {"model": "ifr", "lambda0": 0.1, "prior": {**_PRIOR, "alpha": 1e-300}},
 }
 # the loglik steps' models, each written on the draw step's draw
 MODELS = {"dfr": {"lambda0": 0.1}, "ifr": {"lambda0": 0.1}, "lwb": {"lambda0": 0.1, "a": 0.6},
@@ -37,7 +39,7 @@ MODELS = {"dfr": {"lambda0": 0.1}, "ifr": {"lambda0": 0.1}, "lwb": {"lambda0": 0
 COMMANDS = {
     "draw": "draw --config {d}/ifr.json --seed 1 --out {d}/draw.json",
     **{f"curves-{m}": f"curves --config {{d}}/{m}.json --seed 1 --out {{d}}/{m}.csv"
-       for m in ("lwb", "sbt", "mbt", "lcv")},
+       for m in ("lwb", "sbt", "mbt", "lcv", "ifr-tiny-alpha")},
     "simulate": "simulate --config {d}/ifr.json --seed 1 --tau 3 --n 200 --out {d}/data.csv",
     **{"loglik" if m == "dfr" else f"loglik-{m}":
        f"loglik --model {{d}}/{m}_model.json --data {{d}}/data.csv --tau 3" for m in MODELS},

@@ -96,13 +96,10 @@ class TestBlockDraws:
         [
             ([0.5, 0.0, 0.25, 0.0, 0.0, 0.75, 0.1, 0.2, 0.3], lambda s: s.uniform(),
              lambda s, n: s.uniforms(n), 4),
-            ([0.0, 1.5, 0.0, 0.0, 2.0, 3.0, 0.0, 4.0], lambda s: s.exponential(1.0),
-             lambda s, n: s.exponentials(1.0, n), 3),
-            ([1.0, 0.3, 0.0, 0.6, 1.0, 0.9, 0.2, 0.4], lambda s: s.beta(1.0, 3.0),
-             lambda s, n: s.betas(1.0, 3.0, n), 4),
             ([-1.0, 2.0, -0.5, -3.0, 0.0, 1.0, -2.0, 5.0, 6.0], lambda s: NormalBase(0.0, 1.0).sample(s),
              lambda s, n: NormalBase(0.0, 1.0).samples(n, s), 4),
         ],
+        ids=["uniform", "normal-base"],
     )
     def test_rejected_endpoints_are_redrawn_in_order(self, values, scalar, block, n):
         a, b = _stub_pair(values)
@@ -110,6 +107,20 @@ class TestBlockDraws:
         got = block(b, n)
         assert got.tolist() == expected
         assert a._gen.used == b._gen.used < len(values)
+
+    @pytest.mark.parametrize(
+        "values, scalar, block",
+        [
+            ([0.0, 1.5, 0.0, 0.0, 2.0], lambda s: s.exponential(1.0),
+             lambda s, n: s.exponentials(1.0, n)),
+            ([1.0, 0.3, 0.0, 0.6, 1.0], lambda s: s.beta(1.0, 3.0), lambda s, n: s.betas(1.0, 3.0, n)),
+        ],
+        ids=["exponential", "beta"],
+    )
+    def test_endpoints_are_kept(self, values, scalar, block):
+        a, b = _stub_pair(values)
+        assert [scalar(a) for _ in values] == block(b, len(values)).tolist() == values
+        assert a._gen.used == b._gen.used == len(values)
 
     def test_negative_block_size_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -76,8 +76,10 @@ def _reference_breakpoints(model) -> np.ndarray:
         th, a = model.draw.thetas, model.a
         return np.unique(np.concatenate((a - th[th < a], [a], a + th)))
     doc = model_to_dict(model)
+    # a pi = 1 mixture is its decreasing component: the second draw's atoms move nothing
+    keys = ("draw1",) if doc.get("pi") == 1.0 else ("draw", "draw1", "draw2")
     return np.unique(np.concatenate([np.asarray(doc[k]["thetas"], dtype=float)
-                                     for k in ("draw", "draw1", "draw2") if k in doc]))
+                                     for k in keys if k in doc]))
 
 
 def _zero_of(model):

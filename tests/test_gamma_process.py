@@ -17,6 +17,8 @@ from gphazard.gamma_process import (
     expected_tail_mass,
     stick_weights,
 )
+from gphazard.likelihood import HyperParams
+from gphazard.models import draw_model_params
 from gphazard.rng import RandomStream
 
 
@@ -43,10 +45,14 @@ class TestStickWeights:
     def test_domain(self):
         with pytest.raises(ValueError):
             stick_weights([0.5], 3)  # wrong length
-        with pytest.raises(ValueError):
-            stick_weights([1.0, 0.5], 3)  # endpoint
-        with pytest.raises(ValueError):
-            stick_weights([-0.1, 0.5], 3)
+        for bad in (1.1, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                stick_weights([bad, 0.5], 3)
+
+    def test_endpoints(self):
+        # a stick of 0 takes nothing, and a stick of 1 ends the breaking
+        np.testing.assert_array_equal(stick_weights([0.0, 1.0, 0.5], 4), [0.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(stick_weights([0.5, 0.0], 3), [0.5, 0.0, 0.5])
 
 
 class TestDraw:
@@ -83,6 +89,16 @@ class TestDraw:
         se = w.std(axis=0, ddof=1) / math.sqrt(w.shape[0])
         for k in range(10):
             assert mean[k + 1] <= mean[k] + 3.0 * (se[k] + se[k + 1])
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-300])
+    def test_tiny_alpha_draws_zero_mass(self, alpha):
+        # Gamma(alpha) rounds to 0 with probability about 1 - 744 alpha
+        d = draw_gamma_process(GammaProcessParams(alpha, 1.0, 20), RandomStream(1))
+        assert d.gamma == 0.0 and d.total_mass() == 0.0
+        np.testing.assert_array_equal(d.weights, 0.0)
+        assert d.sticks[0] == 1.0  # 1 - V has mass 2**(-54 alpha) at 0
+        with pytest.raises(ValueError, match="the total mass of a draw must be finite and positive"):
+            draw_model_params("ifr", [d], HyperParams(), RandomStream(2))
 
     def test_normal_base_truncated(self):
         params = GammaProcessParams(alpha=3.0, beta=1.0, n_atoms=100, base=NormalBase(-1.0, 1.0))

@@ -1,10 +1,11 @@
 """Determinism, distributional contracts, and domain errors of RandomStream."""
 
+import math
 import time
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import kstwo, norm
 
 from gphazard.gamma_process import NormalBase
 from gphazard.rng import RandomStream
@@ -97,6 +98,29 @@ class TestBeta:
         draws = np.array([s.beta(1.0, 1.0) for _ in range(10_000)])
         assert ks_distance(draws, lambda v: v) < 0.02
 
+    # 1 - V for V ~ Beta(1, alpha) is Beta(alpha, 1), with mean alpha/(1 + alpha); where alpha
+    # is small most draws of V round to 1 and are kept, so 1 - V is 0
+    @pytest.mark.parametrize("alpha", [0.01, 0.05])
+    def test_mean_of_one_minus_the_stick_at_small_alpha(self, alpha):
+        n = 200_000
+        w = 1.0 - RandomStream(1).betas(1.0, alpha, n)
+        se = math.sqrt(alpha / ((1.0 + alpha) ** 2 * (2.0 + alpha)) / n)
+        assert abs(w.mean() - alpha / (1.0 + alpha)) < 4.0 * se
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 1.0, 3.0])
+    def test_ks_of_one_minus_the_stick_against_the_law_of_its_rounded_value(self, alpha):
+        """V rounds to the nearest double, 2**-53 apart below 1, so 1 - V <= x, at each value
+        it takes, has probability min(1, (x + 2**-54)**alpha) and 1 - V < x has (x - 2**-54)**alpha;
+        0 has mass 2**(-54 alpha).  The limit is kstwo's at a false-alarm rate of 1e-3 for a
+        continuous law; for this law, with its atom at 0, the rate is at most that."""
+        n, half_gap = 10_000, 2.0**-54
+        x = np.sort(1.0 - RandomStream(2).betas(1.0, alpha, n))
+        i = np.arange(1, n + 1)
+        at = np.minimum(1.0, (x + half_gap) ** alpha)
+        below = np.maximum(0.0, x - half_gap) ** alpha
+        d = max(np.max(i / n - at), np.max(below - (i - 1) / n))
+        assert d < kstwo.isf(1e-3, n)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             RandomStream(0).beta(0.0, 1.0)
@@ -165,54 +189,63 @@ class TestCategorical:
             RandomStream(0).categorical(())
 
 
-class TestGammaDrawCap:
-    @staticmethod
-    def _uncapped(gen, shape, rate):
-        """The draw-until-positive loop without a cap."""
-        x = gen.gamma(shape, 1.0 / rate)
-        while x <= 0.0:
-            x = gen.gamma(shape, 1.0 / rate)
-        return float(x)
+class TestNumpysDrawIsKept:
+    """gamma, beta and exponential draws are numpy's scalar draws, 0 and 1 included: the
+    same values, and the same generator state, with no redraw."""
 
-    @pytest.mark.parametrize("shape", [1e-3, 1.0, 3.0, 50.0])
-    def test_values_and_state_match_the_uncapped_loop(self, shape):
+    CASES = {  # the stream's draw and numpy's
+        # about half of these round to 0
+        "gamma-1e-3": (lambda s: s.gamma(1e-3, 2.0), lambda g: g.gamma(1e-3, 1.0 / 2.0)),
+        "gamma-1": (lambda s: s.gamma(1.0, 2.0), lambda g: g.gamma(1.0, 1.0 / 2.0)),
+        "gamma-3": (lambda s: s.gamma(3.0, 2.0), lambda g: g.gamma(3.0, 1.0 / 2.0)),
+        "gamma-50": (lambda s: s.gamma(50.0, 2.0), lambda g: g.gamma(50.0, 1.0 / 2.0)),
+        "beta-1-3": (lambda s: s.beta(1.0, 3.0), lambda g: g.beta(1.0, 3.0)),
+        "beta-0.4-0.7": (lambda s: s.beta(0.4, 0.7), lambda g: g.beta(0.4, 0.7)),
+        "beta-5-0.5": (lambda s: s.beta(5.0, 0.5), lambda g: g.beta(5.0, 0.5)),
+        # about 69 % of these round to 1
+        "beta-1-0.01": (lambda s: s.beta(1.0, 0.01), lambda g: g.beta(1.0, 0.01)),
+        "exponential": (lambda s: s.exponential(3.0), lambda g: g.exponential(1.0 / 3.0)),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_values_and_state_match_numpy(self, name):
+        draw, numpy_draw = self.CASES[name]
         for seed in range(1, 21):
             stream, ref = RandomStream(seed), RandomStream(seed)._gen
             for _ in range(50):
-                assert stream.gamma(shape, 2.0) == self._uncapped(ref, shape, 2.0)
+                assert draw(stream) == float(numpy_draw(ref))
             assert stream._gen.bit_generator.state == ref.bit_generator.state
 
-    def test_tiny_shape_raises_naming_the_parameters(self):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match=r"shape=1e-320, rate=1\.0"):
-            RandomStream(1).gamma(1e-320, 1.0)
-        assert time.perf_counter() - start < 30.0
+    @pytest.mark.parametrize(
+        "draw, value",
+        [
+            (lambda: RandomStream(1).gamma(1e-320, 1.0), 0.0),
+            (lambda: RandomStream(1).beta(1e-320, 1.0), 0.0),
+            (lambda: RandomStream(1).betas(1e-320, 1.0, 3), 0.0),
+            (lambda: RandomStream(1).betas(1.0, 1e-320, 3), 1.0),
+        ],
+        ids=["gamma", "beta", "betas", "betas-near-1"],
+    )
+    def test_tiny_parameters_draw_the_boundary(self, draw, value):
+        np.testing.assert_array_equal(draw(), value)
 
 
 class TestBlockDrawCap:
-    """One capped top-up loop for the block samplers and the scalar draws built on it."""
+    """One capped top-up loop for the uniform and the normal base, whose laws reject."""
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: RandomStream(1).beta(1e-320, 1.0),
-            lambda: RandomStream(1).betas(1e-320, 1.0, 3),
             lambda: NormalBase(-50.0, 1.0).sample(RandomStream(1)),
             lambda: NormalBase(-50.0, 1.0).samples(3, RandomStream(1)),
         ],
+        ids=["sample", "samples"],
     )
     def test_hopeless_parameters_raise_naming_them(self, call):
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=r"(beta\(a=1e-320, b=1\.0\)|NormalBase\(mean=-50\.0, sd=1\.0\)) rejected"):
+        with pytest.raises(ValueError, match=r"NormalBase\(mean=-50\.0, sd=1\.0\) rejected"):
             call()
         assert time.perf_counter() - start < 2.0
-
-    @staticmethod
-    def _uncapped_beta(gen, a, b):
-        x = gen.beta(a, b)
-        while x <= 0.0 or x >= 1.0:
-            x = gen.beta(a, b)
-        return float(x)
 
     @staticmethod
     def _uncapped_normal_base(gen, mean, sd):
@@ -220,14 +253,6 @@ class TestBlockDrawCap:
         while x < 0.0:
             x = float(gen.normal(mean, sd))
         return x
-
-    @pytest.mark.parametrize("a, b", [(1.0, 3.0), (0.4, 0.7), (5.0, 0.5)])
-    def test_beta_values_and_state_match_the_scalar_loop(self, a, b):
-        for seed in range(1, 21):
-            stream, ref = RandomStream(seed), RandomStream(seed)._gen
-            for _ in range(50):
-                assert stream.beta(a, b) == self._uncapped_beta(ref, a, b)
-            assert stream._gen.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("mean", [2.0, 0.0, -1.0])
     def test_normal_base_values_and_state_match_the_scalar_loop(self, mean):
@@ -245,11 +270,10 @@ class TestScalarDrawIsABlockOfOne:
     CASES = {  # the stream's scalar draw, numpy's block of one, and the accepted values
         "uniform": (lambda s: s.uniform(), lambda g: g.random(1), lambda x: 0.0 < x < 1.0),
         "gamma": (lambda s: s.gamma(0.5, 2.0), lambda g: g.gamma(0.5, 1.0 / 2.0, 1),
-                  lambda x: x > 0.0),
-        "beta": (lambda s: s.beta(0.4, 0.7), lambda g: g.beta(0.4, 0.7, 1),
-                 lambda x: 0.0 < x < 1.0),
+                  lambda x: True),
+        "beta": (lambda s: s.beta(0.4, 0.7), lambda g: g.beta(0.4, 0.7, 1), lambda x: True),
         "exponential": (lambda s: s.exponential(3.0), lambda g: g.exponential(1.0 / 3.0, 1),
-                        lambda x: x > 0.0),
+                        lambda x: True),
         # rejects about five draws in six
         "normal base": (lambda s: NormalBase(-1.0, 1.0).sample(s), lambda g: g.normal(-1.0, 1.0, 1),
                         lambda x: x >= 0.0),
