@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ._checks import _check_count, _check_range, _require_keys, _require_reals
-from .datasets import _csv_text, read_dataset_csv, write_dataset_csv
+from .datasets import _csv, _write, read_dataset_csv, write_dataset_csv
 from .gamma_process import GammaProcessDraw, GammaProcessParams, _distinct, draw_gamma_process
 from .likelihood import HyperParams, log_likelihood
 from .models import (HazardModel, _build_model, _draw_model_params, _model_class, model_from_dict,
@@ -112,17 +112,9 @@ def build_model(cfg: dict, stream: RandomStream) -> HazardModel:
     return _draw_model_params(cls, draws, HyperParams(nu=cfg["nu"]), stream, cfg, draw_pi)
 
 
-def _write_text(path, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as e:
-        raise ValueError(f"cannot write {path}: {e}") from None
-
-
 def _write_sidecar(out_path, cfg: dict, command: str) -> None:
-    sidecar = dict(cfg)
-    sidecar["command"] = command
-    _write_text(str(out_path) + ".config.json", json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    sidecar = {**cfg, "command": command}
+    _write(str(out_path) + ".config.json", (json.dumps(sidecar, sort_keys=True, indent=2), "\n"))
 
 
 def _cmd_draw(args) -> int:
@@ -134,9 +126,9 @@ def _cmd_draw(args) -> int:
         raise ValueError("draw needs prior parameters, not a frozen draw file")
     draw = _resolve_draw(cfg, "prior", RandomStream(cfg["seed"]))
     out = Path(cfg["out"])
-    _write_text(out, draw.to_json() + "\n")
+    _write(out, (draw.to_json(), "\n"))
     table = (np.arange(1, draw.n_atoms + 1), draw.thetas, draw.weights)
-    _write_text(out.with_suffix(".csv"), _csv_text("k,theta,weight", table))
+    _write(out.with_suffix(".csv"), _csv("k,theta,weight", table))
     _write_sidecar(out, cfg, "draw")
     print(f"wrote {out} and {out.with_suffix('.csv')} (total mass {draw.gamma!r})")
     return 0
@@ -158,7 +150,7 @@ def _cmd_curves(args) -> int:
     model = build_model(cfg, RandomStream(cfg["seed"]))
     ts = _curve_grid(model, cfg["t_max"], cfg["points"])
     table = (ts, model.hazard(ts), model.cum_hazard(ts), model.density(ts), model.survival(ts))
-    _write_text(cfg["out"], _csv_text("t,hazard,cum_hazard,density,survival", table))
+    _write(cfg["out"], _csv("t,hazard,cum_hazard,density,survival", table))
     _write_sidecar(cfg["out"], cfg, "curves")
     print(f"wrote {cfg['out']} ({len(ts)} rows)")
     return 0

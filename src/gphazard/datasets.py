@@ -12,6 +12,8 @@ from ._checks import _frozen, _horizon, _rebuild
 
 __all__ = ["Dataset", "read_dataset_csv", "write_dataset_csv"]
 
+_CSV_ROWS = 2**16  # rows per chunk of CSV text: a file is written a block at a time
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -75,19 +77,29 @@ class Dataset:
         return obs, cens
 
 
-def _csv_text(header: str, columns) -> str:
-    """CSV text: the header line, then per row the equal-length columns' values, comma-joined.
+def _write(path, texts) -> None:
+    """Write the text chunks ``texts`` to the file at ``path``; ValueError naming the path."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(texts)
+    except OSError as e:
+        raise ValueError(f"cannot write {path}: {e}") from None
+
+
+def _csv(header: str, columns):
+    """CSV text: the header line, then the equal-length arrays' rows, ``_CSV_ROWS`` to a chunk.
 
     Each value is written as its ``repr``, for a float the shortest text that
     reads back to the same bits.
     """
-    cells = [list(map(repr, np.asarray(col).tolist())) for col in columns]
-    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+    yield header + "\n"
+    for i in range(0, len(columns[0]), _CSV_ROWS):
+        cells = [map(repr, col[i:i + _CSV_ROWS].tolist()) for col in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(_csv_text("time,status", (dataset.times, dataset.observed.astype(int))))
+    _write(path, _csv("time,status", (dataset.times, dataset.observed.astype(int))))
 
 
 def read_dataset_csv(path, tau: float | None = None) -> Dataset:

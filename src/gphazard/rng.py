@@ -51,14 +51,8 @@ class RandomStream:
         distribution that ``describe()`` returns.
         """
         n = _check_count("n", n)
-        if n == 1:  # numpy's scalar draw is its block of one, at a fraction of the cost
-            x = draw(self._gen, None)
-            if not reject(x):
-                return np.array([x])
-            out = np.empty(0)
-        else:
-            out = draw(self._gen, n)
-            out = out[~reject(out)]
+        out = draw(self._gen, n)
+        out = out[~reject(out)]
         rejected = 0
         while out.size < n:
             more = draw(self._gen, n - out.size)
@@ -77,7 +71,7 @@ class RandomStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n successive uniform draws, identical to n calls of :meth:`uniform`."""
-        return self._block(n, lambda g, k: g.random(k), lambda u: (u <= 0.0) | (u >= 1.0),
+        return self._block(n, lambda g, k: g.random(k), lambda u: u <= 0.0,
                            lambda: "uniform()")
 
     def gamma(self, shape: float, rate: float) -> float:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import _as_times, _check_count, _check_range, _frozen, _rebuild
-from .datasets import Dataset, _csv_text
+from .datasets import Dataset, _csv, _write
 from .gamma_process import _distinct, _maybe_scalar
 
 __all__ = ["StepFunction", "kaplan_meier", "ks_distance", "histogram"]
@@ -41,8 +41,7 @@ class StepFunction:
         return _maybe_scalar(levels[idx], t)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(_csv_text("t,value", (self.breakpoints, self.values)))
+        _write(path, _csv("t,value", (self.breakpoints, self.values)))
 
 
 def kaplan_meier(dataset: Dataset) -> StepFunction:

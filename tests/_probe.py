@@ -41,6 +41,9 @@ COMMANDS = {
     **{f"curves-{m}": f"curves --config {{d}}/{m}.json --seed 1 --out {{d}}/{m}.csv"
        for m in ("lwb", "sbt", "mbt", "lcv", "ifr-tiny-alpha")},
     "simulate": "simulate --config {d}/ifr.json --seed 1 --tau 3 --n 200 --out {d}/data.csv",
+    # more rows than datasets._CSV_ROWS, so that the file is written in two blocks
+    "simulate-two-blocks": "simulate --config {d}/ifr.json --seed 1 --tau 3 --n 70000 "
+                           "--out {d}/big.csv",
     **{"loglik" if m == "dfr" else f"loglik-{m}":
        f"loglik --model {{d}}/{m}_model.json --data {{d}}/data.csv --tau 3" for m in MODELS},
     "km": "km --data {d}/data.csv --out {d}/km.csv",

@@ -1,11 +1,12 @@
 """End-to-end command-line behaviour on small configurations."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gphazard import cli
+from gphazard import cli, datasets
 from gphazard.cli import build_model, main
 from gphazard.gamma_process import GammaProcessDraw
 from gphazard.models import IncreasingFailureRate, model_to_dict
@@ -635,3 +636,80 @@ def test_runtime_and_memory_errors_end_in_one_error_line(monkeypatch, capsys, er
     assert main(["simulate", "--n", "5"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.splitlines() == [f"error: {str(error) or type(error).__name__}"]
+
+
+class TestOneWriter:
+    """Every command writes its files through ``datasets._write``, each CSV in row blocks."""
+
+    # each file-writing command, run where cfg.json and data.csv are, with {d} its output directory
+    ARGV = {
+        "draw": "draw --config cfg.json --out {d}/draw.json",
+        "curves": "curves --config cfg.json --out {d}/curves.csv",
+        "simulate": "simulate --config cfg.json --n 50 --tau 3 --out {d}/sim.csv",
+        "km": "km --data data.csv --out {d}/km.csv",
+    }
+    # the K = 100 configs that the file layer's sizes were measured on
+    PRIOR = {"alpha": 3.0, "beta": 1.0, "K": 100}
+    LARGE = {
+        "mbt": {"seed": 3, "model": "mbt", "pi": 0.5, "lambda01": 0.1, "lambda02": 0.1,
+                "prior": {**PRIOR, "base": {"kind": "exponential", "rate": 1.0}},
+                "prior2": {**PRIOR, "base": {"kind": "normal", "mean": 2.0, "sd": 1.0}}},
+        "ifr": {"seed": 3, "model": "ifr", "lambda0": 0.1, "prior": PRIOR},
+    }
+
+    @staticmethod
+    def _inputs(tmp_path, run_cli):
+        _write_config(tmp_path, **IFR, seed=1)
+        assert run_cli("simulate", "--config", "cfg.json", "--n", "50", "--tau", "1",
+                       "--out", "data.csv")[0] == 0
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_an_unwritable_output_is_one_error_line(self, tmp_path, run_cli, command):
+        self._inputs(tmp_path, run_cli)
+        rc, _, err = run_cli(*self.ARGV[command].format(d="missing").split())
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot write missing/"), err
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_small_blocks_write_the_same_bytes(self, tmp_path, run_cli, monkeypatch, rows):
+        self._inputs(tmp_path, run_cli)
+        for d in ("whole", "blocks"):
+            (tmp_path / d).mkdir()
+            if d == "blocks":
+                monkeypatch.setattr(datasets, "_CSV_ROWS", rows)
+            for argv in self.ARGV.values():
+                assert run_cli(*argv.format(d=d).split())[0] == 0
+        names = sorted(p.name for p in (tmp_path / "whole").glob("*.csv"))
+        assert names == ["curves.csv", "draw.csv", "km.csv", "sim.csv"]
+        for name in names:
+            whole = (tmp_path / "whole" / name).read_bytes()
+            assert whole.count(b"\n") > 2 * 7  # three blocks of seven rows at least
+            assert (tmp_path / "blocks" / name).read_bytes() == whole, name
+
+    def test_an_all_censored_km_writes_the_header_alone(self, tmp_path, run_cli):
+        (tmp_path / "data.csv").write_text("time,status\n1.0,0\n2.0,0\n")
+        rc, _, err = run_cli("km", "--data", "data.csv", "--out", "km.csv")
+        assert rc == 0, err
+        assert (tmp_path / "km.csv").read_text() == "t,value\n"
+
+    def test_the_probe_writes_a_file_of_two_blocks(self, probe):
+        record = probe["simulate-two-blocks"]
+        assert record.returncode == 0 and "(70000 rows, " in record.stdout
+        assert datasets._CSV_ROWS < 70000 <= 2 * datasets._CSV_ROWS
+
+    # whole-file CSV text peaked at 127 and 47.4 MiB; in blocks, at about 31 and 12.5 MiB
+    @pytest.mark.parametrize("argv, mib", [
+        ("curves --config mbt.json --points 200000 --out curves.csv", 48),
+        ("simulate --config ifr.json --n 200000 --tau 3 --out sim.csv", 24),
+    ])
+    def test_peak_memory_of_a_large_file(self, tmp_path, run_cli, argv, mib):
+        for name, doc in self.LARGE.items():
+            _write_config(tmp_path, f"{name}.json", **doc)
+        tracemalloc.start()
+        try:
+            rc, _, err = run_cli(*argv.split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0, err
+        assert peak < mib * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -1,8 +1,11 @@
 """Dataset validation and the time,status CSV format."""
 
+import re
+
 import numpy as np
 import pytest
 
+from gphazard import datasets
 from gphazard.datasets import Dataset, read_dataset_csv, write_dataset_csv
 
 
@@ -53,6 +56,20 @@ class TestCsv:
         back = read_dataset_csv(path)
         assert back.times.tobytes() == d.times.tobytes()
         np.testing.assert_array_equal(back.observed, d.observed)
+
+    def test_an_unwritable_path_is_a_value_error_naming_it(self, tmp_path):
+        path = tmp_path / "missing" / "data.csv"
+        with pytest.raises(ValueError, match=f"^cannot write {re.escape(str(path))}: "):
+            write_dataset_csv(Dataset(times=[1.0], observed=[True]), path)
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 14, 15])
+    def test_blocks_join_to_the_whole_text(self, monkeypatch, n):
+        monkeypatch.setattr(datasets, "_CSV_ROWS", 7)
+        x, s = np.arange(n) / 3.0, np.arange(n) % 2
+        chunks = list(datasets._csv("x,s", (x, s)))
+        rows = [f"{a!r},{b!r}" for a, b in zip(x.tolist(), s.tolist())]
+        assert "".join(chunks) == "\n".join(["x,s", *rows]) + "\n"
+        assert len(chunks) == 1 + -(-n // 7)  # the header, then one chunk per block
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"

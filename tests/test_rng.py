@@ -265,7 +265,7 @@ class TestBlockDrawCap:
 
 
 class TestScalarDrawIsABlockOfOne:
-    """A scalar draw takes numpy's scalar draw first; values and state match a block of one."""
+    """A scalar draw's values and generator state match numpy's block of one."""
 
     CASES = {  # the stream's scalar draw, numpy's block of one, and the accepted values
         "uniform": (lambda s: s.uniform(), lambda g: g.random(1), lambda x: 0.0 < x < 1.0),

@@ -1,6 +1,7 @@
 """Kaplan-Meier curves, step functions, KS distance, histograms."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -50,6 +51,12 @@ class TestStepFunction:
         rows = [f"{b!r},{v!r}" for b, v in zip(values, values[::-1])]
         assert path.read_text() == "\n".join(["t,value", *rows]) + "\n"
         assert rows[0] == "5e-324,1.7976931348623157e+308"
+
+    def test_csv_to_an_unwritable_path_is_a_value_error_naming_it(self, tmp_path):
+        f = StepFunction(breakpoints=[1.0], values=[0.5], initial=1.0)
+        path = tmp_path / "missing" / "step.csv"
+        with pytest.raises(ValueError, match=f"^cannot write {re.escape(str(path))}: "):
+            f.to_csv(path)
 
 
 class TestKaplanMeier:
